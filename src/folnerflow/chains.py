@@ -41,7 +41,7 @@ class Chain(Mapping):
         w = {}
         if weights:
             for x, v in dict(weights).items():
-                if not isinstance(v, int):
+                if isinstance(v, bool) or not isinstance(v, int):
                     raise ValueError(f"chain weight at {x} must be an int, got {v!r}")
                 if v < 0:
                     raise ValueError(f"chain weight at {x} is negative: {v}")
@@ -49,6 +49,14 @@ class Chain(Mapping):
                     w[x] = v
         self._w = w
         self._l1 = sum(w.values())
+
+    @classmethod
+    def _trusted(cls, w: dict) -> "Chain":
+        """Wrap a dict of positive ints built by this library, unchecked."""
+        c = cls.__new__(cls)
+        c._w = w
+        c._l1 = sum(w.values())
+        return c
 
     @classmethod
     def from_set(cls, points) -> "Chain":
@@ -68,6 +76,16 @@ class Chain(Mapping):
 
     def __contains__(self, x):
         return x in self._w
+
+    # direct views: the Mapping defaults call __getitem__ once per point
+    def keys(self):
+        return self._w.keys()
+
+    def values(self):
+        return self._w.values()
+
+    def items(self):
+        return self._w.items()
 
     def __eq__(self, other):
         if isinstance(other, Chain):
@@ -101,39 +119,42 @@ class Chain(Mapping):
     def meet(self, other: "Chain") -> "Chain":
         """Pointwise minimum."""
         small, big = (self, other) if len(self) <= len(other) else (other, self)
-        return Chain({x: min(v, big[x]) for x, v in small.items() if x in big})
+        bw = big._w
+        return Chain._trusted({x: min(v, bw[x]) for x, v in small._w.items() if x in bw})
 
     def join(self, other: "Chain") -> "Chain":
         """Pointwise maximum."""
         out = dict(self._w)
-        for x, v in other.items():
+        for x, v in other._w.items():
             if v > out.get(x, 0):
                 out[x] = v
-        return Chain(out)
+        return Chain._trusted(out)
 
     def setminus(self, other: "Chain") -> "Chain":
         """Truncated difference: self - (self ^ other), never negative."""
-        return Chain({x: v - other[x] for x, v in self._w.items() if v > other[x]})
+        ow = other._w
+        return Chain._trusted({x: v - ow.get(x, 0) for x, v in self._w.items() if v > ow.get(x, 0)})
 
     def scale(self, k: int) -> "Chain":
-        if k < 0:
-            raise ValueError("scale factor must be >= 0")
-        return Chain({x: k * v for x, v in self._w.items()})
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"scale factor must be an int >= 0, got {k!r}")
+        return Chain._trusted({x: k * v for x, v in self._w.items()} if k else {})
 
     def add(self, other: "Chain") -> "Chain":
         out = dict(self._w)
-        for x, v in other.items():
+        for x, v in other._w.items():
             out[x] = out.get(x, 0) + v
-        return Chain(out)
+        return Chain._trusted(out)
 
 
 def l1_distance(a: Chain, b: Chain) -> int:
     """Sum of |a(x) - b(x)| over all points."""
+    aw, bw = a._w, b._w
     total = 0
-    for x, v in a.items():
-        total += abs(v - b[x])
-    for x, v in b.items():
-        if x not in a:
+    for x, v in aw.items():
+        total += abs(v - bw.get(x, 0))
+    for x, v in bw.items():
+        if x not in aw:
             total += v
     return total
 
@@ -150,8 +171,8 @@ def ratio(a: Chain, b: Chain):
 def base_and_towers(a: Chain) -> tuple[Chain, Chain]:
     """Split a = base + towers: base is the 0,1 indicator of the support,
     towers carry the excess mass above height one."""
-    base = Chain({x: 1 for x in a})
-    towers = Chain({x: v - 1 for x, v in a.items() if v > 1})
+    base = Chain._trusted(dict.fromkeys(a._w, 1))
+    towers = Chain._trusted({x: v - 1 for x, v in a._w.items() if v > 1})
     return base, towers
 
 

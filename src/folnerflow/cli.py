@@ -106,9 +106,7 @@ def cmd_flatten_run(args):
     space = load_space(args.space)
     fam = load_family(args.family, space)
     flow = rips_mod.load_flow(args.flow)
-    out_fam, report = flatten_family(
-        fam, flow, on_escape=args.on_escape, jobs=args.jobs,
-    )
+    out_fam, report = flatten_family(fam, flow, on_escape=args.on_escape)
     dump_json(family_to_json(out_fam), args.out)
     _emit(report.to_json(), args.report)
     return EXIT_OK if not report.escaped_indices else EXIT_VERIFY_FAILED
@@ -211,7 +209,7 @@ def cmd_box_build(args):
 
 def cmd_run(args):
     config = pipeline.load_config(args.config)
-    report = pipeline.run(config, args.out, seed=args.seed, jobs=args.jobs)
+    report = pipeline.run(config, args.out, seed=args.seed)
     print(pipeline.explain(report), end="")
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
 
@@ -266,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
            "--space": dict(required=True), "--out": dict(required=True),
            "--report": dict(default=None),
            "--on-escape": dict(dest="on_escape", default="collect",
-                               choices=("raise", "collect")),
-           "--jobs": dict(type=int, default=1)})
+                               choices=("raise", "collect"))})
 
     tails = sub.add_parser("tails").add_subparsers(dest="cmd", required=True)
     add(tails, "build", cmd_tails_build,
@@ -312,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--config", required=True)
     runp.add_argument("--out", required=True)
     runp.add_argument("--seed", type=int, default=None)
-    runp.add_argument("--jobs", type=int, default=1)
     runp.set_defaults(handler=cmd_run)
 
     expl = sub.add_parser("explain")

@@ -19,22 +19,22 @@ Mass that would have to flow past a sink means the finite window is too
 small for the chain; that raises FlowEscaped at the step where a tower
 actually sits on a sink (the budget precheck is only a warning, since
 most runs finish far below the bound).
+
+`shift_step` is the executable specification; `flatten` never rebuilds
+the chain. The base never moves, so its state is the support (insertion
+ordered, point -> position) and the towers (point -> height above 1, in
+support order): a step sums the tower mass arriving at each sigma(y),
+adds newly reached points, and keeps the excess over 1 as the next
+towers, in O(|towers|). Steps, errors and the returned chain are those
+of iterated `shift_step`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import (
-    Chain,
-    FamilyParams,
-    IndexedFamily,
-    base_and_towers,
-    in_range_pairs,
-    ratio,
-)
+from .chains import Chain, FamilyParams, IndexedFamily, base_and_towers, in_range_pairs, ratio
 from .errors import FlowEscaped, InternalInvariantError
 from .jsonio import format_ratio, format_rational
 from .rips import FlowField
@@ -90,8 +90,7 @@ def escape_warning(a: Chain, flow: FlowField):
     budget is loose and most runs finish early."""
     if not a or a.is_flat():
         return None
-    _, towers = base_and_towers(a)
-    bound = a.l1() * towers.l1()
+    bound = a.l1() * (a.l1() - len(a))
     min_depth = min(flow.depth(x) for x in a)
     if min_depth <= bound:
         return (
@@ -112,28 +111,40 @@ def flatten(a: Chain, flow: FlowField) -> tuple[Chain, FlattenTrace]:
     if not a:
         raise ValueError("cannot flatten the empty chain")
     _check_domain(a, flow)
-    _, towers = base_and_towers(a)
-    bound = a.l1() * towers.l1()
-    current = a
+    sigma, sinks = flow.sigma, flow.sinks
+    support = {x: i for i, x in enumerate(a)}
+    towers = {x: v - 1 for x, v in a.items() if v > 1}
+    tower_mass = a.l1() - len(a)
+    bound = a.l1() * tower_mass
+    # reached points outside the flow: iterated shift_step rejects them
+    # only when a further step is due
+    uncovered = []
     steps = 0
-    while not current.is_flat():
+    while towers:
         if steps >= bound:
+            current = Chain({x: 1 + towers.get(x, 0) for x in support})
             raise InternalInvariantError(
                 f"chain not 0,1-valued after the full step budget {bound}; "
-                f"norm={a.l1()}, towers={towers.l1()}, got {current!r}"
+                f"norm={a.l1()}, towers={tower_mass}, got {current!r}"
             )
-        try:
-            current = shift_step(current, flow)
-        except FlowEscaped as e:
-            raise FlowEscaped(sink=e.sink, steps=steps) from None
+        if uncovered:
+            raise ValueError(f"chain point {uncovered[0]} is not covered by the flow")
+        arrived = {}  # z -> new height above 1 at z
+        for y, t in towers.items():
+            if y in sinks:
+                raise FlowEscaped(sink=y, steps=steps)
+            z = sigma[y]
+            if z not in support:  # a newly reached point keeps one unit as base
+                support[z] = len(support)
+                arrived[z] = -1
+                if z not in sigma and z not in sinks:
+                    uncovered.append(z)
+            arrived[z] = arrived.get(z, 0) + t
+        towers = {z: arrived[z] for z in sorted(arrived, key=support.__getitem__)
+                  if arrived[z]}
         steps += 1
-    trace = FlattenTrace(
-        steps=steps,
-        bound=bound,
-        support_radius_growth=flow.r * steps,
-        escaped=False,
-    )
-    return current, trace
+    trace = FlattenTrace(steps=steps, bound=bound, support_radius_growth=flow.r * steps)
+    return Chain._trusted(dict.fromkeys(support, 1)), trace
 
 
 @dataclass
@@ -177,7 +188,6 @@ def flatten_family(
     flow: FlowField,
     *,
     on_escape: str = "raise",
-    jobs: int = 1,
 ) -> tuple[IndexedFamily, FlattenReport]:
     """Flatten every chain of the family along one shared flow.
 
@@ -193,39 +203,20 @@ def flatten_family(
     if on_escape not in ("raise", "collect"):
         raise ValueError(f"on_escape must be 'raise' or 'collect', got {on_escape!r}")
 
-    indices = fam.indices()
-
-    def run_one(x):
-        try:
-            return x, flatten(fam.chains[x], flow), None
-        except FlowEscaped as e:
-            return x, None, e
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_one, indices))
-    else:
-        outcomes = [run_one(x) for x in indices]
-
     flat_chains = {}
     traces = {}
     escaped_traces = {}
-    for x, ok, err in outcomes:
-        if err is not None:
+    for x in fam.indices():
+        try:
+            flat_chains[x], traces[x] = flatten(fam.chains[x], flow)
+        except FlowEscaped as err:
             if on_escape == "raise":
-                raise FlowEscaped(sink=err.sink, steps=err.steps, index=x)
-            _, towers = base_and_towers(fam.chains[x])
-            bound = fam.chains[x].l1() * towers.l1()
+                raise FlowEscaped(sink=err.sink, steps=err.steps, index=x) from None
+            norm = fam.chains[x].l1()
             escaped_traces[x] = FlattenTrace(
-                steps=err.steps,
-                bound=bound,
-                support_radius_growth=flow.r * err.steps,
-                escaped=True,
+                steps=err.steps, bound=norm * (norm - len(fam.chains[x])),
+                support_radius_growth=flow.r * err.steps, escaped=True,
             )
-        else:
-            chain, trace = ok
-            flat_chains[x] = chain
-            traces[x] = trace
 
     max_steps = max((t.steps for t in traces.values()), default=0)
     new_S = fam.params.S + flow.r * max_steps

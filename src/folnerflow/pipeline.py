@@ -102,11 +102,10 @@ def load_config(path) -> PipelineConfig:
 
 
 class _RunState:
-    def __init__(self, out_dir, seed, jobs):
+    def __init__(self, out_dir, seed):
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.seed = seed
-        self.jobs = jobs
         self.objects = {}   # name -> live object(s)
         self.kinds = {}     # name -> stage kind
 
@@ -176,9 +175,7 @@ def _run_stage(stage: Stage, state: _RunState):
                 f"stage {stage.name!r}: flatten needs a weighted chain family, "
                 "not a multiset family (use family_from_multisets or transport)"
             )
-        out_fam, report = flatten_family(
-            fam, flow, on_escape=p.get("on_escape", "raise"), jobs=state.jobs,
-        )
+        out_fam, report = flatten_family(fam, flow, on_escape=p.get("on_escape", "raise"))
         dump_json(family_to_json(out_fam), state.artifact_path(stage.name))
         dump_json(report.to_json(), state.out / f"{stage.name}.report.json")
         state.objects[stage.name] = (space, out_fam)
@@ -283,11 +280,11 @@ def _resolve_core(space, core):
     return [int(x) for x in core]
 
 
-def run(config: PipelineConfig, out_dir, *, seed=None, jobs=1) -> dict:
+def run(config: PipelineConfig, out_dir, *, seed=None) -> dict:
     """Execute all stages; returns the run report (also written to
     <out_dir>/report.json). Raises ConfigError for bad configs and lets
     stage errors propagate, prefixed with the stage name."""
-    state = _RunState(out_dir, config.seed if seed is None else seed, jobs)
+    state = _RunState(out_dir, config.seed if seed is None else seed)
     summaries = []
     failures = []
     for i, stage in enumerate(config.stages):

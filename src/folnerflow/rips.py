@@ -115,12 +115,6 @@ class FlowField:
     n: int
     depths: dict = field(repr=False)  # PointId -> int
 
-    def next(self, x: PointId) -> PointId:
-        return self.sigma[x]
-
-    def is_sink(self, x: PointId) -> bool:
-        return x in self.sinks
-
     def depth(self, x: PointId) -> int:
         try:
             return self.depths[x]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import set_ratio
 from folnerflow import (
     Chain,
+    ConfigError,
     FamilyParams,
     INFINITE_RATIO,
     IndexedFamily,
@@ -21,6 +22,7 @@ from folnerflow import (
     ratio,
     verify_family,
 )
+from folnerflow.chains import chain_from_json
 
 chains = st.dictionaries(
     st.integers(min_value=0, max_value=12),
@@ -54,6 +56,15 @@ class TestLatticeOps:
             Chain({0: -1})
         with pytest.raises(ValueError):
             Chain({0: 1.5})
+
+    def test_rejects_bool_weights(self):
+        with pytest.raises(ValueError, match="must be an int"):
+            Chain({0: True})
+
+    def test_json_loader_rejects_bool_weights(self):
+        with pytest.raises(ConfigError, match="bad chain"):
+            chain_from_json({"weights": [[0, True]]})
+        assert chain_from_json({"weights": [[0, 1]]}) == Chain({0: 1})
 
     def test_zero_weights_dropped(self):
         assert Chain({0: 0, 1: 2}) == Chain({1: 2})

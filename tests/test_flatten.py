@@ -4,6 +4,8 @@ contraction, and family-level flattening."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import handmade_flow, random_chain, random_tree_space
 from folnerflow import (
@@ -22,7 +24,7 @@ from folnerflow import (
     singleton_family,
     tent_family,
 )
-from folnerflow.rips import build_flow, build_rips
+from folnerflow.rips import FlowField, build_flow, build_rips
 
 
 def forward_path_flow(n=8):
@@ -110,6 +112,84 @@ class TestFlatten:
         assert escape_warning(b, flow) is not None  # loose budget warns
         flat, _ = flatten(b, flow)  # and yet the run finishes fine
         assert flat.is_flat()
+
+
+def iterated_shift_step(a, flow):
+    """The specification of flatten: shift_step until flat, escapes
+    stamped with the number of steps completed."""
+    bound = a.l1() * base_and_towers(a)[1].l1()
+    steps = 0
+    while not a.is_flat():
+        assert steps < bound
+        try:
+            a = shift_step(a, flow)
+        except FlowEscaped as e:
+            raise FlowEscaped(sink=e.sink, steps=steps) from None
+        steps += 1
+    return a, steps, bound
+
+
+def engine(a, flow):
+    flat, trace = flatten(a, flow)
+    return flat, trace.steps, trace.bound
+
+
+def outcome(run, a, flow):
+    """Everything a run shows: the flat chain with its support order and
+    the trace, or the escape's sink and step, or the rejection."""
+    try:
+        flat, steps, bound = run(a, flow)
+    except FlowEscaped as e:
+        return "escaped", e.sink, e.steps
+    except ValueError as e:
+        return "rejected", str(e)
+    return "flat", flat, list(flat), steps, bound
+
+
+class TestEngineMatchesSpec:
+    @settings(max_examples=80, deadline=None)
+    @given(rng=st.randoms(use_true_random=False),
+           spine=st.integers(min_value=1, max_value=12),
+           width=st.integers(min_value=1, max_value=6))
+    def test_random_tree_flows(self, rng, spine, width):
+        # mass piled on a few points above a short spine escapes about
+        # half the time
+        space = random_tree_space(rng, spine + 30, spine)
+        flow = build_flow(space, build_rips(space, 1))
+        a = random_chain(rng, rng.sample(range(spine, space.n), width), 30)
+        assert outcome(engine, a, flow) == outcome(iterated_shift_step, a, flow)
+
+    @given(n=st.integers(min_value=2, max_value=8),
+           weights=st.dictionaries(st.integers(min_value=0, max_value=7),
+                                   st.integers(min_value=1, max_value=6),
+                                   min_size=1))
+    def test_short_paths(self, n, weights):
+        flow = forward_path_flow(n)
+        a = Chain({x: v for x, v in weights.items() if x < n} or {0: 1})
+        got = outcome(engine, a, flow)
+        assert got == outcome(iterated_shift_step, a, flow)
+        if a.l1() > n:  # more units than points: some must pass the sink
+            assert got[0] == "escaped"
+
+    def test_escape_sink_and_step(self):
+        flow = forward_path_flow(3)
+        assert outcome(engine, Chain({0: 4}), flow) == ("escaped", 2, 2)
+        assert outcome(iterated_shift_step, Chain({0: 4}), flow) == ("escaped", 2, 2)
+
+    # sigma(1) = 9, and 9 is neither in sigma nor a sink
+    UNCOVERED = FlowField(sigma={0: 1, 1: 9}, sinks=frozenset({2}), r=Fraction(1),
+                          n=3, depths={})
+
+    @given(w0=st.integers(min_value=1, max_value=6),
+           w1=st.integers(min_value=1, max_value=6))
+    def test_sigma_into_uncovered_point(self, w0, w1):
+        a, flow = Chain({0: w0, 1: w1}), self.UNCOVERED
+        assert outcome(engine, a, flow) == outcome(iterated_shift_step, a, flow)
+
+    def test_uncovered_point_rejected_by_both(self):
+        for run in (engine, iterated_shift_step):
+            with pytest.raises(ValueError, match="point 9 is not covered"):
+                run(Chain({0: 4}), self.UNCOVERED)
 
 
 class TestClaims:
@@ -246,12 +326,3 @@ class TestFlattenFamily:
         assert report.escaped_indices == [3]
         assert set(out.chains) == {20}
         assert report.escaped_traces[3].escaped
-
-    def test_jobs_parallel_matches_serial(self):
-        space, flow = self.build_line()
-        fam = tent_family(space, 5, R=1, epsilon=Fraction(1, 4),
-                          core=range(70, 100))
-        out1, rep1 = flatten_family(fam, flow, jobs=1)
-        out4, rep4 = flatten_family(fam, flow, jobs=4)
-        assert out1.chains == out4.chains
-        assert rep1.to_json() == rep4.to_json()

@@ -68,7 +68,6 @@ from .families import (
 from .flatten import (
     FlattenReport,
     FlattenTrace,
-    escape_warning,
     flatten,
     flatten_family,
     shift_step,

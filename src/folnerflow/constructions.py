@@ -33,13 +33,7 @@ _ZERO = Fraction(0)
 def boundary(space: WindowSpace, U, R) -> frozenset:
     """R-boundary: points outside U within distance R of U."""
     U = frozenset(U)
-    for x in U:
-        space._check_point(x)
-    R = Fraction(R)
-    out = set()
-    for u in U:
-        out.update(space.ball(u, R))
-    return frozenset(out - U)
+    return space.neighborhood(U, R) - U
 
 
 def foelner_search(space: WindowSpace, R, epsilon, *, max_radius=None):

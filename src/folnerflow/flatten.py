@@ -84,22 +84,6 @@ def shift_step(a: Chain, flow: FlowField) -> Chain:
     return Chain(out)
 
 
-def escape_warning(a: Chain, flow: FlowField):
-    """Cheap precheck: the step budget exceeds the shortest sink distance
-    from the support, so escape is conceivable. Advisory only -- the
-    budget is loose and most runs finish early."""
-    if not a or a.is_flat():
-        return None
-    bound = a.l1() * (a.l1() - len(a))
-    min_depth = min(flow.depth(x) for x in a)
-    if min_depth <= bound:
-        return (
-            f"support reaches sigma-depth {min_depth} with step budget {bound}; "
-            "mass may reach a sink if the window margin is tight"
-        )
-    return None
-
-
 def flatten(a: Chain, flow: FlowField) -> tuple[Chain, FlattenTrace]:
     """Iterate shift steps until the chain is 0,1-valued.
 

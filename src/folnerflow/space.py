@@ -7,11 +7,17 @@ code uses frontier membership as the finite surrogate for "direction to
 infinity": a neighbourhood-graph component that touches the frontier is
 treated as unbounded, one that does not as genuinely bounded.
 
-All distances are `fractions.Fraction` and every comparison is exact; no
-floating point enters the metric layer. Generated spaces carry both an
-adjacency structure (whose shortest-path metric is the normative one) and
-a closed-form evaluator that agrees with it, so single distance queries
-are O(1)-ish even on windows with thousands of points.
+Every distance and comparison is exact, with no floating point. A graph
+metric keeps its edge weights as ints at a scale L, the least common
+multiple of the weight denominators, so distances inside the library are
+ints d_int = L * d: balls, set neighbourhoods, distance rows and frontier
+distances all come from one truncated search (BFS by layers when every
+weight is 1, int Dijkstra otherwise), and a radius R is compared as
+d_int <= floor(R * L). `fractions.Fraction` appears only at the API and
+JSON boundary. Generated spaces carry both an adjacency structure (whose
+shortest-path metric is the normative one) and a closed-form evaluator
+that agrees with it, so single distance queries are O(1)-ish even on
+windows with thousands of points.
 
 Point ids are dense integers 0..n-1.
 """
@@ -20,7 +26,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import OrderedDict, deque
+import math
+from collections import OrderedDict
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -28,9 +35,6 @@ from .errors import ConfigError
 from .jsonio import dump_json, format_rational, load_json, parse_rational
 
 PointId = int
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # sources cached per space for BFS/Dijkstra-backed metrics
 _DIST_CACHE_LIMIT = 64
@@ -77,12 +81,28 @@ class WindowSpace:
             self._check_matrix()
         else:
             self._matrix = None
-            self._adj = [tuple(nbrs) for nbrs in adjacency]
-            if len(self._adj) != n:
+            if len(adjacency) != n:
                 raise ValueError("adjacency length != n")
-            self._unit_weights = all(
-                w == 1 for nbrs in self._adj for _, w in nbrs
-            )
+            # distances inside the library are ints at scale L, the least
+            # common multiple of the weight denominators: d = d_int / L
+            L, all_int = 1, True
+            for x, nbrs in enumerate(adjacency):
+                for y, w in nbrs:
+                    if type(y) is not int or not 0 <= y < n:
+                        raise ValueError(f"edge endpoint {y!r} at {x} is outside 0..{n - 1}")
+                    if type(w) not in (int, Fraction) or w <= 0:
+                        raise ValueError(f"edge weight {w!r} on ({x}, {y}) must be a "
+                                         "positive int or Fraction")
+                    L = math.lcm(L, w.denominator)
+                    all_int = all_int and type(w) is int
+            self._scale = L
+            # int weights are already at scale 1: share the input's pairs
+            self._adj = [
+                tuple(nbrs) if all_int else
+                tuple((y, w.numerator * (L // w.denominator)) for y, w in nbrs)
+                for nbrs in adjacency
+            ]
+            self._unit_weights = all(w == 1 for nbrs in self._adj for _, w in nbrs)
             if dist_fn is None:
                 self._check_connected()
 
@@ -100,18 +120,11 @@ class WindowSpace:
                     raise ValueError(f"dist({i},{j}) must be positive")
 
     def _check_connected(self):
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y, _ in self._adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if len(seen) != self.n:
+        reached = len(self._search((0,)))
+        if reached != self.n:
             raise ValueError(
                 "graph metric requires a connected graph; "
-                f"only {len(seen)} of {self.n} points reachable from 0"
+                f"only {reached} of {self.n} points reachable from 0"
             )
 
     # -- metric queries ----------------------------------------------------
@@ -127,40 +140,57 @@ class WindowSpace:
             return self._dist_fn(x, y)
         if self._matrix is not None:
             return self._matrix[x][y]
-        return self._dist_row(x)[y]
+        return Fraction(self._dist_row(x)[y], self._scale)
 
-    def _dist_row(self, x: PointId) -> list:
-        """Full shortest-path row from x (cached, adjacency spaces only)."""
+    def _dist_row(self, x: PointId) -> dict:
+        """Scaled distances from x to every point (cached, adjacency spaces only)."""
         row = self._row_cache.get(x)
         if row is not None:
             self._row_cache.move_to_end(x)
             return row
-        if self._unit_weights:
-            row = [None] * self.n
-            row[x] = _ZERO
-            queue = deque([x])
-            while queue:
-                u = queue.popleft()
-                du = row[u]
-                for v, _ in self._adj[u]:
-                    if row[v] is None:
-                        row[v] = du + 1
-                        queue.append(v)
-        else:
-            row = [None] * self.n
-            heap = [(_ZERO, x)]
-            while heap:
-                du, u = heapq.heappop(heap)
-                if row[u] is not None:
-                    continue
-                row[u] = du
-                for v, w in self._adj[u]:
-                    if row[v] is None:
-                        heapq.heappush(heap, (du + w, v))
+        row = self._search((x,))
         self._row_cache[x] = row
         if len(self._row_cache) > _DIST_CACHE_LIMIT:
             self._row_cache.popitem(last=False)
         return row
+
+    def _search(self, sources, R=None) -> dict:
+        """Multi-source truncated search over the integer adjacency.
+
+        Returns {point: d_int} for every point within R of the sources (all
+        reachable points when R is None), where d_int = L * distance. Points
+        come out in (distance, id) order: BFS by layers, each layer sorted,
+        when every weight is 1, int Dijkstra otherwise.
+        """
+        adj = self._adj
+        layer = sorted(sources)
+        if R is None:  # no shortest path is longer than all edges together
+            limit = sum(w for nbrs in adj for _, w in nbrs)
+        else:
+            # exact: d_int <= R * L iff d_int <= floor(R * L), as d_int is an int
+            limit = R.numerator * self._scale // R.denominator
+        if self._unit_weights:
+            found = dict.fromkeys(layer, 0)
+            d = 0
+            while layer and d < limit:
+                d += 1
+                layer = sorted({v for u in layer for v, _ in adj[u] if v not in found})
+                found.update(dict.fromkeys(layer, d))
+            return found
+        best = dict.fromkeys(layer, 0)
+        heap = [(0, s) for s in layer]
+        found = {}
+        while heap:
+            du, u = heapq.heappop(heap)
+            if u in found:
+                continue
+            found[u] = du
+            for v, w in adj[u]:
+                dv = du + w
+                if dv <= limit and dv < best.get(v, dv + 1):
+                    best[v] = dv
+                    heapq.heappush(heap, (dv, v))
+        return found
 
     def ball(self, x: PointId, R) -> frozenset:
         """Closed ball {y : d(x,y) <= R}, computed with exact comparisons."""
@@ -169,25 +199,23 @@ class WindowSpace:
         if R < 0:
             raise ValueError(f"ball radius must be >= 0, got {R}")
         if self._adj is not None:
-            return frozenset(self._explore(x, R))
+            # fed from an iterator (a dict would presize it), the set iterates like
+            # one grown point by point in (distance, id) order; tent chains, and so
+            # flatten's support order and its reported sink, follow that order
+            return frozenset(iter(self._search((x,), R)))
         return frozenset(y for y in range(self.n) if self.dist(x, y) <= R)
 
-    def _explore(self, x: PointId, R: Fraction):
-        """Truncated Dijkstra over the adjacency; yields points with d <= R."""
-        dist = {x: _ZERO}
-        heap = [(_ZERO, x)]
-        done = set()
-        while heap:
-            du, u = heapq.heappop(heap)
-            if u in done:
-                continue
-            done.add(u)
-            yield u
-            for v, w in self._adj[u]:
-                dv = du + w
-                if dv <= R and dv < dist.get(v, dv + 1):
-                    dist[v] = dv
-                    heapq.heappush(heap, (dv, v))
+    def neighborhood(self, U, R) -> frozenset:
+        """Closed R-neighbourhood {y : d(y, U) <= R} of the point set U."""
+        U = frozenset(U)
+        for x in U:
+            self._check_point(x)
+        R = Fraction(R)
+        if R < 0:
+            raise ValueError(f"neighbourhood radius must be >= 0, got {R}")
+        if self._adj is not None:
+            return frozenset(self._search(U, R))
+        return frozenset(y for y in range(self.n) if any(self.dist(u, y) <= R for u in U))
 
     def frontier_distances(self) -> list:
         """Per-point exact distance to the frontier; None if frontier empty."""
@@ -196,17 +224,10 @@ class WindowSpace:
         if self._frontier_dist is not None:
             return self._frontier_dist
         if self._adj is not None:
+            found = self._search(self.frontier)
             row = [None] * self.n
-            heap = [(_ZERO, f) for f in self.frontier]
-            heapq.heapify(heap)
-            while heap:
-                du, u = heapq.heappop(heap)
-                if row[u] is not None:
-                    continue
-                row[u] = du
-                for v, w in self._adj[u]:
-                    if row[v] is None:
-                        heapq.heappush(heap, (du + w, v))
+            for x, d in found.items():
+                row[x] = Fraction(d, self._scale)
         else:
             row = [min(self.dist(x, f) for f in self.frontier) for x in range(self.n)]
         self._frontier_dist = row
@@ -290,8 +311,8 @@ def grid_window(dim: int, low: int, high: int) -> WindowSpace:
             up[k] += 1
             j = index.get(tuple(up))
             if j is not None:
-                adjacency[i].append((j, _ONE))
-                adjacency[j].append((i, _ONE))
+                adjacency[i].append((j, 1))
+                adjacency[j].append((i, 1))
 
     frontier = [
         i for c, i in index.items() if any(v == low or v == high for v in c)
@@ -325,13 +346,13 @@ def cycle_window(length: int) -> WindowSpace:
     n = length
     adjacency = [[] for _ in range(n)]
     if n == 2:
-        adjacency[0].append((1, _ONE))
-        adjacency[1].append((0, _ONE))
+        adjacency[0].append((1, 1))
+        adjacency[1].append((0, 1))
     elif n > 2:
         for i in range(n):
             j = (i + 1) % n
-            adjacency[i].append((j, _ONE))
-            adjacency[j].append((i, _ONE))
+            adjacency[i].append((j, 1))
+            adjacency[j].append((i, 1))
 
     def dist_fn(x, y, L=n):
         k = abs(x - y)
@@ -371,8 +392,8 @@ def _tree_from_child_counts(child_count, depth, label, kind, params):
     for v in range(1, n):
         p = parents[v]
         children[p].append(v)
-        adjacency[p].append((v, _ONE))
-        adjacency[v].append((p, _ONE))
+        adjacency[p].append((v, 1))
+        adjacency[v].append((p, 1))
     frontier = [v for v in range(n) if depths[v] == depth]
 
     def dist_fn(x, y, parents=parents, depths=depths):
@@ -465,7 +486,7 @@ def disjoint_union(parts: Sequence[WindowSpace], spacing) -> WindowSpace:
         for i, p in enumerate(parts):
             off = offsets[i]
             for x in range(p.n):
-                adjacency[off + x].extend((off + y, w) for y, w in p._adj[x])
+                adjacency[off + x].extend((off + y, Fraction(w, p._scale)) for y, w in p._adj[x])
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
                 w = spacing[j]
@@ -521,10 +542,10 @@ def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
             for i in range(levels):
                 v = z * levels + i
                 if i + 1 < levels:
-                    adjacency[v].append((v + 1, _ONE))
-                    adjacency[v + 1].append((v, _ONE))
+                    adjacency[v].append((v + 1, 1))
+                    adjacency[v + 1].append((v, 1))
                 for z2, w in base._adj[z]:
-                    adjacency[v].append((z2 * levels + i, w))
+                    adjacency[v].append((z2 * levels + i, Fraction(w, base._scale)))
 
     def dist_fn(x, y, L=levels):
         zx, ix = divmod(x, L)
@@ -623,7 +644,7 @@ def space_to_json(space: WindowSpace) -> dict:
         for x in range(space.n):
             for y, w in space._adj[x]:
                 if x < y:
-                    edges.append([x, y, format_rational(w)])
+                    edges.append([x, y, format_rational(Fraction(w, space._scale))])
         metric = {"type": "graph", "edges": edges}
     doc = {
         "points": space.n,
@@ -665,6 +686,8 @@ def space_from_json(doc: dict) -> WindowSpace:
     if metric.get("type") == "graph":
         adjacency = [[] for _ in range(n)]
         for x, y, w in metric["edges"]:
+            if not all(isinstance(p, int) and 0 <= p < n for p in (x, y)):
+                raise ConfigError(f"graph edge [{x}, {y}] has an endpoint outside 0..{n - 1}")
             w = parse_rational(w)
             adjacency[x].append((y, w))
             adjacency[y].append((x, w))

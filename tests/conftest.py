@@ -37,6 +37,28 @@ def bfs_all_pairs(adjacency_sets, n):
     return D
 
 
+def floyd_warshall(n, edges):
+    """All-pairs shortest-path distances as Fractions (None = unreachable),
+    from an explicit undirected edge list [(x, y, w), ...]."""
+    D = [[None] * n for _ in range(n)]
+    for x in range(n):
+        D[x][x] = Fraction(0)
+    for x, y, w in edges:
+        w = Fraction(w)
+        if D[x][y] is None or w < D[x][y]:
+            D[x][y] = D[y][x] = w
+    for k in range(n):
+        Dk = D[k]
+        for Di in D:
+            dik = Di[k]
+            if dik is None:
+                continue
+            for j, dkj in enumerate(Dk):
+                if dkj is not None and (Di[j] is None or dik + dkj < Di[j]):
+                    Di[j] = dik + dkj
+    return D
+
+
 def space_adjacency_sets(space: WindowSpace):
     assert space._adj is not None, "oracle needs an adjacency-backed space"
     return [set(v for v, _w in nbrs) for nbrs in space._adj], space.n

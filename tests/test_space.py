@@ -1,11 +1,17 @@
 """Window generators, exact metrics, balls, growth profiles, JSON round-trips."""
 
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     assert_metric_axioms,
     bfs_all_pairs,
     dist_matrix,
+    floyd_warshall,
     space_adjacency_sets,
 )
 from folnerflow import (
@@ -74,6 +80,7 @@ class TestBalls:
         g = grid_window(1, -5, 5)
         (zero,) = ids_of_coords(g, 0)
         assert g.ball(zero, 1) == frozenset(ids_of_coords(g, -1, 0, 1))
+        assert g.ball(zero, Fraction(5, 2)) == frozenset(ids_of_coords(g, -2, -1, 0, 1, 2))
 
     def test_regular_tree_root_ball(self):
         t = regular_tree_window(3, 3)
@@ -146,13 +153,116 @@ class TestMetricAxioms:
         assert (D == dist_matrix(space)).all()
 
     def test_union_matches_weighted_shortest_path(self):
-        # Dijkstra oracle via the row cache: drop the closed form and
-        # compare against it
-        u = disjoint_union([cycle_window(5), cycle_window(9)], [4, 7])
-        raw = WindowSpace(u.n, frontier=u.frontier, label="raw", adjacency=u._adj)
-        for x in range(u.n):
-            for y in range(u.n):
-                assert u.dist(x, y) == raw.dist(x, y)
+        # shortest paths over the stored edge list alone: reload the union
+        # without its generator, so without the closed form, and compare;
+        # the rational spacing gives the reloaded graph a scale of 2
+        for spacing in ([4, 7], [Fraction(3, 2), Fraction(5, 2)]):
+            u = disjoint_union([cycle_window(5), cycle_window(9)], spacing)
+            doc = space_to_json(u)
+            del doc["generator"]
+            raw = space_from_json(doc)
+            for x in range(u.n):
+                for y in range(u.n):
+                    assert u.dist(x, y) == raw.dist(x, y)
+
+
+@st.composite
+def rational_graphs(draw):
+    """Connected graph on 1..9 points: a random tree plus extra (possibly
+    parallel) edges, weights p/q with q in 1..6; and a random frontier."""
+    n = draw(st.integers(1, 9))
+    weight = st.builds(Fraction, st.integers(1, 12), st.integers(1, 6))
+    edges = [(draw(st.integers(0, v - 1)), v, draw(weight)) for v in range(1, n)]
+    extra = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight), max_size=2 * n))
+    edges += [(x, y, w) for x, y, w in extra if x != y]
+    frontier = draw(st.sets(st.integers(0, n - 1)))
+    return n, edges, frontier
+
+
+def closed_ball(D, x, R):
+    return frozenset(y for y, d in enumerate(D[x]) if d <= R)
+
+
+def closed_neighborhood(D, U, R):
+    return frozenset(y for y in range(len(D)) if any(D[u][y] <= R for u in U))
+
+
+class TestMetricCoreOracle:
+    """The integer-scaled searches against a pure-Fraction Floyd-Warshall."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_graphs(), st.data())
+    def test_rational_graphs(self, graph, data):
+        n, edges, frontier = graph
+        adjacency = [[] for _ in range(n)]
+        for x, y, w in edges:
+            adjacency[x].append((y, w))
+            adjacency[y].append((x, w))
+        space = WindowSpace(n, frontier=frontier, adjacency=adjacency)
+        D = floyd_warshall(n, edges)
+        # distances are multiples of 1/L; a nudge of 1/(6L) lands between two
+        L = math.lcm(*(w.denominator for _, _, w in edges))
+        nudge = Fraction(1, 6 * L)
+        radii = sorted({r for row in D for d in row for r in (d - nudge, d, d + nudge) if r >= 0})
+        for x in range(n):
+            assert [space.dist(x, y) for y in range(n)] == D[x]
+            for d in set(D[x]):
+                for r in (d - nudge, d, d + nudge):
+                    if r >= 0:
+                        assert space.ball(x, r) == closed_ball(D, x, r)
+        assert space.frontier_distances() == [
+            min((D[x][f] for f in frontier), default=None) for x in range(n)
+        ]
+        U = data.draw(st.sets(st.integers(0, n - 1)))
+        R = data.draw(st.sampled_from(radii))
+        assert space.neighborhood(U, R) == closed_neighborhood(D, U, R)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(1, 12), (2, 5), (3, 3)]), st.data())
+    def test_unit_grids_at_half_integer_radii(self, shape, data):
+        dim, side = shape
+        g = grid_window(dim, 0, side - 1)
+        index = g.meta["coord_index"]
+        edges = [
+            (i, index[c[:k] + (c[k] + 1,) + c[k + 1:]], 1)
+            for c, i in index.items() for k in range(dim) if c[k] + 1 < side
+        ]
+        D = floyd_warshall(g.n, edges)
+        x = data.draw(st.integers(0, g.n - 1))
+        U = data.draw(st.sets(st.integers(0, g.n - 1), max_size=4))
+        R = Fraction(data.draw(st.integers(0, 2 * dim * side)), 2)
+        assert g.ball(x, R) == closed_ball(D, x, R)
+        assert g.neighborhood(U, R) == closed_neighborhood(D, U, R)
+        assert g.frontier_distances() == [
+            min(D[y][f] for f in g.frontier) for y in range(g.n)
+        ]
+
+
+class TestAdjacencyValidation:
+    @pytest.mark.parametrize("w", [Fraction(0), -1, 0.5, True, "1"])
+    def test_weight_must_be_positive_int_or_fraction(self, w):
+        with pytest.raises(ValueError, match="edge weight"):
+            WindowSpace(2, adjacency=[[(1, w)], [(0, w)]])
+
+    @pytest.mark.parametrize("y", [2, -1, True])
+    def test_endpoint_must_be_a_point(self, y):
+        with pytest.raises(ValueError, match="edge endpoint"):
+            WindowSpace(2, adjacency=[[(y, 1)], [(0, 1)]])
+
+    @pytest.mark.parametrize("w", ["-1", "0"])
+    def test_file_with_nonpositive_weight(self, w):
+        doc = {"points": 2, "metric": {"type": "graph", "edges": [[0, 1, w]]},
+               "frontier": [], "label": ""}
+        with pytest.raises(ConfigError, match="edge weight"):
+            space_from_json(doc)
+
+    @pytest.mark.parametrize("edge", [[0, 2, "1/1"], [-1, 1, "1/1"]])
+    def test_file_with_endpoint_out_of_range(self, edge):
+        doc = {"points": 2, "metric": {"type": "graph", "edges": [edge]},
+               "frontier": [], "label": ""}
+        with pytest.raises(ConfigError, match="outside"):
+            space_from_json(doc)
 
 
 class TestGridOracle:

@@ -6,7 +6,7 @@ exists exactly when every graph component touches the frontier.
 """
 
 from folnerflow import NotCoarselyUnbounded, cycle_window, grid_window
-from folnerflow.rips import build_flow, build_rips, check_coarsely_unbounded, sigma_depth
+from folnerflow.rips import build_flow, build_rips, check_coarsely_unbounded
 
 line = grid_window(1, 0, 9)
 graph = build_rips(line, 1)
@@ -19,7 +19,7 @@ print("every component reaches the frontier:", report.passed)
 flow = build_flow(line, graph)
 print("sink:", sorted(flow.sinks), "(smallest frontier point)")
 print("sigma walks everything toward it:", dict(sorted(flow.sigma.items())))
-print("sigma-depth of the far end:", sigma_depth(flow, 9))
+print("sigma-depth of the far end:", flow.depth(9))
 
 loop = cycle_window(9)
 try:

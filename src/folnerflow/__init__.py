@@ -78,7 +78,6 @@ from .rips import (
     build_flow,
     build_rips,
     check_coarsely_unbounded,
-    sigma_depth,
 )
 from .space import (
     GrowthProfile,

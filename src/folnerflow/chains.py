@@ -13,7 +13,9 @@ claims to satisfy:
 
 All ratio comparisons are exact: values are Fractions, and a pair whose
 meet vanishes gets the distinguished INFINITE_RATIO, which fails every
-epsilon test.
+epsilon test. `ratio` sums the meet in one pass over the smaller support and
+gets ||a - b||_1 = ||a||_1 + ||b||_1 - 2 ||a ^ b||_1, true for nonnegative
+chains as |u - v| = u + v - 2 min(u, v).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from .errors import ConfigError
 from .jsonio import dump_json, format_rational, format_ratio, load_json, parse_rational
-from .space import WindowSpace
+from .space import WindowSpace, check_radius
 
 #: distinguished ratio for pairs with empty intersection; fails every
 #: epsilon comparison exactly (inf < eps is false for all finite eps).
@@ -162,10 +164,15 @@ def l1_distance(a: Chain, b: Chain) -> int:
 def ratio(a: Chain, b: Chain):
     """||a-b||_1 / ||a^b||_1 as an exact Fraction; INFINITE_RATIO when the
     meet is empty. For 0,1-valued chains this is |A(+)B| / |A&B|."""
-    den = a.meet(b).l1()
-    if den == 0:
+    small, big = (a._w, b._w) if len(a._w) <= len(b._w) else (b._w, a._w)
+    meet = 0
+    for x, v in small.items():
+        u = big.get(x)
+        if u is not None:
+            meet += v if v < u else u
+    if meet == 0:
         return INFINITE_RATIO
-    return Fraction(l1_distance(a, b), den)
+    return Fraction(a._l1 + b._l1 - 2 * meet, meet)
 
 
 def base_and_towers(a: Chain) -> tuple[Chain, Chain]:
@@ -189,12 +196,9 @@ class FamilyParams:
     M: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "R", Fraction(self.R))
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        object.__setattr__(self, "S", Fraction(self.S))
-        if self.R < 0 or self.S < 0:
-            raise ValueError("R and S must be >= 0")
-        if self.epsilon <= 0:
+        for name in ("R", "epsilon", "S"):
+            object.__setattr__(self, name, check_radius(getattr(self, name), name))
+        if self.epsilon == 0:
             raise ValueError("epsilon must be positive")
         if self.M < 0:
             raise ValueError("M must be >= 0")
@@ -345,14 +349,9 @@ def verify_family(fam: IndexedFamily, require_flat: bool = False) -> FamilyRepor
         if not (q < params.epsilon):
             ratio_violations.append((x, y, q))
 
-    max_radius = Fraction(0)
-    support_violations = []
-    for x in fam.indices():
-        radius = max(space.dist(x, z) for z in fam.chains[x].support())
-        if radius > max_radius:
-            max_radius = radius
-        if radius > params.S:
-            support_violations.append((x, radius))
+    radii = {x: space.support_radius(x, fam.chains[x].keys()) for x in fam.indices()}
+    max_radius = max(radii.values(), default=Fraction(0))
+    support_violations = [(x, radius) for x, radius in radii.items() if radius > params.S]
 
     flat_violations = []
     if require_flat:

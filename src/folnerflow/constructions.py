@@ -24,9 +24,6 @@ from .space import (
     product_with_interval,
 )
 
-_ZERO = Fraction(0)
-
-
 # -- boundaries and Folner sets ---------------------------------------------
 
 
@@ -46,26 +43,19 @@ def foelner_search(space: WindowSpace, R, epsilon, *, max_radius=None):
     None when the window admits none at this size (which is not evidence
     of non-amenability).
     """
-    R = Fraction(R)
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    frontier_dist = space.frontier_distances()
-
-    def interior_ok(points):
-        if not space.frontier:
-            return True
-        return all(frontier_dist[u] > R for u in points)
-
+    interior = frozenset(space.interior_points(R))
     if max_radius is None:
         max_radius = space.n  # balls stop growing once they swallow the window
     for center in range(space.n):
-        if space.frontier and not (frontier_dist[center] > R):
+        if center not in interior:
             continue
         rho = 0
         while rho <= max_radius:
             U = space.ball(center, rho)
-            if not interior_ok(U):
+            if not U <= interior:
                 break
             b = boundary(space, U, R)
             if len(b) <= epsilon * len(U):
@@ -203,15 +193,10 @@ def pushforward_injective(
 
     image_ids = sorted(image)
     chains = {}
-    max_radius = _ZERO
     for y in range(target.n):
         best = min(image_ids, key=lambda w: (target.dist(y, w), w))
-        x = image[best]
-        pushed = Chain({f[z]: v for z, v in fam.chains[x].items()})
-        chains[y] = pushed
-        radius = max(target.dist(y, w) for w in pushed.support())
-        if radius > max_radius:
-            max_radius = radius
+        chains[y] = Chain({f[z]: v for z, v in fam.chains[image[best]].items()})
+    max_radius = max(target.support_radius(y, c.keys()) for y, c in chains.items())
 
     params = FamilyParams(
         R=fam.params.R if target_R is None else Fraction(target_R),
@@ -366,12 +351,6 @@ class BoxSpaceModel:
         """Global id of the image of the integer g in box j."""
         return self.offsets[j - 1] + (g % self.sizes[j - 1])
 
-    def box_of(self, pid: PointId) -> int:
-        j = 0
-        while j < self.boxes and pid >= self.offsets[j]:
-            j += 1
-        return j
-
     def box_points(self, j: int) -> range:
         return range(self.offsets[j - 1], self.offsets[j - 1] + self.sizes[j - 1])
 
@@ -463,11 +442,8 @@ def box_family(model: BoxSpaceModel, F, R, epsilon) -> tuple[IndexedFamily, BoxF
     dist_to_zero = Fraction(min(abs(f) for f in F))
     S = max(diam, dist_to_zero)
 
-    threshold = 2 * (int(R) + 2 * int(S)) + 1 if (R.denominator == 1 and S.denominator == 1) else None
-    if threshold is None:
-        # rational R or S: use the exact ceiling of 2(R+2S)+1
-        need = 2 * (R + 2 * S) + 1
-        threshold = -(-need.numerator // need.denominator)
+    need = 2 * (R + 2 * S) + 1
+    threshold = -(-need.numerator // need.denominator)  # exact ceiling, for rational R or S
     j_iso = 1
     while model.m ** j_iso < threshold:
         j_iso += 1
@@ -521,11 +497,7 @@ def box_family(model: BoxSpaceModel, F, R, epsilon) -> tuple[IndexedFamily, BoxF
                 if worst is None or q > worst:
                     worst = q
 
-    max_radius = _ZERO
-    for x, c in chains.items():
-        radius = max(model.space.dist(x, z) for z in c.support())
-        if radius > max_radius:
-            max_radius = radius
+    max_radius = max(model.space.support_radius(x, c.keys()) for x, c in chains.items())
     params = FamilyParams(R=R, epsilon=epsilon, S=max_radius, M=0)
     fam = IndexedFamily(space=model.space, chains=chains, params=params)
 

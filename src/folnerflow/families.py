@@ -14,13 +14,6 @@ from .chains import Chain, FamilyParams, IndexedFamily, MultisetFamily
 from .space import WindowSpace
 
 
-def _int_dist(space, x, z):
-    d = space.dist(x, z)
-    if d.denominator != 1:
-        raise ValueError("this family shape needs integer distances")
-    return d.numerator
-
-
 def tent_family(space: WindowSpace, width: int, R, epsilon, core=None) -> IndexedFamily:
     """Peaked weighted family a_x(z) = max(0, width - d(x,z)).
 
@@ -28,15 +21,21 @@ def tent_family(space: WindowSpace, width: int, R, epsilon, core=None) -> Indexe
     standard example of a family that satisfies the ratio condition with
     weights but is far from 0,1-valued. Needs integer distances.
     """
-    if width < 1:
-        raise ValueError("width must be >= 1")
+    if isinstance(width, bool) or not isinstance(width, int) or width < 1:
+        raise ValueError(f"width must be an int >= 1, got {width!r}")
     indices = range(space.n) if core is None else core
+    L = space._scale
     chains = {}
     for x in indices:
+        found = space._ball_ints(x, width - 1)
         w = {}
-        for z in space.ball(x, width - 1):
-            w[z] = width - _int_dist(space, x, z)
-        chains[x] = Chain(w)
+        # in the ball's order, which flatten's support order follows
+        for z in frozenset(iter(found)):
+            d, rest = divmod(found[z], L)
+            if rest:
+                raise ValueError("this family shape needs integer distances")
+            w[z] = width - d
+        chains[x] = Chain._trusted(w)
     params = FamilyParams(R=R, epsilon=epsilon, S=width - 1, M=width - 1)
     return IndexedFamily(space=space, chains=chains, params=params)
 
@@ -124,9 +123,6 @@ def perturbed_cluster_family(
             out = rng.choice(sorted(base))
             inn = rng.choice(spare)
             sets[x] = frozenset((base - {out}) | {inn})
-            for (z, _n) in sets[x]:
-                d = space.dist(x, z)
-                if d > max_radius:
-                    max_radius = d
+            max_radius = max(max_radius, space.support_radius(x, {z for z, _n in sets[x]}))
     params = FamilyParams(R=R, epsilon=epsilon, S=max_radius, M=M)
     return MultisetFamily(sets=sets, M=M, params=params)

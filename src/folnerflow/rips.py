@@ -163,11 +163,6 @@ def build_flow_from_parts(rips: RipsGraph, frontier) -> FlowField:
     )
 
 
-def sigma_depth(flow: FlowField, x: PointId) -> int:
-    """Number of flow steps from x to its component's sink."""
-    return flow.depth(x)
-
-
 # -- serialization ---------------------------------------------------------
 
 

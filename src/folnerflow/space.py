@@ -10,14 +10,16 @@ treated as unbounded, one that does not as genuinely bounded.
 Every distance and comparison is exact, with no floating point. A graph
 metric keeps its edge weights as ints at a scale L, the least common
 multiple of the weight denominators, so distances inside the library are
-ints d_int = L * d: balls, set neighbourhoods, distance rows and frontier
-distances all come from one truncated search (BFS by layers when every
-weight is 1, int Dijkstra otherwise), and a radius R is compared as
-d_int <= floor(R * L). `fractions.Fraction` appears only at the API and
-JSON boundary. Generated spaces carry both an adjacency structure (whose
-shortest-path metric is the normative one) and a closed-form evaluator
-that agrees with it, so single distance queries are O(1)-ish even on
-windows with thousands of points.
+ints d_int = L * d: balls, set neighbourhoods, distance rows, frontier
+distances and `support_radius` (max distance to a point set) all come from
+one truncated search (BFS by layers when every weight is 1, int Dijkstra
+otherwise), and a radius R (an int or Fraction >= 0, see `check_radius`)
+is compared as d_int <= floor(R * L). A matrix metric has its own L.
+`fractions.Fraction` appears only at the API and JSON boundary. Generated
+spaces carry both an adjacency structure (whose shortest-path metric is
+the normative one) and a closed-form evaluator that agrees with it, so
+single distance queries are O(1)-ish even on windows with thousands of
+points.
 
 Point ids are dense integers 0..n-1.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 from collections import OrderedDict
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -38,6 +41,14 @@ PointId = int
 
 # sources cached per space for BFS/Dijkstra-backed metrics
 _DIST_CACHE_LIMIT = 64
+
+
+def check_radius(R, name="radius") -> Fraction:
+    """R as a Fraction; ValueError unless R is an int or Fraction >= 0 (a
+    float is rejected, not rounded; so is a bool)."""
+    if isinstance(R, bool) or not isinstance(R, numbers.Rational) or R < 0:
+        raise ValueError(f"{name} must be an int or Fraction >= 0, got {R!r}")
+    return Fraction(R)
 
 
 class WindowSpace:
@@ -69,6 +80,7 @@ class WindowSpace:
         self.meta = meta or {}
         self._dist_fn = dist_fn
         self._row_cache: OrderedDict[int, list] = OrderedDict()
+        self._frontier_int: Optional[list] = None
         self._frontier_dist: Optional[list] = None
 
         bad = [x for x in self.frontier if not (0 <= x < n)]
@@ -79,6 +91,7 @@ class WindowSpace:
             self._matrix = [[Fraction(v) for v in row] for row in matrix]
             self._adj = None
             self._check_matrix()
+            self._scale = math.lcm(*(v.denominator for row in self._matrix for v in row))
         else:
             self._matrix = None
             if len(adjacency) != n:
@@ -102,7 +115,9 @@ class WindowSpace:
                 tuple((y, w.numerator * (L // w.denominator)) for y, w in nbrs)
                 for nbrs in adjacency
             ]
-            self._unit_weights = all(w == 1 for nbrs in self._adj for _, w in nbrs)
+            # bounds every shortest path; all weights are 1 iff it is the edge count
+            self._total_weight = sum(w for nbrs in self._adj for _, w in nbrs)
+            self._unit_weights = self._total_weight == sum(map(len, self._adj))
             if dist_fn is None:
                 self._check_connected()
 
@@ -154,25 +169,28 @@ class WindowSpace:
             self._row_cache.popitem(last=False)
         return row
 
-    def _search(self, sources, R=None) -> dict:
+    def _search(self, sources, R=None, targets=None) -> dict:
         """Multi-source truncated search over the integer adjacency.
 
         Returns {point: d_int} for every point within R of the sources (all
         reachable points when R is None), where d_int = L * distance. Points
         come out in (distance, id) order: BFS by layers, each layer sorted,
-        when every weight is 1, int Dijkstra otherwise.
+        when every weight is 1, int Dijkstra otherwise. With `targets` it stops
+        at the end of the BFS layer or at the Dijkstra pop that finds the last.
         """
         adj = self._adj
         layer = sorted(sources)
-        if R is None:  # no shortest path is longer than all edges together
-            limit = sum(w for nbrs in adj for _, w in nbrs)
-        else:
-            # exact: d_int <= R * L iff d_int <= floor(R * L), as d_int is an int
-            limit = R.numerator * self._scale // R.denominator
+        # exact: d_int <= R * L iff d_int <= floor(R * L), as d_int is an int
+        limit = self._total_weight if R is None else R.numerator * self._scale // R.denominator
+        missing = None if targets is None else set(targets)
         if self._unit_weights:
             found = dict.fromkeys(layer, 0)
             d = 0
             while layer and d < limit:
+                if missing is not None:
+                    missing.difference_update(layer)
+                    if not missing:
+                        break
                 d += 1
                 layer = sorted({v for u in layer for v, _ in adj[u] if v not in found})
                 found.update(dict.fromkeys(layer, d))
@@ -185,6 +203,10 @@ class WindowSpace:
             if u in found:
                 continue
             found[u] = du
+            if missing is not None:
+                missing.discard(u)
+                if not missing:
+                    break
             for v, w in adj[u]:
                 dv = du + w
                 if dv <= limit and dv < best.get(v, dv + 1):
@@ -192,57 +214,71 @@ class WindowSpace:
                     heapq.heappush(heap, (dv, v))
         return found
 
+    def _ball_ints(self, x: PointId, R) -> dict:
+        """{y: d_int} over the closed ball {y : d(x,y) <= R}, in the order
+        `ball` iterates: (distance, id) on graphs, id on matrices."""
+        self._check_point(x)
+        R = check_radius(R)
+        if self._adj is not None:
+            return self._search((x,), R)
+        L = self._scale
+        return {y: int(d * L) for y, d in enumerate(self._matrix[x]) if d <= R}
+
     def ball(self, x: PointId, R) -> frozenset:
         """Closed ball {y : d(x,y) <= R}, computed with exact comparisons."""
-        self._check_point(x)
-        R = Fraction(R)
-        if R < 0:
-            raise ValueError(f"ball radius must be >= 0, got {R}")
-        if self._adj is not None:
-            # fed from an iterator (a dict would presize it), the set iterates like
-            # one grown point by point in (distance, id) order; tent chains, and so
-            # flatten's support order and its reported sink, follow that order
-            return frozenset(iter(self._search((x,), R)))
-        return frozenset(y for y in range(self.n) if self.dist(x, y) <= R)
+        # fed from an iterator (a dict would presize it), the set iterates like one
+        # grown in `_ball_ints` order; tent chains, flatten's support order and its
+        # reported sink follow that order
+        return frozenset(iter(self._ball_ints(x, R)))
 
     def neighborhood(self, U, R) -> frozenset:
         """Closed R-neighbourhood {y : d(y, U) <= R} of the point set U."""
         U = frozenset(U)
         for x in U:
             self._check_point(x)
-        R = Fraction(R)
-        if R < 0:
-            raise ValueError(f"neighbourhood radius must be >= 0, got {R}")
+        R = check_radius(R)
         if self._adj is not None:
             return frozenset(self._search(U, R))
         return frozenset(y for y in range(self.n) if any(self.dist(u, y) <= R for u in U))
+
+    def support_radius(self, x: PointId, points) -> Fraction:
+        """max d(x, z) over a nonempty point set (KeyError for an unknown z): on
+        graphs one search from x that stops once it has reached all of them."""
+        self._check_point(x)
+        if self._adj is None:
+            for z in points:
+                self._check_point(z)
+            return max(self._matrix[x][z] for z in points)
+        found = self._search((x,), targets=points)
+        return Fraction(max(found[z] for z in points), self._scale)
+
+    def _frontier_ints(self) -> list:
+        """Per-point d_int to the (nonempty) frontier; None if unreachable."""
+        if self._frontier_int is None:
+            if self._adj is not None:
+                found = self._search(self.frontier)
+                self._frontier_int = [found.get(x) for x in range(self.n)]
+            else:
+                self._frontier_int = [int(min(row[f] for f in self.frontier) * self._scale)
+                                      for row in self._matrix]
+        return self._frontier_int
 
     def frontier_distances(self) -> list:
         """Per-point exact distance to the frontier; None if frontier empty."""
         if not self.frontier:
             return [None] * self.n
-        if self._frontier_dist is not None:
-            return self._frontier_dist
-        if self._adj is not None:
-            found = self._search(self.frontier)
-            row = [None] * self.n
-            for x, d in found.items():
-                row[x] = Fraction(d, self._scale)
-        else:
-            row = [min(self.dist(x, f) for f in self.frontier) for x in range(self.n)]
-        self._frontier_dist = row
-        return row
+        if self._frontier_dist is None:
+            self._frontier_dist = [d if d is None else Fraction(d, self._scale)
+                                   for d in self._frontier_ints()]
+        return self._frontier_dist
 
     def interior_points(self, R) -> list[PointId]:
         """Points at distance > R from every frontier point (all, if none)."""
-        R = Fraction(R)
-        fd = self.frontier_distances()
+        R = check_radius(R)
+        limit = R.numerator * self._scale // R.denominator
         if not self.frontier:
             return list(range(self.n))
-        return [x for x in range(self.n) if fd[x] > R]
-
-    def degree(self, x: PointId) -> Optional[int]:
-        return len(self._adj[x]) if self._adj is not None else None
+        return [x for x, d in enumerate(self._frontier_ints()) if d > limit]
 
     def __repr__(self):
         return f"WindowSpace(n={self.n}, label={self.label!r})"
@@ -275,9 +311,7 @@ class GrowthProfile:
 def growth_profile(space: WindowSpace, radii) -> GrowthProfile:
     values = {}
     for R in radii:
-        R = Fraction(R)
-        if R < 0:
-            raise ValueError(f"radius must be >= 0, got {R}")
+        R = check_radius(R)
         interior = space.interior_points(R)
         if not interior:
             values[R] = None

@@ -116,12 +116,38 @@ class TestRatio:
         assert not (ratio(Chain({0: 1}), Chain({1: 1})) < Fraction(10 ** 9))
 
     @given(a=chains, b=chains)
+    def test_matches_meet_and_distance(self, a, b):
+        # the one-pass meet and ||a-b|| = ||a|| + ||b|| - 2||a^b|| against
+        # the Chain.meet / l1_distance definitions
+        den = a.meet(b).l1()
+        expected = INFINITE_RATIO if den == 0 else Fraction(l1_distance(a, b), den)
+        assert ratio(a, b) == expected
+
+    @given(a=chains, b=chains)
     def test_symmetry(self, a, b):
         assert ratio(a, b) == ratio(b, a)
 
     @given(a=chains, b=chains, k=st.integers(min_value=1, max_value=5))
     def test_scaling_invariance(self, a, b, k):
         assert ratio(a.scale(k), b.scale(k)) == ratio(a, b)
+
+
+class TestFamilyParams:
+    @pytest.mark.parametrize("field", ["R", "epsilon", "S"])
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, -1, "1"])
+    def test_rejects_floats_bools_and_negatives(self, field, bad):
+        kwargs = {"R": 1, "epsilon": Fraction(1, 2), "S": 2, field: bad}
+        with pytest.raises(ValueError, match=field):
+            FamilyParams(**kwargs)
+
+    def test_epsilon_must_be_positive(self):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            FamilyParams(R=1, epsilon=0, S=2)
+
+    def test_exact_values_kept(self):
+        p = FamilyParams(R=Fraction(3, 2), epsilon=1, S=0, M=2)
+        assert (p.R, p.epsilon, p.S) == (Fraction(3, 2), 1, 0)
+        assert all(type(v) is Fraction for v in (p.R, p.epsilon, p.S))
 
 
 class TestFamilyFromMultisets:

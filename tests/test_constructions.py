@@ -60,6 +60,19 @@ class TestBoundary:
             assert b1 <= b2
 
 
+class TestRadiusValidation:
+    @pytest.mark.parametrize("R", [0.1, 1.5, True, -1])
+    def test_boundary(self, R):
+        with pytest.raises(ValueError, match="radius"):
+            boundary(grid_window(1, 0, 9), [3], R)
+
+    @pytest.mark.parametrize("R", [0.1, 1.5, True, -1])
+    def test_foelner_search(self, R):
+        for space in (grid_window(1, 0, 9), cycle_window(9)):
+            with pytest.raises(ValueError, match="radius"):
+                foelner_search(space, R, Fraction(1, 4))
+
+
 class TestFoelnerSearch:
     def test_line_window(self):
         space = grid_window(1, -50, 49)  # 100 points

@@ -15,12 +15,14 @@ from folnerflow import (
     INFINITE_RATIO,
     IndexedFamily,
     base_and_towers,
+    disjoint_union,
     flatten,
     flatten_family,
     grid_window,
     l1_distance,
     shift_step,
     singleton_family,
+    subspace,
     tent_family,
 )
 from folnerflow.rips import FlowField, build_flow, build_rips
@@ -276,6 +278,26 @@ class TestFlattenFamily:
         for x in core:
             for z in out.chains[x].support():
                 assert space.dist(x, z) <= report.new_S
+
+    def test_tent_weights_in_ball_order(self):
+        # flatten's support order and reported sink follow the chain order
+        space, _ = self.build_line()
+        matrix = subspace(space, range(space.n))
+        for s in (space, matrix):
+            fam = tent_family(s, 5, R=1, epsilon=1, core=range(40, 45))
+            for x, c in fam.chains.items():
+                assert list(c) == list(s.ball(x, 4))
+                assert dict(c) == {z: 5 - s.dist(x, z) for z in s.ball(x, 4)}
+
+    def test_tent_needs_integer_distances(self):
+        u = disjoint_union([grid_window(1, 0, 4)] * 2, [Fraction(1, 2), Fraction(3, 2)])
+        with pytest.raises(ValueError, match="integer distances"):
+            tent_family(u, 3, R=1, epsilon=1)
+        with pytest.raises(ValueError, match="integer distances"):
+            tent_family(subspace(u, range(u.n)), 3, R=1, epsilon=1)
+        for width in (0, Fraction(3), True):
+            with pytest.raises(ValueError, match="width"):
+                tent_family(grid_window(1, 0, 9), width, R=1, epsilon=1)
 
     def test_already_flat_family_unchanged(self):
         space, flow = self.build_line()

@@ -19,7 +19,6 @@ from folnerflow.rips import (
     flow_to_json,
     rips_from_json,
     rips_to_json,
-    sigma_depth,
 )
 
 
@@ -103,13 +102,13 @@ class TestBuildFlow:
     def test_sigma_depth(self):
         g = grid_window(1, 0, 5)
         flow = build_flow(g, build_rips(g, 1))
-        assert sigma_depth(flow, 0) == 0
-        assert sigma_depth(flow, 4) == 4
+        assert flow.depth(0) == 0
+        assert flow.depth(4) == 4
         s = star_space()
         sflow = build_flow(s, build_rips(s, 1))
-        assert sigma_depth(sflow, 2) == 2
+        assert sflow.depth(2) == 2
         with pytest.raises(KeyError):
-            sigma_depth(sflow, 7)
+            sflow.depth(7)
 
 
 class TestFlowInvariants:

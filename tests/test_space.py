@@ -26,7 +26,7 @@ from folnerflow import (
     tree_window,
 )
 from folnerflow.errors import ConfigError
-from folnerflow.space import space_from_json, space_to_json
+from folnerflow.space import check_radius, space_from_json, space_to_json
 
 
 def ids_of_coords(space, *coords):
@@ -188,6 +188,10 @@ def closed_neighborhood(D, U, R):
     return frozenset(y for y in range(len(D)) if any(D[u][y] <= R for u in U))
 
 
+def interior_oracle(D, frontier, R):
+    return [x for x in range(len(D)) if all(D[x][f] > R for f in frontier)]
+
+
 class TestMetricCoreOracle:
     """The integer-scaled searches against a pure-Fraction Floyd-Warshall."""
 
@@ -217,6 +221,15 @@ class TestMetricCoreOracle:
         U = data.draw(st.sets(st.integers(0, n - 1)))
         R = data.draw(st.sampled_from(radii))
         assert space.neighborhood(U, R) == closed_neighborhood(D, U, R)
+        # the same metric as a matrix space, which has its own scale L
+        matrix = WindowSpace(n, frontier=frontier, matrix=D)
+        P = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        for s in (space, matrix):
+            for x in range(n):
+                assert s.support_radius(x, P) == max(D[x][z] for z in P)
+            assert s.interior_points(R) == interior_oracle(D, frontier, R)
+        for r in radii:
+            assert matrix.ball(0, r) == closed_ball(D, 0, r)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([(1, 12), (2, 5), (3, 3)]), st.data())
@@ -237,6 +250,51 @@ class TestMetricCoreOracle:
         assert g.frontier_distances() == [
             min(D[y][f] for f in g.frontier) for y in range(g.n)
         ]
+        assert g.interior_points(R) == interior_oracle(D, g.frontier, R)
+        P = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=6))
+        assert g.support_radius(x, P) == max(D[x][z] for z in P)
+
+    def test_support_radius_needs_known_points(self):
+        g = grid_window(2, 0, 4)
+        for s in (g, WindowSpace(2, matrix=[[0, 1], [1, 0]])):
+            with pytest.raises(KeyError, match="25"):
+                s.support_radius(0, [1, 25])
+            with pytest.raises(ValueError):
+                s.support_radius(0, [])
+
+
+class TestRadiusValidation:
+    """A radius is an int or Fraction >= 0: floats and bools are rejected,
+    not rounded (a float 1.5 would otherwise pass as 3/2 and 0.1 as a
+    55-bit fraction)."""
+
+    bad = pytest.mark.parametrize("R", [1.5, 0.1, 1.0, True, -1, Fraction(-1, 2), "1"])
+
+    @bad
+    def test_ball(self, R):
+        for space in (grid_window(1, 0, 9), WindowSpace(2, matrix=[[0, 1], [1, 0]])):
+            with pytest.raises(ValueError, match="radius"):
+                space.ball(1, R)
+
+    @bad
+    def test_neighborhood(self, R):
+        with pytest.raises(ValueError, match="radius"):
+            grid_window(1, 0, 9).neighborhood([3], R)
+
+    @bad
+    def test_interior_points(self, R):
+        with pytest.raises(ValueError, match="radius"):
+            grid_window(1, 0, 9).interior_points(R)
+
+    @bad
+    def test_growth_profile(self, R):
+        with pytest.raises(ValueError, match="radius"):
+            growth_profile(grid_window(1, 0, 9), [1, R])
+
+    def test_exact_radii_accepted(self):
+        g = grid_window(1, 0, 9)
+        assert g.ball(3, Fraction(3, 2)) == g.ball(3, 1) == frozenset({2, 3, 4})
+        assert check_radius(0) == 0 and check_radius(Fraction(5, 2)) == Fraction(5, 2)
 
 
 class TestAdjacencyValidation:

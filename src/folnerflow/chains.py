@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
-from .jsonio import dump_json, format_rational, format_ratio, load_json, parse_rational
+from .jsonio import format_rational, format_ratio, load_json, parse_rational
 from .space import WindowSpace, check_radius
 
 #: distinguished ratio for pairs with empty intersection; fails every
@@ -423,11 +423,6 @@ def multiset_family_from_json(doc) -> MultisetFamily:
         return MultisetFamily(sets=sets, M=M, params=params)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad multiset family file: {e}") from e
-
-
-def save_family(fam, path) -> None:
-    doc = multiset_family_to_json(fam) if isinstance(fam, MultisetFamily) else family_to_json(fam)
-    dump_json(doc, path)
 
 
 def load_family(path, space: WindowSpace = None):

@@ -20,11 +20,10 @@ from fractions import Fraction
 from . import constructions, pipeline
 from . import rips as rips_mod
 from . import tails as tails_mod
-from .flatten import flatten_family
-from .chains import family_to_json, load_family, verify_family
+from .chains import family_to_json, load_family
 from .errors import ConfigError, FolnerflowError, InternalInvariantError
-from .jsonio import dump_json, format_rational, load_json, parse_rational
-from .space import generate, growth_profile, load_space, save_space, space_to_json
+from .jsonio import dump_json, format_rational, load_json, parse_ids, parse_rational
+from .space import growth_profile, load_space
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -47,14 +46,9 @@ def _emit(doc, path=None):
         print(path)
 
 
-def _parse_ids(spec):
-    """Point ids as "a..b" ranges, comma lists, or JSON arrays."""
-    if isinstance(spec, str) and ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    if isinstance(spec, str):
-        return [int(v) for v in spec.split(",") if v != ""]
-    return [int(v) for v in spec]
+def _stage(kind, inputs, **params):
+    """Run one pipeline stage kind on loaded inputs: (object, docs, summary)."""
+    return pipeline.STAGES[kind].run(inputs, params, None)
 
 
 # -- handlers ----------------------------------------------------------------
@@ -62,8 +56,8 @@ def _parse_ids(spec):
 
 def cmd_space_gen(args):
     spec = json.loads(args.spec) if args.spec.lstrip().startswith("{") else load_json(args.spec)
-    space = generate(spec)
-    _emit(space_to_json(space), _out_path(args, "space.json"))
+    _, docs, _ = _stage("generate", {}, spec=spec)
+    _emit(docs[""], _out_path(args, "space.json"))
     return EXIT_OK
 
 
@@ -81,41 +75,37 @@ def cmd_space_info(args):
 
 
 def cmd_rips_build(args):
-    space = load_space(args.space)
-    rg = rips_mod.build_rips(space, parse_rational(args.r))
-    _emit(rips_mod.rips_to_json(space, rg), _out_path(args, "rips.json"))
+    _, docs, _ = _stage("rips", {"space": load_space(args.space)}, r=args.r)
+    _emit(docs[""], _out_path(args, "rips.json"))
     return EXIT_OK
 
 
 def cmd_flow_build(args):
-    rg, frontier = rips_mod.load_rips(args.rips)
-    flow = rips_mod.build_flow_from_parts(rg, frontier)
-    _emit(rips_mod.flow_to_json(flow), _out_path(args, "flow.json"))
+    _, docs, _ = _stage("flow", {"rips": rips_mod.load_rips(args.rips)})
+    _emit(docs[""], _out_path(args, "flow.json"))
     return EXIT_OK
 
 
 def cmd_family_verify(args):
     space = load_space(args.space)
-    fam = load_family(args.family, space)
-    report = verify_family(fam, require_flat=args.flat)
-    _emit(report.to_json())
+    report, docs, _ = _stage("verify", {"family": load_family(args.family, space)},
+                             require_flat=args.flat)
+    _emit(docs[".report"])
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 def cmd_flatten_run(args):
     space = load_space(args.space)
-    fam = load_family(args.family, space)
-    flow = rips_mod.load_flow(args.flow)
-    out_fam, report = flatten_family(fam, flow, on_escape=args.on_escape)
-    dump_json(family_to_json(out_fam), args.out)
-    _emit(report.to_json(), args.report)
-    return EXIT_OK if not report.escaped_indices else EXIT_VERIFY_FAILED
+    inputs = {"family": load_family(args.family, space), "flow": rips_mod.load_flow(args.flow)}
+    _, docs, summary = _stage("flatten", inputs, on_escape=args.on_escape)
+    dump_json(docs[""], args.out)
+    _emit(docs[".report"], args.report)
+    return EXIT_VERIFY_FAILED if summary["escaped_indices"] else EXIT_OK
 
 
 def cmd_tails_build(args):
-    space = load_space(args.space)
-    cover = tails_mod.build_tree_tails(space)
-    _emit(tails_mod.cover_to_json(cover), _out_path(args, "cover.json"))
+    _, docs, _ = _stage("tails", {"space": load_space(args.space)})
+    _emit(docs[""], _out_path(args, "cover.json"))
     return EXIT_OK
 
 
@@ -135,14 +125,14 @@ def cmd_tails_transport(args):
         raise ConfigError(
             f"--M {args.M} does not match the family's height bound {fam.M}"
         )
-    out_fam = tails_mod.tail_transport(fam, cover, space)
-    _emit(family_to_json(out_fam), _out_path(args, "transported.json"))
+    _, docs, _ = _stage("transport", {"family": fam, "tails": cover, "space": space})
+    _emit(docs[""], _out_path(args, "transported.json"))
     return EXIT_OK
 
 
 def cmd_amen_boundary(args):
     space = load_space(args.space)
-    U = _parse_ids(args.U)
+    U = parse_ids(args.U)
     b = constructions.boundary(space, U, parse_rational(args.R))
     ratio = None
     if U:
@@ -192,23 +182,22 @@ def cmd_coarse_project(args):
 
 
 def cmd_box_build(args):
-    spacing = [parse_rational(s) for s in args.spacing.split(",")] if args.spacing else None
-    model = constructions.build_box_space(args.m, args.boxes, spacing)
-    save_space(model.space, _out_path(args, "boxspace.json"))
-    print(_out_path(args, "boxspace.json"))
+    _, docs, summary = _stage(
+        "box", {}, m=args.m, boxes=args.boxes,
+        spacing=args.spacing.split(",") if args.spacing else None,
+        F=args.F, R=args.R, epsilon=args.eps,
+    )
+    _emit(docs[".space"], _out_path(args, "boxspace.json"))
     if args.F is None:
         return EXIT_OK
-    fam, report = constructions.box_family(
-        model, _parse_ids(args.F), parse_rational(args.R), parse_rational(args.eps),
-    )
     if args.family_out:
-        dump_json(family_to_json(fam), args.family_out)
-    _emit(report.to_json(), args.report)
-    return EXIT_OK if report.equalities_hold else EXIT_VERIFY_FAILED
+        dump_json(docs[""], args.family_out)
+    _emit(docs[".report"], args.report)
+    return EXIT_OK if summary["equalities_hold"] else EXIT_VERIFY_FAILED
 
 
 def cmd_run(args):
-    config = pipeline.load_config(args.config)
+    config = pipeline.PipelineConfig.from_json(load_json(args.config))
     report = pipeline.run(config, args.out, seed=args.seed)
     print(pipeline.explain(report), end="")
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED

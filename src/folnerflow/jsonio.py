@@ -40,10 +40,24 @@ def format_ratio(v) -> str:
     return format_rational(v)
 
 
-def parse_ratio(s):
-    if s == "infinity":
-        return math.inf
-    return parse_rational(s)
+def parse_ids(spec) -> list:
+    """Point ids or translate vectors from "a..b" (inclusive), "a,b,...",
+    an int, or a list of ints and int vectors (vectors become tuples)."""
+    try:
+        if isinstance(spec, str) and ".." in spec:
+            lo, hi = spec.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        if isinstance(spec, str):
+            return [int(v) for v in spec.split(",") if v != ""]
+    except ValueError as e:
+        raise ConfigError(f"not an id range or list: {spec!r}") from e
+    if type(spec) is int:
+        return [spec]
+    if isinstance(spec, list) and all(
+            type(v) is int or isinstance(v, list) and all(type(c) is int for c in v)
+            for v in spec):
+        return [tuple(v) if isinstance(v, list) else v for v in spec]
+    raise ConfigError(f'expected ids as "a..b", "a,b", an int or a list, got {spec!r}')
 
 
 def dump_json(obj, path=None) -> str:

@@ -1,24 +1,20 @@
 """Config-driven pipeline runner with JSON artifacts.
 
-A run is an ordered list of named stages; each stage reads the artifacts
-of earlier stages by name, writes its own artifact to the output
+A run is an ordered list of named stages; each stage reads the live
+objects of earlier stages by name, writes its own artifacts to the output
 directory, and contributes a summary to the final run report. Randomized
 stages draw from a RNG seeded by (run seed, stage name), so a fixed
 config and seed reproduce every byte of every artifact.
 
-Stage kinds:
+`STAGES` is the one table of stage kinds. Each entry gives the kind's
+inputs (role -> the producer kinds that role accepts), its run function
+`(inputs, params, rng) -> (object, {file suffix: JSON doc}, summary)` and
+its `explain` blurb; doc suffix `s` lands in `<stage name><s>.json`. A
+stage's live object is what loading its artifact returns (the `rips`
+object is `(RipsGraph, frontier)`, as `load_rips` gives it), so the CLI
+commands load their files and call the same run functions.
 
-  generate   params: spec (generator descriptor)            -> space
-  rips       inputs: space; params: r                       -> rips graph
-  flow       inputs: rips                                   -> flow
-  family     inputs: space; params: kind + shape params     -> family
-  flatten    inputs: family, flow; params: on_escape        -> flat family
-  tails      inputs: space                                  -> tail cover
-  transport  inputs: family (multiset), tails, space        -> flat family
-  box        params: m, boxes, F, R, epsilon                -> space + family
-  verify     inputs: family [, space]; params: require_flat -> verdict
-
-The run passes iff every verify stage passes and no flatten/transport
+The run passes iff every verify stage passes and no flatten stage
 reported escapes; `explain` renders the stored report for humans.
 """
 
@@ -27,25 +23,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import constructions, families
 from . import rips as rips_mod
 from . import tails as tails_mod
 from .flatten import flatten_family
 from .chains import (
+    IndexedFamily,
     MultisetFamily,
     family_to_json,
     multiset_family_to_json,
     verify_family,
 )
 from .errors import ConfigError, FolnerflowError, PipelineStageError
-from .jsonio import dump_json, format_rational, load_json, parse_rational
+from .jsonio import dump_json, format_rational, parse_ids, parse_rational
 from .space import generate, space_to_json
-
-STAGE_KINDS = (
-    "generate", "rips", "flow", "family", "flatten", "tails", "transport",
-    "box", "verify",
-)
 
 
 @dataclass
@@ -77,7 +70,7 @@ class PipelineConfig:
                 )
             except (KeyError, TypeError) as e:
                 raise ConfigError(f"stage {i} is missing {e}") from e
-            if stage.kind not in STAGE_KINDS:
+            if stage.kind not in STAGES:
                 raise ConfigError(
                     f"stage {stage.name!r}: unknown kind {stage.kind!r}"
                 )
@@ -97,149 +90,82 @@ class PipelineConfig:
         return cls(stages=stages, seed=seed)
 
 
-def load_config(path) -> PipelineConfig:
-    return PipelineConfig.from_json(load_json(path))
+# -- stage kinds: run functions (inputs, params, rng) -> (object, docs, summary)
 
 
-class _RunState:
-    def __init__(self, out_dir, seed):
-        self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
-        self.seed = seed
-        self.objects = {}   # name -> live object(s)
-        self.kinds = {}     # name -> stage kind
-
-    def artifact_path(self, name):
-        return self.out / f"{name}.json"
-
-    def require(self, stage, role, want_kinds):
-        ref = stage.inputs.get(role)
-        if ref is None:
-            raise ConfigError(f"stage {stage.name!r} needs an input {role!r}")
-        if self.kinds.get(ref) not in want_kinds:
-            raise ConfigError(
-                f"stage {stage.name!r}: input {ref!r} is a "
-                f"{self.kinds.get(ref)} stage, expected one of {want_kinds}"
-            )
-        return self.objects[ref]
+def _chain_family(fam, kind):
+    if not isinstance(fam, IndexedFamily):
+        raise ConfigError(f"{kind} needs a weighted chain family, not a multiset family or "
+                          "a bare space (use family_from_multisets or transport)")
+    return fam
 
 
-def _as_space(obj):
-    return obj[0] if isinstance(obj, tuple) else obj
+def _generate(inputs, p, rng):
+    space = generate(p.get("spec"))
+    return space, {"": space_to_json(space)}, {"points": space.n, "frontier": len(space.frontier)}
 
 
-def _run_stage(stage: Stage, state: _RunState):
-    p = stage.params
-    rng = random.Random(f"{state.seed}/{stage.name}")
-    summary = {"name": stage.name, "kind": stage.kind}
-
-    if stage.kind == "generate":
-        space = generate(p.get("spec"))
-        dump_json(space_to_json(space), state.artifact_path(stage.name))
-        state.objects[stage.name] = space
-        summary.update(points=space.n, frontier=len(space.frontier))
-
-    elif stage.kind == "rips":
-        space = _as_space(state.require(stage, "space", ("generate", "box")))
-        r = parse_rational(p.get("r", "1/1"))
-        rg = rips_mod.build_rips(space, r)
-        dump_json(rips_mod.rips_to_json(space, rg), state.artifact_path(stage.name))
-        state.objects[stage.name] = (space, rg)
-        reach = rips_mod.check_coarsely_unbounded(space, rg)
-        summary.update(
-            components=len(rg.components), edges=rg.edge_count(),
-            all_components_reach_frontier=reach.passed,
-        )
-
-    elif stage.kind == "flow":
-        space, rg = state.require(stage, "rips", ("rips",))
-        flow = rips_mod.build_flow(space, rg)
-        dump_json(rips_mod.flow_to_json(flow), state.artifact_path(stage.name))
-        state.objects[stage.name] = flow
-        summary.update(sinks=sorted(flow.sinks))
-
-    elif stage.kind == "family":
-        space = _as_space(state.require(stage, "space", ("generate", "box")))
-        fam = _make_family(space, p, rng)
-        doc = (multiset_family_to_json(fam) if isinstance(fam, MultisetFamily)
-               else family_to_json(fam))
-        dump_json(doc, state.artifact_path(stage.name))
-        state.objects[stage.name] = (space, fam)
-        summary.update(indices=len(fam.sets if isinstance(fam, MultisetFamily) else fam.chains))
-
-    elif stage.kind == "flatten":
-        space, fam = state.require(stage, "family", ("family", "transport"))
-        flow = state.require(stage, "flow", ("flow",))
-        if isinstance(fam, MultisetFamily):
-            raise ConfigError(
-                f"stage {stage.name!r}: flatten needs a weighted chain family, "
-                "not a multiset family (use family_from_multisets or transport)"
-            )
-        out_fam, report = flatten_family(fam, flow, on_escape=p.get("on_escape", "raise"))
-        dump_json(family_to_json(out_fam), state.artifact_path(stage.name))
-        dump_json(report.to_json(), state.out / f"{stage.name}.report.json")
-        state.objects[stage.name] = (space, out_fam)
-        summary.update(report.to_json())
-
-    elif stage.kind == "tails":
-        space = state.require(stage, "space", ("generate",))
-        cover = tails_mod.build_tree_tails(space)
-        dump_json(tails_mod.cover_to_json(cover), state.artifact_path(stage.name))
-        state.objects[stage.name] = cover
-        summary.update(K=cover.K, r=format_rational(cover.r))
-
-    elif stage.kind == "transport":
-        space, fam = state.require(stage, "family", ("family",))
-        cover = state.require(stage, "tails", ("tails",))
-        if not isinstance(fam, MultisetFamily):
-            raise ConfigError(
-                f"stage {stage.name!r}: transport needs a multiset family"
-            )
-        out_fam = tails_mod.tail_transport(fam, cover, space)
-        dump_json(family_to_json(out_fam), state.artifact_path(stage.name))
-        state.objects[stage.name] = (space, out_fam)
-        summary.update(
-            indices=len(out_fam.chains),
-            new_S=format_rational(out_fam.params.S),
-            epsilon=format_rational(out_fam.params.epsilon),
-        )
-
-    elif stage.kind == "box":
-        model = constructions.build_box_space(p["m"], p["boxes"])
-        F = _parse_range(p["F"])
-        fam, report = constructions.box_family(
-            model, F, parse_rational(p["R"]), parse_rational(p["epsilon"]),
-        )
-        dump_json(space_to_json(model.space), state.out / f"{stage.name}.space.json")
-        dump_json(family_to_json(fam), state.artifact_path(stage.name))
-        dump_json(report.to_json(), state.out / f"{stage.name}.report.json")
-        state.objects[stage.name] = (model.space, fam, report)
-        summary.update(report.to_json())
-
-    elif stage.kind == "verify":
-        obj = state.require(
-            stage, "family", ("family", "flatten", "transport", "box"),
-        )
-        space, fam = obj[0], obj[1]
-        report = verify_family(fam, require_flat=p.get("require_flat", False))
-        dump_json(report.to_json(), state.out / f"{stage.name}.report.json")
-        state.objects[stage.name] = report
-        summary.update(report.to_json())
-
-    else:  # unreachable; kinds validated at load
-        raise ConfigError(f"unknown stage kind {stage.kind!r}")
-
-    return summary
+def _rips(inputs, p, rng):
+    space = inputs["space"]
+    rg = rips_mod.build_rips(space, parse_rational(p.get("r", "1/1")))
+    reach = rips_mod.check_components_reach_frontier(rg, space.frontier)
+    return (rg, space.frontier), {"": rips_mod.rips_to_json(space, rg)}, {
+        "components": len(rg.components), "edges": rg.edge_count(),
+        "all_components_reach_frontier": reach.passed}
 
 
-def _parse_range(spec):
-    """Accept [a, b, c], "a..b", or a single int as a set of integers."""
-    if isinstance(spec, str) and ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    if isinstance(spec, int):
-        return [spec]
-    return [int(v) for v in spec]
+def _flow(inputs, p, rng):
+    flow = rips_mod.build_flow_from_parts(*inputs["rips"])
+    return flow, {"": rips_mod.flow_to_json(flow)}, {"sinks": sorted(flow.sinks)}
+
+
+def _family(inputs, p, rng):
+    fam = _make_family(inputs["space"], p, rng)
+    if isinstance(fam, MultisetFamily):
+        return fam, {"": multiset_family_to_json(fam)}, {"indices": len(fam.sets)}
+    return fam, {"": family_to_json(fam)}, {"indices": len(fam.chains)}
+
+
+def _flatten(inputs, p, rng):
+    fam = _chain_family(inputs["family"], "flatten")
+    out, report = flatten_family(fam, inputs["flow"], on_escape=p.get("on_escape", "raise"))
+    summary = report.to_json()
+    return out, {"": family_to_json(out), ".report": summary}, summary
+
+
+def _tails(inputs, p, rng):
+    cover = tails_mod.build_tree_tails(inputs["space"])
+    summary = {"K": cover.K, "r": format_rational(cover.r)}
+    return cover, {"": tails_mod.cover_to_json(cover)}, summary
+
+
+def _transport(inputs, p, rng):
+    if not isinstance(inputs["family"], MultisetFamily):
+        raise ConfigError("transport needs a multiset family")
+    out = tails_mod.tail_transport(inputs["family"], inputs["tails"], inputs["space"])
+    return out, {"": family_to_json(out)}, {
+        "indices": len(out.chains), "new_S": format_rational(out.params.S),
+        "epsilon": format_rational(out.params.epsilon)}
+
+
+def _box(inputs, p, rng):
+    spacing = p.get("spacing")
+    model = constructions.build_box_space(
+        p["m"], p["boxes"], spacing and [parse_rational(s) for s in spacing])
+    docs = {".space": space_to_json(model.space)}
+    if p["F"] is None:  # the box space alone, as `box build` without --F
+        return model.space, docs, {}
+    fam, report = constructions.box_family(
+        model, parse_ids(p["F"]), parse_rational(p["R"]), parse_rational(p["epsilon"]))
+    summary = report.to_json()
+    return fam, {**docs, "": family_to_json(fam), ".report": summary}, summary
+
+
+def _verify(inputs, p, rng):
+    fam = _chain_family(inputs["family"], "verify")
+    report = verify_family(fam, require_flat=p.get("require_flat", False))
+    summary = report.to_json()
+    return report, {".report": summary}, summary
 
 
 def _make_family(space, p, rng):
@@ -256,8 +182,7 @@ def _make_family(space, p, rng):
     if kind == "singletons":
         return families.singleton_family(space, R, eps, core=core)
     if kind == "translates":
-        F = [tuple(f) if isinstance(f, list) else f for f in _parse_range(p["F"])]
-        return constructions.group_foelner_family(space, F, R, eps, core=core)
+        return constructions.group_foelner_family(space, parse_ids(p["F"]), R, eps, core=core)
     if kind == "random_multiset":
         return families.random_multiset_family(
             space, rng, M=p["M"], size=p["size"],
@@ -280,54 +205,93 @@ def _resolve_core(space, core):
     return [int(x) for x in core]
 
 
+class StageKind(NamedTuple):
+    inputs: dict  # role -> the producer kinds it accepts
+    run: Callable  # (inputs, params, rng) -> (object, {file suffix: JSON doc}, summary)
+    blurb: str  # what `explain` says the stage does
+
+
+_SPACE = ("generate", "box")
+STAGES = {
+    "generate": StageKind({}, _generate, "window construction (exact metric, frontier marking)"),
+    "rips": StageKind({"space": _SPACE}, _rips, "scale-r neighbourhood graph and component split"),
+    "flow": StageKind({"rips": ("rips",)}, _flow,
+                      "exit flow: one tree edge per point toward a frontier sink"),
+    "family": StageKind({"space": _SPACE}, _family, "family construction"),
+    "flatten": StageKind({"family": ("family", "transport"), "flow": ("flow",)}, _flatten,
+                         "tower shifting to a 0,1-valued family; checks that the worst "
+                         "symmetric-difference/intersection ratio never grows"),
+    "tails": StageKind({"space": ("generate",)}, _tails,
+                       "escape-sequence cover with bounded per-point multiplicity"),
+    "transport": StageKind({"family": ("family",), "tails": ("tails",), "space": _SPACE},
+                           _transport, "level-to-space transport along tails; ratios can "
+                           "grow by at most the cover multiplicity K"),
+    "box": StageKind({}, _box, "translate family on cyclic quotients; deep boxes must "
+                     "reproduce integer translate counting exactly"),
+    "verify": StageKind({"family": ("family", "flatten", "transport", "box")}, _verify,
+                        "ratio bound at range R, support-radius bound S, and "
+                        "(optionally) 0,1-valuedness"),
+}
+
+
+class _Params(dict):
+    """Stage params; a missing required one is a ConfigError."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing parameter {key!r}")
+
+
 def run(config: PipelineConfig, out_dir, *, seed=None) -> dict:
     """Execute all stages; returns the run report (also written to
     <out_dir>/report.json). Raises ConfigError for bad configs and lets
     stage errors propagate, prefixed with the stage name."""
-    state = _RunState(out_dir, config.seed if seed is None else seed)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    seed = config.seed if seed is None else seed
+    done = {}  # name -> (kind, live object)
     summaries = []
     failures = []
     for i, stage in enumerate(config.stages):
+        spec = STAGES[stage.kind]
+        inputs = {}
+        for role, kinds in spec.inputs.items():
+            ref = stage.inputs.get(role)
+            if ref is None:
+                raise ConfigError(f"stage {stage.name!r} needs an input {role!r}")
+            kind, obj = done.get(ref, (None, None))
+            if kind not in kinds:
+                raise ConfigError(
+                    f"stage {stage.name!r}: input {ref!r} is a {kind} stage, "
+                    f"expected one of {kinds}"
+                )
+            # a box stage's object is its family, which carries the space
+            inputs[role] = getattr(obj, "space", obj) if role == "space" else obj
+        rng = random.Random(f"{seed}/{stage.name}")
         try:
-            summary = _run_stage(stage, state)
-        except ConfigError:
-            raise
+            obj, docs, summary = spec.run(inputs, _Params(stage.params), rng)
+        except ConfigError as e:
+            raise ConfigError(f"stage {stage.name!r}: {e}") from e
         except FolnerflowError as e:
             raise PipelineStageError(stage.name, i, e) from e
-        state.kinds[stage.name] = stage.kind
-        summaries.append(summary)
-        if stage.kind == "verify" and not summary.get("passed", False):
-            failures.append(stage.name)
-        if stage.kind in ("flatten",) and summary.get("escaped_indices"):
+        for suffix, doc in docs.items():
+            dump_json(doc, out / f"{stage.name}{suffix}.json")
+        done[stage.name] = (stage.kind, obj)
+        summaries.append({"name": stage.name, "kind": stage.kind, **summary})
+        if (stage.kind == "verify" and not summary.get("passed", False)
+                or stage.kind == "flatten" and summary.get("escaped_indices")):
             failures.append(stage.name)
 
     report = {
-        "seed": state.seed,
+        "seed": seed,
         "stages": summaries,
         "failed_stages": failures,
         "passed": not failures,
     }
-    dump_json(report, state.out / "report.json")
+    dump_json(report, out / "report.json")
     return report
 
 
 # -- explain -----------------------------------------------------------------
-
-_KIND_BLURBS = {
-    "generate": "window construction (exact metric, frontier marking)",
-    "rips": "scale-r neighbourhood graph and component split",
-    "flow": "exit flow: one tree edge per point toward a frontier sink",
-    "family": "family construction",
-    "flatten": "tower shifting to a 0,1-valued family; checks that the "
-               "worst symmetric-difference/intersection ratio never grows",
-    "tails": "escape-sequence cover with bounded per-point multiplicity",
-    "transport": "level-to-space transport along tails; ratios can grow by "
-                 "at most the cover multiplicity K",
-    "box": "translate family on cyclic quotients; deep boxes must reproduce "
-           "integer translate counting exactly",
-    "verify": "ratio bound at range R, support-radius bound S, and "
-              "(optionally) 0,1-valuedness",
-}
 
 
 def explain(report: dict) -> str:
@@ -340,7 +304,7 @@ def explain(report: dict) -> str:
     lines.append(f"run verdict: {verdict} (seed {report.get('seed')})")
     for s in report["stages"]:
         kind = s.get("kind", "?")
-        lines.append(f"- {s.get('name')}: {_KIND_BLURBS.get(kind, kind)}")
+        lines.append(f"- {s.get('name')}: {STAGES[kind].blurb if kind in STAGES else kind}")
         if kind == "verify":
             if s.get("passed"):
                 lines.append(

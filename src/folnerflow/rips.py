@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigError, NotCoarselyUnbounded
-from .jsonio import dump_json, format_rational, load_json, parse_rational
+from .jsonio import format_rational, load_json, parse_rational
 from .space import PointId, WindowSpace
 
 
@@ -241,16 +241,8 @@ def flow_from_json(doc: dict) -> FlowField:
     return FlowField(sigma=sigma, sinks=sinks, r=r, n=n, depths=depths)
 
 
-def save_rips(space: WindowSpace, rips: RipsGraph, path) -> None:
-    dump_json(rips_to_json(space, rips), path)
-
-
 def load_rips(path) -> tuple[RipsGraph, frozenset]:
     return rips_from_json(load_json(path))
-
-
-def save_flow(flow: FlowField, path) -> None:
-    dump_json(flow_to_json(flow), path)
 
 
 def load_flow(path) -> FlowField:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .chains import Chain, FamilyParams, IndexedFamily, MultisetFamily
 from .errors import BranchingTooLow, ConfigError, TailTooShort
-from .jsonio import dump_json, format_rational, load_json, parse_rational
+from .jsonio import format_rational, load_json, parse_rational
 from .space import PointId, WindowSpace
 
 
@@ -39,9 +39,6 @@ class TailCover:
     tails: dict  # PointId -> tuple[PointId, ...]
     r: Fraction
     K: int
-
-    def tail(self, x: PointId) -> tuple:
-        return self.tails[x]
 
 
 @dataclass
@@ -256,10 +253,6 @@ def cover_from_json(doc) -> TailCover:
         )
     except (KeyError, TypeError) as e:
         raise ConfigError(f"bad tail cover file: {e}") from e
-
-
-def save_cover(cover: TailCover, path) -> None:
-    dump_json(cover_to_json(cover), path)
 
 
 def load_cover(path) -> TailCover:

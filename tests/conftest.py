@@ -1,5 +1,6 @@
 """Shared helpers: independent brute-force oracles the tests check the
-library against, and small space builders.
+library against, small space builders, and the environment for child
+interpreters (CLI and demo runs).
 
 The oracles deliberately avoid the library's own code paths: distances
 come from a fresh BFS / Floyd-Warshall pass, multiset counts from
@@ -8,15 +9,35 @@ expanded element lists, and set arithmetic from plain Python sets.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import folnerflow
 from folnerflow import Chain, WindowSpace
 from folnerflow.rips import FlowField
+
+
+# -- child interpreters ----------------------------------------------------------
+
+# The directory that holds the imported package, as an absolute path. A child
+# interpreter may run in a temp dir, where a relative PYTHONPATH entry such as
+# `src` no longer resolves; putting this first makes the child import the same
+# folnerflow as this process, however it was found.
+PACKAGE_ROOT = str(Path(folnerflow.__file__).resolve().parent.parent)
+
+
+def child_env() -> dict:
+    """os.environ with PACKAGE_ROOT prepended to PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    return env
 
 
 # -- independent metric oracles ----------------------------------------------

@@ -1,17 +1,18 @@
 """Pipeline runs, determinism, report round-trips, CLI exit codes."""
 
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+from conftest import child_env
 
-import folnerflow
 from folnerflow import ConfigError
+from folnerflow.chains import load_family
+from folnerflow.jsonio import parse_ids
 from folnerflow.pipeline import PipelineConfig, explain, run
+from folnerflow.space import load_space
 
 
 def tent_config(seed=7):
@@ -173,20 +174,10 @@ class TestRun:
         assert "window margin" in text
 
 
-# The directory that holds the imported package, as an absolute path. The CLI
-# child runs in a temp dir, where a relative PYTHONPATH entry such as `src`
-# no longer resolves; putting this first makes the child import the same
-# folnerflow as this process, however it was found.
-PACKAGE_ROOT = str(Path(folnerflow.__file__).resolve().parent.parent)
-
-
 def run_cli(args, cwd):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "folnerflow.cli", *args],
-        capture_output=True, text=True, cwd=cwd, env=env,
+        capture_output=True, text=True, cwd=cwd, env=child_env(),
     )
 
 
@@ -332,3 +323,135 @@ class TestCli:
         r = run_cli(["run", "--config", "cfg.json", "--out", "out"], tmp_path)
         assert r.returncode == 2
         assert "ghost" in r.stderr
+
+
+def translates_config(dim, F):
+    return PipelineConfig.from_json({
+        "stages": [
+            {"name": "win", "kind": "generate",
+             "params": {"spec": {"kind": "grid", "dim": dim, "low": 0, "high": 15}}},
+            {"name": "fam", "kind": "family",
+             "params": {"kind": "translates", "F": F}, "inputs": {"space": "win"}},
+        ],
+    })
+
+
+class TestIdParsing:
+    @pytest.mark.parametrize("spec, ids", [
+        ("12", [12]),
+        ("0,3", [0, 3]),
+        ("2..5", [2, 3, 4, 5]),
+        ("-1..1", [-1, 0, 1]),
+        ("", []),
+        (7, [7]),
+        ([3, 1], [3, 1]),
+        ([[0, 0], [1, 0]], [(0, 0), (1, 0)]),
+    ])
+    def test_accepted_forms(self, spec, ids):
+        assert parse_ids(spec) == ids
+
+    @pytest.mark.parametrize("spec", [
+        "a..b", "1..2..3", "1,x", [[0, "x"]], None, True, [True], [[0, True]],
+        1.5, ["1"], [[[0]]], {"lo": 0},
+    ])
+    def test_junk_is_config_error(self, spec):
+        with pytest.raises(ConfigError):
+            parse_ids(spec)
+
+    @pytest.mark.parametrize("dim, F, offsets", [
+        (2, [[0, 0], [1, 0]], [(0, 0), (1, 0)]),  # vector translates
+        (1, "12", [(12,)]),                        # one id, not the digits 1 and 2
+        (1, "0,3", [(0,), (3,)]),                  # a comma list
+        (1, [0, 2], [(0,), (2,)]),
+    ])
+    def test_pipeline_translates(self, tmp_path, dim, F, offsets):
+        run(translates_config(dim, F), tmp_path)
+        space = load_space(tmp_path / "win.json")
+        fam = load_family(tmp_path / "fam.json", space)
+        coords = space.meta["coords"]
+        assert fam.chains
+        for x, chain in fam.chains.items():
+            want = {tuple(a + b for a, b in zip(coords[x], f)) for f in offsets}
+            assert {coords[z] for z in chain} == want
+            assert chain.is_flat()
+
+    @pytest.mark.parametrize("F", ["a..b", [[0, "x"]], None])
+    def test_pipeline_junk_names_the_stage(self, tmp_path, F):
+        with pytest.raises(ConfigError, match="stage 'fam'"):
+            run(translates_config(1, F), tmp_path)
+
+
+class TestStageParams:
+    @pytest.mark.parametrize("stage, missing", [
+        ({"name": "tent", "kind": "family", "params": {"kind": "tent"},
+          "inputs": {"space": "win"}}, "width"),
+        ({"name": "balls", "kind": "family", "params": {"kind": "ball"},
+          "inputs": {"space": "win"}}, "radius"),
+        ({"name": "boxes", "kind": "box",
+          "params": {"m": 4, "boxes": 5, "R": "1/1", "epsilon": "1/4"}}, "F"),
+    ])
+    def test_missing_parameter_is_config_error(self, tmp_path, stage, missing):
+        doc = {"stages": [
+            {"name": "win", "kind": "generate",
+             "params": {"spec": {"kind": "grid", "dim": 1, "low": 0, "high": 20}}},
+            stage,
+        ]}
+        message = f"stage {stage['name']!r}: missing parameter {missing!r}"
+        with pytest.raises(ConfigError) as info:
+            run(PipelineConfig.from_json(doc), tmp_path / "lib")
+        assert str(info.value) == message
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        r = run_cli(["run", "--config", "cfg.json", "--out", "cli"], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert message in r.stderr
+
+    def test_multiset_family_cannot_be_verified(self, tmp_path):
+        cfg = PipelineConfig.from_json({"stages": [
+            {"name": "win", "kind": "generate",
+             "params": {"spec": {"kind": "grid", "dim": 1, "low": 0, "high": 30}}},
+            {"name": "fam", "kind": "family",
+             "params": {"kind": "random_multiset", "M": 2, "size": 5,
+                        "spread": "3/1", "core": list(range(5, 25))},
+             "inputs": {"space": "win"}},
+            {"name": "check", "kind": "verify", "inputs": {"family": "fam"}},
+        ]})
+        with pytest.raises(ConfigError, match="stage 'check': verify needs a weighted chain"):
+            run(cfg, tmp_path)
+
+
+class TestCliPipelineParity:
+    """The CLI commands and the pipeline stages share one run function per
+    construction, so the same inputs give the same bytes."""
+
+    def test_tent_route(self, tmp_path):
+        run(tent_config(), tmp_path / "out")
+        steps = [
+            ["rips", "build", "--space", "out/win.json", "--r", "1/1", "--out", "graph.json"],
+            ["flow", "build", "--rips", "graph.json", "--out", "exit.json"],
+            ["flatten", "run", "--family", "out/tent.json", "--flow", "exit.json",
+             "--space", "out/win.json", "--out", "flat.json", "--report", "flat.report.json",
+             "--on-escape", "raise"],
+        ]
+        for args in steps:
+            r = run_cli(args, tmp_path)
+            assert r.returncode == 0, r.stderr
+        for name in ("graph.json", "exit.json", "flat.json", "flat.report.json"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
+        r = run_cli(["family", "verify", "--family", "flat.json", "--space", "out/win.json",
+                     "--flat"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == (tmp_path / "out" / "check.report.json").read_text()
+
+    def test_box_route(self, tmp_path):
+        run(box_config(), tmp_path / "out")
+        r = run_cli(["box", "build", "--m", "4", "--boxes", "5", "--F", "0..9", "--R", "1/1",
+                     "--eps", "1/4", "--out", "boxes.space.json", "--family-out", "boxes.json",
+                     "--report", "boxes.report.json"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        for name in ("boxes.space.json", "boxes.json", "boxes.report.json"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
+        # without --F, only the box space is written
+        r = run_cli(["box", "build", "--m", "4", "--boxes", "5", "--out", "bare.json"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "bare.json\n"
+        assert (tmp_path / "bare.json").read_bytes() == (tmp_path / "boxes.space.json").read_bytes()

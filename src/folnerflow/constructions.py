@@ -33,7 +33,7 @@ def boundary(space: WindowSpace, U, R) -> frozenset:
     return space.neighborhood(U, R) - U
 
 
-def foelner_search(space: WindowSpace, R, epsilon, *, max_radius=None):
+def foelner_search(space: WindowSpace, R, epsilon):
     """Greedy ball-growing search for U with |boundary_R(U)| <= epsilon*|U|.
 
     Candidate sets are balls grown around each centre in id order; a
@@ -47,13 +47,10 @@ def foelner_search(space: WindowSpace, R, epsilon, *, max_radius=None):
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     interior = frozenset(space.interior_points(R))
-    if max_radius is None:
-        max_radius = space.n  # balls stop growing once they swallow the window
     for center in range(space.n):
         if center not in interior:
             continue
-        rho = 0
-        while rho <= max_radius:
+        for rho in range(space.n + 1):  # a ball stops growing once it swallows the window
             U = space.ball(center, rho)
             if not U <= interior:
                 break
@@ -62,7 +59,6 @@ def foelner_search(space: WindowSpace, R, epsilon, *, max_radius=None):
                 return frozenset(U)
             if len(U) == space.n:
                 break
-            rho += 1
     return None
 
 
@@ -290,7 +286,7 @@ def subspace(space: WindowSpace, points) -> WindowSpace:
     )
 
 
-def project_family(product_space: WindowSpace, fam: IndexedFamily, levels=None) -> IndexedFamily:
+def project_family(product_space: WindowSpace, fam: IndexedFamily) -> IndexedFamily:
     """Collapse a family on Z x {0..M-1} to one on Z.
 
     The projected member at z keeps the base points whose column meets
@@ -302,7 +298,7 @@ def project_family(product_space: WindowSpace, fam: IndexedFamily, levels=None) 
     meta = product_space.meta
     if meta.get("kind") != "product_interval":
         raise ValueError("project_family needs a product-with-interval window")
-    M = meta["levels"] if levels is None else levels
+    M = meta["levels"]
     base = meta["base"]
 
     chains = {}
@@ -415,7 +411,11 @@ def box_family(model: BoxSpaceModel, F, R, epsilon) -> tuple[IndexedFamily, BoxF
     pair, that deep-box symmetric differences and intersections equal
     their integer counterparts exactly.
     """
-    F = sorted(set(int(f) for f in F))
+    F = list(F)
+    for f in F:
+        if type(f) is not int:
+            raise ValueError(f"box family F must hold integer ids, got {f!r}")
+    F = sorted(set(F))
     if not F:
         raise ValueError("Folner set F is empty")
     R = Fraction(R)

@@ -62,7 +62,7 @@ class FlattenTrace:
 
 def _check_domain(a: Chain, flow: FlowField):
     for x in a:
-        if x not in flow.sigma and x not in flow.sinks:
+        if x not in flow.depths:
             raise ValueError(f"chain point {x} is not covered by the flow")
 
 
@@ -100,9 +100,6 @@ def flatten(a: Chain, flow: FlowField) -> tuple[Chain, FlattenTrace]:
     towers = {x: v - 1 for x, v in a.items() if v > 1}
     tower_mass = a.l1() - len(a)
     bound = a.l1() * tower_mass
-    # reached points outside the flow: iterated shift_step rejects them
-    # only when a further step is due
-    uncovered = []
     steps = 0
     while towers:
         if steps >= bound:
@@ -111,8 +108,6 @@ def flatten(a: Chain, flow: FlowField) -> tuple[Chain, FlattenTrace]:
                 f"chain not 0,1-valued after the full step budget {bound}; "
                 f"norm={a.l1()}, towers={tower_mass}, got {current!r}"
             )
-        if uncovered:
-            raise ValueError(f"chain point {uncovered[0]} is not covered by the flow")
         arrived = {}  # z -> new height above 1 at z
         for y, t in towers.items():
             if y in sinks:
@@ -121,8 +116,6 @@ def flatten(a: Chain, flow: FlowField) -> tuple[Chain, FlattenTrace]:
             if z not in support:  # a newly reached point keeps one unit as base
                 support[z] = len(support)
                 arrived[z] = -1
-                if z not in sigma and z not in sinks:
-                    uncovered.append(z)
             arrived[z] = arrived.get(z, 0) + t
         towers = {z: arrived[z] for z in sorted(arrived, key=support.__getitem__)
                   if arrived[z]}

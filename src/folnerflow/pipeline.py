@@ -70,6 +70,9 @@ class PipelineConfig:
                 )
             except (KeyError, TypeError) as e:
                 raise ConfigError(f"stage {i} is missing {e}") from e
+            for key, v in (("params", stage.params), ("inputs", stage.inputs)):
+                if not isinstance(v, dict):
+                    raise ConfigError(f"stage {stage.name!r}: {key} must be an object, got {v!r}")
             if stage.kind not in STAGES:
                 raise ConfigError(
                     f"stage {stage.name!r}: unknown kind {stage.kind!r}"
@@ -128,6 +131,7 @@ def _family(inputs, p, rng):
 
 def _flatten(inputs, p, rng):
     fam = _chain_family(inputs["family"], "flatten")
+    rips_mod.check_flow_on_space(inputs["flow"], fam.space)
     out, report = flatten_family(fam, inputs["flow"], on_escape=p.get("on_escape", "raise"))
     summary = report.to_json()
     return out, {"": family_to_json(out), ".report": summary}, summary

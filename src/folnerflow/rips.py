@@ -106,20 +106,62 @@ class FlowField:
     """One outgoing tree edge per non-sink vertex, oriented toward the sink.
 
     sigma[x] is the next vertex downstream of x; sinks have no image.
-    depths[x] counts the sigma-steps from x to its sink.
+    depths[x] counts the sigma-steps from x to its sink, derived at
+    construction, which raises ValueError naming the point unless every
+    point is an id in 0..n-1, no sink has an edge and every sigma orbit
+    stays in the flow (sigma keys and sinks) until it ends on a sink.
     """
 
     sigma: dict  # PointId -> PointId, sinks absent
     sinks: frozenset
     r: Fraction
     n: int
-    depths: dict = field(repr=False)  # PointId -> int
+    depths: dict = field(init=False, repr=False)  # PointId -> int
+
+    def __post_init__(self):
+        sigma, n = self.sigma, self.n
+        for x in (*self.sinks, *sigma, *sigma.values()):
+            if type(x) is not int or not 0 <= x < n:
+                raise ValueError(f"point {x!r} is not an id in 0..{n - 1}")
+        depths = dict.fromkeys(self.sinks, 0)
+        for s in depths:
+            if s in sigma:
+                raise ValueError(f"sink {s} has a sigma edge to {sigma[s]}")
+        for x in sigma:
+            trail = {}  # the orbit of x until a point of known depth
+            y = x
+            while y not in depths:
+                if y in trail:
+                    raise ValueError(f"the sigma orbit of {x} cycles through {y}")
+                if y not in sigma:
+                    raise ValueError(f"the sigma orbit of {x} leaves the flow at {y}")
+                trail[y] = None
+                y = sigma[y]
+            for i, t in enumerate(reversed(trail), start=depths[y] + 1):
+                depths[t] = i
+        object.__setattr__(self, "depths", depths)
 
     def depth(self, x: PointId) -> int:
         try:
             return self.depths[x]
         except KeyError:
             raise KeyError(f"point {x} is not covered by this flow") from None
+
+
+def check_flow_on_space(flow: FlowField, space: WindowSpace) -> None:
+    """ConfigError naming the first misfit unless flow.n == space.n, every
+    sink is on the frontier and every sigma edge (one targeted search each)
+    has length <= flow.r. `build_flow` meets all three by design."""
+    if flow.n != space.n:
+        raise ConfigError(f"flow has {flow.n} points but the space has {space.n}")
+    off = sorted(flow.sinks - space.frontier)
+    if off:
+        raise ConfigError(f"flow sink {off[0]} is not on the frontier of the space")
+    for x, y in flow.sigma.items():
+        d = space.support_radius(x, (y,))
+        if d > flow.r:
+            raise ConfigError(f"flow edge {x} -> {y} has length {format_rational(d)}, "
+                              f"more than r = {format_rational(flow.r)}")
 
 
 def build_flow(space: WindowSpace, rips: RipsGraph) -> FlowField:
@@ -142,25 +184,18 @@ def build_flow_from_parts(rips: RipsGraph, frontier) -> FlowField:
         raise NotCoarselyUnbounded(report.bounded_components)
 
     sigma = {}
-    depths = {}
     sinks = []
     for comp in rips.components:
         sink = min(comp & frontier)
         sinks.append(sink)
-        depths[sink] = 0
         queue = deque([sink])
-        seen = {sink}
         while queue:
             u = queue.popleft()
             for v in sorted(rips.neighbors[u]):
-                if v not in seen:
-                    seen.add(v)
+                if v != sink and v not in sigma:  # not yet reached
                     sigma[v] = u
-                    depths[v] = depths[u] + 1
                     queue.append(v)
-    return FlowField(
-        sigma=sigma, sinks=frozenset(sinks), r=rips.r, n=rips.n, depths=depths
-    )
+    return FlowField(sigma=sigma, sinks=frozenset(sinks), r=rips.r, n=rips.n)
 
 
 # -- serialization ---------------------------------------------------------
@@ -219,26 +254,12 @@ def flow_to_json(flow: FlowField) -> dict:
 
 def flow_from_json(doc: dict) -> FlowField:
     try:
-        sigma = {x: sx for x, sx in doc["sigma"]}
-        sinks = frozenset(doc["sinks"])
-        r = parse_rational(doc["r"])
-        n = doc["points"]
+        return FlowField(sigma={x: sx for x, sx in doc["sigma"]}, sinks=frozenset(doc["sinks"]),
+                         r=parse_rational(doc["r"]), n=doc["points"])
     except (KeyError, TypeError) as e:
         raise ConfigError(f"flow file missing field: {e}") from e
-    depths = {s: 0 for s in sinks}
-    # resolve depths by chasing sigma; cycles mean a corrupt file
-    for x in sigma:
-        trail = []
-        y = x
-        while y not in depths:
-            trail.append(y)
-            if y not in sigma or len(trail) > n:
-                raise ConfigError("flow file is corrupt: sigma orbit never reaches a sink")
-            y = sigma[y]
-        base = depths[y]
-        for i, t in enumerate(reversed(trail), start=1):
-            depths[t] = base + i
-    return FlowField(sigma=sigma, sinks=sinks, r=r, n=n, depths=depths)
+    except ValueError as e:
+        raise ConfigError(f"flow file is corrupt: {e}") from e
 
 
 def load_rips(path) -> tuple[RipsGraph, frozenset]:

@@ -364,9 +364,7 @@ def grid_window(dim: int, low: int, high: int) -> WindowSpace:
         dist_fn=dist_fn,
         meta={
             "kind": "grid",
-            "dim": dim,
-            "low": low,
-            "high": high,
+            "spec": {"kind": "grid", "dim": dim, "low": low, "high": high},
             "coords": coords,
             "coord_index": index,
         },
@@ -398,11 +396,11 @@ def cycle_window(length: int) -> WindowSpace:
         label=f"cycle({length})",
         adjacency=adjacency,
         dist_fn=dist_fn,
-        meta={"kind": "cycle", "length": length},
+        meta={"kind": "cycle", "spec": {"kind": "cycle", "length": length}},
     )
 
 
-def _tree_from_child_counts(child_count, depth, label, kind, params):
+def _tree_from_child_counts(child_count, depth, label, spec):
     """Rooted tree window built level by level; ids in breadth-first order.
 
     ``child_count(level)`` gives the number of children of every vertex at
@@ -440,12 +438,12 @@ def _tree_from_child_counts(child_count, depth, label, kind, params):
         return Fraction(steps)
 
     meta = {
-        "kind": kind,
+        "kind": spec["kind"],
+        "spec": spec,
         "parents": parents,
         "depths": depths,
         "children": children,
         "depth": depth,
-        **params,
     }
     return WindowSpace(
         n,
@@ -465,8 +463,7 @@ def tree_window(branching: int, depth: int) -> WindowSpace:
         lambda d: branching,
         depth,
         f"tree(b={branching},depth={depth})",
-        "tree",
-        {"branching": branching},
+        {"kind": "tree", "branching": branching, "depth": depth},
     )
 
 
@@ -479,8 +476,7 @@ def regular_tree_window(degree: int, depth: int) -> WindowSpace:
         lambda d: degree if d == 0 else degree - 1,
         depth,
         f"regular_tree(k={degree},depth={depth})",
-        "regular_tree",
-        {"degree": degree},
+        {"kind": "regular_tree", "degree": degree, "depth": depth},
     )
 
 
@@ -541,13 +537,12 @@ def disjoint_union(parts: Sequence[WindowSpace], spacing) -> WindowSpace:
         offsets[i] + f for i, p in enumerate(parts) for f in sorted(p.frontier)
     ]
     label = "union(" + ", ".join(p.label for p in parts) + ")"
+    specs = [p.meta.get("spec") for p in parts]
     meta = {
         "kind": "union",
+        "spec": None if None in specs else {
+            "kind": "union", "parts": specs, "spacing": [format_rational(s) for s in spacing]},
         "offsets": offsets,
-        "sizes": [p.n for p in parts],
-        "spacing": spacing,
-        "parts": list(parts),
-        "part_of": part_of,
     }
     if have_adj:
         return WindowSpace(
@@ -589,8 +584,11 @@ def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
     frontier = [
         z * levels + i for z in sorted(base.frontier) for i in range(levels)
     ]
+    base_spec = base.meta.get("spec")
     meta = {
         "kind": "product_interval",
+        "spec": None if base_spec is None else {
+            "kind": "product", "base": base_spec, "levels": levels},
         "levels": levels,
         "base": base,
     }
@@ -633,35 +631,6 @@ def generate(spec: dict) -> WindowSpace:
     raise ConfigError(f"unknown generator kind {kind!r}")
 
 
-def _generator_spec(space: WindowSpace) -> Optional[dict]:
-    """Reconstruct the descriptor of a generated space, or None."""
-    m = space.meta
-    kind = m.get("kind")
-    if kind == "grid":
-        return {"kind": "grid", "dim": m["dim"], "low": m["low"], "high": m["high"]}
-    if kind == "cycle":
-        return {"kind": "cycle", "length": m["length"]}
-    if kind == "tree":
-        return {"kind": "tree", "branching": m["branching"], "depth": m["depth"]}
-    if kind == "regular_tree":
-        return {"kind": "regular_tree", "degree": m["degree"], "depth": m["depth"]}
-    if kind == "union":
-        parts = [_generator_spec(p) for p in m["parts"]]
-        if any(p is None for p in parts):
-            return None
-        return {
-            "kind": "union",
-            "parts": parts,
-            "spacing": [format_rational(s) for s in m["spacing"]],
-        }
-    if kind == "product_interval":
-        base = _generator_spec(m["base"])
-        if base is None:
-            return None
-        return {"kind": "product", "base": base, "levels": m["levels"]}
-    return None
-
-
 # -- serialization ---------------------------------------------------------
 
 
@@ -686,7 +655,7 @@ def space_to_json(space: WindowSpace) -> dict:
         "frontier": sorted(space.frontier),
         "label": space.label,
     }
-    gen = _generator_spec(space)
+    gen = space.meta.get("spec")
     if gen is not None:
         doc["generator"] = gen
     return doc

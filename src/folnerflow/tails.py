@@ -121,32 +121,8 @@ def verify_tail_cover(cover: TailCover, space: WindowSpace) -> TailCoverReport:
     )
 
 
-def _tree_structure(space: WindowSpace, parents):
-    if parents is None:
-        parents = space.meta.get("parents")
-        if parents is None:
-            raise ValueError(
-                "space carries no rooted-tree structure; pass parents= explicitly"
-            )
-    children = [[] for _ in range(space.n)]
-    root = None
-    for v in range(space.n):
-        p = parents[v]
-        if p is None:
-            if root is not None:
-                raise ValueError("parents describe a forest, not a single tree")
-            root = v
-        else:
-            children[p].append(v)
-    if root is None:
-        raise ValueError("parents contain no root")
-    for c in children:
-        c.sort()
-    return root, parents, children
-
-
-def build_tree_tails(space: WindowSpace, parents=None) -> TailCover:
-    """Greedy outward tail routing on a rooted tree window.
+def build_tree_tails(space: WindowSpace) -> TailCover:
+    """Greedy outward tail routing on a generated tree window.
 
     Every tail moves away from the root; at each vertex the tails present
     (its own plus those dealt to it from above) are distributed
@@ -154,26 +130,25 @@ def build_tree_tails(space: WindowSpace, parents=None) -> TailCover:
     at every interior vertex the per-point load never exceeds two, which
     the returned cover records as its K.
 
-    Raises BranchingTooLow on an interior vertex with fewer than two
-    children, and rejects trees whose leaves are not on the frontier
-    (tails must end where the window was truncated).
+    Reads the children a tree generator records in `space.meta` (ValueError
+    without them). Raises BranchingTooLow on an interior vertex with fewer
+    than two children, and rejects leaves off the frontier (tails must end
+    where the window was truncated).
     """
-    root, parents, children = _tree_structure(space, parents)
+    children = space.meta.get("children")
+    if children is None:
+        raise ValueError("space carries no rooted-tree structure; "
+                         "build_tree_tails needs a generated tree window")
     for v in range(space.n):
         if children[v] and len(children[v]) < 2:
             raise BranchingTooLow(v, len(children[v]))
         if not children[v] and v not in space.frontier:
-            raise ValueError(
-                f"leaf {v} is not on the frontier; tails cannot escape there"
-            )
-
-    order = [root]
-    for v in order:
-        order.extend(children[v])
+            raise ValueError(f"leaf {v} is not on the frontier; tails cannot escape there")
 
     paths = {x: [x] for x in range(space.n)}
     arrivals = {v: [] for v in range(space.n)}
-    for v in order:
+    # tree ids are breadth-first, so every vertex is dealt to before it deals
+    for v in range(space.n):
         present = sorted(arrivals[v] + [v])
         kids = children[v]
         if not kids:
@@ -184,12 +159,8 @@ def build_tree_tails(space: WindowSpace, parents=None) -> TailCover:
             arrivals[child].append(origin)
 
     tails = {x: tuple(p) for x, p in paths.items()}
-    counts = {}
-    for seq in tails.values():
-        for z in seq:
-            counts[z] = counts.get(z, 0) + 1
-    measured_K = max(counts.values())
-    return TailCover(tails=tails, r=Fraction(1), K=measured_K)
+    # the tails through z are its own and the ones dealt to it
+    return TailCover(tails=tails, r=Fraction(1), K=1 + max(map(len, arrivals.values())))
 
 
 def transport_point(cover: TailCover, y: PointId, n: int, M: int, index=None) -> PointId:

@@ -167,20 +167,9 @@ def random_tree_space(rng: random.Random, n: int, spine: int) -> WindowSpace:
 
 def handmade_flow(sigma: dict, sinks, r=1, n=None) -> FlowField:
     """FlowField built directly from a sigma map (for pinned examples)."""
-    sinks = frozenset(sinks)
-    depths = {s: 0 for s in sinks}
-    for x in sigma:
-        trail = []
-        y = x
-        while y not in depths:
-            trail.append(y)
-            y = sigma[y]
-        base = depths[y]
-        for i, t in enumerate(reversed(trail), start=1):
-            depths[t] = base + i
     if n is None:
         n = len(sigma) + len(sinks)
-    return FlowField(sigma=dict(sigma), sinks=sinks, r=Fraction(r), n=n, depths=depths)
+    return FlowField(sigma=dict(sigma), sinks=frozenset(sinks), r=Fraction(r), n=n)
 
 
 @pytest.fixture

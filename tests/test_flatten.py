@@ -168,20 +168,10 @@ class TestEngineMatchesSpec:
         assert outcome(engine, Chain({0: 4}), flow) == ("escaped", 2, 2)
         assert outcome(iterated_shift_step, Chain({0: 4}), flow) == ("escaped", 2, 2)
 
-    # sigma(1) = 9, and 9 is neither in sigma nor a sink
-    UNCOVERED = FlowField(sigma={0: 1, 1: 9}, sinks=frozenset({2}), r=Fraction(1),
-                          n=3, depths={})
-
-    @given(w0=st.integers(min_value=1, max_value=6),
-           w1=st.integers(min_value=1, max_value=6))
-    def test_sigma_into_uncovered_point(self, w0, w1):
-        a, flow = Chain({0: w0, 1: w1}), self.UNCOVERED
-        assert outcome(engine, a, flow) == outcome(iterated_shift_step, a, flow)
-
-    def test_uncovered_point_rejected_by_both(self):
-        for run in (engine, iterated_shift_step):
-            with pytest.raises(ValueError, match="point 9 is not covered"):
-                run(Chain({0: 4}), self.UNCOVERED)
+    def test_sigma_into_uncovered_point_rejected_at_construction(self):
+        # sigma(1) = 9, and 9 is neither in sigma nor a sink: no flow to run on
+        with pytest.raises(ValueError, match="orbit of 0 leaves the flow at 9"):
+            FlowField(sigma={0: 1, 1: 9}, sinks=frozenset({2}), r=Fraction(1), n=10)
 
 
 class TestClaims:

@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 from conftest import child_env
 
-from folnerflow import ConfigError
-from folnerflow.chains import load_family
-from folnerflow.jsonio import parse_ids
+from folnerflow import ConfigError, grid_window, singleton_family
+from folnerflow.chains import family_to_json, load_family
+from folnerflow.constructions import box_family, build_box_space
+from folnerflow.jsonio import dump_json, parse_ids
 from folnerflow.pipeline import PipelineConfig, explain, run
-from folnerflow.space import load_space
+from folnerflow.rips import build_flow, build_rips, flow_to_json
+from folnerflow.space import load_space, space_to_json
 
 
 def tent_config(seed=7):
@@ -455,3 +457,66 @@ class TestCliPipelineParity:
         assert r.returncode == 0, r.stderr
         assert r.stdout == "bare.json\n"
         assert (tmp_path / "bare.json").read_bytes() == (tmp_path / "boxes.space.json").read_bytes()
+
+
+class TestMalformedStages:
+    @pytest.mark.parametrize("key, value", [("inputs", ["w"]), ("params", [1])])
+    def test_params_and_inputs_must_be_objects(self, tmp_path, key, value):
+        doc = {"stages": [
+            {"name": "w", "kind": "generate", "params": {"spec": {"kind": "cycle", "length": 4}}},
+            {"name": "g", "kind": "rips", "inputs": {"space": "w"}, key: value},
+        ]}
+        message = f"stage 'g': {key} must be an object, got {value!r}"
+        with pytest.raises(ConfigError) as info:
+            PipelineConfig.from_json(doc)
+        assert str(info.value) == message
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        r = run_cli(["run", "--config", "cfg.json", "--out", "out"], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert message in r.stderr
+
+    def test_box_stage_rejects_vector_ids(self, tmp_path):
+        with pytest.raises(ValueError, match=r"integer ids, got \(0,\)"):
+            box_family(build_box_space(4, 3), [(0,), (1,)], 1, Fraction(1, 4))
+        doc = {"stages": [{"name": "boxes", "kind": "box", "params": {
+            "m": 4, "boxes": 3, "F": [[0], [1]], "R": "1/1", "epsilon": "1/4"}}]}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        r = run_cli(["run", "--config", "cfg.json", "--out", "out"], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "box family F must hold integer ids" in r.stderr
+
+
+class TestFlattenChecksFlowAgainstSpace:
+    """`flatten run` (the flatten stage) rejects a flow file that does not
+    fit --space, naming the offending edge or sink."""
+
+    def write_inputs(self, tmp_path):
+        space = grid_window(1, -10, 10)  # ids 0..20, frontier {0, 20}, sink 0
+        dump_json(space_to_json(space), tmp_path / "s.json")
+        dump_json(family_to_json(singleton_family(space, 1, Fraction(1, 4))),
+                  tmp_path / "fam.json")
+        return flow_to_json(build_flow(space, build_rips(space, 1)))
+
+    def flatten(self, tmp_path, flow_doc):
+        dump_json(flow_doc, tmp_path / "f.json")
+        return run_cli(["flatten", "run", "--family", "fam.json", "--flow", "f.json",
+                        "--space", "s.json", "--out", "flat.json"], tmp_path)
+
+    def test_fitting_flow_runs(self, tmp_path):
+        r = self.flatten(tmp_path, self.write_inputs(tmp_path))
+        assert r.returncode == 0, r.stderr
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.update(points=22), "flow has 22 points but the space has 21"),
+        (lambda d: d["sigma"].__setitem__(4, [5, 3]),
+         "flow edge 5 -> 3 has length 2/1, more than r = 1/1"),
+        (lambda d: (d["sigma"].remove([10, 9]), d["sinks"].append(10)),
+         "flow sink 10 is not on the frontier of the space"),
+    ], ids=["points", "long-edge", "sink-off-frontier"])
+    def test_misfit_flow_is_exit_2(self, tmp_path, mutate, message):
+        doc = self.write_inputs(tmp_path)
+        mutate(doc)
+        r = self.flatten(tmp_path, doc)
+        assert r.returncode == 2, r.stderr
+        assert f"error: {message}" in r.stderr
+        assert not (tmp_path / "flat.json").exists()

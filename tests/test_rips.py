@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_tree_space
 from folnerflow import (
     NotCoarselyUnbounded,
     WindowSpace,
@@ -11,7 +14,9 @@ from folnerflow import (
     disjoint_union,
     grid_window,
 )
+from folnerflow.errors import ConfigError
 from folnerflow.rips import (
+    FlowField,
     build_flow,
     build_rips,
     check_coarsely_unbounded,
@@ -168,3 +173,48 @@ class TestSerialization:
         assert back.sinks == flow.sinks
         assert back.depths == flow.depths
         assert flow_to_json(back) == doc
+
+    @settings(max_examples=60, deadline=None)
+    @given(rng=st.randoms(use_true_random=False),
+           n=st.integers(min_value=2, max_value=40),
+           r=st.sampled_from([1, 2, Fraction(5, 2)]))
+    def test_flow_round_trip_random_trees(self, rng, n, r):
+        space = random_tree_space(rng, n, rng.randint(1, n - 1))
+        flow = build_flow(space, build_rips(space, r))
+        back = flow_from_json(flow_to_json(flow))
+        assert back == flow
+        assert back.depths == flow.depths
+        for y, z in flow.sigma.items():
+            assert flow.depth(z) == flow.depth(y) - 1
+
+
+def line_flow_doc():
+    """The flow file of the 0..7 line at r=1: sigma(x) = x - 1, sink 0."""
+    g = grid_window(1, 0, 7)
+    return flow_to_json(build_flow(g, build_rips(g, 1)))
+
+
+class TestFlowConstruction:
+    """A FlowField checks itself; a corrupt flow file is a ConfigError that
+    names the offending point."""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d["sigma"].remove([3, 2]), "orbit of 4 leaves the flow at 3"),
+        (lambda d: d["sigma"].__setitem__(1, [2, 3]), "orbit of 2 cycles through 2"),
+        (lambda d: d["sigma"].append([0, 1]), "sink 0 has a sigma edge to 1"),
+        (lambda d: d["sigma"].append([8, 7]), "point 8 is not an id in 0..7"),
+        (lambda d: d.__setitem__("points", 5), "point 5 is not an id in 0..4"),
+        (lambda d: d.__setitem__("sinks", [9]), "point 9 is not an id in 0..7"),
+    ], ids=["leaves-flow", "cycle", "sink-with-edge", "id-past-points", "points-too-few",
+            "sink-past-points"])
+    def test_mutated_flow_file_rejected(self, mutate, message):
+        doc = line_flow_doc()
+        assert flow_from_json(doc).depth(7) == 7
+        mutate(doc)
+        with pytest.raises(ConfigError, match=f"flow file is corrupt: .*{message}"):
+            flow_from_json(doc)
+
+    def test_bad_point_types_rejected(self):
+        for sigma, sinks in [({"1": 0}, {0}), ({1: 0}, {True}), ({1: 0.0}, {0})]:
+            with pytest.raises(ValueError, match="is not an id"):
+                FlowField(sigma=sigma, sinks=frozenset(sinks), r=Fraction(1), n=3)

@@ -1,5 +1,6 @@
 """Window generators, exact metrics, balls, growth profiles, JSON round-trips."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -25,7 +26,9 @@ from folnerflow import (
     regular_tree_window,
     tree_window,
 )
+from folnerflow.constructions import build_box_space, subspace
 from folnerflow.errors import ConfigError
+from folnerflow.jsonio import dump_json
 from folnerflow.space import check_radius, space_from_json, space_to_json
 
 
@@ -403,3 +406,66 @@ class TestSerialization:
                                          "entries": [["0/1", "1/1"], ["2/1", "0/1"]]},
                  "frontier": [], "label": ""}
             )
+
+
+def space_digest(space):
+    return hashlib.sha256(dump_json(space_to_json(space)).encode()).hexdigest()
+
+
+class TestGeneratorDescriptor:
+    """Each generator records its own descriptor; the space files it gives
+    are pinned byte for byte (sha256 of the dumped JSON) to the output of
+    the earlier code that rebuilt the descriptor from scattered meta keys."""
+
+    @pytest.mark.parametrize("spec, digest", [
+        ({"kind": "grid", "dim": 2, "low": -2, "high": 3},
+         "c17290205c83ed1e117805da3886dff01be9088ce5b4982eae790b510e7f4146"),
+        ({"kind": "grid", "low": 0, "high": 6},
+         "18e07187af3b15cc994aa6a84aa9f534e4f0da07793093ccdb77c5fffb79c482"),
+        ({"kind": "cycle", "length": 7},
+         "c2532458a8e37f2081b600022ea7e6c4b8fa7c5db3fe8bc8ceb7cc17ff87112a"),
+        ({"kind": "tree", "branching": 3, "depth": 2},
+         "016a863da7cb7d578f267e88330eba6d1590f651b3ddd4170310bb5472b74dfd"),
+        ({"kind": "regular_tree", "degree": 3, "depth": 3},
+         "53bf2f82986c973a4e52591283946c57c043e874782469157ab886d7770e967a"),
+        ({"kind": "product", "base": {"kind": "cycle", "length": 5}, "levels": 3},
+         "5691196e321d5df2c836c634e916b9f8c17c37778af7ed204603138fd4213ef1"),
+        ({"kind": "union", "spacing": ["2", "7/2"], "parts": [
+            {"kind": "grid", "dim": 1, "low": 0, "high": 4}, {"kind": "cycle", "length": 4}]},
+         "3a822167c81bd8c333d251b6b0e8fbb1051bd89ede6699f979196a0bf0aaf943"),
+        ({"kind": "union", "spacing": ["3/2", "4"], "parts": [
+            {"kind": "product", "base": {"kind": "tree", "branching": 2, "depth": 2},
+             "levels": 2},
+            {"kind": "union", "spacing": ["1", "1"], "parts": [
+                {"kind": "product", "base": {"kind": "grid", "dim": 1, "low": 0, "high": 3},
+                 "levels": 3},
+                {"kind": "regular_tree", "degree": 3, "depth": 1}]}]},
+         "4e52f8f64b9f317506815ebe45243a0c77b417646e5a87f2fcdb3f53d7caf3b3"),
+    ], ids=["grid", "grid-default-dim", "cycle", "tree", "regular-tree", "product", "union",
+            "union-of-products"])
+    def test_space_file_bytes_pinned(self, spec, digest):
+        space = generate(spec)
+        assert space_digest(space) == digest
+        doc = space_to_json(space)
+        assert space_to_json(generate(doc["generator"])) == doc
+
+    def test_box_space_bytes_pinned(self):
+        space = build_box_space(4, 3).space
+        assert space_digest(space) == (
+            "67eafab0dfbd3306a02d55b7c00cecdf6639b27b3b21c967f273b6bb2b7d35f3")
+        assert space_to_json(space)["generator"]["kind"] == "union"
+
+    def test_spaces_without_a_generator(self):
+        sub = subspace(grid_window(1, 0, 5), [0, 2, 3])
+        matrix = space_from_json({"points": 2, "frontier": [0], "label": "m", "metric": {
+            "type": "matrix", "entries": [["0", "1"], ["1", "0"]]}})
+        for space, digest in [
+            (sub, "dff4c817a6e04ddee9af6311589e257d22c2c3d413deda9453e3c084982c6466"),
+            (product_with_interval(sub, 2),
+             "43f2ea07f282c6ba11c9a21d11802fbaef52a67320036828a7817257c1646938"),
+            (disjoint_union([grid_window(1, 0, 2), sub], [1, 2]),
+             "fd59bc56f5e5b487dfb9859467fdcfb454944fe704ea0557389acb681d7251cc"),
+            (matrix, None),
+        ]:
+            assert "generator" not in space_to_json(space), space.label
+            assert digest is None or space_digest(space) == digest, space.label

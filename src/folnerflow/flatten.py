@@ -1,5 +1,5 @@
-"""Tower shifting along a flow: one synchronous step, and iteration to a
-0,1-valued chain.
+"""Tower shifting along a flow: one synchronous step, and flattening to a
+0,1-valued chain by parking.
 
 One step splits the chain a into base + towers from a frozen snapshot,
 keeps the base in place and moves every tower unit one flow edge
@@ -11,26 +11,28 @@ The step preserves the l1 norm and is monotone (a <= a' pointwise implies
 step(a) <= step(a')). Iterating, the support can only grow, the tower
 mass strictly drops at least once every ||a||_1 steps, and the chain
 becomes 0,1-valued within ||a||_1 * ||towers(a)||_1 steps -- after which
-it is a fixed point. Exceeding that budget is impossible for a correct
-implementation, so the loop treats it as an internal error rather than
-looping on.
+it is a fixed point. Mass that would have to flow past a sink means the
+finite window is too small for the chain: FlowEscaped, at the step where
+a tower sits on a sink.
 
-Mass that would have to flow past a sink means the finite window is too
-small for the chain; that raises FlowEscaped at the step where a tower
-actually sits on a sink (the budget precheck is only a warning, since
-most runs finish far below the bound).
-
-`shift_step` is the executable specification; `flatten` never rebuilds
-the chain. The base never moves, so its state is the support (insertion
-ordered, point -> position) and the towers (point -> height above 1, in
-support order): a step sums the tower mass arriving at each sigma(y),
-adds newly reached points, and keeps the excess over 1 as the next
-towers, in O(|towers|). Steps, errors and the returned chain are those
-of iterated `shift_step`.
+`shift_step` is the executable specification; `flatten` computes its
+iteration without running steps. A tower unit moves one flow edge per step
+until it reaches a point outside the support, where one arriving unit
+stays. So a unit from y reaches q at step depth(y) - depth(q): a deeper
+tower always arrives later, and equal-depth towers that meet have merged.
+Taken by increasing depth, each unit parks at the first free point of its
+sigma path (parking on a mapping; Lackner and Panholzer, JCTA 142, 2016),
+found by a path-compressed "next point to try" map (Tarjan 1975). A point
+parked at step s joins the support ordered by (s, smallest position among
+the points entering it at step s), as the step loop appends it; `steps` is
+the largest s. A unit that finds its sink occupied escapes at step
+depth(y); of the shallowest escapes, the sink first in support order is
+reported. The step budget is checked after the fact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,43 +87,60 @@ def shift_step(a: Chain, flow: FlowField) -> Chain:
 
 
 def flatten(a: Chain, flow: FlowField) -> tuple[Chain, FlattenTrace]:
-    """Iterate shift steps until the chain is 0,1-valued.
-
-    Returns the flat chain plus a trace. The loop exits early at the first
-    flat iterate (flat chains are fixed points); running through the whole
-    budget without flatness raises InternalInvariantError, because the
-    termination bound makes that impossible.
-    """
+    """Iterate `shift_step` until flat, by depth-ordered parking (see the
+    module docstring): the flat chain, in the iteration's support order, and
+    a trace, or the iteration's FlowEscaped with its sink and step."""
     if not a:
         raise ValueError("cannot flatten the empty chain")
     _check_domain(a, flow)
-    sigma, sinks = flow.sigma, flow.sinks
-    support = {x: i for i, x in enumerate(a)}
-    towers = {x: v - 1 for x, v in a.items() if v > 1}
-    tower_mass = a.l1() - len(a)
-    bound = a.l1() * tower_mass
-    steps = 0
-    while towers:
-        if steps >= bound:
-            current = Chain({x: 1 + towers.get(x, 0) for x in support})
-            raise InternalInvariantError(
-                f"chain not 0,1-valued after the full step budget {bound}; "
-                f"norm={a.l1()}, towers={tower_mass}, got {current!r}"
-            )
-        arrived = {}  # z -> new height above 1 at z
-        for y, t in towers.items():
-            if y in sinks:
-                raise FlowEscaped(sink=y, steps=steps)
-            z = sigma[y]
-            if z not in support:  # a newly reached point keeps one unit as base
-                support[z] = len(support)
-                arrived[z] = -1
-            arrived[z] = arrived.get(z, 0) + t
-        towers = {z: arrived[z] for z in sorted(arrived, key=support.__getitem__)
-                  if arrived[z]}
-        steps += 1
+    sigma, depths = flow.sigma, flow.depths
+    # last[u] for an occupied u: an occupied point on u's sigma path with only
+    # occupied points between them, so the next point to try is sigma(last[u])
+    last = {x: x for x in a}
+    claim = {}  # parked point -> depth of the towers that reached it first
+    entries = {}  # parked point -> the points it was entered from at that step
+    escaped, escape_step = [], math.inf
+    for y in sorted((y for y, v in a.items() if v > 1), key=depths.__getitem__):
+        if (d := depths[y]) > escape_step:
+            break
+        u = y
+        for _ in range(a[y] - 1):
+            p = last[u]
+            if (q := sigma.get(p)) in last:
+                hops = [u]
+                while q in last:
+                    if claim.get(q) == d:  # entered at its parking step; jumps skip no new edge
+                        entries[q].append(p)
+                    hops.append(q)
+                    p = last[q]
+                    q = sigma.get(p)
+                for h in hops:
+                    last[h] = p
+            if q is None:  # every point down to the sink p is occupied
+                escaped.append(p)
+                escape_step = d
+                break
+            last[q] = u = q
+            claim[q] = d
+            entries[q] = [p]
+    pos = {x: i for i, x in enumerate(a)}
+    by_step = {}
+    for q, d in claim.items():
+        by_step.setdefault(d - depths[q], []).append(q)
+    for s in sorted(by_step):
+        group = by_step[s]
+        if len(group) > 1:
+            group.sort(key=lambda q: min(map(pos.__getitem__, entries[q])))
+        for q in group:
+            pos[q] = len(pos)
+    if escaped:
+        raise FlowEscaped(sink=min(escaped, key=pos.__getitem__), steps=escape_step)
+    bound = a.l1() * (a.l1() - len(a))
+    steps = max(by_step, default=0)
+    if steps > bound:
+        raise InternalInvariantError(f"flattening {a!r} took {steps} steps > budget {bound}")
     trace = FlattenTrace(steps=steps, bound=bound, support_radius_growth=flow.r * steps)
-    return Chain._trusted(dict.fromkeys(support, 1)), trace
+    return Chain._trusted(dict.fromkeys(pos, 1)), trace
 
 
 @dataclass

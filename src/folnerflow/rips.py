@@ -227,7 +227,11 @@ def rips_from_json(doc: dict) -> tuple[RipsGraph, frozenset]:
     except (KeyError, TypeError) as e:
         raise ConfigError(f"rips file missing field: {e}") from e
     neighbors = [set() for _ in range(n)]
-    for x, y in edge_list:
+    for edge in edge_list:
+        if not (type(edge) in (list, tuple) and len(edge) == 2
+                and all(type(v) is int and 0 <= v < n for v in edge)):
+            raise ConfigError(f"rips edge {edge!r} is not two point ids in 0..{n - 1}")
+        x, y = edge
         neighbors[x].add(y)
         neighbors[y].add(x)
     components = tuple(
@@ -254,7 +258,12 @@ def flow_to_json(flow: FlowField) -> dict:
 
 def flow_from_json(doc: dict) -> FlowField:
     try:
-        return FlowField(sigma={x: sx for x, sx in doc["sigma"]}, sinks=frozenset(doc["sinks"]),
+        sigma = {}
+        for x, sx in doc["sigma"]:
+            if x in sigma:
+                raise ValueError(f"point {x!r} has two sigma edges")
+            sigma[x] = sx
+        return FlowField(sigma=sigma, sinks=frozenset(doc["sinks"]),
                          r=parse_rational(doc["r"]), n=doc["points"])
     except (KeyError, TypeError) as e:
         raise ConfigError(f"flow file missing field: {e}") from e

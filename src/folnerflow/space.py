@@ -175,22 +175,34 @@ class WindowSpace:
         Returns {point: d_int} for every point within R of the sources (all
         reachable points when R is None), where d_int = L * distance. Points
         come out in (distance, id) order: BFS by layers, each layer sorted,
-        when every weight is 1, int Dijkstra otherwise. With `targets` it stops
-        at the end of the BFS layer or at the Dijkstra pop that finds the last.
+        when every weight is 1, int Dijkstra otherwise. `targets` lets it stop,
+        in no set order, once it has them all: on unit weights without R, a BFS
+        one node at a time stops after the node that discovers the last, and
+        Dijkstra at the pop that settles the last.
         """
         adj = self._adj
+        missing = None if targets is None else set(targets)
+        if missing is not None and R is None and self._unit_weights:
+            found = dict.fromkeys(sources, 0)
+            missing.difference_update(found)
+            queue = list(found)
+            for u in queue:  # read while it grows: a FIFO queue
+                if not missing:
+                    break
+                du = found[u] + 1
+                for v, _ in adj[u]:
+                    if v not in found:
+                        found[v] = du
+                        queue.append(v)
+                        missing.discard(v)
+            return found
         layer = sorted(sources)
         # exact: d_int <= R * L iff d_int <= floor(R * L), as d_int is an int
         limit = self._total_weight if R is None else R.numerator * self._scale // R.denominator
-        missing = None if targets is None else set(targets)
         if self._unit_weights:
             found = dict.fromkeys(layer, 0)
             d = 0
             while layer and d < limit:
-                if missing is not None:
-                    missing.difference_update(layer)
-                    if not missing:
-                        break
                 d += 1
                 layer = sorted({v for u in layer for v, _ in adj[u] if v not in found})
                 found.update(dict.fromkeys(layer, d))

@@ -142,31 +142,60 @@ class TestEngineMatchesSpec:
     @settings(max_examples=80, deadline=None)
     @given(rng=st.randoms(use_true_random=False),
            spine=st.integers(min_value=1, max_value=12),
-           width=st.integers(min_value=1, max_value=6))
-    def test_random_tree_flows(self, rng, spine, width):
+           width=st.integers(min_value=1, max_value=6),
+           parts=st.integers(min_value=1, max_value=4))
+    def test_random_tree_flows(self, rng, spine, width, parts):
         # mass piled on a few points above a short spine escapes about
-        # half the time
+        # half the time; copies of the tree further apart than r = 1 drain
+        # to a sink each, and the chain copied into all of them in a shuffled
+        # order passes every sink at the same step, so support order picks one
         space = random_tree_space(rng, spine + 30, spine)
-        flow = build_flow(space, build_rips(space, 1))
         a = random_chain(rng, rng.sample(range(spine, space.n), width), 30)
+        if parts > 1:
+            copies = [(k * space.n + x, v) for k in range(parts) for x, v in a.items()]
+            rng.shuffle(copies)
+            space, a = disjoint_union([space] * parts, [2] * parts), Chain(dict(copies))
+        flow = build_flow(space, build_rips(space, 1))
         assert outcome(engine, a, flow) == outcome(iterated_shift_step, a, flow)
 
     @given(n=st.integers(min_value=2, max_value=8),
            weights=st.dictionaries(st.integers(min_value=0, max_value=7),
                                    st.integers(min_value=1, max_value=6),
-                                   min_size=1))
-    def test_short_paths(self, n, weights):
-        flow = forward_path_flow(n)
-        a = Chain({x: v for x, v in weights.items() if x < n} or {0: 1})
+                                   min_size=1),
+           tent=st.none() | st.tuples(st.integers(min_value=2, max_value=7),
+                                      st.integers(min_value=0, max_value=40)))
+    def test_short_paths(self, n, weights, tent):
+        # random weights on an n-point path, or a width-W tent at c on the
+        # 0..47 line, whose flow drains to 0: the tent flattens onto the W * W
+        # points below c + W, so it escapes iff c < W * (W - 1)
+        if tent is None:
+            flow = forward_path_flow(n)
+            a = Chain({x: v for x, v in weights.items() if x < n} or {0: 1})
+        else:
+            (W, c), line = tent, grid_window(1, 0, 47)
+            flow = build_flow(line, build_rips(line, 1))
+            a = tent_family(line, W, 1, 1, core=[c]).chains[c]
         got = outcome(engine, a, flow)
         assert got == outcome(iterated_shift_step, a, flow)
-        if a.l1() > n:  # more units than points: some must pass the sink
+        if tent is not None:
+            assert (got[0] == "escaped") == (c < W * (W - 1))
+        elif a.l1() > n:  # more units than points: some must pass the sink
             assert got[0] == "escaped"
 
     def test_escape_sink_and_step(self):
         flow = forward_path_flow(3)
         assert outcome(engine, Chain({0: 4}), flow) == ("escaped", 2, 2)
         assert outcome(iterated_shift_step, Chain({0: 4}), flow) == ("escaped", 2, 2)
+
+    def test_support_order_counts_every_entry_at_the_parking_step(self):
+        # at step 2 the tower of 4 enters 1 from the new point 2 and parks
+        # first, and the tower of 5 enters it from the old point 3; 3 comes
+        # before 8, which 7 is entered from, so 1 joins the support before 7
+        flow = handmade_flow({1: 0, 2: 1, 3: 1, 4: 2, 5: 3, 6: 8, 7: 0, 8: 7}, sinks={0})
+        a = Chain({4: 3, 5: 2, 3: 1, 6: 2, 8: 1})
+        got = outcome(engine, a, flow)
+        assert got == outcome(iterated_shift_step, a, flow)
+        assert got[2] == [4, 5, 3, 6, 8, 2, 1, 7, 0]
 
     def test_sigma_into_uncovered_point_rejected_at_construction(self):
         # sigma(1) = 9, and 9 is neither in sigma nor a sink: no flow to run on

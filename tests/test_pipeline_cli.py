@@ -13,7 +13,7 @@ from folnerflow.chains import family_to_json, load_family
 from folnerflow.constructions import box_family, build_box_space
 from folnerflow.jsonio import dump_json, parse_ids
 from folnerflow.pipeline import PipelineConfig, explain, run
-from folnerflow.rips import build_flow, build_rips, flow_to_json
+from folnerflow.rips import build_flow, build_rips, flow_to_json, rips_to_json
 from folnerflow.space import load_space, space_to_json
 
 
@@ -484,6 +484,17 @@ class TestMalformedStages:
         r = run_cli(["run", "--config", "cfg.json", "--out", "out"], tmp_path)
         assert r.returncode == 2, r.stderr
         assert "box family F must hold integer ids" in r.stderr
+
+    @pytest.mark.parametrize("edge", [[0, 99], [0, -1]], ids=["past-points", "negative"])
+    def test_flow_build_rejects_rips_edge_outside_the_points(self, tmp_path, edge):
+        space = grid_window(1, 0, 4)
+        doc = rips_to_json(space, build_rips(space, 1))
+        doc["edges"].append(edge)
+        dump_json(doc, tmp_path / "r.json")
+        r = run_cli(["flow", "build", "--rips", "r.json", "--out", "f.json"], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert f"rips edge {edge} is not two point ids in 0..4" in r.stderr
+        assert not (tmp_path / "f.json").exists()
 
 
 class TestFlattenChecksFlowAgainstSpace:

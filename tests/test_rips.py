@@ -1,5 +1,6 @@
 """Neighbourhood graphs, component/frontier checks, and exit flows."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,15 @@ class TestSerialization:
         assert back.components == rg.components
         assert rips_to_json(g, back) == doc
 
+    @pytest.mark.parametrize("edge", [[0, 99], [0, -1]], ids=["past-points", "negative"])
+    def test_rips_edge_outside_the_points_rejected(self, edge):
+        # an unchecked -1 would wire point 0 to the last point
+        g = grid_window(1, 0, 4)
+        doc = rips_to_json(g, build_rips(g, 1))
+        doc["edges"].append(edge)
+        with pytest.raises(ConfigError, match=re.escape(f"rips edge {edge} is not two point ids")):
+            rips_from_json(doc)
+
     def test_flow_round_trip(self):
         g = grid_window(1, 0, 7)
         flow = build_flow(g, build_rips(g, 1))
@@ -205,8 +215,9 @@ class TestFlowConstruction:
         (lambda d: d["sigma"].append([8, 7]), "point 8 is not an id in 0..7"),
         (lambda d: d.__setitem__("points", 5), "point 5 is not an id in 0..4"),
         (lambda d: d.__setitem__("sinks", [9]), "point 9 is not an id in 0..7"),
+        (lambda d: d["sigma"].append([4, 2]), "point 4 has two sigma edges"),
     ], ids=["leaves-flow", "cycle", "sink-with-edge", "id-past-points", "points-too-few",
-            "sink-past-points"])
+            "sink-past-points", "point-listed-twice"])
     def test_mutated_flow_file_rejected(self, mutate, message):
         doc = line_flow_doc()
         assert flow_from_json(doc).depth(7) == 7

@@ -235,7 +235,7 @@ class TestMetricCoreOracle:
             assert matrix.ball(0, r) == closed_ball(D, 0, r)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([(1, 12), (2, 5), (3, 3)]), st.data())
+    @given(st.sampled_from([(1, 12), (1, 31), (2, 5), (3, 3)]), st.data())
     def test_unit_grids_at_half_integer_radii(self, shape, data):
         dim, side = shape
         g = grid_window(dim, 0, side - 1)
@@ -254,7 +254,9 @@ class TestMetricCoreOracle:
             min(D[y][f] for f in g.frontier) for y in range(g.n)
         ]
         assert g.interior_points(R) == interior_oracle(D, g.frontier, R)
-        P = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=6))
+        # up to the whole window: the search returns at the last target found,
+        # which may be anywhere in its BFS layer
+        P = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
         assert g.support_radius(x, P) == max(D[x][z] for z in P)
 
     def test_support_radius_needs_known_points(self):

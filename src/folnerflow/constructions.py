@@ -109,23 +109,15 @@ def group_foelner_family(
             pts.append(pid)
         return pts
 
-    if core is None:
-        chains = {}
-        for x in range(space.n):
-            pts = translate(x)
-            if pts is not None:
-                chains[x] = Chain.from_set(pts)
-        if not chains:
-            raise TranslateEscapesWindow(
-                None, "no translate of F fits inside the window"
-            )
-    else:
-        chains = {}
-        for x in core:
-            pts = translate(x)
-            if pts is None:
-                raise TranslateEscapesWindow(x)
+    chains = {}
+    for x in range(space.n) if core is None else core:
+        pts = translate(x)
+        if pts is not None:
             chains[x] = Chain.from_set(pts)
+        elif core is not None:
+            raise TranslateEscapesWindow(x)
+    if core is None and not chains:
+        raise TranslateEscapesWindow(None, "no translate of F fits inside the window")
 
     params = FamilyParams(R=R, epsilon=epsilon, S=S, M=0)
     return IndexedFamily(space=space, chains=chains, params=params)
@@ -187,10 +179,8 @@ def pushforward_injective(
             raise ValueError(f"map is undefined on family index {x}")
         image[f[x]] = x
 
-    image_ids = sorted(image)
     chains = {}
-    for y in range(target.n):
-        best = min(image_ids, key=lambda w: (target.dist(y, w), w))
+    for y, best in enumerate(target.nearest(image)):
         chains[y] = Chain({f[z]: v for z, v in fam.chains[image[best]].items()})
     max_radius = max(target.support_radius(y, c.keys()) for y, c in chains.items())
 

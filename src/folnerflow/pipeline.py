@@ -111,7 +111,7 @@ def _generate(inputs, p, rng):
 def _rips(inputs, p, rng):
     space = inputs["space"]
     rg = rips_mod.build_rips(space, parse_rational(p.get("r", "1/1")))
-    reach = rips_mod.check_components_reach_frontier(rg, space.frontier)
+    reach = rips_mod.check_coarsely_unbounded(space, rg)
     return (rg, space.frontier), {"": rips_mod.rips_to_json(space, rg)}, {
         "components": len(rg.components), "edges": rg.edge_count(),
         "all_components_reach_frontier": reach.passed}
@@ -146,6 +146,7 @@ def _tails(inputs, p, rng):
 def _transport(inputs, p, rng):
     if not isinstance(inputs["family"], MultisetFamily):
         raise ConfigError("transport needs a multiset family")
+    tails_mod.check_cover_on_space(inputs["tails"], inputs["space"])
     out = tails_mod.tail_transport(inputs["family"], inputs["tails"], inputs["space"])
     return out, {"": family_to_json(out)}, {
         "indices": len(out.chains), "new_S": format_rational(out.params.S),

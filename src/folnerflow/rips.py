@@ -46,8 +46,14 @@ def build_rips(space: WindowSpace, r) -> RipsGraph:
         nb = set(space.ball(x, r))
         nb.discard(x)
         neighbors.append(frozenset(nb))
+    return RipsGraph(r=r, n=space.n, neighbors=tuple(neighbors),
+                     components=_components(neighbors))
 
-    unseen = set(range(space.n))
+
+def _components(neighbors) -> tuple:
+    """The connected components of the graph on 0..len(neighbors)-1 with
+    the given neighbour sets, as frozensets sorted by min id."""
+    unseen = set(range(len(neighbors)))
     components = []
     while unseen:
         start = min(unseen)
@@ -63,8 +69,7 @@ def build_rips(space: WindowSpace, r) -> RipsGraph:
                     queue.append(v)
         components.append(frozenset(comp))
     components.sort(key=min)
-    return RipsGraph(r=r, n=space.n, neighbors=tuple(neighbors),
-                     components=tuple(components))
+    return tuple(components)
 
 
 @dataclass
@@ -84,21 +89,16 @@ class UnboundednessReport:
         }
 
 
-def check_components_reach_frontier(rips: RipsGraph, frontier) -> UnboundednessReport:
-    frontier = frozenset(frontier)
+def check_coarsely_unbounded(space: WindowSpace, rips: RipsGraph) -> UnboundednessReport:
+    """Pass iff every component contains a frontier point."""
     bounded = [
-        tuple(sorted(c)) for c in rips.components if not (c & frontier)
+        tuple(sorted(c)) for c in rips.components if not (c & space.frontier)
     ]
     return UnboundednessReport(
         passed=not bounded,
         component_count=len(rips.components),
         bounded_components=bounded,
     )
-
-
-def check_coarsely_unbounded(space: WindowSpace, rips: RipsGraph) -> UnboundednessReport:
-    """Pass iff every component contains a frontier point."""
-    return check_components_reach_frontier(rips, space.frontier)
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,9 @@ def build_flow_from_parts(rips: RipsGraph, frontier) -> FlowField:
     """build_flow when only the graph and the frontier are at hand (e.g.
     rebuilding from a serialized artifact)."""
     frontier = frozenset(frontier)
-    report = check_components_reach_frontier(rips, frontier)
-    if not report.passed:
-        raise NotCoarselyUnbounded(report.bounded_components)
+    bounded = [tuple(sorted(c)) for c in rips.components if not (c & frontier)]
+    if bounded:
+        raise NotCoarselyUnbounded(bounded)
 
     sigma = {}
     sinks = []
@@ -218,14 +218,24 @@ def rips_to_json(space: WindowSpace, rips: RipsGraph) -> dict:
 
 
 def rips_from_json(doc: dict) -> tuple[RipsGraph, frozenset]:
-    """Rebuild a RipsGraph (plus the frontier recorded alongside it)."""
+    """Rebuild a RipsGraph (plus the frontier recorded alongside it).
+
+    The components are recomputed from the edges; ConfigError unless
+    `points` is a positive int, the stored components match the recomputed
+    ones and every frontier entry is a point id."""
     try:
         n = doc["points"]
         r = parse_rational(doc["r"])
         edge_list = doc["edges"]
         frontier = frozenset(doc["frontier"])
+        listed = {frozenset(c) for c in doc["components"]}
     except (KeyError, TypeError) as e:
         raise ConfigError(f"rips file missing field: {e}") from e
+    if type(n) is not int or n <= 0:
+        raise ConfigError(f"rips file points must be a positive int, got {n!r}")
+    for f in doc["frontier"]:
+        if type(f) is not int or not 0 <= f < n:
+            raise ConfigError(f"rips frontier entry {f!r} is not a point id in 0..{n - 1}")
     neighbors = [set() for _ in range(n)]
     for edge in edge_list:
         if not (type(edge) in (list, tuple) and len(edge) == 2
@@ -234,9 +244,13 @@ def rips_from_json(doc: dict) -> tuple[RipsGraph, frozenset]:
         x, y = edge
         neighbors[x].add(y)
         neighbors[y].add(x)
-    components = tuple(
-        frozenset(c) for c in sorted(doc["components"], key=min)
-    )
+    components = _components(neighbors)
+    for c in components:
+        if c not in listed:
+            raise ConfigError(f"rips edges make {sorted(c)} a component, "
+                              "but the file does not list it")
+    if len(listed) != len(components):
+        raise ConfigError("rips file lists components that its edges do not form")
     return (
         RipsGraph(
             r=r, n=n,

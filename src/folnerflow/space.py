@@ -10,16 +10,16 @@ treated as unbounded, one that does not as genuinely bounded.
 Every distance and comparison is exact, with no floating point. A graph
 metric keeps its edge weights as ints at a scale L, the least common
 multiple of the weight denominators, so distances inside the library are
-ints d_int = L * d: balls, set neighbourhoods, distance rows, frontier
-distances and `support_radius` (max distance to a point set) all come from
-one truncated search (BFS by layers when every weight is 1, int Dijkstra
-otherwise), and a radius R (an int or Fraction >= 0, see `check_radius`)
-is compared as d_int <= floor(R * L). A matrix metric has its own L.
-`fractions.Fraction` appears only at the API and JSON boundary. Generated
-spaces carry both an adjacency structure (whose shortest-path metric is
-the normative one) and a closed-form evaluator that agrees with it, so
-single distance queries are O(1)-ish even on windows with thousands of
-points.
+ints d_int = L * d: `dist`, balls, set neighbourhoods, frontier distances
+and `support_radius` (max distance to a point set) all come from one
+truncated search (BFS by layers when every weight is 1, int Dijkstra
+otherwise; `dist` and `support_radius` stop at their last target), and a
+radius R (an int or Fraction >= 0, see `check_radius`) is compared as
+d_int <= floor(R * L). A matrix metric has its own L. `fractions.Fraction`
+appears only at the API and JSON boundary. The int adjacency is a graph
+metric's only representation, and `nearest` gives every point its closest
+source in one multi-source search. Generators build adjacency; only a
+union or product over a matrix part becomes a matrix.
 
 Point ids are dense integers 0..n-1.
 """
@@ -30,17 +30,13 @@ import heapq
 import itertools
 import math
 import numbers
-from collections import OrderedDict
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigError
 from .jsonio import dump_json, format_rational, load_json, parse_rational
 
 PointId = int
-
-# sources cached per space for BFS/Dijkstra-backed metrics
-_DIST_CACHE_LIMIT = 64
 
 
 def check_radius(R, name="radius") -> Fraction:
@@ -55,8 +51,9 @@ class WindowSpace:
     """A finite metric window with a marked frontier.
 
     Exactly one of ``matrix`` / ``adjacency`` must be supplied as the
-    normative metric; ``dist_fn`` is an optional exact closed form that
-    must agree with it (generators provide both).
+    metric: a symmetric n x n matrix with a zero diagonal and positive
+    entries off it, or the adjacency of a connected graph with positive
+    int or Fraction weights, whose shortest-path metric is the space's.
     """
 
     def __init__(
@@ -67,7 +64,6 @@ class WindowSpace:
         label: str = "",
         matrix: Optional[Sequence[Sequence[Fraction]]] = None,
         adjacency: Optional[Sequence[Sequence[tuple[PointId, Fraction]]]] = None,
-        dist_fn: Optional[Callable[[PointId, PointId], Fraction]] = None,
         meta: Optional[dict] = None,
     ):
         if n <= 0:
@@ -78,8 +74,6 @@ class WindowSpace:
         self.frontier = frozenset(frontier)
         self.label = label
         self.meta = meta or {}
-        self._dist_fn = dist_fn
-        self._row_cache: OrderedDict[int, list] = OrderedDict()
         self._frontier_int: Optional[list] = None
         self._frontier_dist: Optional[list] = None
 
@@ -118,8 +112,7 @@ class WindowSpace:
             # bounds every shortest path; all weights are 1 iff it is the edge count
             self._total_weight = sum(w for nbrs in self._adj for _, w in nbrs)
             self._unit_weights = self._total_weight == sum(map(len, self._adj))
-            if dist_fn is None:
-                self._check_connected()
+            self._check_connected()
 
     def _check_matrix(self):
         m = self._matrix
@@ -151,23 +144,36 @@ class WindowSpace:
     def dist(self, x: PointId, y: PointId) -> Fraction:
         self._check_point(x)
         self._check_point(y)
-        if self._dist_fn is not None:
-            return self._dist_fn(x, y)
         if self._matrix is not None:
             return self._matrix[x][y]
-        return Fraction(self._dist_row(x)[y], self._scale)
+        return Fraction(self._search((x,), targets=(y,))[y], self._scale)
 
-    def _dist_row(self, x: PointId) -> dict:
-        """Scaled distances from x to every point (cached, adjacency spaces only)."""
-        row = self._row_cache.get(x)
-        if row is not None:
-            self._row_cache.move_to_end(x)
-            return row
-        row = self._search((x,))
-        self._row_cache[x] = row
-        if len(self._row_cache) > _DIST_CACHE_LIMIT:
-            self._row_cache.popitem(last=False)
-        return row
+    def nearest(self, sources) -> list:
+        """The owning source of every point: owner[y] minimizes (d(y, s), s)
+        over the nonempty sources, so ties go to the smallest source id. On
+        graphs one int Dijkstra from all sources whose heap is keyed by
+        (d_int, source, point); on matrices a scan of each row."""
+        sources = sorted(set(sources))
+        for s in sources:
+            self._check_point(s)
+        if not sources:
+            raise ValueError("nearest needs at least one source")
+        if self._adj is None:
+            return [min(sources, key=lambda s: (row[s], s)) for row in self._matrix]
+        owner = [None] * self.n
+        best = {s: (0, s) for s in sources}
+        heap = [(0, s, s) for s in sources]  # sorted, so already a heap
+        while heap:
+            d, s, u = heapq.heappop(heap)
+            if owner[u] is not None:
+                continue
+            owner[u] = s
+            for v, w in self._adj[u]:
+                key = (d + w, s)
+                if v not in best or key < best[v]:
+                    best[v] = key
+                    heapq.heappush(heap, (*key, v))
+        return owner
 
     def _search(self, sources, R=None, targets=None) -> dict:
         """Multi-source truncated search over the integer adjacency.
@@ -364,16 +370,11 @@ def grid_window(dim: int, low: int, high: int) -> WindowSpace:
         i for c, i in index.items() if any(v == low or v == high for v in c)
     ]
 
-    def dist_fn(x, y, coords=coords):
-        cx, cy = coords[x], coords[y]
-        return Fraction(sum(abs(a - b) for a, b in zip(cx, cy)))
-
     return WindowSpace(
         n,
         frontier=frontier,
         label=f"grid{dim}d[{low}..{high}]",
         adjacency=adjacency,
-        dist_fn=dist_fn,
         meta={
             "kind": "grid",
             "spec": {"kind": "grid", "dim": dim, "low": low, "high": high},
@@ -398,16 +399,11 @@ def cycle_window(length: int) -> WindowSpace:
             adjacency[i].append((j, 1))
             adjacency[j].append((i, 1))
 
-    def dist_fn(x, y, L=n):
-        k = abs(x - y)
-        return Fraction(min(k, L - k))
-
     return WindowSpace(
         n,
         frontier=(),
         label=f"cycle({length})",
         adjacency=adjacency,
-        dist_fn=dist_fn,
         meta={"kind": "cycle", "spec": {"kind": "cycle", "length": length}},
     )
 
@@ -440,15 +436,6 @@ def _tree_from_child_counts(child_count, depth, label, spec):
         adjacency[v].append((p, 1))
     frontier = [v for v in range(n) if depths[v] == depth]
 
-    def dist_fn(x, y, parents=parents, depths=depths):
-        steps = 0
-        while x != y:
-            if depths[x] < depths[y]:
-                x, y = y, x
-            x = parents[x]
-            steps += 1
-        return Fraction(steps)
-
     meta = {
         "kind": spec["kind"],
         "spec": spec,
@@ -457,14 +444,7 @@ def _tree_from_child_counts(child_count, depth, label, spec):
         "children": children,
         "depth": depth,
     }
-    return WindowSpace(
-        n,
-        frontier=frontier,
-        label=label,
-        adjacency=adjacency,
-        dist_fn=dist_fn,
-        meta=meta,
-    )
+    return WindowSpace(n, frontier=frontier, label=label, adjacency=adjacency, meta=meta)
 
 
 def tree_window(branching: int, depth: int) -> WindowSpace:
@@ -522,29 +502,6 @@ def disjoint_union(parts: Sequence[WindowSpace], spacing) -> WindowSpace:
     for i, p in enumerate(parts):
         part_of.extend([i] * p.n)
 
-    adjacency = [[] for _ in range(n)]
-    have_adj = all(p._adj is not None for p in parts)
-    if have_adj:
-        for i, p in enumerate(parts):
-            off = offsets[i]
-            for x in range(p.n):
-                adjacency[off + x].extend((off + y, Fraction(w, p._scale)) for y, w in p._adj[x])
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                w = spacing[j]
-                adjacency[offsets[i]].append((offsets[j], w))
-                adjacency[offsets[j]].append((offsets[i], w))
-
-    def dist_fn(x, y):
-        i, j = part_of[x], part_of[y]
-        if i == j:
-            return parts[i].dist(x - offsets[i], y - offsets[i])
-        return (
-            spacing[max(i, j)]
-            + parts[i].dist(x - offsets[i], 0)
-            + parts[j].dist(y - offsets[j], 0)
-        )
-
     frontier = [
         offsets[i] + f for i, p in enumerate(parts) for f in sorted(p.frontier)
     ]
@@ -556,17 +513,32 @@ def disjoint_union(parts: Sequence[WindowSpace], spacing) -> WindowSpace:
             "kind": "union", "parts": specs, "spacing": [format_rational(s) for s in spacing]},
         "offsets": offsets,
     }
-    if have_adj:
-        return WindowSpace(
-            n, frontier=frontier, label=label, adjacency=adjacency,
-            dist_fn=dist_fn, meta=meta,
-        )
+    if all(p._adj is not None for p in parts):
+        adjacency = [[] for _ in range(n)]
+        for i, p in enumerate(parts):
+            off = offsets[i]
+            for x in range(p.n):
+                adjacency[off + x].extend((off + y, Fraction(w, p._scale)) for y, w in p._adj[x])
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                w = spacing[j]
+                adjacency[offsets[i]].append((offsets[j], w))
+                adjacency[offsets[j]].append((offsets[i], w))
+        return WindowSpace(n, frontier=frontier, label=label, adjacency=adjacency, meta=meta)
+
     # matrix fallback for parts without adjacency
-    matrix = [[dist_fn(x, y) for y in range(n)] for x in range(n)]
-    return WindowSpace(
-        n, frontier=frontier, label=label, matrix=matrix, dist_fn=dist_fn,
-        meta=meta,
-    )
+    def dist(x, y):
+        i, j = part_of[x], part_of[y]
+        if i == j:
+            return parts[i].dist(x - offsets[i], y - offsets[i])
+        return (
+            spacing[max(i, j)]
+            + parts[i].dist(x - offsets[i], 0)
+            + parts[j].dist(y - offsets[j], 0)
+        )
+
+    matrix = [[dist(x, y) for y in range(n)] for x in range(n)]
+    return WindowSpace(n, frontier=frontier, label=label, matrix=matrix, meta=meta)
 
 
 def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
@@ -576,7 +548,18 @@ def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
         raise ValueError(f"need at least one level, got {levels}")
     n = base.n * levels
 
-    adjacency = None
+    frontier = [
+        z * levels + i for z in sorted(base.frontier) for i in range(levels)
+    ]
+    label = f"{base.label} x [0..{levels - 1}]"
+    base_spec = base.meta.get("spec")
+    meta = {
+        "kind": "product_interval",
+        "spec": None if base_spec is None else {
+            "kind": "product", "base": base_spec, "levels": levels},
+        "levels": levels,
+        "base": base,
+    }
     if base._adj is not None:
         adjacency = [[] for _ in range(n)]
         for z in range(base.n):
@@ -587,33 +570,16 @@ def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
                     adjacency[v + 1].append((v, 1))
                 for z2, w in base._adj[z]:
                     adjacency[v].append((z2 * levels + i, Fraction(w, base._scale)))
+        return WindowSpace(n, frontier=frontier, label=label, adjacency=adjacency, meta=meta)
 
-    def dist_fn(x, y, L=levels):
-        zx, ix = divmod(x, L)
-        zy, iy = divmod(y, L)
+    # matrix fallback for a base without adjacency
+    def dist(x, y):
+        zx, ix = divmod(x, levels)
+        zy, iy = divmod(y, levels)
         return base.dist(zx, zy) + abs(ix - iy)
 
-    frontier = [
-        z * levels + i for z in sorted(base.frontier) for i in range(levels)
-    ]
-    base_spec = base.meta.get("spec")
-    meta = {
-        "kind": "product_interval",
-        "spec": None if base_spec is None else {
-            "kind": "product", "base": base_spec, "levels": levels},
-        "levels": levels,
-        "base": base,
-    }
-    if adjacency is not None:
-        return WindowSpace(
-            n, frontier=frontier, label=f"{base.label} x [0..{levels - 1}]",
-            adjacency=adjacency, dist_fn=dist_fn, meta=meta,
-        )
-    matrix = [[dist_fn(x, y) for y in range(n)] for x in range(n)]
-    return WindowSpace(
-        n, frontier=frontier, label=f"{base.label} x [0..{levels - 1}]",
-        matrix=matrix, dist_fn=dist_fn, meta=meta,
-    )
+    matrix = [[dist(x, y) for y in range(n)] for x in range(n)]
+    return WindowSpace(n, frontier=frontier, label=label, matrix=matrix, meta=meta)
 
 
 def generate(spec: dict) -> WindowSpace:

@@ -216,14 +216,35 @@ def cover_to_json(cover: TailCover) -> dict:
 
 
 def cover_from_json(doc) -> TailCover:
+    """ConfigError naming the point unless every tail is a list of int ids
+    under an int point listed once, and K is a positive int."""
     try:
-        return TailCover(
-            tails={x: tuple(seq) for x, seq in doc["tails"]},
-            r=parse_rational(doc["r"]),
-            K=doc["K"],
-        )
-    except (KeyError, TypeError) as e:
+        tails = {}
+        for x, seq in doc["tails"]:
+            if type(x) is not int:
+                raise ConfigError(f"tail cover point {x!r} is not an int id")
+            if x in tails:
+                raise ConfigError(f"tail cover lists point {x} twice")
+            if type(seq) is not list or any(type(t) is not int for t in seq):
+                raise ConfigError(f"the tail of point {x} is not a list of int ids: {seq!r}")
+            tails[x] = tuple(seq)
+        cover = TailCover(tails=tails, r=parse_rational(doc["r"]), K=doc["K"])
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad tail cover file: {e}") from e
+    if type(cover.K) is not int or cover.K <= 0:
+        raise ConfigError(f"tail cover K must be a positive int, got {cover.K!r}")
+    return cover
+
+
+def check_cover_on_space(cover: TailCover, space: WindowSpace) -> None:
+    """ConfigError naming the tail unless every point of every tail is an id
+    of the space (structural only: steps and multiplicities are what
+    `verify_tail_cover` measures)."""
+    for x, seq in cover.tails.items():
+        for t in (x, *seq):
+            if not 0 <= t < space.n:
+                raise ConfigError(f"the tail of point {x} has point {t}, "
+                                  f"outside the space's 0..{space.n - 1}")
 
 
 def load_cover(path) -> TailCover:

@@ -8,13 +8,22 @@ from fractions import Fraction
 import pytest
 from conftest import child_env
 
-from folnerflow import ConfigError, grid_window, singleton_family
-from folnerflow.chains import family_to_json, load_family
+from folnerflow import (
+    ConfigError,
+    FamilyParams,
+    MultisetFamily,
+    build_tree_tails,
+    grid_window,
+    singleton_family,
+    tree_window,
+)
+from folnerflow.chains import family_to_json, load_family, multiset_family_to_json
 from folnerflow.constructions import box_family, build_box_space
 from folnerflow.jsonio import dump_json, parse_ids
 from folnerflow.pipeline import PipelineConfig, explain, run
 from folnerflow.rips import build_flow, build_rips, flow_to_json, rips_to_json
 from folnerflow.space import load_space, space_to_json
+from folnerflow.tails import cover_to_json
 
 
 def tent_config(seed=7):
@@ -495,6 +504,43 @@ class TestMalformedStages:
         assert r.returncode == 2, r.stderr
         assert f"rips edge {edge} is not two point ids in 0..4" in r.stderr
         assert not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize("update, message", [
+        ({"frontier": [9], "components": [[0, 1, 2, 3, 4, 9]]},
+         "rips frontier entry 9 is not a point id in 0..4"),
+        ({"components": [[0, 1, 2], [3, 4]]},
+         "rips edges make [0, 1, 2, 3, 4] a component, but the file does not list it"),
+    ], ids=["frontier-past-points", "components-split-an-edge"])
+    def test_flow_build_rejects_stored_frontier_or_components(self, tmp_path, update, message):
+        space = grid_window(1, 0, 4)
+        doc = rips_to_json(space, build_rips(space, 1))
+        doc.update(update)
+        dump_json(doc, tmp_path / "r.json")
+        r = run_cli(["flow", "build", "--rips", "r.json", "--out", "f.json"], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert message in r.stderr
+        assert not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.update(K="2"), "tail cover K must be a positive int, got '2'"),
+        (lambda d: d["tails"].append([0, [0, 99]]), "tail cover lists point 0 twice"),
+        (lambda d: d["tails"][0][1].append(99),
+         "the tail of point 0 has point 99, outside the space's 0..30"),
+    ], ids=["K-not-int", "point-listed-twice", "tail-point-past-points"])
+    def test_tails_transport_rejects_bad_cover(self, tmp_path, mutate, message):
+        tree = tree_window(2, 4)  # 31 points
+        dump_json(space_to_json(tree), tmp_path / "t.json")
+        cover = cover_to_json(build_tree_tails(tree))
+        mutate(cover)
+        dump_json(cover, tmp_path / "cov.json")
+        fam = MultisetFamily(sets={0: frozenset({(0, 0), (1, 1)})}, M=1,
+                             params=FamilyParams(R=1, epsilon=Fraction(1, 8), S=1, M=1))
+        dump_json(multiset_family_to_json(fam), tmp_path / "fam.json")
+        r = run_cli(["tails", "transport", "--space", "t.json", "--family", "fam.json",
+                     "--cover", "cov.json", "--out", "out.json"], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert message in r.stderr
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestFlattenChecksFlowAgainstSpace:

@@ -174,6 +174,35 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=re.escape(f"rips edge {edge} is not two point ids")):
             rips_from_json(doc)
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.update(frontier=[9], components=[[0, 1, 2, 3, 4, 9]]),
+         "rips frontier entry 9 is not a point id in 0..4"),
+        (lambda d: d.update(frontier=["0"]), "rips frontier entry '0' is not a point id"),
+        (lambda d: d.update(components=[[0, 1, 2, 3, 4, 9]]),
+         "rips edges make [0, 1, 2, 3, 4] a component, but the file does not list it"),
+        (lambda d: d.update(components=[[0, 1, 2], [3, 4]]),
+         "rips edges make [0, 1, 2, 3, 4] a component, but the file does not list it"),
+        (lambda d: d["components"].append([3]),
+         "rips file lists components that its edges do not form"),
+        (lambda d: d.update(points="5"), "rips file points must be a positive int, got '5'"),
+    ], ids=["frontier-past-points", "frontier-not-int", "component-past-points",
+            "components-split-an-edge", "extra-component", "points-not-int"])
+    def test_stored_frontier_and_components_checked(self, mutate, message):
+        # the components are recomputed from the edges, so a stored one that
+        # differs cannot reach build_flow
+        g = grid_window(1, 0, 4)
+        doc = rips_to_json(g, build_rips(g, 1))
+        mutate(doc)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            rips_from_json(doc)
+
+    def test_components_recomputed_from_the_edges(self):
+        u = disjoint_union([cycle_window(3), cycle_window(4)], [5, 5])
+        doc = rips_to_json(u, build_rips(u, 1))
+        doc["components"].reverse()  # order does not matter, content does
+        back, _ = rips_from_json(doc)
+        assert back.components == (frozenset(range(3)), frozenset(range(3, 7)))
+
     def test_flow_round_trip(self):
         g = grid_window(1, 0, 7)
         flow = build_flow(g, build_rips(g, 1))

@@ -149,24 +149,26 @@ class TestMetricAxioms:
         product_with_interval(grid_window(1, -6, 6), 3),
     ], ids=lambda s: s.label)
     def test_closed_form_matches_graph_bfs(self, space):
-        # the attached evaluator must agree with an independent BFS of the
-        # adjacency it claims to summarize (unit-weight spaces only)
+        # `dist` (a targeted search of the generated adjacency) must agree
+        # with an independent BFS of that adjacency and so with the closed
+        # forms L1, cyclic, tree and sum distances (unit-weight spaces only)
         adj, n = space_adjacency_sets(space)
         D = bfs_all_pairs(adj, n)
         assert (D == dist_matrix(space)).all()
 
     def test_union_matches_weighted_shortest_path(self):
         # shortest paths over the stored edge list alone: reload the union
-        # without its generator, so without the closed form, and compare;
-        # the rational spacing gives the reloaded graph a scale of 2
+        # without its generator and compare both with Floyd-Warshall on that
+        # edge list; the rational spacing gives the reloaded graph a scale of 2
         for spacing in ([4, 7], [Fraction(3, 2), Fraction(5, 2)]):
             u = disjoint_union([cycle_window(5), cycle_window(9)], spacing)
             doc = space_to_json(u)
             del doc["generator"]
             raw = space_from_json(doc)
+            D = floyd_warshall(u.n, [(x, y, Fraction(w)) for x, y, w in doc["metric"]["edges"]])
             for x in range(u.n):
                 for y in range(u.n):
-                    assert u.dist(x, y) == raw.dist(x, y)
+                    assert u.dist(x, y) == raw.dist(x, y) == D[x][y]
 
 
 @st.composite
@@ -193,6 +195,10 @@ def closed_neighborhood(D, U, R):
 
 def interior_oracle(D, frontier, R):
     return [x for x in range(len(D)) if all(D[x][f] > R for f in frontier)]
+
+
+def nearest_oracle(D, sources):
+    return [min(sources, key=lambda w: (D[y][w], w)) for y in range(len(D))]
 
 
 class TestMetricCoreOracle:
@@ -227,10 +233,12 @@ class TestMetricCoreOracle:
         # the same metric as a matrix space, which has its own scale L
         matrix = WindowSpace(n, frontier=frontier, matrix=D)
         P = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        sources = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
         for s in (space, matrix):
             for x in range(n):
                 assert s.support_radius(x, P) == max(D[x][z] for z in P)
             assert s.interior_points(R) == interior_oracle(D, frontier, R)
+            assert s.nearest(sources) == nearest_oracle(D, sources)
         for r in radii:
             assert matrix.ball(0, r) == closed_ball(D, 0, r)
 
@@ -258,6 +266,17 @@ class TestMetricCoreOracle:
         # which may be anywhere in its BFS layer
         P = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
         assert g.support_radius(x, P) == max(D[x][z] for z in P)
+        # unit grids have many equidistant sources: ties go to the smallest id
+        sources = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
+        assert g.nearest(sources) == nearest_oracle(D, sources)
+
+    def test_nearest_needs_known_sources(self):
+        g = grid_window(2, 0, 4)
+        for s in (g, WindowSpace(2, matrix=[[0, 1], [1, 0]])):
+            with pytest.raises(KeyError, match="25"):
+                s.nearest([1, 25])
+            with pytest.raises(ValueError):
+                s.nearest([])
 
     def test_support_radius_needs_known_points(self):
         g = grid_window(2, 0, 4)

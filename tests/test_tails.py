@@ -1,6 +1,7 @@
 """Tail covers: verification, the greedy tree builder, and transport."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from folnerflow import (
     tree_window,
     verify_tail_cover,
 )
+from folnerflow.errors import ConfigError
 from folnerflow.tails import cover_from_json, cover_to_json
 
 
@@ -207,3 +209,23 @@ class TestSerialization:
         assert back.tails == cover.tails
         assert back.r == cover.r and back.K == cover.K
         assert cover_to_json(back) == doc
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d["tails"].append([3, [3]]), "tail cover lists point 3 twice"),
+        (lambda d: d["tails"].append(["3", [3]]), "tail cover point '3' is not an int id"),
+        (lambda d: d["tails"].append([True, [1]]), "tail cover point True is not an int id"),
+        (lambda d: d["tails"][2].__setitem__(1, "2,5"),
+         "the tail of point 2 is not a list of int ids: '2,5'"),
+        (lambda d: d["tails"][2][1].append(5.0),
+         "the tail of point 2 is not a list of int ids"),
+        (lambda d: d.update(K="2"), "tail cover K must be a positive int, got '2'"),
+        (lambda d: d.update(K=True), "tail cover K must be a positive int, got True"),
+        (lambda d: d.update(K=0), "tail cover K must be a positive int, got 0"),
+        (lambda d: d.update(K=1.5), "tail cover K must be a positive int, got 1.5"),
+    ], ids=["point-twice", "point-not-int", "point-bool", "tail-not-list",
+            "tail-entry-not-int", "K-string", "K-bool", "K-zero", "K-float"])
+    def test_malformed_cover_rejected(self, mutate, message):
+        doc = cover_to_json(build_tree_tails(tree_window(2, 3)))
+        mutate(doc)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            cover_from_json(doc)

@@ -324,11 +324,10 @@ class FamilyReport:
 def in_range_pairs(space: WindowSpace, indices, R):
     """Ordered pairs (x, y), x < y, of indices at distance <= R."""
     index_set = set(indices)
-    R = Fraction(R)
-    for x in sorted(index_set):
-        for y in sorted(space.ball(x, R)):
-            if y > x and y in index_set:
-                yield x, y
+    xs = sorted(index_set)
+    for x, b in zip(xs, space.balls(xs, R)):
+        for y in sorted(y for y in b if y > x and y in index_set):
+            yield x, y
 
 
 def verify_family(fam: IndexedFamily, require_flat: bool = False) -> FamilyReport:

@@ -10,6 +10,7 @@ model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,14 +148,37 @@ def check_moduli(X: WindowSpace, f: dict, Y: WindowSpace, rho_minus, rho_plus):
     """
     rho_minus = sorted((Fraction(d), Fraction(v)) for d, v in rho_minus)
     rho_plus = sorted((Fraction(d), Fraction(v)) for d, v in rho_plus)
-    bad = []
     pts = sorted(f)
+    for x in pts:
+        X._check_point(x)
+        Y._check_point(f[x])
+    # distances as ints at the scales of X and Y; per distance of X, each
+    # table is read once and its bound rounded inward to Y's scale
+    Lx, Ly = X._scale, Y._scale
+    lows, highs = {}, {}
+
+    def low(d):
+        if d not in lows:
+            lows[d] = math.ceil(_eval_table(rho_minus, Fraction(d, Lx)) * Ly)
+        return lows[d]
+
+    def high(d):
+        if d not in highs:
+            highs[d] = math.floor(_eval_table(rho_plus, Fraction(d, Lx)) * Ly)
+        return highs[d]
+
+    bad = []
+    fx = None
     for i, x in enumerate(pts):
+        # one distance row of X per point, one of Y per run of equal images
+        row = X._row_ints(x)
+        if f[x] != fx:
+            fx = f[x]
+            image_row = Y._row_ints(fx)
         for y in pts[i + 1:]:
-            d = X.dist(x, y)
-            dy = Y.dist(f[x], f[y])
-            if not (_eval_table(rho_minus, d) <= dy <= _eval_table(rho_plus, d)):
-                bad.append((x, y, d, dy))
+            d, dy = row[y], image_row[f[y]]
+            if not low(d) <= dy <= high(d):
+                bad.append((x, y, Fraction(d, Lx), Fraction(dy, Ly)))
     return bad
 
 
@@ -232,7 +256,7 @@ class CoarseMapModel:
         gf = {x: g[f[x]] for x in range(X.n)}
         Z = sorted(set(gf.values()))
         S = max(X.dist(x, gf[x]) for x in range(X.n))
-        M = max(len(X.ball(x, S)) for x in range(X.n))
+        M = max(map(len, X.balls(range(X.n), S)))
         buckets = {}
         iota = {}
         for x in range(X.n):  # id order fixes the level assignment
@@ -265,7 +289,8 @@ def subspace(space: WindowSpace, points) -> WindowSpace:
     points = sorted(set(points))
     for x in points:
         space._check_point(x)
-    matrix = [[space.dist(x, y) for y in points] for x in points]
+    L = space._scale
+    matrix = [[Fraction(row[y], L) for y in points] for row in map(space._row_ints, points)]
     frontier = [i for i, x in enumerate(points) if x in space.frontier]
     return WindowSpace(
         len(points),

@@ -25,12 +25,13 @@ def tent_family(space: WindowSpace, width: int, R, epsilon, core=None) -> Indexe
         raise ValueError(f"width must be an int >= 1, got {width!r}")
     indices = range(space.n) if core is None else core
     L = space._scale
+    limit = space._limit(width - 1)
     chains = {}
     for x in indices:
-        found = space._ball_ints(x, width - 1)
+        points, found = space._ball_row(x, limit)
         w = {}
         # in the ball's order, which flatten's support order follows
-        for z in frozenset(iter(found)):
+        for z in frozenset(iter(points)):
             d, rest = divmod(found[z], L)
             if rest:
                 raise ValueError("this family shape needs integer distances")
@@ -42,8 +43,8 @@ def tent_family(space: WindowSpace, width: int, R, epsilon, core=None) -> Indexe
 
 def ball_family(space: WindowSpace, radius, R, epsilon, core=None) -> IndexedFamily:
     """Plain subset family A_x = B(x, radius)."""
-    indices = range(space.n) if core is None else core
-    chains = {x: Chain.from_set(space.ball(x, radius)) for x in indices}
+    indices = list(range(space.n) if core is None else core)
+    chains = {x: Chain.from_set(b) for x, b in zip(indices, space.balls(indices, radius))}
     params = FamilyParams(R=R, epsilon=epsilon, S=Fraction(radius), M=0)
     return IndexedFamily(space=space, chains=chains, params=params)
 
@@ -75,8 +76,8 @@ def random_multiset_family(
     """
     indices = list(range(space.n) if core is None else core)
     sets = {}
-    for x in indices:
-        nearby = sorted(space.ball(x, spread))
+    for x, ball in zip(indices, space.balls(indices, spread)):
+        nearby = sorted(ball)
         pool = [(z, n) for z in nearby for n in range(M + 1)]
         if not pool:
             pool = [(x, 0)]
@@ -112,14 +113,16 @@ def perturbed_cluster_family(
         raise ValueError("need base_size >= 5 for a nontrivial guarantee")
     sets = {}
     max_radius = Fraction(0)
-    for c in centers:
-        nearby = sorted(space.ball(c, cluster_radius))
+    centers = list(centers)
+    for c, cluster, core in zip(centers, space.balls(centers, cluster_radius),
+                                space.balls(centers, core_radius)):
+        nearby = sorted(cluster)
         pool = [(z, n) for z in nearby for n in range(M + 1)]
         if len(pool) < base_size + 2:
             raise ValueError(f"cluster at {c} too small for base_size {base_size}")
         base = set(rng.sample(pool, base_size))
         spare = [p for p in pool if p not in base]
-        for x in sorted(space.ball(c, core_radius)):
+        for x in sorted(core):
             out = rng.choice(sorted(base))
             inn = rng.choice(spare)
             sets[x] = frozenset((base - {out}) | {inn})

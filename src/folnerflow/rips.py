@@ -41,12 +41,9 @@ def build_rips(space: WindowSpace, r) -> RipsGraph:
     r = Fraction(r)
     if r <= 0:
         raise ValueError(f"scale must be positive, got {r}")
-    neighbors = []
-    for x in range(space.n):
-        nb = set(space.ball(x, r))
-        nb.discard(x)
-        neighbors.append(frozenset(nb))
-    return RipsGraph(r=r, n=space.n, neighbors=tuple(neighbors),
+    points = range(space.n)
+    neighbors = tuple(b - {x} for x, b in zip(points, space.balls(points, r)))
+    return RipsGraph(r=r, n=space.n, neighbors=neighbors,
                      components=_components(neighbors))
 
 

@@ -8,18 +8,23 @@ infinity": a neighbourhood-graph component that touches the frontier is
 treated as unbounded, one that does not as genuinely bounded.
 
 Every distance and comparison is exact, with no floating point. A graph
-metric keeps its edge weights as ints at a scale L, the least common
-multiple of the weight denominators, so distances inside the library are
-ints d_int = L * d: `dist`, balls, set neighbourhoods, frontier distances
-and `support_radius` (max distance to a point set) all come from one
-truncated search (BFS by layers when every weight is 1, int Dijkstra
-otherwise; `dist` and `support_radius` stop at their last target), and a
-radius R (an int or Fraction >= 0, see `check_radius`) is compared as
-d_int <= floor(R * L). A matrix metric has its own L. `fractions.Fraction`
-appears only at the API and JSON boundary. The int adjacency is a graph
-metric's only representation, and `nearest` gives every point its closest
-source in one multi-source search. Generators build adjacency; only a
-union or product over a matrix part becomes a matrix.
+metric keeps, per point, the tuple of its neighbour ids and the tuple of
+their edge weights as ints at a scale L, the least common multiple of the
+weight denominators (no weight tuples when every weight is 1), so distances
+inside the library are ints d_int = L * d. `dist`, balls, set
+neighbourhoods, frontier distances and `support_radius` (max distance to a
+point set) all come from one truncated search: a BFS one node at a time
+when every weight is 1, int Dijkstra otherwise; `dist` and
+`support_radius` stop at their last target. A radius R (an int or
+Fraction >= 0, see `check_radius`) is compared as d_int <= floor(R * L).
+`balls(centres, R)` gives the balls of one radius at many centres with R
+checked once; each ball iterates like a set grown in (distance, id) order
+(id order on a matrix), which tent chains and flatten's support order
+follow. A matrix metric has its own L. `fractions.Fraction` appears only
+at the API and JSON boundary. The int adjacency is a graph metric's only
+representation, and `nearest` gives every point its closest source in one
+multi-source search. Generators build adjacency; only a union or product
+over a matrix part becomes a matrix.
 
 Point ids are dense integers 0..n-1.
 """
@@ -37,6 +42,8 @@ from .errors import ConfigError
 from .jsonio import dump_json, format_rational, load_json, parse_rational
 
 PointId = int
+# the weights of a unit-weight graph, whose `_wts` is None, for zip
+_ONES = itertools.repeat(1)
 
 
 def check_radius(R, name="radius") -> Fraction:
@@ -54,6 +61,11 @@ class WindowSpace:
     metric: a symmetric n x n matrix with a zero diagonal and positive
     entries off it, or the adjacency of a connected graph with positive
     int or Fraction weights, whose shortest-path metric is the space's.
+
+    A graph is kept as two parallel tuples per point: `_nbrs[x]`, the
+    neighbour ids of x, and `_wts[x]`, the weights of those edges as ints
+    at scale L, where `_wts` is None when every weight is 1. Balls come in
+    batches from `balls(centres, R)`, which checks R once.
     """
 
     def __init__(
@@ -83,7 +95,7 @@ class WindowSpace:
 
         if matrix is not None:
             self._matrix = [[Fraction(v) for v in row] for row in matrix]
-            self._adj = None
+            self._nbrs = self._wts = None
             self._check_matrix()
             self._scale = math.lcm(*(v.denominator for row in self._matrix for v in row))
         else:
@@ -92,26 +104,30 @@ class WindowSpace:
                 raise ValueError("adjacency length != n")
             # distances inside the library are ints at scale L, the least
             # common multiple of the weight denominators: d = d_int / L
-            L, all_int = 1, True
-            for x, nbrs in enumerate(adjacency):
-                for y, w in nbrs:
+            L, all_int, unit = 1, True, True
+            nbrs = []
+            for x, pairs in enumerate(adjacency):
+                for y, w in pairs:
                     if type(y) is not int or not 0 <= y < n:
                         raise ValueError(f"edge endpoint {y!r} at {x} is outside 0..{n - 1}")
                     if type(w) not in (int, Fraction) or w <= 0:
                         raise ValueError(f"edge weight {w!r} on ({x}, {y}) must be a "
                                          "positive int or Fraction")
-                    L = math.lcm(L, w.denominator)
-                    all_int = all_int and type(w) is int
+                    if w != 1:
+                        unit = False
+                    if type(w) is not int:
+                        all_int = False
+                        L = math.lcm(L, w.denominator)
+                nbrs.append(tuple([y for y, _ in pairs]))
             self._scale = L
-            # int weights are already at scale 1: share the input's pairs
-            self._adj = [
-                tuple(nbrs) if all_int else
-                tuple((y, w.numerator * (L // w.denominator)) for y, w in nbrs)
-                for nbrs in adjacency
-            ]
-            # bounds every shortest path; all weights are 1 iff it is the edge count
-            self._total_weight = sum(w for nbrs in self._adj for _, w in nbrs)
-            self._unit_weights = self._total_weight == sum(map(len, self._adj))
+            self._nbrs = tuple(nbrs)
+            self._wts = None if unit else tuple(
+                tuple([w for _, w in pairs]) if all_int else
+                tuple([w.numerator * (L // w.denominator) for _, w in pairs])
+                for pairs in adjacency
+            )
+            # bounds every shortest path, as an int at scale L
+            self._bound = n if unit else sum(map(sum, self._wts))
             self._check_connected()
 
     def _check_matrix(self):
@@ -135,11 +151,24 @@ class WindowSpace:
                 f"only {reached} of {self.n} points reachable from 0"
             )
 
+    def _edges(self, x: PointId) -> list:
+        """[(y, weight)] for the edges at x, weights as Fractions."""
+        wts = self._wts
+        L = self._scale
+        return [(y, Fraction(w, L))
+                for y, w in zip(self._nbrs[x], _ONES if wts is None else wts[x])]
+
     # -- metric queries ----------------------------------------------------
 
     def _check_point(self, x: PointId):
         if not (isinstance(x, int) and 0 <= x < self.n):
             raise KeyError(f"unknown point id {x!r}")
+
+    def _limit(self, R) -> int:
+        """floor(R * L) for a radius R checked by `check_radius`: as every
+        d_int is an int, d_int <= R * L iff d_int <= floor(R * L)."""
+        R = check_radius(R)
+        return R.numerator * self._scale // R.denominator
 
     def dist(self, x: PointId, y: PointId) -> Fraction:
         self._check_point(x)
@@ -147,6 +176,15 @@ class WindowSpace:
         if self._matrix is not None:
             return self._matrix[x][y]
         return Fraction(self._search((x,), targets=(y,))[y], self._scale)
+
+    def _row_ints(self, x: PointId) -> list:
+        """[d_int(x, y) for y in 0..n-1]: one untargeted search on graphs, the
+        matrix row at scale L on matrices."""
+        if self._matrix is None:
+            found = self._search((x,))
+            return [found[y] for y in range(self.n)]
+        L = self._scale
+        return [d.numerator * (L // d.denominator) for d in self._matrix[x]]
 
     def nearest(self, sources) -> list:
         """The owning source of every point: owner[y] minimizes (d(y, s), s)
@@ -158,8 +196,9 @@ class WindowSpace:
             self._check_point(s)
         if not sources:
             raise ValueError("nearest needs at least one source")
-        if self._adj is None:
+        if self._matrix is not None:
             return [min(sources, key=lambda s: (row[s], s)) for row in self._matrix]
+        nbrs, wts = self._nbrs, self._wts
         owner = [None] * self.n
         best = {s: (0, s) for s in sources}
         heap = [(0, s, s) for s in sources]  # sorted, so already a heap
@@ -168,51 +207,53 @@ class WindowSpace:
             if owner[u] is not None:
                 continue
             owner[u] = s
-            for v, w in self._adj[u]:
+            for v, w in zip(nbrs[u], _ONES if wts is None else wts[u]):
                 key = (d + w, s)
                 if v not in best or key < best[v]:
                     best[v] = key
                     heapq.heappush(heap, (*key, v))
         return owner
 
-    def _search(self, sources, R=None, targets=None) -> dict:
+    def _search(self, sources, limit=None, targets=None) -> dict:
         """Multi-source truncated search over the integer adjacency.
 
-        Returns {point: d_int} for every point within R of the sources (all
-        reachable points when R is None), where d_int = L * distance. Points
-        come out in (distance, id) order: BFS by layers, each layer sorted,
-        when every weight is 1, int Dijkstra otherwise. `targets` lets it stop,
-        in no set order, once it has them all: on unit weights without R, a BFS
-        one node at a time stops after the node that discovers the last, and
+        Returns {point: d_int} for every point with d_int <= limit from the
+        sources (every point when limit is None), where d_int = L * distance.
+        On unit weights a BFS one node at a time, whose points come out layer
+        by layer, in no set order within a layer; int Dijkstra otherwise, in
+        (distance, id) order. `targets` lets it stop, in no set order, once
+        it has them all: the BFS after the node that discovers the last,
         Dijkstra at the pop that settles the last.
         """
-        adj = self._adj
+        nbrs, wts = self._nbrs, self._wts
+        if limit is None:
+            limit = self._bound
         missing = None if targets is None else set(targets)
-        if missing is not None and R is None and self._unit_weights:
+        if wts is None:
             found = dict.fromkeys(sources, 0)
+            queue = list(found)  # read while it grows: a FIFO queue
+            if missing is None:
+                for u in queue:
+                    du = found[u] + 1
+                    if du > limit:
+                        break
+                    for v in nbrs[u]:
+                        if v not in found:
+                            found[v] = du
+                            queue.append(v)
+                return found
             missing.difference_update(found)
-            queue = list(found)
-            for u in queue:  # read while it grows: a FIFO queue
-                if not missing:
-                    break
+            for u in queue:
                 du = found[u] + 1
-                for v, _ in adj[u]:
+                if not missing or du > limit:
+                    break
+                for v in nbrs[u]:
                     if v not in found:
                         found[v] = du
                         queue.append(v)
                         missing.discard(v)
             return found
         layer = sorted(sources)
-        # exact: d_int <= R * L iff d_int <= floor(R * L), as d_int is an int
-        limit = self._total_weight if R is None else R.numerator * self._scale // R.denominator
-        if self._unit_weights:
-            found = dict.fromkeys(layer, 0)
-            d = 0
-            while layer and d < limit:
-                d += 1
-                layer = sorted({v for u in layer for v, _ in adj[u] if v not in found})
-                found.update(dict.fromkeys(layer, d))
-            return found
         best = dict.fromkeys(layer, 0)
         heap = [(0, s) for s in layer]
         found = {}
@@ -225,45 +266,60 @@ class WindowSpace:
                 missing.discard(u)
                 if not missing:
                     break
-            for v, w in adj[u]:
+            for v, w in zip(nbrs[u], wts[u]):
                 dv = du + w
                 if dv <= limit and dv < best.get(v, dv + 1):
                     best[v] = dv
                     heapq.heappush(heap, (dv, v))
         return found
 
-    def _ball_ints(self, x: PointId, R) -> dict:
-        """{y: d_int} over the closed ball {y : d(x,y) <= R}, in the order
-        `ball` iterates: (distance, id) on graphs, id on matrices."""
+    def _ball_row(self, x: PointId, limit: int):
+        """The closed ball {y : d_int(x, y) <= limit} as (its points in ball
+        order, {y: d_int}). Ball order is (distance, id) on graphs, which
+        sorts a BFS's layers, and id order on matrices."""
         self._check_point(x)
-        R = check_radius(R)
-        if self._adj is not None:
-            return self._search((x,), R)
-        L = self._scale
-        return {y: int(d * L) for y, d in enumerate(self._matrix[x]) if d <= R}
+        if self._matrix is not None:
+            row = {y: d for y, d in enumerate(self._row_ints(x)) if d <= limit}
+            return row, row
+        found = self._search((x,), limit)
+        if self._wts is not None:  # Dijkstra settles in (distance, id) order
+            return found, found
+        points = sorted(found)
+        points.sort(key=found.__getitem__)  # stable: id order within a layer
+        return points, found
+
+    def balls(self, centres, R):
+        """The closed balls {y : d(x,y) <= R} for x in centres, one frozenset
+        at a time. R is checked once, at the call, so a bad R raises even
+        without centres; an unknown centre raises KeyError when its ball is
+        reached. On graphs each ball is one truncated search, on matrices
+        one row scan."""
+        limit = self._limit(R)
+        # fed from an iterator (a dict would presize it), each set iterates
+        # like one grown in (distance, id) order; tent chains, flatten's
+        # support order and its reported sink follow that order
+        return (frozenset(iter(self._ball_row(x, limit)[0])) for x in centres)
 
     def ball(self, x: PointId, R) -> frozenset:
-        """Closed ball {y : d(x,y) <= R}, computed with exact comparisons."""
-        # fed from an iterator (a dict would presize it), the set iterates like one
-        # grown in `_ball_ints` order; tent chains, flatten's support order and its
-        # reported sink follow that order
-        return frozenset(iter(self._ball_ints(x, R)))
+        """Closed ball {y : d(x,y) <= R}: `balls` at one centre, without
+        the generator."""
+        return frozenset(iter(self._ball_row(x, self._limit(R))[0]))
 
     def neighborhood(self, U, R) -> frozenset:
         """Closed R-neighbourhood {y : d(y, U) <= R} of the point set U."""
         U = frozenset(U)
         for x in U:
             self._check_point(x)
+        if self._matrix is None:
+            return frozenset(self._search(U, self._limit(R)))
         R = check_radius(R)
-        if self._adj is not None:
-            return frozenset(self._search(U, R))
-        return frozenset(y for y in range(self.n) if any(self.dist(u, y) <= R for u in U))
+        return frozenset(y for y in range(self.n) if any(self._matrix[u][y] <= R for u in U))
 
     def support_radius(self, x: PointId, points) -> Fraction:
         """max d(x, z) over a nonempty point set (KeyError for an unknown z): on
         graphs one search from x that stops once it has reached all of them."""
         self._check_point(x)
-        if self._adj is None:
+        if self._matrix is not None:
             for z in points:
                 self._check_point(z)
             return max(self._matrix[x][z] for z in points)
@@ -273,7 +329,7 @@ class WindowSpace:
     def _frontier_ints(self) -> list:
         """Per-point d_int to the (nonempty) frontier; None if unreachable."""
         if self._frontier_int is None:
-            if self._adj is not None:
+            if self._matrix is None:
                 found = self._search(self.frontier)
                 self._frontier_int = [found.get(x) for x in range(self.n)]
             else:
@@ -292,8 +348,7 @@ class WindowSpace:
 
     def interior_points(self, R) -> list[PointId]:
         """Points at distance > R from every frontier point (all, if none)."""
-        R = check_radius(R)
-        limit = R.numerator * self._scale // R.denominator
+        limit = self._limit(R)
         if not self.frontier:
             return list(range(self.n))
         return [x for x, d in enumerate(self._frontier_ints()) if d > limit]
@@ -334,7 +389,7 @@ def growth_profile(space: WindowSpace, radii) -> GrowthProfile:
         if not interior:
             values[R] = None
             continue
-        values[R] = max(len(space.ball(x, R)) for x in interior)
+        values[R] = max(map(len, space.balls(interior, R)))
     return GrowthProfile(values)
 
 
@@ -513,12 +568,12 @@ def disjoint_union(parts: Sequence[WindowSpace], spacing) -> WindowSpace:
             "kind": "union", "parts": specs, "spacing": [format_rational(s) for s in spacing]},
         "offsets": offsets,
     }
-    if all(p._adj is not None for p in parts):
+    if all(p._matrix is None for p in parts):
         adjacency = [[] for _ in range(n)]
         for i, p in enumerate(parts):
             off = offsets[i]
             for x in range(p.n):
-                adjacency[off + x].extend((off + y, Fraction(w, p._scale)) for y, w in p._adj[x])
+                adjacency[off + x].extend((off + y, w) for y, w in p._edges(x))
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
                 w = spacing[j]
@@ -560,16 +615,17 @@ def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
         "levels": levels,
         "base": base,
     }
-    if base._adj is not None:
+    if base._matrix is None:
         adjacency = [[] for _ in range(n)]
         for z in range(base.n):
+            edges = base._edges(z)
             for i in range(levels):
                 v = z * levels + i
                 if i + 1 < levels:
                     adjacency[v].append((v + 1, 1))
                     adjacency[v + 1].append((v, 1))
-                for z2, w in base._adj[z]:
-                    adjacency[v].append((z2 * levels + i, Fraction(w, base._scale)))
+                for z2, w in edges:
+                    adjacency[v].append((z2 * levels + i, w))
         return WindowSpace(n, frontier=frontier, label=label, adjacency=adjacency, meta=meta)
 
     # matrix fallback for a base without adjacency
@@ -623,9 +679,9 @@ def space_to_json(space: WindowSpace) -> dict:
     else:
         edges = []
         for x in range(space.n):
-            for y, w in space._adj[x]:
+            for y, w in space._edges(x):
                 if x < y:
-                    edges.append([x, y, format_rational(Fraction(w, space._scale))])
+                    edges.append([x, y, format_rational(w)])
         metric = {"type": "graph", "edges": edges}
     doc = {
         "points": space.n,

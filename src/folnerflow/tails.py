@@ -237,14 +237,30 @@ def cover_from_json(doc) -> TailCover:
 
 
 def check_cover_on_space(cover: TailCover, space: WindowSpace) -> None:
-    """ConfigError naming the tail unless every point of every tail is an id
-    of the space (structural only: steps and multiplicities are what
-    `verify_tail_cover` measures)."""
+    """ConfigError naming the first misfit unless every point of every tail
+    is an id of the space and `verify_tail_cover` passes: every tail starts
+    at its point, repeats none, steps at most r and ends on the frontier,
+    and no point lies on more than K tails."""
     for x, seq in cover.tails.items():
         for t in (x, *seq):
             if not 0 <= t < space.n:
                 raise ConfigError(f"the tail of point {x} has point {t}, "
                                   f"outside the space's 0..{space.n - 1}")
+    report = verify_tail_cover(cover, space)
+    if report.start_violations:
+        raise ConfigError(f"the tail of point {report.start_violations[0]} does not start there")
+    if report.distinct_violations:
+        raise ConfigError(f"the tail of point {report.distinct_violations[0]} repeats a point")
+    if report.step_violations:
+        x, j, d = report.step_violations[0]
+        raise ConfigError(f"step {j} of the tail of point {x} has length "
+                          f"{format_rational(d)}, more than r = {format_rational(cover.r)}")
+    if report.multiplicity_violations:
+        z, c = report.multiplicity_violations[0]
+        raise ConfigError(f"point {z} lies on {c} tails, more than K = {cover.K}")
+    if report.frontier_violations:
+        raise ConfigError(f"the tail of point {report.frontier_violations[0]} "
+                          "does not end on the frontier")
 
 
 def load_cover(path) -> TailCover:

@@ -17,10 +17,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import folnerflow
 from folnerflow import Chain, WindowSpace
 from folnerflow.rips import FlowField
+from folnerflow.space import space_to_json
 
 
 # -- child interpreters ----------------------------------------------------------
@@ -80,9 +82,39 @@ def floyd_warshall(n, edges):
     return D
 
 
+@st.composite
+def rational_graphs(draw):
+    """Connected graph on 1..9 points: a random tree plus extra (possibly
+    parallel) edges, weights p/q with q in 1..6; and a random frontier."""
+    n = draw(st.integers(1, 9))
+    weight = st.builds(Fraction, st.integers(1, 12), st.integers(1, 6))
+    edges = [(draw(st.integers(0, v - 1)), v, draw(weight)) for v in range(1, n)]
+    extra = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight), max_size=2 * n))
+    edges += [(x, y, w) for x, y, w in extra if x != y]
+    frontier = draw(st.sets(st.integers(0, n - 1)))
+    return n, edges, frontier
+
+
+def graph_space(n, edges, frontier=()) -> WindowSpace:
+    """The graph space of an undirected edge list [(x, y, w), ...]."""
+    adjacency = [[] for _ in range(n)]
+    for x, y, w in edges:
+        adjacency[x].append((y, w))
+        adjacency[y].append((x, w))
+    return WindowSpace(n, frontier=frontier, adjacency=adjacency)
+
+
 def space_adjacency_sets(space: WindowSpace):
-    assert space._adj is not None, "oracle needs an adjacency-backed space"
-    return [set(v for v, _w in nbrs) for nbrs in space._adj], space.n
+    """Neighbour sets from the public edge list of `space_to_json`, so the
+    oracle does not read the representation it checks."""
+    metric = space_to_json(space)["metric"]
+    assert metric["type"] == "graph", "oracle needs an adjacency-backed space"
+    sets = [set() for _ in range(space.n)]
+    for x, y, _w in metric["edges"]:
+        sets[x].add(y)
+        sets[y].add(x)
+    return sets, space.n
 
 
 def dist_matrix(space: WindowSpace) -> np.ndarray:

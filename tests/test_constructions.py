@@ -1,9 +1,13 @@
 """Boundaries, Folner witnesses, translate families, coarse transfer, boxes."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from conftest import graph_space, rational_graphs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folnerflow import (
     Chain,
@@ -28,6 +32,7 @@ from folnerflow import (
     tree_window,
     verify_family,
 )
+from folnerflow.constructions import check_moduli
 
 
 def coord_ids(space, lo, hi):
@@ -228,6 +233,85 @@ class TestCoarseMapModel:
         f = {x: x for x in range(6)}
         with pytest.raises(ValueError):
             CoarseMapModel.build(X, Y, f, [(0, 0)], [(0, 0)])  # claims bounded image spread
+
+
+def moduli_by_pairs(X, f, Y, rho_minus, rho_plus):
+    """check_moduli as specified: one `dist` of X and one of Y per pair."""
+    def at(table, t):
+        below = [v for d, v in sorted(table) if d <= t]
+        if not below:
+            raise ValueError(f"modulus table does not cover distance {t}")
+        return below[-1]
+    pts = sorted(f)
+    bad = []
+    for i, x in enumerate(pts):
+        for y in pts[i + 1:]:
+            d, dy = X.dist(x, y), Y.dist(f[x], f[y])
+            if not at(rho_minus, d) <= dy <= at(rho_plus, d):
+                bad.append((x, y, d, dy))
+    return bad
+
+
+def as_matrix(space):
+    return type(space)(space.n, frontier=space.frontier,
+                       matrix=[[space.dist(x, y) for y in range(space.n)] for x in range(space.n)])
+
+
+class TestDistanceRows:
+    """check_moduli and subspace read one distance row per point; the
+    reference is the per-pair `dist` they used to call."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rational_graphs(), rational_graphs(), st.data())
+    def test_check_moduli_matches_per_pair_dist(self, first, second, data):
+        X, Y = graph_space(*first), graph_space(*second)
+        if data.draw(st.booleans()):
+            X, Y = as_matrix(X), as_matrix(Y)
+        f = {x: data.draw(st.integers(0, Y.n - 1)) for x in range(X.n)}
+        if data.draw(st.booleans()):  # a partial map
+            f = {x: y for x, y in f.items() if data.draw(st.booleans())}
+        # table entries at realised distances, with bounds at, just below and
+        # just above realised image distances (1/(7L) lies between two of Y's);
+        # a first distance above 0 leaves the short distances uncovered
+        Dx = sorted({X.dist(x, y) for x in range(X.n) for y in range(X.n)})
+        Dy = sorted({Y.dist(x, y) for x in range(Y.n) for y in range(Y.n)})
+        nudge = Fraction(1, 7 * math.lcm(*(d.denominator for d in Dy)))
+        bound = st.builds(lambda v, e: max(v + e, 0), st.sampled_from(Dy),
+                          st.sampled_from((-nudge, 0, nudge)))
+        entry = st.tuples(st.sampled_from(Dx), bound)
+        tables = [[(data.draw(st.sampled_from([0, 0, 0] + Dx)), data.draw(bound))]
+                  + data.draw(st.lists(entry, max_size=4)) for _ in range(2)]
+        try:
+            expected = moduli_by_pairs(X, f, Y, *tables)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                check_moduli(X, f, Y, *tables)
+        else:
+            assert check_moduli(X, f, Y, *tables) == expected
+
+    def test_upper_table_read_only_where_the_lower_bound_holds(self):
+        # as in rho_-(d) <= d' <= rho_+(d): the pair fails rho_- and rho_+
+        # does not cover its distance, which is not an error
+        X, Y = grid_window(1, 0, 1), grid_window(1, 0, 0)
+        assert check_moduli(X, {0: 0, 1: 0}, Y, [(0, 1)], [(2, 0)]) == [(0, 1, 1, 0)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(rational_graphs(), st.data())
+    def test_subspace_matches_per_pair_dist(self, graph, data):
+        space = graph_space(*graph)
+        for s in (space, as_matrix(space)):
+            P = sorted(data.draw(st.sets(st.integers(0, s.n - 1), min_size=1)))
+            sub = subspace(s, P)
+            assert [[sub.dist(i, j) for j in range(sub.n)] for i in range(sub.n)] == [
+                [s.dist(x, y) for y in P] for x in P]
+            assert sub.frontier == {i for i, x in enumerate(P) if x in s.frontier}
+
+    def test_check_moduli_needs_known_points(self):
+        X, Y = grid_window(1, 0, 4), grid_window(1, 0, 2)
+        with pytest.raises(KeyError, match="9"):
+            check_moduli(X, {0: 0, 9: 1}, Y, [(0, 0)], [(0, 9)])
+        with pytest.raises(KeyError, match="7"):
+            check_moduli(X, {0: 0, 4: 7}, Y, [(0, 0)], [(0, 9)])
 
 
 class TestProjectFamily:

@@ -526,7 +526,13 @@ class TestMalformedStages:
         (lambda d: d["tails"].append([0, [0, 99]]), "tail cover lists point 0 twice"),
         (lambda d: d["tails"][0][1].append(99),
          "the tail of point 0 has point 99, outside the space's 0..30"),
-    ], ids=["K-not-int", "point-listed-twice", "tail-point-past-points"])
+        # the cover's own invariants, measured by verify_tail_cover
+        (lambda d: d.update(K=d["K"] - 1), "point 1 lies on 2 tails, more than K = 1"),
+        (lambda d: d["tails"][0][1].remove(1),
+         "step 0 of the tail of point 0 has length 2/1, more than r = 1/1"),
+        (lambda d: d["tails"][0][1].pop(), "the tail of point 0 does not end on the frontier"),
+    ], ids=["K-not-int", "point-listed-twice", "tail-point-past-points",
+            "K-too-low", "step-longer-than-r", "tail-off-the-frontier"])
     def test_tails_transport_rejects_bad_cover(self, tmp_path, mutate, message):
         tree = tree_window(2, 4)  # 31 points
         dump_json(space_to_json(tree), tmp_path / "t.json")

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from conftest import (
     bfs_all_pairs,
     dist_matrix,
     floyd_warshall,
+    graph_space,
+    rational_graphs,
     space_adjacency_sets,
 )
 from folnerflow import (
@@ -171,20 +174,6 @@ class TestMetricAxioms:
                     assert u.dist(x, y) == raw.dist(x, y) == D[x][y]
 
 
-@st.composite
-def rational_graphs(draw):
-    """Connected graph on 1..9 points: a random tree plus extra (possibly
-    parallel) edges, weights p/q with q in 1..6; and a random frontier."""
-    n = draw(st.integers(1, 9))
-    weight = st.builds(Fraction, st.integers(1, 12), st.integers(1, 6))
-    edges = [(draw(st.integers(0, v - 1)), v, draw(weight)) for v in range(1, n)]
-    extra = draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight), max_size=2 * n))
-    edges += [(x, y, w) for x, y, w in extra if x != y]
-    frontier = draw(st.sets(st.integers(0, n - 1)))
-    return n, edges, frontier
-
-
 def closed_ball(D, x, R):
     return frozenset(y for y, d in enumerate(D[x]) if d <= R)
 
@@ -201,6 +190,21 @@ def nearest_oracle(D, sources):
     return [min(sources, key=lambda w: (D[y][w], w)) for y in range(len(D))]
 
 
+def ball_in_order(D, x, R, graph=True):
+    """closed_ball as a set grown in (distance, id) order on a graph, in id
+    order on a matrix: the order tent chains and flatten's support follow."""
+    key = (lambda y: (D[x][y], y)) if graph else None
+    return frozenset(iter(sorted(closed_ball(D, x, R), key=key)))
+
+
+def assert_balls_match(space, D, centres, R, graph=True):
+    got = list(space.balls(centres, R))
+    assert got == [closed_ball(D, x, R) for x in centres]
+    for x, b in zip(centres, got):
+        assert list(b) == list(ball_in_order(D, x, R, graph))
+        assert list(next(space.balls([x], R))) == list(space.ball(x, R)) == list(b)
+
+
 class TestMetricCoreOracle:
     """The integer-scaled searches against a pure-Fraction Floyd-Warshall."""
 
@@ -208,11 +212,7 @@ class TestMetricCoreOracle:
     @given(rational_graphs(), st.data())
     def test_rational_graphs(self, graph, data):
         n, edges, frontier = graph
-        adjacency = [[] for _ in range(n)]
-        for x, y, w in edges:
-            adjacency[x].append((y, w))
-            adjacency[y].append((x, w))
-        space = WindowSpace(n, frontier=frontier, adjacency=adjacency)
+        space = graph_space(n, edges, frontier)
         D = floyd_warshall(n, edges)
         # distances are multiples of 1/L; a nudge of 1/(6L) lands between two
         L = math.lcm(*(w.denominator for _, _, w in edges))
@@ -241,6 +241,11 @@ class TestMetricCoreOracle:
             assert s.nearest(sources) == nearest_oracle(D, sources)
         for r in radii:
             assert matrix.ball(0, r) == closed_ball(D, 0, r)
+        # one batch of balls at drawn centres (repeats allowed) and radius
+        centres = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        r = data.draw(st.sampled_from(radii))
+        assert_balls_match(space, D, centres, r)
+        assert_balls_match(matrix, D, centres, r, graph=False)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([(1, 12), (1, 31), (2, 5), (3, 3)]), st.data())
@@ -269,6 +274,27 @@ class TestMetricCoreOracle:
         # unit grids have many equidistant sources: ties go to the smallest id
         sources = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
         assert g.nearest(sources) == nearest_oracle(D, sources)
+        # many equidistant points per BFS layer: balls iterate in (distance, id) order
+        centres = data.draw(st.lists(st.integers(0, g.n - 1), max_size=6))
+        assert_balls_match(g, D, centres, R)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(8, 40), st.integers(0, 2**32))
+    def test_unit_graph_balls_in_distance_id_order(self, n, seed):
+        # a BFS discovers each layer in adjacency order, here shuffled and
+        # relabelled at random; ids past a small set's table size collide,
+        # so only balls grown in (distance, id) order iterate like the oracle's
+        rnd = random.Random(seed)  # uniform, where hypothesis would draw simple graphs
+        label = list(range(n))
+        rnd.shuffle(label)
+        edges = [(rnd.randrange(v), v) for v in range(1, n)]
+        edges += [(rnd.randrange(n), rnd.randrange(n)) for _ in range(n)]
+        edges = [(label[x], label[y], 1) for x, y in edges if x != y]
+        rnd.shuffle(edges)
+        space = graph_space(n, edges)
+        D = floyd_warshall(n, edges)
+        for R in range(4):
+            assert_balls_match(space, D, range(n), R)
 
     def test_nearest_needs_known_sources(self):
         g = grid_window(2, 0, 4)
@@ -277,6 +303,14 @@ class TestMetricCoreOracle:
                 s.nearest([1, 25])
             with pytest.raises(ValueError):
                 s.nearest([])
+
+    def test_balls_need_known_centres(self):
+        g = grid_window(2, 0, 4)
+        for s in (g, WindowSpace(2, matrix=[[0, 1], [1, 0]])):
+            balls = s.balls([1, 25], 1)
+            assert next(balls) == s.ball(1, 1)
+            with pytest.raises(KeyError, match="25"):
+                next(balls)
 
     def test_support_radius_needs_known_points(self):
         g = grid_window(2, 0, 4)
@@ -299,6 +333,12 @@ class TestRadiusValidation:
         for space in (grid_window(1, 0, 9), WindowSpace(2, matrix=[[0, 1], [1, 0]])):
             with pytest.raises(ValueError, match="radius"):
                 space.ball(1, R)
+
+    @bad
+    def test_balls_check_the_radius_without_centres(self, R):
+        for space in (grid_window(1, 0, 9), WindowSpace(2, matrix=[[0, 1], [1, 0]])):
+            with pytest.raises(ValueError, match="radius"):
+                space.balls([], R)
 
     @bad
     def test_neighborhood(self, R):
@@ -399,6 +439,36 @@ class TestSerialization:
             for y in range(space.n):
                 assert back.dist(x, y) == space.dist(x, y)
         assert space_to_json(back) == doc
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_graphs(), rational_graphs(), st.data())
+    def test_rational_graph_files_round_trip(self, first, second, data):
+        # random graphs with no generator, their union and a product: the
+        # file keeps every edge with its weight, and the reload's distances
+        # are the Floyd-Warshall distances of the edges built here by hand
+        (n1, e1, f1), (n2, e2, f2) = first, second
+        a, b = graph_space(n1, e1, f1), graph_space(n2, e2, f2)
+        weight = st.builds(Fraction, st.integers(1, 12), st.integers(1, 6))
+        spacing = sorted(data.draw(st.lists(weight, min_size=2, max_size=2)))
+        levels = data.draw(st.integers(1, 3))
+        cases = [
+            (a, n1, e1),
+            (disjoint_union([a, b], spacing), n1 + n2,
+             e1 + [(x + n1, y + n1, w) for x, y, w in e2] + [(0, n1, spacing[1])]),
+            (product_with_interval(a, levels), n1 * levels,
+             [(z * levels + i, z2 * levels + i, w) for z, z2, w in e1 for i in range(levels)]
+             + [(v, v + 1, 1) for v in range(n1 * levels) if (v + 1) % levels]),
+        ]
+        for space, n, edges in cases:
+            doc = space_to_json(space)
+            assert "generator" not in doc
+            stored = sorted((x, y, Fraction(w)) for x, y, w in doc["metric"]["edges"])
+            assert stored == sorted((min(x, y), max(x, y), Fraction(w)) for x, y, w in edges)
+            back = space_from_json(doc)
+            assert space_to_json(back) == doc
+            D = floyd_warshall(n, edges)
+            for x in range(n):
+                assert [back.dist(x, y) for y in range(n)] == D[x]
 
     def test_raw_graph_file_without_generator(self):
         doc = space_to_json(grid_window(1, 0, 5))

@@ -20,7 +20,7 @@ from folnerflow import (
     verify_tail_cover,
 )
 from folnerflow.errors import ConfigError
-from folnerflow.tails import cover_from_json, cover_to_json
+from folnerflow.tails import check_cover_on_space, cover_from_json, cover_to_json
 
 
 class TestVerifyTailCover:
@@ -62,6 +62,28 @@ class TestVerifyTailCover:
         assert report.frontier_violations == [2]
         assert (5, 3) not in report.multiplicity_violations  # 2 tails end at 5... third is short
         assert any(z == 2 for z, _c in report.multiplicity_violations)
+
+
+class TestCheckCoverOnSpace:
+    """The transport stage's check: a ConfigError naming the first failed
+    invariant, in the report's order."""
+
+    @pytest.mark.parametrize("tails, K, message", [
+        ({0: (0, 1, 2, 3, 4, 5), 1: (2, 3, 4, 5)}, 2, "the tail of point 1 does not start there"),
+        ({0: (0, 1, 0, 1, 2, 3, 4, 5)}, 9, "the tail of point 0 repeats a point"),
+        ({0: (0, 2, 3, 4, 5)}, 2, "step 0 of the tail of point 0 has length 2/1, more than r = 1/1"),
+        ({x: tuple(range(x, 6)) for x in range(3)}, 2, "point 2 lies on 3 tails, more than K = 2"),
+        ({0: (0, 1, 2, 3, 4, 5), 2: (2, 3)}, 2, "the tail of point 2 does not end on the frontier"),
+    ], ids=["start", "repeat", "step", "multiplicity", "frontier"])
+    def test_first_violation_named(self, tails, K, message):
+        cover = TailCover(tails=tails, r=Fraction(1), K=K)
+        with pytest.raises(ConfigError) as info:
+            check_cover_on_space(cover, grid_window(1, 0, 5))
+        assert str(info.value) == message
+
+    def test_built_covers_pass(self):
+        for t in (tree_window(2, 5), tree_window(3, 3)):
+            check_cover_on_space(build_tree_tails(t), t)
 
 
 class TestBuildTreeTails:

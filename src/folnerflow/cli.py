@@ -17,13 +17,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import constructions, pipeline
-from . import rips as rips_mod
-from . import tails as tails_mod
-from .chains import family_to_json, load_family
 from .errors import ConfigError, FolnerflowError, InternalInvariantError
 from .jsonio import dump_json, format_rational, load_json, parse_ids, parse_rational
-from .space import growth_profile, load_space
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -48,10 +43,12 @@ def _emit(doc, path=None):
 
 def _stage(kind, inputs, **params):
     """Run one pipeline stage kind on loaded inputs: (object, docs, summary)."""
-    return pipeline.STAGES[kind].run(inputs, params, None)
+    from .pipeline import STAGES
+    return STAGES[kind].run(inputs, params, None)
 
 
 # -- handlers ----------------------------------------------------------------
+# Each imports what it calls, so a child loads only its command's modules.
 
 
 def cmd_space_gen(args):
@@ -62,6 +59,7 @@ def cmd_space_gen(args):
 
 
 def cmd_space_info(args):
+    from .space import growth_profile, load_space
     space = load_space(args.space)
     radii = [parse_rational(r) for r in args.radii.split(",")] if args.radii else []
     doc = {
@@ -75,18 +73,22 @@ def cmd_space_info(args):
 
 
 def cmd_rips_build(args):
+    from .space import load_space
     _, docs, _ = _stage("rips", {"space": load_space(args.space)}, r=args.r)
     _emit(docs[""], _out_path(args, "rips.json"))
     return EXIT_OK
 
 
 def cmd_flow_build(args):
-    _, docs, _ = _stage("flow", {"rips": rips_mod.load_rips(args.rips)})
+    from .rips import load_rips
+    _, docs, _ = _stage("flow", {"rips": load_rips(args.rips)})
     _emit(docs[""], _out_path(args, "flow.json"))
     return EXIT_OK
 
 
 def cmd_family_verify(args):
+    from .chains import load_family
+    from .space import load_space
     space = load_space(args.space)
     report, docs, _ = _stage("verify", {"family": load_family(args.family, space)},
                              require_flat=args.flat)
@@ -95,8 +97,11 @@ def cmd_family_verify(args):
 
 
 def cmd_flatten_run(args):
+    from .chains import load_family
+    from .rips import load_flow
+    from .space import load_space
     space = load_space(args.space)
-    inputs = {"family": load_family(args.family, space), "flow": rips_mod.load_flow(args.flow)}
+    inputs = {"family": load_family(args.family, space), "flow": load_flow(args.flow)}
     _, docs, summary = _stage("flatten", inputs, on_escape=args.on_escape)
     dump_json(docs[""], args.out)
     _emit(docs[".report"], args.report)
@@ -104,23 +109,29 @@ def cmd_flatten_run(args):
 
 
 def cmd_tails_build(args):
+    from .space import load_space
     _, docs, _ = _stage("tails", {"space": load_space(args.space)})
     _emit(docs[""], _out_path(args, "cover.json"))
     return EXIT_OK
 
 
 def cmd_tails_verify(args):
+    from .space import load_space
+    from .tails import load_cover, verify_tail_cover
     space = load_space(args.space)
-    cover = tails_mod.load_cover(args.cover)
-    report = tails_mod.verify_tail_cover(cover, space)
+    cover = load_cover(args.cover)
+    report = verify_tail_cover(cover, space)
     _emit(report.to_json())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 def cmd_tails_transport(args):
+    from .chains import load_family
+    from .space import load_space
+    from .tails import load_cover
     space = load_space(args.space)
     fam = load_family(args.family)
-    cover = tails_mod.load_cover(args.cover)
+    cover = load_cover(args.cover)
     if args.M is not None and args.M != fam.M:
         raise ConfigError(
             f"--M {args.M} does not match the family's height bound {fam.M}"
@@ -131,9 +142,11 @@ def cmd_tails_transport(args):
 
 
 def cmd_amen_boundary(args):
+    from .constructions import boundary
+    from .space import load_space
     space = load_space(args.space)
     U = parse_ids(args.U)
-    b = constructions.boundary(space, U, parse_rational(args.R))
+    b = boundary(space, U, parse_rational(args.R))
     ratio = None
     if U:
         ratio = format_rational(Fraction(len(b), len(U)))
@@ -142,14 +155,14 @@ def cmd_amen_boundary(args):
 
 
 def cmd_amen_search(args):
+    from .constructions import boundary, foelner_search
+    from .space import load_space
     space = load_space(args.space)
-    U = constructions.foelner_search(
-        space, parse_rational(args.R), parse_rational(args.eps),
-    )
+    U = foelner_search(space, parse_rational(args.R), parse_rational(args.eps))
     if U is None:
         _emit({"found": False, "witness": None})
         return EXIT_VERIFY_FAILED
-    b = constructions.boundary(space, U, parse_rational(args.R))
+    b = boundary(space, U, parse_rational(args.R))
     _emit({
         "found": True,
         "witness": sorted(U),
@@ -161,11 +174,14 @@ def cmd_amen_search(args):
 
 
 def cmd_coarse_push(args):
+    from .chains import family_to_json, load_family
+    from .constructions import pushforward_injective
+    from .space import load_space
     domain = load_space(args.space)
     target = load_space(args.target)
     fam = load_family(args.family, domain)
     fmap = {x: y for x, y in load_json(args.map)["f"]}
-    out_fam = constructions.pushforward_injective(
+    out_fam = pushforward_injective(
         fam, fmap, target,
         target_R=parse_rational(args.target_R) if args.target_R else None,
     )
@@ -174,9 +190,12 @@ def cmd_coarse_push(args):
 
 
 def cmd_coarse_project(args):
+    from .chains import family_to_json, load_family
+    from .constructions import project_family
+    from .space import load_space
     prod = load_space(args.space)
     fam = load_family(args.family, prod)
-    out_fam = constructions.project_family(prod, fam)
+    out_fam = project_family(prod, fam)
     _emit(family_to_json(out_fam), _out_path(args, "projected.json"))
     return EXIT_OK
 
@@ -197,119 +216,101 @@ def cmd_box_build(args):
 
 
 def cmd_run(args):
-    config = pipeline.PipelineConfig.from_json(load_json(args.config))
-    report = pipeline.run(config, args.out, seed=args.seed)
-    print(pipeline.explain(report), end="")
+    from .pipeline import PipelineConfig, explain, run
+    config = PipelineConfig.from_json(load_json(args.config))
+    report = run(config, args.out, seed=args.seed)
+    print(explain(report), end="")
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
 
 
 def cmd_explain(args):
+    from .pipeline import explain
     report = load_json(args.report)
-    print(pipeline.explain(report), end="")
+    print(explain(report), end="")
     return EXIT_OK
 
 
 # -- parser ------------------------------------------------------------------
 
+_REQ = dict(required=True)
+_OPT = dict(default=None)
 
-def build_parser() -> argparse.ArgumentParser:
+# group -> {command: (handler, {flag: add_argument keywords})}; `run` and
+# `explain` carry their arguments directly: group -> (handler, flags)
+_COMMANDS = {
+    "space": {
+        "gen": (cmd_space_gen, {
+            "--spec": dict(required=True, help="generator descriptor file or inline JSON"),
+            "--out": _OPT}),
+        "info": (cmd_space_info, {"--space": _REQ, "--radii": dict(default="")}),
+    },
+    "rips": {"build": (cmd_rips_build, {"--space": _REQ, "--r": _REQ, "--out": _OPT})},
+    "flow": {"build": (cmd_flow_build, {"--rips": _REQ, "--out": _OPT})},
+    "family": {"verify": (cmd_family_verify, {
+        "--family": _REQ, "--space": _REQ, "--flat": dict(action="store_true")})},
+    "flatten": {"run": (cmd_flatten_run, {
+        "--family": _REQ, "--flow": _REQ, "--space": _REQ, "--out": _REQ, "--report": _OPT,
+        "--on-escape": dict(dest="on_escape", default="collect", choices=("raise", "collect"))})},
+    "tails": {
+        "build": (cmd_tails_build, {"--space": _REQ, "--out": _OPT}),
+        "verify": (cmd_tails_verify, {"--space": _REQ, "--cover": _REQ}),
+        "transport": (cmd_tails_transport, {
+            "--space": _REQ, "--cover": _REQ, "--family": _REQ,
+            "--M": dict(type=int, default=None), "--out": _OPT}),
+    },
+    "amen": {
+        "boundary": (cmd_amen_boundary, {"--space": _REQ, "--U": _REQ, "--R": _REQ}),
+        "search": (cmd_amen_search, {"--space": _REQ, "--R": _REQ, "--eps": _REQ}),
+    },
+    "coarse": {
+        "push": (cmd_coarse_push, {
+            "--family": _REQ, "--space": _REQ, "--target": _REQ, "--map": _REQ,
+            "--target-R": dict(dest="target_R", default=None), "--out": _OPT}),
+        "project": (cmd_coarse_project, {"--family": _REQ, "--space": _REQ, "--out": _OPT}),
+    },
+    "box": {"build": (cmd_box_build, {
+        "--m": dict(type=int, required=True), "--boxes": dict(type=int, required=True),
+        "--spacing": _OPT, "--F": _OPT, "--R": dict(default="1/1"),
+        "--eps": dict(default="1/4"), "--out": _OPT,
+        "--family-out": dict(dest="family_out", default=None), "--report": _OPT})},
+    "run": (cmd_run, {"--config": _REQ, "--out": _REQ, "--seed": dict(type=int, default=None)}),
+    "explain": (cmd_explain, {"report": dict(nargs="?", default=None),
+                              "--report": dict(dest="report_flag", default=None)}),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv. Every group gets its parser, so the top-level
+    help and errors list them all; only the group that argv names, the one
+    a parse can enter, gets its commands and arguments."""
     top = argparse.ArgumentParser(
         prog="folnerflow",
         description="Exact verification toolkit for subset families on metric windows",
     )
     sub = top.add_subparsers(dest="group", required=True)
+    named = next((a for a in argv if not a.startswith("-")), None)
 
-    def add(group_parser, name, handler, **arg_specs):
-        p = group_parser.add_parser(name)
-        for flag, kw in arg_specs.items():
-            p.add_argument(flag, **kw)
-        p.set_defaults(handler=handler)
-        return p
+    def fill(parser, handler, flags):
+        for flag, kw in flags.items():
+            parser.add_argument(flag, **kw)
+        parser.set_defaults(handler=handler)
 
-    space = sub.add_parser("space").add_subparsers(dest="cmd", required=True)
-    add(space, "gen", cmd_space_gen,
-        **{"--spec": dict(required=True, help="generator descriptor file or inline JSON"),
-           "--out": dict(default=None)})
-    add(space, "info", cmd_space_info,
-        **{"--space": dict(required=True), "--radii": dict(default="")})
-
-    rips = sub.add_parser("rips").add_subparsers(dest="cmd", required=True)
-    add(rips, "build", cmd_rips_build,
-        **{"--space": dict(required=True), "--r": dict(required=True),
-           "--out": dict(default=None)})
-
-    flow = sub.add_parser("flow").add_subparsers(dest="cmd", required=True)
-    add(flow, "build", cmd_flow_build,
-        **{"--rips": dict(required=True), "--out": dict(default=None)})
-
-    family = sub.add_parser("family").add_subparsers(dest="cmd", required=True)
-    add(family, "verify", cmd_family_verify,
-        **{"--family": dict(required=True), "--space": dict(required=True),
-           "--flat": dict(action="store_true")})
-
-    flat = sub.add_parser("flatten").add_subparsers(dest="cmd", required=True)
-    add(flat, "run", cmd_flatten_run,
-        **{"--family": dict(required=True), "--flow": dict(required=True),
-           "--space": dict(required=True), "--out": dict(required=True),
-           "--report": dict(default=None),
-           "--on-escape": dict(dest="on_escape", default="collect",
-                               choices=("raise", "collect"))})
-
-    tails = sub.add_parser("tails").add_subparsers(dest="cmd", required=True)
-    add(tails, "build", cmd_tails_build,
-        **{"--space": dict(required=True), "--out": dict(default=None)})
-    add(tails, "verify", cmd_tails_verify,
-        **{"--space": dict(required=True), "--cover": dict(required=True)})
-    add(tails, "transport", cmd_tails_transport,
-        **{"--space": dict(required=True), "--cover": dict(required=True),
-           "--family": dict(required=True), "--M": dict(type=int, default=None),
-           "--out": dict(default=None)})
-
-    amen = sub.add_parser("amen").add_subparsers(dest="cmd", required=True)
-    add(amen, "boundary", cmd_amen_boundary,
-        **{"--space": dict(required=True), "--U": dict(required=True),
-           "--R": dict(required=True)})
-    add(amen, "search", cmd_amen_search,
-        **{"--space": dict(required=True), "--R": dict(required=True),
-           "--eps": dict(required=True)})
-
-    coarse = sub.add_parser("coarse").add_subparsers(dest="cmd", required=True)
-    add(coarse, "push", cmd_coarse_push,
-        **{"--family": dict(required=True), "--space": dict(required=True),
-           "--target": dict(required=True), "--map": dict(required=True),
-           "--target-R": dict(dest="target_R", default=None),
-           "--out": dict(default=None)})
-    add(coarse, "project", cmd_coarse_project,
-        **{"--family": dict(required=True), "--space": dict(required=True),
-           "--out": dict(default=None)})
-
-    box = sub.add_parser("box").add_subparsers(dest="cmd", required=True)
-    add(box, "build", cmd_box_build,
-        **{"--m": dict(type=int, required=True),
-           "--boxes": dict(type=int, required=True),
-           "--spacing": dict(default=None),
-           "--F": dict(default=None), "--R": dict(default="1/1"),
-           "--eps": dict(default="1/4"),
-           "--out": dict(default=None),
-           "--family-out": dict(dest="family_out", default=None),
-           "--report": dict(default=None)})
-
-    runp = sub.add_parser("run")
-    runp.add_argument("--config", required=True)
-    runp.add_argument("--out", required=True)
-    runp.add_argument("--seed", type=int, default=None)
-    runp.set_defaults(handler=cmd_run)
-
-    expl = sub.add_parser("explain")
-    expl.add_argument("report", nargs="?", default=None)
-    expl.add_argument("--report", dest="report_flag", default=None)
-    expl.set_defaults(handler=cmd_explain)
-
+    for group, commands in _COMMANDS.items():
+        parser = sub.add_parser(group)
+        if group != named:
+            continue
+        if isinstance(commands, tuple):
+            fill(parser, *commands)
+        else:
+            cmds = parser.add_subparsers(dest="cmd", required=True)
+            for name, (handler, flags) in commands.items():
+                fill(cmds.add_parser(name), handler, flags)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if getattr(args, "report_flag", None) is not None:
         args.report = args.report_flag

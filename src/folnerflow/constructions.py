@@ -20,6 +20,7 @@ from .jsonio import format_rational, format_ratio
 from .space import (
     PointId,
     WindowSpace,
+    check_radius,
     cycle_window,
     disjoint_union,
     product_with_interval,
@@ -44,8 +45,8 @@ def foelner_search(space: WindowSpace, R, epsilon):
     None when the window admits none at this size (which is not evidence
     of non-amenability).
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
+    epsilon = check_radius(epsilon, "epsilon")
+    if epsilon == 0:
         raise ValueError("epsilon must be positive")
     interior = frozenset(space.interior_points(R))
     for center in range(space.n):
@@ -433,8 +434,8 @@ def box_family(model: BoxSpaceModel, F, R, epsilon) -> tuple[IndexedFamily, BoxF
     F = sorted(set(F))
     if not F:
         raise ValueError("Folner set F is empty")
-    R = Fraction(R)
-    epsilon = Fraction(epsilon)
+    R = check_radius(R, "R")
+    epsilon = check_radius(epsilon, "epsilon")
     Fset = set(F)
 
     # Folner precondition for F in the integers, checked exactly

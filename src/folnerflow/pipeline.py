@@ -25,20 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import constructions, families
-from . import rips as rips_mod
-from . import tails as tails_mod
-from .flatten import flatten_family
-from .chains import (
-    IndexedFamily,
-    MultisetFamily,
-    family_to_json,
-    multiset_family_to_json,
-    verify_family,
-)
 from .errors import ConfigError, FolnerflowError, PipelineStageError
 from .jsonio import dump_json, format_rational, parse_ids, parse_rational
-from .space import generate, space_to_json
 
 
 @dataclass
@@ -94,9 +82,12 @@ class PipelineConfig:
 
 
 # -- stage kinds: run functions (inputs, params, rng) -> (object, docs, summary)
+# Each imports the modules it runs, so a CLI child (and `explain`) loads no
+# more than its own stage needs.
 
 
 def _chain_family(fam, kind):
+    from .chains import IndexedFamily
     if not isinstance(fam, IndexedFamily):
         raise ConfigError(f"{kind} needs a weighted chain family, not a multiset family or "
                           "a bare space (use family_from_multisets or transport)")
@@ -104,25 +95,29 @@ def _chain_family(fam, kind):
 
 
 def _generate(inputs, p, rng):
+    from .space import generate, space_to_json
     space = generate(p.get("spec"))
     return space, {"": space_to_json(space)}, {"points": space.n, "frontier": len(space.frontier)}
 
 
 def _rips(inputs, p, rng):
+    from .rips import build_rips, check_coarsely_unbounded, rips_to_json
     space = inputs["space"]
-    rg = rips_mod.build_rips(space, parse_rational(p.get("r", "1/1")))
-    reach = rips_mod.check_coarsely_unbounded(space, rg)
-    return (rg, space.frontier), {"": rips_mod.rips_to_json(space, rg)}, {
+    rg = build_rips(space, parse_rational(p.get("r", "1/1")))
+    reach = check_coarsely_unbounded(space, rg)
+    return (rg, space.frontier), {"": rips_to_json(space, rg)}, {
         "components": len(rg.components), "edges": rg.edge_count(),
         "all_components_reach_frontier": reach.passed}
 
 
 def _flow(inputs, p, rng):
-    flow = rips_mod.build_flow_from_parts(*inputs["rips"])
-    return flow, {"": rips_mod.flow_to_json(flow)}, {"sinks": sorted(flow.sinks)}
+    from .rips import build_flow_from_parts, flow_to_json
+    flow = build_flow_from_parts(*inputs["rips"])
+    return flow, {"": flow_to_json(flow)}, {"sinks": sorted(flow.sinks)}
 
 
 def _family(inputs, p, rng):
+    from .chains import MultisetFamily, family_to_json, multiset_family_to_json
     fam = _make_family(inputs["space"], p, rng)
     if isinstance(fam, MultisetFamily):
         return fam, {"": multiset_family_to_json(fam)}, {"indices": len(fam.sets)}
@@ -130,43 +125,52 @@ def _family(inputs, p, rng):
 
 
 def _flatten(inputs, p, rng):
+    from .chains import family_to_json
+    from .flatten import flatten_family
+    from .rips import check_flow_on_space
     fam = _chain_family(inputs["family"], "flatten")
-    rips_mod.check_flow_on_space(inputs["flow"], fam.space)
+    check_flow_on_space(inputs["flow"], fam.space)
     out, report = flatten_family(fam, inputs["flow"], on_escape=p.get("on_escape", "raise"))
     summary = report.to_json()
     return out, {"": family_to_json(out), ".report": summary}, summary
 
 
 def _tails(inputs, p, rng):
-    cover = tails_mod.build_tree_tails(inputs["space"])
+    from .tails import build_tree_tails, cover_to_json
+    cover = build_tree_tails(inputs["space"])
     summary = {"K": cover.K, "r": format_rational(cover.r)}
-    return cover, {"": tails_mod.cover_to_json(cover)}, summary
+    return cover, {"": cover_to_json(cover)}, summary
 
 
 def _transport(inputs, p, rng):
+    from .chains import MultisetFamily, family_to_json
+    from .tails import check_cover_on_space, tail_transport
     if not isinstance(inputs["family"], MultisetFamily):
         raise ConfigError("transport needs a multiset family")
-    tails_mod.check_cover_on_space(inputs["tails"], inputs["space"])
-    out = tails_mod.tail_transport(inputs["family"], inputs["tails"], inputs["space"])
+    check_cover_on_space(inputs["tails"], inputs["space"])
+    out = tail_transport(inputs["family"], inputs["tails"], inputs["space"])
     return out, {"": family_to_json(out)}, {
         "indices": len(out.chains), "new_S": format_rational(out.params.S),
         "epsilon": format_rational(out.params.epsilon)}
 
 
 def _box(inputs, p, rng):
+    from .chains import family_to_json
+    from .constructions import box_family, build_box_space
+    from .space import space_to_json
     spacing = p.get("spacing")
-    model = constructions.build_box_space(
-        p["m"], p["boxes"], spacing and [parse_rational(s) for s in spacing])
+    model = build_box_space(p["m"], p["boxes"], spacing and [parse_rational(s) for s in spacing])
     docs = {".space": space_to_json(model.space)}
     if p["F"] is None:  # the box space alone, as `box build` without --F
         return model.space, docs, {}
-    fam, report = constructions.box_family(
+    fam, report = box_family(
         model, parse_ids(p["F"]), parse_rational(p["R"]), parse_rational(p["epsilon"]))
     summary = report.to_json()
     return fam, {**docs, "": family_to_json(fam), ".report": summary}, summary
 
 
 def _verify(inputs, p, rng):
+    from .chains import verify_family
     fam = _chain_family(inputs["family"], "verify")
     report = verify_family(fam, require_flat=p.get("require_flat", False))
     summary = report.to_json()
@@ -174,6 +178,7 @@ def _verify(inputs, p, rng):
 
 
 def _make_family(space, p, rng):
+    from . import families
     kind = p.get("kind")
     R = parse_rational(p.get("R", "1/1"))
     eps = parse_rational(p.get("epsilon", "1/4"))
@@ -187,7 +192,8 @@ def _make_family(space, p, rng):
     if kind == "singletons":
         return families.singleton_family(space, R, eps, core=core)
     if kind == "translates":
-        return constructions.group_foelner_family(space, parse_ids(p["F"]), R, eps, core=core)
+        from .constructions import group_foelner_family
+        return group_foelner_family(space, parse_ids(p["F"]), R, eps, core=core)
     if kind == "random_multiset":
         return families.random_multiset_family(
             space, rng, M=p["M"], size=p["size"],

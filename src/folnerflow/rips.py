@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import ConfigError, NotCoarselyUnbounded
 from .jsonio import format_rational, load_json, parse_rational
-from .space import PointId, WindowSpace
+from .space import PointId, WindowSpace, check_radius
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class RipsGraph:
 
 def build_rips(space: WindowSpace, r) -> RipsGraph:
     """Exact-threshold neighbourhood graph of the window at scale r."""
-    r = Fraction(r)
-    if r <= 0:
+    r = check_radius(r, "scale")
+    if r == 0:
         raise ValueError(f"scale must be positive, got {r}")
     points = range(space.n)
     neighbors = tuple(b - {x} for x, b in zip(points, space.balls(points, r)))

@@ -161,7 +161,7 @@ class WindowSpace:
     # -- metric queries ----------------------------------------------------
 
     def _check_point(self, x: PointId):
-        if not (isinstance(x, int) and 0 <= x < self.n):
+        if not (type(x) is int and 0 <= x < self.n):
             raise KeyError(f"unknown point id {x!r}")
 
     def _limit(self, R) -> int:

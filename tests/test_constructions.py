@@ -77,6 +77,18 @@ class TestRadiusValidation:
             with pytest.raises(ValueError, match="radius"):
                 foelner_search(space, R, Fraction(1, 4))
 
+    @pytest.mark.parametrize("eps", [0.1, 0.25, True, -1])
+    def test_foelner_search_epsilon(self, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            foelner_search(grid_window(1, -50, 49), 1, eps)
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, -1])
+    @pytest.mark.parametrize("name", ["R", "epsilon"])
+    def test_box_family(self, name, value):
+        args = {"R": 1, "epsilon": Fraction(1, 4), name: value}
+        with pytest.raises(ValueError, match=name):
+            box_family(build_box_space(4, 5), range(10), args["R"], args["epsilon"])
+
 
 class TestFoelnerSearch:
     def test_line_window(self):

@@ -64,6 +64,11 @@ class TestBuildRips:
         with pytest.raises(ValueError):
             build_rips(cycle_window(4), 0)
 
+    @pytest.mark.parametrize("r", [0.1, 1.0, True, -1])
+    def test_float_or_bool_scale_rejected(self, r):
+        with pytest.raises(ValueError, match="scale"):
+            build_rips(grid_window(1, 0, 9), r)
+
 
 class TestCoarselyUnbounded:
     def test_line_passes(self):

@@ -103,6 +103,15 @@ class TestBalls:
         with pytest.raises(KeyError):
             cycle_window(5).dist(0, -1)
 
+    def test_bool_is_not_a_point(self):
+        for space in (grid_window(1, 0, 9), WindowSpace(2, matrix=[[0, 1], [1, 0]])):
+            with pytest.raises(KeyError):
+                space.ball(True, 1)
+            with pytest.raises(KeyError):
+                space.dist(True, 0)
+            with pytest.raises(KeyError):
+                space.nearest([True])
+
 
 class TestGrowthProfile:
     def test_integer_line(self):

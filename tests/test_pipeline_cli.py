@@ -1,5 +1,6 @@
 """Pipeline runs, determinism, report round-trips, CLI exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -583,3 +584,79 @@ class TestFlattenChecksFlowAgainstSpace:
         assert r.returncode == 2, r.stderr
         assert f"error: {message}" in r.stderr
         assert not (tmp_path / "flat.json").exists()
+
+
+def write_command_inputs(d):
+    """The input files for the commands `TestCommandBytes` pins."""
+    from folnerflow import ball_family, product_with_interval
+    from folnerflow.chains import Chain, FamilyParams, IndexedFamily
+    for name, space in (("line", grid_window(1, -50, 49)), ("small", grid_window(1, 0, 5)),
+                        ("tree", tree_window(2, 4)), ("X", grid_window(1, 0, 20)),
+                        ("Y", grid_window(1, 0, 40))):
+        dump_json(space_to_json(space), d / f"{name}.json")
+    cover = cover_to_json(build_tree_tails(tree_window(2, 4)))
+    dump_json(cover, d / "cover.json")
+    dump_json({**cover, "K": cover["K"] - 1}, d / "lowK.json")
+    dump_json(family_to_json(ball_family(grid_window(1, 0, 20), 2, R=1,
+                                         epsilon=Fraction(2, 3))), d / "pushfam.json")
+    dump_json({"f": [[x, 2 * x] for x in range(21)]}, d / "map.json")
+    prod = product_with_interval(grid_window(1, 0, 9), 2)
+    dump_json(space_to_json(prod), d / "prod.json")
+    fam = IndexedFamily(space=prod, chains={2 * z: Chain.from_set({8, 9, 2 * z}) for z in range(3, 7)},
+                        params=FamilyParams(R=1, epsilon=Fraction(1, 2), S=8))
+    dump_json(family_to_json(fam), d / "projfam.json")
+
+
+PUSH = ["coarse", "push", "--family", "pushfam.json", "--space", "X.json", "--target", "Y.json",
+        "--map", "map.json"]
+
+# argv -> (exit code, sha256 of stdout, {written file: sha256}), taken from
+# the per-command handlers before these commands became stage rows
+COMMAND_BYTES = {
+    ("space", "info", "--space", "line.json", "--radii", "1,2,5"):
+        (0, "a5c418adc4db512ad1b951298d3e88ec8d3d57a1ceabcb18c4ce8f8b712fc657", {}),
+    ("space", "info", "--space", "tree.json"):
+        (0, "da6bc0605ada4f53790a31aaa3c3166e58281488e63d35bfea6da3a5484e1d65", {}),
+    ("tails", "verify", "--space", "tree.json", "--cover", "cover.json"):
+        (0, "0597f4b7a9df3ba86ba572147901e86d56e332e4592464d594efa180982c4ebc", {}),
+    ("tails", "verify", "--space", "tree.json", "--cover", "lowK.json"):
+        (1, "d72502710d2931f9ea739e46a675848745542458b187aa4659899c9e7d3f0951", {}),
+    ("amen", "boundary", "--space", "line.json", "--U", "50..59", "--R", "1"):
+        (0, "49a90f86834fb783b363a27d107b0f21c40ab838e6feca886948d6d5fa236e01", {}),
+    ("amen", "boundary", "--space", "line.json", "--U", "", "--R", "2"):
+        (0, "0e71e9e50eedbb83577692f25a99dd7130a1528eb19526c3f5e3c9f4ff4a8429", {}),
+    ("amen", "search", "--space", "line.json", "--R", "1", "--eps", "1/4"):
+        (0, "a1a19a7ebbd7a3b32626f7b2ffc2c37c5daaf769601639a2afe31d4c95fd935a", {}),
+    ("amen", "search", "--space", "small.json", "--R", "1", "--eps", "1/100"):
+        (1, "40972f4141f9667fbcb19e1ef6615071f7a19b8aeaa89690f4aa4b6a683a196a", {}),
+    (*PUSH, "--out", "pushed.json"):
+        (0, "feb2113d5c1d11906a21156cb12d962f96ead5538ce13377e1ffc5082990ecac",
+         {"pushed.json": "d84a57bf08ee3fb4025b50da45ec0a4be8019fa9e9c3798b2fec64e67a2ba5e8"}),
+    (*PUSH, "--target-R", "2", "--out", "wide.json"):
+        (0, "4e92c12f3f45a55cd70615efee05ab48d161897b950ec5afef69f1445b0fdb97",
+         {"wide.json": "1de8b342125af811fcda190bac8a5c0c4fc91ff47fbd4f257576b4991182c6cc"}),
+    ("coarse", "project", "--family", "projfam.json", "--space", "prod.json",
+     "--out", "projected.json"):
+        (0, "b6304d5ff1e48c85877a3b00fb978025247414f58c56f424c72d6c6e281d181e",
+         {"projected.json": "219be9b23f2935d8ab9d8e8a0fa3db777743e9332a097d40f03ea61d53ebaafb"}),
+}
+
+
+def command_bytes(argv, cwd):
+    before = set(cwd.iterdir())
+    r = subprocess.run([sys.executable, "-m", "folnerflow.cli", *argv], capture_output=True,
+                       cwd=cwd, env=child_env())
+    sha = lambda b: hashlib.sha256(b).hexdigest()
+    assert r.stderr == b""
+    return r.returncode, sha(r.stdout), {
+        p.name: sha(p.read_bytes()) for p in sorted(set(cwd.iterdir()) - before)}
+
+
+class TestCommandBytes:
+    """Stdout, exit code and written files of the commands that run a
+    stage kind of their own, byte for byte."""
+
+    @pytest.mark.parametrize("argv", COMMAND_BYTES, ids=" ".join)
+    def test_pinned(self, tmp_path, argv):
+        write_command_inputs(tmp_path)
+        assert command_bytes(argv, tmp_path) == COMMAND_BYTES[argv]

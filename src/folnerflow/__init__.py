@@ -32,8 +32,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {  # public name -> the submodule that defines it
     **dict.fromkeys(("Chain", "FamilyParams", "FamilyReport", "INFINITE_RATIO", "IndexedFamily",
-                     "MultisetFamily", "base_and_towers", "family_from_multisets",
-                     "l1_distance", "ratio", "verify_family"), "chains"),
+                     "MultisetFamily", "base_and_towers", "family_from_multisets", "ratio",
+                     "verify_family"), "chains"),
     **dict.fromkeys(("BoxFamilyReport", "BoxSpaceModel", "CoarseMapModel", "boundary",
                      "box_family", "build_box_space", "foelner_search", "group_foelner_family",
                      "project_family", "pushforward_injective", "subspace"), "constructions"),

@@ -1,10 +1,9 @@
 """Sparse positive integer 0-chains and indexed families over a window.
 
 A chain assigns a positive integer weight to finitely many points (a
-multiset of points); the algebra here is the pointwise lattice: meet,
-join, truncated difference, l1 norm. A family {a_x} attaches one chain to
-each index point, together with the parameters (R, epsilon, S, M) it
-claims to satisfy:
+multiset of points). A family {a_x} attaches one chain to each index
+point, together with the parameters (R, epsilon, S, M) it claims to
+satisfy:
 
   * for indices x, y at distance <= R, the symmetric-difference-to-
     intersection ratio ||a_x - a_y||_1 / ||a_x ^ a_y||_1 is < epsilon;
@@ -15,7 +14,9 @@ All ratio comparisons are exact: values are Fractions, and a pair whose
 meet vanishes gets the distinguished INFINITE_RATIO, which fails every
 epsilon test. `ratio` sums the meet in one pass over the smaller support and
 gets ||a - b||_1 = ||a||_1 + ||b||_1 - 2 ||a ^ b||_1, true for nonnegative
-chains as |u - v| = u + v - 2 min(u, v).
+chains as |u - v| = u + v - 2 min(u, v). The pointwise lattice (meet,
+join, truncated difference) lives in the tests, as the reference `ratio`
+is checked against.
 """
 
 from __future__ import annotations
@@ -113,52 +114,6 @@ class Chain(Mapping):
     def is_flat(self) -> bool:
         """True when 0,1-valued."""
         return all(v == 1 for v in self._w.values())
-
-    def __le__(self, other: "Chain") -> bool:
-        """Pointwise comparison."""
-        return all(v <= other[x] for x, v in self._w.items())
-
-    def meet(self, other: "Chain") -> "Chain":
-        """Pointwise minimum."""
-        small, big = (self, other) if len(self) <= len(other) else (other, self)
-        bw = big._w
-        return Chain._trusted({x: min(v, bw[x]) for x, v in small._w.items() if x in bw})
-
-    def join(self, other: "Chain") -> "Chain":
-        """Pointwise maximum."""
-        out = dict(self._w)
-        for x, v in other._w.items():
-            if v > out.get(x, 0):
-                out[x] = v
-        return Chain._trusted(out)
-
-    def setminus(self, other: "Chain") -> "Chain":
-        """Truncated difference: self - (self ^ other), never negative."""
-        ow = other._w
-        return Chain._trusted({x: v - ow.get(x, 0) for x, v in self._w.items() if v > ow.get(x, 0)})
-
-    def scale(self, k: int) -> "Chain":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"scale factor must be an int >= 0, got {k!r}")
-        return Chain._trusted({x: k * v for x, v in self._w.items()} if k else {})
-
-    def add(self, other: "Chain") -> "Chain":
-        out = dict(self._w)
-        for x, v in other._w.items():
-            out[x] = out.get(x, 0) + v
-        return Chain._trusted(out)
-
-
-def l1_distance(a: Chain, b: Chain) -> int:
-    """Sum of |a(x) - b(x)| over all points."""
-    aw, bw = a._w, b._w
-    total = 0
-    for x, v in aw.items():
-        total += abs(v - bw.get(x, 0))
-    for x, v in bw.items():
-        if x not in aw:
-            total += v
-    return total
 
 
 def ratio(a: Chain, b: Chain):

@@ -210,7 +210,7 @@ def pushforward_injective(
     max_radius = max(target.support_radius(y, c.keys()) for y, c in chains.items())
 
     params = FamilyParams(
-        R=fam.params.R if target_R is None else Fraction(target_R),
+        R=fam.params.R if target_R is None else check_radius(target_R, "target_R"),
         epsilon=fam.params.epsilon,
         S=max_radius,
         M=fam.params.M,

@@ -8,20 +8,23 @@ config and seed reproduce every byte of every artifact.
 
 `STAGES` is the one table of stage kinds. Each entry gives the kind's
 inputs (role -> the producer kinds that role accepts), its run function
-`(inputs, params, rng) -> (object, {file suffix: JSON doc}, summary)` and
-its `explain` blurb; doc suffix `s` lands in `<stage name><s>.json`. A
-stage's live object is what loading its artifact returns (the `rips`
-object is `(RipsGraph, frontier)`, as `load_rips` gives it), so the CLI
-commands load their files and call the same run functions.
+`(inputs, params, rng) -> (object, {file suffix: JSON doc}, summary)`,
+its `explain` blurb and its failure rule (summary -> whether the stage
+failed); doc suffix `s` lands in `<stage name><s>.json`. A stage's live
+object is what loading its artifact returns (the `rips` object is
+`(RipsGraph, frontier)`, as `load_rips` gives it). Every CLI command but
+`run` and `explain` is one stage kind: it loads its files and calls the
+same run function, and exits 1 where the failure rule holds.
 
-The run passes iff every verify stage passes and no flatten stage
-reported escapes; `explain` renders the stored report for humans.
+The run passes iff no stage fails its rule; `explain` renders the stored
+report for humans.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -50,29 +53,21 @@ class PipelineConfig:
         names = set()
         for i, s in enumerate(doc["stages"]):
             try:
-                stage = Stage(
-                    name=s["name"],
-                    kind=s["kind"],
-                    params=s.get("params", {}),
-                    inputs=s.get("inputs", {}),
-                )
+                stage = Stage(name=s["name"], kind=s["kind"], params=s.get("params", {}),
+                              inputs=s.get("inputs", {}))
             except (KeyError, TypeError) as e:
                 raise ConfigError(f"stage {i} is missing {e}") from e
             for key, v in (("params", stage.params), ("inputs", stage.inputs)):
                 if not isinstance(v, dict):
                     raise ConfigError(f"stage {stage.name!r}: {key} must be an object, got {v!r}")
             if stage.kind not in STAGES:
-                raise ConfigError(
-                    f"stage {stage.name!r}: unknown kind {stage.kind!r}"
-                )
+                raise ConfigError(f"stage {stage.name!r}: unknown kind {stage.kind!r}")
             if stage.name in names:
                 raise ConfigError(f"duplicate stage name {stage.name!r}")
             for role, ref in stage.inputs.items():
                 if ref not in names:
-                    raise ConfigError(
-                        f"stage {stage.name!r} references {ref!r} as its "
-                        f"{role}, but no earlier stage has that name"
-                    )
+                    raise ConfigError(f"stage {stage.name!r} references {ref!r} as its "
+                                      f"{role}, but no earlier stage has that name")
             names.add(stage.name)
             stages.append(stage)
         seed = doc.get("seed", 0)
@@ -92,6 +87,14 @@ def _chain_family(fam, kind):
         raise ConfigError(f"{kind} needs a weighted chain family, not a multiset family or "
                           "a bare space (use family_from_multisets or transport)")
     return fam
+
+
+def _rationals(v):
+    """A list of rationals, or the CLI's comma-separated string of one;
+    None when absent or empty."""
+    if v is None or v == "":
+        return None
+    return [parse_rational(s) for s in (v.split(",") if isinstance(v, str) else v)]
 
 
 def _generate(inputs, p, rng):
@@ -145,10 +148,13 @@ def _tails(inputs, p, rng):
 def _transport(inputs, p, rng):
     from .chains import MultisetFamily, family_to_json
     from .tails import check_cover_on_space, tail_transport
-    if not isinstance(inputs["family"], MultisetFamily):
+    fam, M = inputs["family"], p.get("M")
+    if not isinstance(fam, MultisetFamily):
         raise ConfigError("transport needs a multiset family")
+    if M is not None and M != fam.M:
+        raise ConfigError(f"--M {M} does not match the family's height bound {fam.M}")
     check_cover_on_space(inputs["tails"], inputs["space"])
-    out = tail_transport(inputs["family"], inputs["tails"], inputs["space"])
+    out = tail_transport(fam, inputs["tails"], inputs["space"])
     return out, {"": family_to_json(out)}, {
         "indices": len(out.chains), "new_S": format_rational(out.params.S),
         "epsilon": format_rational(out.params.epsilon)}
@@ -158,8 +164,7 @@ def _box(inputs, p, rng):
     from .chains import family_to_json
     from .constructions import box_family, build_box_space
     from .space import space_to_json
-    spacing = p.get("spacing")
-    model = build_box_space(p["m"], p["boxes"], spacing and [parse_rational(s) for s in spacing])
+    model = build_box_space(p["m"], p["boxes"], _rationals(p.get("spacing")))
     docs = {".space": space_to_json(model.space)}
     if p["F"] is None:  # the box space alone, as `box build` without --F
         return model.space, docs, {}
@@ -175,6 +180,65 @@ def _verify(inputs, p, rng):
     report = verify_family(fam, require_flat=p.get("require_flat", False))
     summary = report.to_json()
     return report, {".report": summary}, summary
+
+
+def _info(inputs, p, rng):
+    from .space import growth_profile
+    space, radii = inputs["space"], _rationals(p.get("radii"))
+    doc = {"label": space.label, "points": space.n, "frontier": sorted(space.frontier),
+           "growth": growth_profile(space, radii).to_json() if radii else {}}
+    return doc, {"": doc}, doc
+
+
+def _verify_tails(inputs, p, rng):
+    from .tails import verify_tail_cover
+    summary = verify_tail_cover(inputs["tails"], inputs["space"]).to_json()
+    return summary, {".report": summary}, summary
+
+
+def _boundary(inputs, p, rng):
+    from .constructions import boundary
+    U = parse_ids(p["U"])
+    b = boundary(inputs["space"], U, parse_rational(p["R"]))
+    doc = {"boundary": sorted(b), "size": len(b),
+           "ratio": format_rational(Fraction(len(b), len(U))) if U else None}
+    return b, {"": doc}, doc
+
+
+def _search(inputs, p, rng):
+    from .constructions import boundary, foelner_search
+    space, R = inputs["space"], parse_rational(p["R"])
+    U = foelner_search(space, R, parse_rational(p["epsilon"]))
+    doc = {"found": U is not None, "witness": U and sorted(U)}
+    if U is not None:
+        b = boundary(space, U, R)
+        doc.update(size=len(U), boundary_size=len(b),
+                   ratio=format_rational(Fraction(len(b), len(U))))
+    return U, {"": doc}, doc
+
+
+def _push(inputs, p, rng):
+    from .chains import family_to_json
+    from .constructions import pushforward_injective
+    f = {}
+    for x, y in p["map"]:
+        if x in f:
+            raise ConfigError(f"the map lists domain point {x} twice")
+        f[x] = y
+    R = p.get("target_R")
+    out = pushforward_injective(_chain_family(inputs["family"], "push"), f, inputs["target"],
+                                target_R=parse_rational(R) if R else None)
+    return out, {"": family_to_json(out)}, {
+        "indices": len(out.chains), "new_S": format_rational(out.params.S)}
+
+
+def _project(inputs, p, rng):
+    from .chains import family_to_json
+    from .constructions import project_family
+    fam = _chain_family(inputs["family"], "project")
+    out = project_family(fam.space, fam)
+    return out, {"": family_to_json(out)}, {
+        "indices": len(out.chains), "epsilon": format_rational(out.params.epsilon)}
 
 
 def _make_family(space, p, rng):
@@ -209,10 +273,7 @@ def _resolve_core(space, core):
         index = space.meta.get("coord_index")
         if index is None:
             raise ConfigError("coordinate cores need a grid window")
-        return [
-            pid for c, pid in sorted(index.items())
-            if all(lo <= v <= hi for v in c)
-        ]
+        return [pid for c, pid in sorted(index.items()) if all(lo <= v <= hi for v in c)]
     return [int(x) for x in core]
 
 
@@ -220,28 +281,47 @@ class StageKind(NamedTuple):
     inputs: dict  # role -> the producer kinds it accepts
     run: Callable  # (inputs, params, rng) -> (object, {file suffix: JSON doc}, summary)
     blurb: str  # what `explain` says the stage does
+    fails: Callable = lambda summary: False  # whether the stage failed: run fails, CLI exits 1
 
 
 _SPACE = ("generate", "box")
+_FAMILY = ("family", "flatten", "transport", "box")
+_not_passed = lambda summary: not summary["passed"]
 STAGES = {
     "generate": StageKind({}, _generate, "window construction (exact metric, frontier marking)"),
+    "info": StageKind({"space": _SPACE}, _info, "point count, frontier and largest interior "
+                      "ball per radius"),
     "rips": StageKind({"space": _SPACE}, _rips, "scale-r neighbourhood graph and component split"),
     "flow": StageKind({"rips": ("rips",)}, _flow,
                       "exit flow: one tree edge per point toward a frontier sink"),
     "family": StageKind({"space": _SPACE}, _family, "family construction"),
     "flatten": StageKind({"family": ("family", "transport"), "flow": ("flow",)}, _flatten,
                          "tower shifting to a 0,1-valued family; checks that the worst "
-                         "symmetric-difference/intersection ratio never grows"),
+                         "symmetric-difference/intersection ratio never grows",
+                         lambda summary: bool(summary["escaped_indices"])),
     "tails": StageKind({"space": ("generate",)}, _tails,
                        "escape-sequence cover with bounded per-point multiplicity"),
+    "verify_tails": StageKind({"tails": ("tails",), "space": _SPACE}, _verify_tails,
+                              "tail cover check: each tail steps at most r to the frontier, "
+                              "and no point lies on more than K tails", _not_passed),
     "transport": StageKind({"family": ("family",), "tails": ("tails",), "space": _SPACE},
                            _transport, "level-to-space transport along tails; ratios can "
                            "grow by at most the cover multiplicity K"),
+    "boundary": StageKind({"space": _SPACE}, _boundary,
+                          "R-boundary of a point set and its size per point"),
+    "search": StageKind({"space": _SPACE}, _search, "Folner search: the first interior ball "
+                        "whose R-boundary is at most epsilon times its size", 
+                        lambda summary: not summary["found"]),
+    "push": StageKind({"family": _FAMILY, "target": _SPACE}, _push,
+                      "pushforward along an injective map into a denser target window"),
+    "project": StageKind({"family": _FAMILY}, _project, "projection from an interval "
+                         "product; epsilon scales by the number of levels"),
     "box": StageKind({}, _box, "translate family on cyclic quotients; deep boxes must "
-                     "reproduce integer translate counting exactly"),
-    "verify": StageKind({"family": ("family", "flatten", "transport", "box")}, _verify,
+                     "reproduce integer translate counting exactly",
+                     lambda summary: summary.get("equalities_hold") is False),
+    "verify": StageKind({"family": _FAMILY}, _verify,
                         "ratio bound at range R, support-radius bound S, and "
-                        "(optionally) 0,1-valuedness"),
+                        "(optionally) 0,1-valuedness", _not_passed),
 }
 
 
@@ -271,12 +351,10 @@ def run(config: PipelineConfig, out_dir, *, seed=None) -> dict:
                 raise ConfigError(f"stage {stage.name!r} needs an input {role!r}")
             kind, obj = done.get(ref, (None, None))
             if kind not in kinds:
-                raise ConfigError(
-                    f"stage {stage.name!r}: input {ref!r} is a {kind} stage, "
-                    f"expected one of {kinds}"
-                )
+                raise ConfigError(f"stage {stage.name!r}: input {ref!r} is a {kind} stage, "
+                                  f"expected one of {kinds}")
             # a box stage's object is its family, which carries the space
-            inputs[role] = getattr(obj, "space", obj) if role == "space" else obj
+            inputs[role] = getattr(obj, "space", obj) if role in ("space", "target") else obj
         rng = random.Random(f"{seed}/{stage.name}")
         try:
             obj, docs, summary = spec.run(inputs, _Params(stage.params), rng)
@@ -288,16 +366,11 @@ def run(config: PipelineConfig, out_dir, *, seed=None) -> dict:
             dump_json(doc, out / f"{stage.name}{suffix}.json")
         done[stage.name] = (stage.kind, obj)
         summaries.append({"name": stage.name, "kind": stage.kind, **summary})
-        if (stage.kind == "verify" and not summary.get("passed", False)
-                or stage.kind == "flatten" and summary.get("escaped_indices")):
+        if spec.fails(summary):
             failures.append(stage.name)
 
-    report = {
-        "seed": seed,
-        "stages": summaries,
-        "failed_stages": failures,
-        "passed": not failures,
-    }
+    report = {"seed": seed, "stages": summaries, "failed_stages": failures,
+              "passed": not failures}
     dump_json(report, out / "report.json")
     return report
 
@@ -310,55 +383,35 @@ def explain(report: dict) -> str:
     and the worst witnesses it found."""
     if "stages" not in report:
         raise ConfigError("not a run report: missing 'stages'")
-    lines = []
-    verdict = "PASS" if report.get("passed") else "FAIL"
-    lines.append(f"run verdict: {verdict} (seed {report.get('seed')})")
+    lines = [f"run verdict: {'PASS' if report.get('passed') else 'FAIL'} "
+             f"(seed {report.get('seed')})"]
     for s in report["stages"]:
         kind = s.get("kind", "?")
         lines.append(f"- {s.get('name')}: {STAGES[kind].blurb if kind in STAGES else kind}")
-        if kind == "verify":
-            if s.get("passed"):
-                lines.append(
-                    f"    all {s.get('pairs_checked', 0)} in-range pairs pass; "
-                    f"worst ratio {s.get('worst_ratio')} at pair {s.get('worst_pair')}"
-                )
-            else:
-                for x, y, q in s.get("ratio_violations", [])[:5]:
-                    lines.append(
-                        f"    ratio violation: pair ({x},{y}) has ratio {q}"
-                    )
-                for x, d in s.get("support_violations", [])[:5]:
-                    lines.append(
-                        f"    support violation: index {x} reaches radius {d}"
-                    )
-                if s.get("flat_violations"):
-                    lines.append(
-                        f"    not 0,1-valued at indices {s['flat_violations'][:10]}"
-                    )
+        if kind == "verify" and s.get("passed"):
+            lines.append(f"    all {s.get('pairs_checked', 0)} in-range pairs pass; worst "
+                         f"ratio {s.get('worst_ratio')} at pair {s.get('worst_pair')}")
+        elif kind == "verify":
+            lines += [f"    ratio violation: pair ({x},{y}) has ratio {q}"
+                      for x, y, q in s.get("ratio_violations", [])[:5]]
+            lines += [f"    support violation: index {x} reaches radius {d}"
+                      for x, d in s.get("support_violations", [])[:5]]
+            if s.get("flat_violations"):
+                lines.append(f"    not 0,1-valued at indices {s['flat_violations'][:10]}")
         elif kind == "flatten":
-            lines.append(
-                f"    worst ratio {s.get('worst_ratio_before')} -> "
-                f"{s.get('worst_ratio_after')} in <= {s.get('max_steps')} steps; "
-                f"new support bound {s.get('new_S')}"
-            )
+            lines.append(f"    worst ratio {s.get('worst_ratio_before')} -> "
+                         f"{s.get('worst_ratio_after')} in <= {s.get('max_steps')} steps; "
+                         f"new support bound {s.get('new_S')}")
             for x, t in sorted((s.get("escaped_traces") or {}).items()):
-                r = parse_rational(s.get("r", "1/1"))
-                S = parse_rational(s.get("input_S", "0/1"))
-                margin = r * t["bound"] + S
-                lines.append(
-                    f"    escaped at index {x} after {t['steps']} steps; a "
-                    f"window margin of {format_rational(margin)} around the "
-                    "index is always sufficient"
-                )
+                r, S = parse_rational(s.get("r", "1/1")), parse_rational(s.get("input_S", "0/1"))
+                lines.append(f"    escaped at index {x} after {t['steps']} steps; a window "
+                             f"margin of {format_rational(r * t['bound'] + S)} around the "
+                             "index is always sufficient")
         elif kind == "box":
-            lines.append(
-                f"    catch-all boxes: j <= {s.get('J')}; deep-box equalities "
-                f"{'hold' if s.get('equalities_hold') else 'FAIL'}; worst "
-                f"ratio {s.get('worst_ratio')}"
-            )
+            lines.append(f"    catch-all boxes: j <= {s.get('J')}; deep-box equalities "
+                         f"{'hold' if s.get('equalities_hold') else 'FAIL'}; worst "
+                         f"ratio {s.get('worst_ratio')}")
         elif kind == "transport":
-            lines.append(
-                f"    new support bound {s.get('new_S')}, target epsilon "
-                f"{s.get('epsilon')}"
-            )
+            lines.append(f"    new support bound {s.get('new_S')}, target epsilon "
+                         f"{s.get('epsilon')}")
     return "\n".join(lines) + "\n"

@@ -167,6 +167,44 @@ def set_ratio(A: set, B: set):
     return Fraction(len(A ^ B), inter)
 
 
+# -- the chain lattice, pointwise from its definitions ------------------------
+# `chains.ratio` sums the meet in one pass; these are its reference, and the
+# operations the flatten contraction claims are stated in.
+
+
+def leq(a: Chain, b: Chain) -> bool:
+    """Pointwise a <= b."""
+    return all(v <= b[x] for x, v in a.items())
+
+
+def meet(a: Chain, b: Chain) -> Chain:
+    """Pointwise minimum."""
+    return Chain({x: min(v, b[x]) for x, v in a.items()})
+
+
+def join(a: Chain, b: Chain) -> Chain:
+    """Pointwise maximum."""
+    return Chain({x: max(a[x], b[x]) for x in {*a, *b}})
+
+
+def setminus(a: Chain, b: Chain) -> Chain:
+    """Truncated difference a - (a ^ b), never negative."""
+    return Chain({x: v - min(v, b[x]) for x, v in a.items()})
+
+
+def add(a: Chain, b: Chain) -> Chain:
+    return Chain({x: a[x] + b[x] for x in {*a, *b}})
+
+
+def scale(a: Chain, k: int) -> Chain:
+    return Chain({x: k * v for x, v in a.items()})
+
+
+def l1_distance(a: Chain, b: Chain) -> int:
+    """Sum of |a(x) - b(x)| over all points."""
+    return sum(abs(a[x] - b[x]) for x in {*a, *b})
+
+
 # -- random generators ----------------------------------------------------------
 
 

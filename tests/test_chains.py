@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import set_ratio
+from conftest import add, join, l1_distance, leq, meet, scale, set_ratio, setminus
 from folnerflow import (
     Chain,
     ConfigError,
@@ -18,7 +18,6 @@ from folnerflow import (
     ball_family,
     family_from_multisets,
     grid_window,
-    l1_distance,
     ratio,
     verify_family,
 )
@@ -34,22 +33,22 @@ chains = st.dictionaries(
 class TestLatticeOps:
     def test_setminus(self):
         a, b = Chain({0: 3}), Chain({0: 1})
-        assert a.setminus(b) == Chain({0: 2})
+        assert setminus(a, b) == Chain({0: 2})
 
     def test_identities_on_self(self):
         a = Chain({0: 3, 4: 1})
-        assert a.meet(a) == a
-        assert a.setminus(a) == Chain()
+        assert meet(a, a) == a
+        assert setminus(a, a) == Chain()
 
     def test_distance_and_meet(self):
         a, b = Chain({0: 2, 1: 1}), Chain({1: 3, 2: 1})
         # pointwise arithmetic: |2-0| + |1-3| + |0-1|
         assert l1_distance(a, b) == 5
-        assert a.meet(b).l1() == 1
+        assert meet(a, b).l1() == 1
 
     def test_join(self):
         a, b = Chain({0: 2, 1: 1}), Chain({1: 3, 2: 1})
-        assert a.join(b) == Chain({0: 2, 1: 3, 2: 1})
+        assert join(a, b) == Chain({0: 2, 1: 3, 2: 1})
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
@@ -71,17 +70,17 @@ class TestLatticeOps:
 
     @given(a=chains, b=chains)
     def test_distance_splits_into_one_sided_parts(self, a, b):
-        assert l1_distance(a, b) == a.setminus(b).l1() + b.setminus(a).l1()
+        assert l1_distance(a, b) == setminus(a, b).l1() + setminus(b, a).l1()
 
     @given(a=chains, b=chains)
     def test_meet_plus_setminus_reassembles(self, a, b):
-        assert a.meet(b).add(a.setminus(b)) == a
+        assert add(meet(a, b), setminus(a, b)) == a
 
     @given(a=chains, b=chains)
     def test_meet_join_are_bounds(self, a, b):
-        m, j = a.meet(b), a.join(b)
-        assert m <= a and m <= b
-        assert a <= j and b <= j
+        m, j = meet(a, b), join(a, b)
+        assert leq(m, a) and leq(m, b)
+        assert leq(a, j) and leq(b, j)
 
 
 class TestBaseAndTowers:
@@ -98,7 +97,7 @@ class TestBaseAndTowers:
     @given(a=chains)
     def test_split_reassembles(self, a):
         b, t = base_and_towers(a)
-        assert b.add(t) == a
+        assert add(b, t) == a
         assert b.is_flat()
 
 
@@ -118,8 +117,8 @@ class TestRatio:
     @given(a=chains, b=chains)
     def test_matches_meet_and_distance(self, a, b):
         # the one-pass meet and ||a-b|| = ||a|| + ||b|| - 2||a^b|| against
-        # the Chain.meet / l1_distance definitions
-        den = a.meet(b).l1()
+        # the pointwise meet / l1_distance definitions
+        den = meet(a, b).l1()
         expected = INFINITE_RATIO if den == 0 else Fraction(l1_distance(a, b), den)
         assert ratio(a, b) == expected
 
@@ -129,7 +128,7 @@ class TestRatio:
 
     @given(a=chains, b=chains, k=st.integers(min_value=1, max_value=5))
     def test_scaling_invariance(self, a, b, k):
-        assert ratio(a.scale(k), b.scale(k)) == ratio(a, b)
+        assert ratio(scale(a, k), scale(b, k)) == ratio(a, b)
 
 
 class TestFamilyParams:
@@ -181,7 +180,7 @@ class TestFamilyFromMultisets:
             fam = family_from_multisets(self.space, {0: A, 2: B}, self.params)
             a, b = fam.chains[0], fam.chains[2]
             assert l1_distance(a, b) <= len(A ^ B)
-            assert a.meet(b).l1() >= len(A & B)
+            assert meet(a, b).l1() >= len(A & B)
 
 
 class TestVerifyFamily:

@@ -89,6 +89,14 @@ class TestRadiusValidation:
         with pytest.raises(ValueError, match=name):
             box_family(build_box_space(4, 5), range(10), args["R"], args["epsilon"])
 
+    @pytest.mark.parametrize("R", [0.1, 1.0, True, -1])
+    def test_pushforward_target_R(self, R):
+        space = grid_window(1, 0, 9)
+        fam = IndexedFamily(space=space, chains={3: Chain.from_set({3, 4})},
+                            params=FamilyParams(R=1, epsilon=1, S=1))
+        with pytest.raises(ValueError, match="target_R"):
+            pushforward_injective(fam, {x: x for x in range(10)}, space, target_R=R)
+
 
 class TestFoelnerSearch:
     def test_line_window(self):

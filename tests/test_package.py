@@ -14,7 +14,7 @@ import folnerflow
 
 EXPORTED = [
     "Chain", "FamilyParams", "FamilyReport", "INFINITE_RATIO", "IndexedFamily",
-    "MultisetFamily", "base_and_towers", "family_from_multisets", "l1_distance", "ratio",
+    "MultisetFamily", "base_and_towers", "family_from_multisets", "ratio",
     "verify_family", "BoxFamilyReport", "BoxSpaceModel", "CoarseMapModel", "boundary",
     "box_family", "build_box_space", "foelner_search", "group_foelner_family", "project_family",
     "pushforward_injective", "subspace", "BranchingTooLow", "ConfigError", "EmptyImage",

@@ -469,6 +469,89 @@ class TestCliPipelineParity:
         assert (tmp_path / "bare.json").read_bytes() == (tmp_path / "boxes.space.json").read_bytes()
 
 
+    # stage kind -> (the CLI command, the pipeline artifact it must equal,
+    # the file the command writes, or None for its stdout)
+    KINDS = {
+        "info": (["space", "info", "--space", "out/line.json", "--radii", "1,2"],
+                 "about.json", None),
+        "verify_tails": (["tails", "verify", "--space", "out/tree.json", "--cover",
+                          "out/cover.json"], "tcheck.report.json", None),
+        "boundary": (["amen", "boundary", "--space", "out/line.json", "--U", "30..39",
+                      "--R", "2"], "edge.json", None),
+        "search": (["amen", "search", "--space", "out/line.json", "--R", "1", "--eps", "1/4"],
+                   "witness.json", None),
+        "push": (["coarse", "push", "--family", "out/balls.json", "--space", "out/X.json",
+                  "--target", "out/Y.json", "--map", "map.json", "--target-R", "2",
+                  "--out", "pushed.json"], "pushed.json", "pushed.json"),
+        "project": (["coarse", "project", "--family", "out/pballs.json", "--space",
+                     "out/prod.json", "--out", "proj.json"], "proj.json", "proj.json"),
+    }
+
+    @staticmethod
+    def kinds_config():
+        grid = lambda lo, hi: {"kind": "grid", "dim": 1, "low": lo, "high": hi}
+        gen = lambda name, spec: {"name": name, "kind": "generate", "params": {"spec": spec}}
+        balls = {"kind": "ball", "radius": "1/1", "R": "1/1", "epsilon": "2/3"}
+        return PipelineConfig.from_json({"stages": [
+            gen("line", grid(-30, 29)), gen("tree", {"kind": "tree", "branching": 2, "depth": 4}),
+            gen("X", grid(0, 20)), gen("Y", grid(0, 40)),
+            gen("prod", {"kind": "product", "base": grid(0, 9), "levels": 2}),
+            {"name": "about", "kind": "info", "params": {"radii": ["1", "2"]},
+             "inputs": {"space": "line"}},
+            {"name": "cover", "kind": "tails", "inputs": {"space": "tree"}},
+            {"name": "tcheck", "kind": "verify_tails", "inputs": {"tails": "cover", "space": "tree"}},
+            {"name": "edge", "kind": "boundary", "params": {"U": "30..39", "R": "2"},
+             "inputs": {"space": "line"}},
+            {"name": "witness", "kind": "search", "params": {"R": "1", "epsilon": "1/4"},
+             "inputs": {"space": "line"}},
+            {"name": "balls", "kind": "family", "params": balls, "inputs": {"space": "X"}},
+            {"name": "pushed", "kind": "push", "inputs": {"family": "balls", "target": "Y"},
+             "params": {"map": [[x, 2 * x] for x in range(21)], "target_R": "2"}},
+            {"name": "pballs", "kind": "family", "params": balls, "inputs": {"space": "prod"}},
+            {"name": "proj", "kind": "project", "inputs": {"family": "pballs"}},
+        ]})
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_new_kinds(self, tmp_path, kind):
+        report = run(self.kinds_config(), tmp_path / "out")
+        assert report["passed"]
+        dump_json({"f": [[x, 2 * x] for x in range(21)]}, tmp_path / "map.json")
+        argv, artifact, written = self.KINDS[kind]
+        r = run_cli(argv, tmp_path)
+        assert r.returncode == 0, r.stderr
+        want = (tmp_path / "out" / artifact).read_text()
+        if written is None:
+            assert r.stdout == want
+        else:
+            assert r.stdout == f"{written}\n"
+            assert (tmp_path / written).read_text() == want
+
+    def test_failure_rule_fails_the_run_and_the_command(self, tmp_path):
+        cfg = PipelineConfig.from_json({"stages": [
+            {"name": "win", "kind": "generate",
+             "params": {"spec": {"kind": "grid", "dim": 1, "low": 0, "high": 5}}},
+            {"name": "look", "kind": "search", "params": {"R": "1", "epsilon": "1/100"},
+             "inputs": {"space": "win"}},
+        ]})
+        report = run(cfg, tmp_path / "out")
+        assert report["failed_stages"] == ["look"] and not report["passed"]
+        assert "run verdict: FAIL" in explain(report)
+        r = run_cli(["amen", "search", "--space", "out/win.json", "--R", "1", "--eps", "1/100"],
+                    tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert r.stdout == (tmp_path / "out" / "look.json").read_text()
+
+    def test_every_command_is_a_stage_kind(self):
+        from folnerflow.cli import _COMMANDS
+        from folnerflow.pipeline import STAGES
+        rows = [row for group in _COMMANDS.values() if isinstance(group, dict)
+                for row in group.values()]
+        kinds = {kind for kind, _flags, _outputs in rows}
+        assert len(rows) == 14 and kinds <= set(STAGES)
+        # the family kind draws from the run's seeded RNG; it has no command
+        assert set(STAGES) - kinds == {"family"}
+
+
 class TestMalformedStages:
     @pytest.mark.parametrize("key, value", [("inputs", ["w"]), ("params", [1])])
     def test_params_and_inputs_must_be_objects(self, tmp_path, key, value):
@@ -550,6 +633,18 @@ class TestMalformedStages:
         assert not (tmp_path / "out.json").exists()
 
 
+class TestCoarsePushMap:
+    def test_point_listed_twice_is_exit_2(self, tmp_path):
+        write_command_inputs(tmp_path)
+        doc = json.loads((tmp_path / "map.json").read_text())
+        doc["f"].append([0, 11])
+        dump_json(doc, tmp_path / "map.json")
+        r = run_cli([*PUSH, "--out", "pushed.json"], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "error: the map lists domain point 0 twice" in r.stderr
+        assert not (tmp_path / "pushed.json").exists()
+
+
 class TestFlattenChecksFlowAgainstSpace:
     """`flatten run` (the flatten stage) rejects a flow file that does not
     fit --space, naming the offending edge or sink."""
@@ -602,7 +697,8 @@ def write_command_inputs(d):
     dump_json({"f": [[x, 2 * x] for x in range(21)]}, d / "map.json")
     prod = product_with_interval(grid_window(1, 0, 9), 2)
     dump_json(space_to_json(prod), d / "prod.json")
-    fam = IndexedFamily(space=prod, chains={2 * z: Chain.from_set({8, 9, 2 * z}) for z in range(3, 7)},
+    chains = {2 * z: Chain.from_set({8, 9, 2 * z}) for z in range(3, 7)}
+    fam = IndexedFamily(space=prod, chains=chains,
                         params=FamilyParams(R=1, epsilon=Fraction(1, 2), S=8))
     dump_json(family_to_json(fam), d / "projfam.json")
 

@@ -23,9 +23,9 @@ from .errors import FolnerflowError, InternalInvariantError
 from .jsonio import dump_json, load_json
 
 _lib = lambda module: importlib.import_module(f".{module}", __package__)
-# flag name -> loader(value, space), in load order; `space` is the --space a family
-# is read against, except in a stage that takes a space (transport's family is a
-# multiset family, which loads without one)
+# flag name -> loader(value, space), in load order: a file to load, or a comma list
+# to split; `space` is the --space a family is read against, except in a stage that
+# takes a space (transport's family is a multiset family, which loads without one)
 _LOADERS = {
     "spec": lambda s, _: json.loads(s) if s.lstrip().startswith("{") else load_json(s),
     "space": lambda path, _: _lib("space").load_space(path),
@@ -35,6 +35,7 @@ _LOADERS = {
     "rips": lambda path, _: _lib("rips").load_rips(path),
     "flow": lambda path, _: _lib("rips").load_flow(path),
     "tails": lambda path, _: _lib("tails").load_cover(path),
+    **dict.fromkeys(("radii", "spacing"), lambda s, _: s.split(",") if s else None),
 }
 _NAMES = {"cover": "tails", "eps": "epsilon", "flat": "require_flat"}  # flag -> stage name
 
@@ -43,8 +44,7 @@ def cmd_stage(args):
     """Load the files the row's flags name, run its stage kind, and write
     each doc to the file its row names or to stdout."""
     from .pipeline import STAGES
-    kind, _, outputs = args.row
-    stage = STAGES[kind]
+    stage, outputs = STAGES[args.row[0]], args.row[2]
     values = {_NAMES.get(k, k): v for k, v in vars(args).items()
               if k not in ("group", "cmd", "handler", "row", *(f for f, _ in outputs.values()))}
     aid = "space" not in stage.inputs  # then --space only serves to read the family

@@ -23,7 +23,6 @@ report for humans.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -32,16 +31,14 @@ from .errors import ConfigError, FolnerflowError, PipelineStageError
 from .jsonio import dump_json, format_rational, parse_ids, parse_rational
 
 
-@dataclass
-class Stage:
+class Stage(NamedTuple):
     name: str
     kind: str
-    params: dict = field(default_factory=dict)
-    inputs: dict = field(default_factory=dict)
+    params: dict
+    inputs: dict
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     stages: list
     seed: int = 0
 
@@ -53,21 +50,29 @@ class PipelineConfig:
         names = set()
         for i, s in enumerate(doc["stages"]):
             try:
-                stage = Stage(name=s["name"], kind=s["kind"], params=s.get("params", {}),
-                              inputs=s.get("inputs", {}))
+                stage = Stage(
+                    name=s["name"],
+                    kind=s["kind"],
+                    params=s.get("params", {}),
+                    inputs=s.get("inputs", {}),
+                )
             except (KeyError, TypeError) as e:
                 raise ConfigError(f"stage {i} is missing {e}") from e
             for key, v in (("params", stage.params), ("inputs", stage.inputs)):
                 if not isinstance(v, dict):
                     raise ConfigError(f"stage {stage.name!r}: {key} must be an object, got {v!r}")
             if stage.kind not in STAGES:
-                raise ConfigError(f"stage {stage.name!r}: unknown kind {stage.kind!r}")
+                raise ConfigError(
+                    f"stage {stage.name!r}: unknown kind {stage.kind!r}"
+                )
             if stage.name in names:
                 raise ConfigError(f"duplicate stage name {stage.name!r}")
             for role, ref in stage.inputs.items():
                 if ref not in names:
-                    raise ConfigError(f"stage {stage.name!r} references {ref!r} as its "
-                                      f"{role}, but no earlier stage has that name")
+                    raise ConfigError(
+                        f"stage {stage.name!r} references {ref!r} as its "
+                        f"{role}, but no earlier stage has that name"
+                    )
             names.add(stage.name)
             stages.append(stage)
         seed = doc.get("seed", 0)
@@ -87,14 +92,6 @@ def _chain_family(fam, kind):
         raise ConfigError(f"{kind} needs a weighted chain family, not a multiset family or "
                           "a bare space (use family_from_multisets or transport)")
     return fam
-
-
-def _rationals(v):
-    """A list of rationals, or the CLI's comma-separated string of one;
-    None when absent or empty."""
-    if v is None or v == "":
-        return None
-    return [parse_rational(s) for s in (v.split(",") if isinstance(v, str) else v)]
 
 
 def _generate(inputs, p, rng):
@@ -164,7 +161,8 @@ def _box(inputs, p, rng):
     from .chains import family_to_json
     from .constructions import box_family, build_box_space
     from .space import space_to_json
-    model = build_box_space(p["m"], p["boxes"], _rationals(p.get("spacing")))
+    spacing = p.get("spacing")
+    model = build_box_space(p["m"], p["boxes"], spacing and [parse_rational(s) for s in spacing])
     docs = {".space": space_to_json(model.space)}
     if p["F"] is None:  # the box space alone, as `box build` without --F
         return model.space, docs, {}
@@ -184,7 +182,7 @@ def _verify(inputs, p, rng):
 
 def _info(inputs, p, rng):
     from .space import growth_profile
-    space, radii = inputs["space"], _rationals(p.get("radii"))
+    space, radii = inputs["space"], [parse_rational(r) for r in p.get("radii") or []]
     doc = {"label": space.label, "points": space.n, "frontier": sorted(space.frontier),
            "growth": growth_profile(space, radii).to_json() if radii else {}}
     return doc, {"": doc}, doc
@@ -273,7 +271,10 @@ def _resolve_core(space, core):
         index = space.meta.get("coord_index")
         if index is None:
             raise ConfigError("coordinate cores need a grid window")
-        return [pid for c, pid in sorted(index.items()) if all(lo <= v <= hi for v in c)]
+        return [
+            pid for c, pid in sorted(index.items())
+            if all(lo <= v <= hi for v in c)
+        ]
     return [int(x) for x in core]
 
 
@@ -351,8 +352,10 @@ def run(config: PipelineConfig, out_dir, *, seed=None) -> dict:
                 raise ConfigError(f"stage {stage.name!r} needs an input {role!r}")
             kind, obj = done.get(ref, (None, None))
             if kind not in kinds:
-                raise ConfigError(f"stage {stage.name!r}: input {ref!r} is a {kind} stage, "
-                                  f"expected one of {kinds}")
+                raise ConfigError(
+                    f"stage {stage.name!r}: input {ref!r} is a {kind} stage, "
+                    f"expected one of {kinds}"
+                )
             # a box stage's object is its family, which carries the space
             inputs[role] = getattr(obj, "space", obj) if role in ("space", "target") else obj
         rng = random.Random(f"{seed}/{stage.name}")
@@ -369,8 +372,12 @@ def run(config: PipelineConfig, out_dir, *, seed=None) -> dict:
         if spec.fails(summary):
             failures.append(stage.name)
 
-    report = {"seed": seed, "stages": summaries, "failed_stages": failures,
-              "passed": not failures}
+    report = {
+        "seed": seed,
+        "stages": summaries,
+        "failed_stages": failures,
+        "passed": not failures,
+    }
     dump_json(report, out / "report.json")
     return report
 
@@ -383,35 +390,55 @@ def explain(report: dict) -> str:
     and the worst witnesses it found."""
     if "stages" not in report:
         raise ConfigError("not a run report: missing 'stages'")
-    lines = [f"run verdict: {'PASS' if report.get('passed') else 'FAIL'} "
-             f"(seed {report.get('seed')})"]
+    lines = []
+    verdict = "PASS" if report.get("passed") else "FAIL"
+    lines.append(f"run verdict: {verdict} (seed {report.get('seed')})")
     for s in report["stages"]:
         kind = s.get("kind", "?")
         lines.append(f"- {s.get('name')}: {STAGES[kind].blurb if kind in STAGES else kind}")
-        if kind == "verify" and s.get("passed"):
-            lines.append(f"    all {s.get('pairs_checked', 0)} in-range pairs pass; worst "
-                         f"ratio {s.get('worst_ratio')} at pair {s.get('worst_pair')}")
-        elif kind == "verify":
-            lines += [f"    ratio violation: pair ({x},{y}) has ratio {q}"
-                      for x, y, q in s.get("ratio_violations", [])[:5]]
-            lines += [f"    support violation: index {x} reaches radius {d}"
-                      for x, d in s.get("support_violations", [])[:5]]
-            if s.get("flat_violations"):
-                lines.append(f"    not 0,1-valued at indices {s['flat_violations'][:10]}")
+        if kind == "verify":
+            if s.get("passed"):
+                lines.append(
+                    f"    all {s.get('pairs_checked', 0)} in-range pairs pass; "
+                    f"worst ratio {s.get('worst_ratio')} at pair {s.get('worst_pair')}"
+                )
+            else:
+                for x, y, q in s.get("ratio_violations", [])[:5]:
+                    lines.append(
+                        f"    ratio violation: pair ({x},{y}) has ratio {q}"
+                    )
+                for x, d in s.get("support_violations", [])[:5]:
+                    lines.append(
+                        f"    support violation: index {x} reaches radius {d}"
+                    )
+                if s.get("flat_violations"):
+                    lines.append(
+                        f"    not 0,1-valued at indices {s['flat_violations'][:10]}"
+                    )
         elif kind == "flatten":
-            lines.append(f"    worst ratio {s.get('worst_ratio_before')} -> "
-                         f"{s.get('worst_ratio_after')} in <= {s.get('max_steps')} steps; "
-                         f"new support bound {s.get('new_S')}")
+            lines.append(
+                f"    worst ratio {s.get('worst_ratio_before')} -> "
+                f"{s.get('worst_ratio_after')} in <= {s.get('max_steps')} steps; "
+                f"new support bound {s.get('new_S')}"
+            )
             for x, t in sorted((s.get("escaped_traces") or {}).items()):
-                r, S = parse_rational(s.get("r", "1/1")), parse_rational(s.get("input_S", "0/1"))
-                lines.append(f"    escaped at index {x} after {t['steps']} steps; a window "
-                             f"margin of {format_rational(r * t['bound'] + S)} around the "
-                             "index is always sufficient")
+                r = parse_rational(s.get("r", "1/1"))
+                S = parse_rational(s.get("input_S", "0/1"))
+                margin = r * t["bound"] + S
+                lines.append(
+                    f"    escaped at index {x} after {t['steps']} steps; a "
+                    f"window margin of {format_rational(margin)} around the "
+                    "index is always sufficient"
+                )
         elif kind == "box":
-            lines.append(f"    catch-all boxes: j <= {s.get('J')}; deep-box equalities "
-                         f"{'hold' if s.get('equalities_hold') else 'FAIL'}; worst "
-                         f"ratio {s.get('worst_ratio')}")
+            lines.append(
+                f"    catch-all boxes: j <= {s.get('J')}; deep-box equalities "
+                f"{'hold' if s.get('equalities_hold') else 'FAIL'}; worst "
+                f"ratio {s.get('worst_ratio')}"
+            )
         elif kind == "transport":
-            lines.append(f"    new support bound {s.get('new_S')}, target epsilon "
-                         f"{s.get('epsilon')}")
+            lines.append(
+                f"    new support bound {s.get('new_S')}, target epsilon "
+                f"{s.get('epsilon')}"
+            )
     return "\n".join(lines) + "\n"

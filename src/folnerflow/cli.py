@@ -47,10 +47,10 @@ def cmd_stage(args):
     stage, outputs = STAGES[args.row[0]], args.row[2]
     values = {_NAMES.get(k, k): v for k, v in vars(args).items()
               if k not in ("group", "cmd", "handler", "row", *(f for f, _ in outputs.values()))}
-    aid = "space" not in stage.inputs  # then --space only serves to read the family
+    reads_family = "space" not in stage.inputs  # so --space serves only to read the family
     for name, load in _LOADERS.items():
         if values.get(name) is not None:
-            values[name] = load(values[name], values.get("space") if aid else None)
+            values[name] = load(values[name], values.get("space") if reads_family else None)
     inputs = {role: values.pop(role) for role in stage.inputs}
     values.pop("space", None)
     _, docs, summary = stage.run(inputs, values, None)

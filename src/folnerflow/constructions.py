@@ -195,6 +195,7 @@ def pushforward_injective(
     """
     if not f:
         raise EmptyImage("the map has no points")
+    R = fam.params.R if target_R is None else check_radius(target_R, "target_R")
     values = list(f.values())
     if len(set(values)) != len(values):
         raise ValueError("map is not injective")
@@ -210,7 +211,7 @@ def pushforward_injective(
     max_radius = max(target.support_radius(y, c.keys()) for y, c in chains.items())
 
     params = FamilyParams(
-        R=fam.params.R if target_R is None else check_radius(target_R, "target_R"),
+        R=R,
         epsilon=fam.params.epsilon,
         S=max_radius,
         M=fam.params.M,

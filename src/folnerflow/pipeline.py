@@ -287,7 +287,6 @@ class StageKind(NamedTuple):
 
 _SPACE = ("generate", "box")
 _FAMILY = ("family", "flatten", "transport", "box")
-_not_passed = lambda summary: not summary["passed"]
 STAGES = {
     "generate": StageKind({}, _generate, "window construction (exact metric, frontier marking)"),
     "info": StageKind({"space": _SPACE}, _info, "point count, frontier and largest interior "
@@ -304,14 +303,15 @@ STAGES = {
                        "escape-sequence cover with bounded per-point multiplicity"),
     "verify_tails": StageKind({"tails": ("tails",), "space": _SPACE}, _verify_tails,
                               "tail cover check: each tail steps at most r to the frontier, "
-                              "and no point lies on more than K tails", _not_passed),
+                              "and no point lies on more than K tails",
+                              lambda summary: not summary["passed"]),
     "transport": StageKind({"family": ("family",), "tails": ("tails",), "space": _SPACE},
                            _transport, "level-to-space transport along tails; ratios can "
                            "grow by at most the cover multiplicity K"),
     "boundary": StageKind({"space": _SPACE}, _boundary,
                           "R-boundary of a point set and its size per point"),
     "search": StageKind({"space": _SPACE}, _search, "Folner search: the first interior ball "
-                        "whose R-boundary is at most epsilon times its size", 
+                        "whose R-boundary is at most epsilon times its size",
                         lambda summary: not summary["found"]),
     "push": StageKind({"family": _FAMILY, "target": _SPACE}, _push,
                       "pushforward along an injective map into a denser target window"),
@@ -322,7 +322,7 @@ STAGES = {
                      lambda summary: summary.get("equalities_hold") is False),
     "verify": StageKind({"family": _FAMILY}, _verify,
                         "ratio bound at range R, support-radius bound S, and "
-                        "(optionally) 0,1-valuedness", _not_passed),
+                        "(optionally) 0,1-valuedness", lambda summary: not summary["passed"]),
 }
 
 

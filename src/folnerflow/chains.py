@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
-from .jsonio import format_rational, format_ratio, load_json, parse_rational
+from .jsonio import Doc, load_json, parse_rational, to_doc
 from .space import WindowSpace, check_radius
 
 #: distinguished ratio for pairs with empty intersection; fails every
@@ -142,7 +142,7 @@ def base_and_towers(a: Chain) -> tuple[Chain, Chain]:
 
 
 @dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Doc):
     """Claimed parameters of an indexed family."""
 
     R: Fraction
@@ -157,14 +157,6 @@ class FamilyParams:
             raise ValueError("epsilon must be positive")
         if self.M < 0:
             raise ValueError("M must be >= 0")
-
-    def to_json(self):
-        return {
-            "R": format_rational(self.R),
-            "epsilon": format_rational(self.epsilon),
-            "S": format_rational(self.S),
-            "M": self.M,
-        }
 
     @classmethod
     def from_json(cls, doc):
@@ -247,8 +239,9 @@ def family_from_multisets(space: WindowSpace, sets, params: FamilyParams) -> Ind
 
 
 @dataclass
-class FamilyReport:
-    """Outcome of checking a family against its claimed parameters."""
+class FamilyReport(Doc):
+    """Outcome of checking a family against its claimed parameters; its
+    doc names `pair_count` "pairs_checked"."""
 
     passed: bool
     pair_count: int
@@ -260,20 +253,9 @@ class FamilyReport:
     flat_violations: list  # [x]
 
     def to_json(self):
-        return {
-            "passed": self.passed,
-            "pairs_checked": self.pair_count,
-            "worst_ratio": None if self.worst_ratio is None else format_ratio(self.worst_ratio),
-            "worst_pair": list(self.worst_pair) if self.worst_pair else None,
-            "max_support_radius": format_rational(self.max_support_radius),
-            "ratio_violations": [
-                [x, y, format_ratio(q)] for x, y, q in self.ratio_violations
-            ],
-            "support_violations": [
-                [x, format_rational(d)] for x, d in self.support_violations
-            ],
-            "flat_violations": list(self.flat_violations),
-        }
+        doc = to_doc(vars(self))
+        doc["pairs_checked"] = doc.pop("pair_count")
+        return doc
 
 
 def in_range_pairs(space: WindowSpace, indices, R):
@@ -345,11 +327,20 @@ def family_to_json(fam: IndexedFamily) -> dict:
 
 
 def family_from_json(doc, space: WindowSpace) -> IndexedFamily:
+    """ConfigError naming the first index or chain point that is not an id of the space."""
     try:
         params = FamilyParams.from_json(doc["params"])
         chains = {x: chain_from_json(c) for x, c in doc["chains"]}
     except (KeyError, TypeError) as e:
         raise ConfigError(f"bad family file: {e}") from e
+    n = space.n
+    for x, c in chains.items():
+        if type(x) is not int or not 0 <= x < n:
+            raise ConfigError(f"family index {x!r} is not a point id in 0..{n - 1}")
+        for z in c:
+            if type(z) is not int or not 0 <= z < n:
+                raise ConfigError(f"the chain at index {x} has point {z!r}, "
+                                  f"outside the space's 0..{n - 1}")
     try:
         return IndexedFamily(space=space, chains=chains, params=params)
     except ValueError as e:

@@ -31,10 +31,10 @@ _LOADERS = {
     "space": lambda path, _: _lib("space").load_space(path),
     "target": lambda path, _: _lib("space").load_space(path),
     "family": lambda path, space: _lib("chains").load_family(path, space),
-    "map": lambda path, _: load_json(path)["f"],
-    "rips": lambda path, _: _lib("rips").load_rips(path),
-    "flow": lambda path, _: _lib("rips").load_flow(path),
-    "tails": lambda path, _: _lib("tails").load_cover(path),
+    "map": lambda path, _: load_json(path).get("f"),
+    "rips": lambda path, _: _lib("rips").rips_from_json(load_json(path)),
+    "flow": lambda path, _: _lib("rips").flow_from_json(load_json(path)),
+    "tails": lambda path, _: _lib("tails").cover_from_json(load_json(path)),
     **dict.fromkeys(("radii", "spacing"), lambda s, _: s.split(",") if s else None),
 }
 _NAMES = {"cover": "tails", "eps": "epsilon", "flat": "require_flat"}  # flag -> stage name
@@ -172,7 +172,8 @@ def main(argv=None) -> int:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 3
     except (FolnerflowError, ValueError, KeyError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message
+        print(f"error: {e.args[0] if isinstance(e, KeyError) and e.args else e}", file=sys.stderr)
         return 2
 
 

@@ -16,15 +16,8 @@ from fractions import Fraction
 
 from .chains import Chain, FamilyParams, IndexedFamily, ratio
 from .errors import EmptyImage, TranslateEscapesWindow, WindowTooSmall
-from .jsonio import format_rational, format_ratio
-from .space import (
-    PointId,
-    WindowSpace,
-    check_radius,
-    cycle_window,
-    disjoint_union,
-    product_with_interval,
-)
+from .jsonio import Doc
+from .space import WindowSpace, check_radius, cycle_window, disjoint_union, product_with_interval
 
 # -- boundaries and Folner sets ---------------------------------------------
 
@@ -360,10 +353,6 @@ class BoxSpaceModel:
     def size(self, j: int) -> int:
         return self.sizes[j - 1]
 
-    def pi(self, j: int, g: int) -> PointId:
-        """Global id of the image of the integer g in box j."""
-        return self.offsets[j - 1] + (g % self.sizes[j - 1])
-
     def box_points(self, j: int) -> range:
         return range(self.offsets[j - 1], self.offsets[j - 1] + self.sizes[j - 1])
 
@@ -393,7 +382,7 @@ def build_box_space(m: int, boxes: int, spacing=None) -> BoxSpaceModel:
 
 
 @dataclass
-class BoxFamilyReport:
+class BoxFamilyReport(Doc):
     S: Fraction
     J: int
     injectivity_threshold: int  # least cycle length for faithful translate counting
@@ -402,20 +391,6 @@ class BoxFamilyReport:
     equality_failures: list  # [(j, gbar, hbar)]
     worst_ratio: object
     worst_model_ratio: object  # worst |gF /\ hF| ratio in the integers
-
-    def to_json(self):
-        return {
-            "S": format_rational(self.S),
-            "J": self.J,
-            "injectivity_threshold": self.injectivity_threshold,
-            "pairs_checked": self.pairs_checked,
-            "equalities_hold": self.equalities_hold,
-            "equality_failures": [list(t) for t in self.equality_failures],
-            "worst_ratio": None if self.worst_ratio is None
-            else format_ratio(self.worst_ratio),
-            "worst_model_ratio": None if self.worst_model_ratio is None
-            else format_ratio(self.worst_model_ratio),
-        }
 
 
 def box_family(model: BoxSpaceModel, F, R, epsilon) -> tuple[IndexedFamily, BoxFamilyReport]:

@@ -38,12 +38,12 @@ from fractions import Fraction
 
 from .chains import Chain, FamilyParams, IndexedFamily, base_and_towers, in_range_pairs, ratio
 from .errors import FlowEscaped, InternalInvariantError
-from .jsonio import format_ratio, format_rational
+from .jsonio import Doc, format_ratio
 from .rips import FlowField
 
 
 @dataclass(frozen=True)
-class FlattenTrace:
+class FlattenTrace(Doc):
     """What one flattening run did: actual steps taken, the a-priori step
     budget ||a||_1 * ||towers(a)||_1, and how far the support can have
     spread (one flow edge of length <= r per step)."""
@@ -52,14 +52,6 @@ class FlattenTrace:
     bound: int
     support_radius_growth: Fraction
     escaped: bool = False
-
-    def to_json(self):
-        return {
-            "steps": self.steps,
-            "bound": self.bound,
-            "support_radius_growth": format_rational(self.support_radius_growth),
-            "escaped": self.escaped,
-        }
 
 
 def _check_domain(a: Chain, flow: FlowField):
@@ -144,7 +136,7 @@ def flatten(a: Chain, flow: FlowField) -> tuple[Chain, FlattenTrace]:
 
 
 @dataclass
-class FlattenReport:
+class FlattenReport(Doc):
     """Family-level flattening outcome, with the exact before/after worst
     ratios over in-range index pairs and the support-radius update."""
 
@@ -157,26 +149,6 @@ class FlattenReport:
     escaped_indices: list
     escaped_traces: dict  # index -> FlattenTrace
     pair_regressions: list  # [(x, y, before, after)] -- always empty
-
-    def to_json(self):
-        return {
-            "worst_ratio_before": None if self.worst_ratio_before is None
-            else format_ratio(self.worst_ratio_before),
-            "worst_ratio_after": None if self.worst_ratio_after is None
-            else format_ratio(self.worst_ratio_after),
-            "max_steps": self.max_steps,
-            "new_S": format_rational(self.new_S),
-            "input_S": format_rational(self.input_S),
-            "r": format_rational(self.r),
-            "escaped_indices": sorted(self.escaped_indices),
-            "escaped_traces": {
-                str(x): t.to_json() for x, t in sorted(self.escaped_traces.items())
-            },
-            "pair_regressions": [
-                [x, y, format_ratio(b), format_ratio(c)]
-                for x, y, b, c in self.pair_regressions
-            ],
-        }
 
 
 def flatten_family(

@@ -1,8 +1,12 @@
 """JSON helpers: exact rationals as "p/q" strings, deterministic dumps.
 
-Every number that crosses a file boundary is an exact rational rendered as
-a string; floats never appear in artifacts. The distinguished infinite
-ratio serializes as the string "infinity".
+Every number that crosses a file boundary is an int or an exact rational
+rendered as a string; floats never appear in artifacts. `to_doc` is the one
+rendering rule: a Fraction becomes "p/q", the distinguished infinite ratio
+"infinity", lists and tuples lists, dict keys strings (rationals as "p/q"),
+and a `Doc` record the doc of its fields; ints, bools, str and None pass
+through, and any other value, a float above all, is a TypeError. A `Doc`
+record's JSON keys are its field names.
 """
 
 from __future__ import annotations
@@ -38,6 +42,43 @@ def format_ratio(v) -> str:
     if v == math.inf:
         return "infinity"
     return format_rational(v)
+
+
+def _key(k) -> str:
+    t = type(k)
+    if t is str:
+        return k
+    if t is int:
+        return str(k)
+    if t is Fraction:
+        return f"{k.numerator}/{k.denominator}"
+    raise TypeError(f"cannot render {k!r} as a JSON key")
+
+
+def to_doc(v):
+    """The JSON doc of an exact value, by the rule in the module docstring.
+    Dispatch is on the exact type, the common leaves first."""
+    t = type(v)
+    if t is int or t is str or t is bool or v is None:
+        return v
+    if t is Fraction:
+        return f"{v.numerator}/{v.denominator}"
+    if t is list or t is tuple:
+        return [to_doc(x) for x in v]
+    if t is dict:
+        return {_key(k): to_doc(x) for k, x in v.items()}
+    if t is float and v == math.inf:
+        return "infinity"
+    if isinstance(v, Doc):
+        return v.to_json()
+    raise TypeError(f"{v!r} ({t.__name__}) cannot go into an artifact")
+
+
+class Doc:
+    """A report record whose JSON doc is its fields under their own names."""
+
+    def to_json(self) -> dict:
+        return to_doc(vars(self))
 
 
 def parse_ids(spec) -> list:

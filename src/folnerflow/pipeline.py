@@ -12,7 +12,7 @@ inputs (role -> the producer kinds that role accepts), its run function
 its `explain` blurb and its failure rule (summary -> whether the stage
 failed); doc suffix `s` lands in `<stage name><s>.json`. A stage's live
 object is what loading its artifact returns (the `rips` object is
-`(RipsGraph, frontier)`, as `load_rips` gives it). Every CLI command but
+`(RipsGraph, frontier)`, as `rips_from_json` gives it). Every CLI command but
 `run` and `explain` is one stage kind: it loads its files and calls the
 same run function, and exits 1 where the failure rule holds.
 
@@ -219,7 +219,13 @@ def _push(inputs, p, rng):
     from .chains import family_to_json
     from .constructions import pushforward_injective
     f = {}
-    for x, y in p["map"]:
+    if type(p["map"]) not in (list, tuple):
+        raise ConfigError(f"the map must be a list of [x, y] pairs, got {p['map']!r}")
+    for entry in p["map"]:
+        if not (type(entry) in (list, tuple) and len(entry) == 2
+                and all(type(v) is int for v in entry)):
+            raise ConfigError(f"the map entry {entry!r} is not two int ids")
+        x, y = entry
         if x in f:
             raise ConfigError(f"the map lists domain point {x} twice")
         f[x] = y
@@ -275,7 +281,12 @@ def _resolve_core(space, core):
             pid for c, pid in sorted(index.items())
             if all(lo <= v <= hi for v in c)
         ]
-    return [int(x) for x in core]
+    if type(core) not in (list, tuple):
+        raise ConfigError(f"core must be a list of point ids or coords, got {core!r}")
+    for x in core:
+        if type(x) is not int:
+            raise ConfigError(f"core entry {x!r} is not an int point id")
+    return core
 
 
 class StageKind(NamedTuple):

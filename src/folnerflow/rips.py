@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigError, NotCoarselyUnbounded
-from .jsonio import format_rational, load_json, parse_rational
+from .jsonio import format_rational, parse_rational
 from .space import PointId, WindowSpace, check_radius
 
 
@@ -77,13 +77,6 @@ class UnboundednessReport:
     passed: bool
     component_count: int
     bounded_components: list  # list[tuple[PointId, ...]]
-
-    def to_json(self):
-        return {
-            "passed": self.passed,
-            "components": self.component_count,
-            "bounded_components": [list(c) for c in self.bounded_components],
-        }
 
 
 def check_coarsely_unbounded(space: WindowSpace, rips: RipsGraph) -> UnboundednessReport:
@@ -280,11 +273,3 @@ def flow_from_json(doc: dict) -> FlowField:
         raise ConfigError(f"flow file missing field: {e}") from e
     except ValueError as e:
         raise ConfigError(f"flow file is corrupt: {e}") from e
-
-
-def load_rips(path) -> tuple[RipsGraph, frozenset]:
-    return rips_from_json(load_json(path))
-
-
-def load_flow(path) -> FlowField:
-    return flow_from_json(load_json(path))

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigError
-from .jsonio import dump_json, format_rational, load_json, parse_rational
+from .jsonio import dump_json, format_rational, load_json, parse_rational, to_doc
 
 PointId = int
 # the weights of a unit-weight graph, whose `_wts` is None, for zip
@@ -375,10 +375,7 @@ class GrowthProfile:
         return self.values[Fraction(R)]
 
     def to_json(self):
-        return {
-            format_rational(R): v
-            for R, v in sorted(self.values.items())
-        }
+        return to_doc(dict(sorted(self.values.items())))
 
 
 def growth_profile(space: WindowSpace, radii) -> GrowthProfile:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .chains import Chain, FamilyParams, IndexedFamily, MultisetFamily
 from .errors import BranchingTooLow, ConfigError, TailTooShort
-from .jsonio import format_rational, load_json, parse_rational
+from .jsonio import Doc, format_rational, parse_rational
 from .space import PointId, WindowSpace
 
 
@@ -42,7 +42,7 @@ class TailCover:
 
 
 @dataclass
-class TailCoverReport:
+class TailCoverReport(Doc):
     passed: bool
     measured_K: int
     measured_step: object  # Fraction | None when no tail has two points
@@ -51,23 +51,6 @@ class TailCoverReport:
     step_violations: list  # [(x, j, d)] steps longer than r
     multiplicity_violations: list  # [(z, count)] points hit by > K tails
     frontier_violations: list  # [x] whose tail does not end on the frontier
-
-    def to_json(self):
-        return {
-            "passed": self.passed,
-            "measured_K": self.measured_K,
-            "measured_step": None if self.measured_step is None
-            else format_rational(self.measured_step),
-            "start_violations": list(self.start_violations),
-            "distinct_violations": list(self.distinct_violations),
-            "step_violations": [
-                [x, j, format_rational(d)] for x, j, d in self.step_violations
-            ],
-            "multiplicity_violations": [
-                [z, c] for z, c in self.multiplicity_violations
-            ],
-            "frontier_violations": list(self.frontier_violations),
-        }
 
 
 def verify_tail_cover(cover: TailCover, space: WindowSpace) -> TailCoverReport:
@@ -261,7 +244,3 @@ def check_cover_on_space(cover: TailCover, space: WindowSpace) -> None:
     if report.frontier_violations:
         raise ConfigError(f"the tail of point {report.frontier_violations[0]} "
                           "does not end on the frontier")
-
-
-def load_cover(path) -> TailCover:
-    return cover_from_json(load_json(path))

@@ -13,12 +13,18 @@ from folnerflow import (
     ConfigError,
     FamilyParams,
     MultisetFamily,
+    WindowSpace,
     build_tree_tails,
     grid_window,
     singleton_family,
     tree_window,
 )
-from folnerflow.chains import family_to_json, load_family, multiset_family_to_json
+from folnerflow.chains import (
+    family_from_json,
+    family_to_json,
+    load_family,
+    multiset_family_to_json,
+)
 from folnerflow.constructions import box_family, build_box_space
 from folnerflow.jsonio import dump_json, parse_ids
 from folnerflow.pipeline import PipelineConfig, explain, run
@@ -430,6 +436,24 @@ class TestStageParams:
         with pytest.raises(ConfigError, match="stage 'check': verify needs a weighted chain"):
             run(cfg, tmp_path)
 
+    @pytest.mark.parametrize("core, message", [
+        ([3, 1.7], "core entry 1.7 is not an int point id"),
+        ([True], "core entry True is not an int point id"),
+        (["5"], "core entry '5' is not an int point id"),
+        ("3..9", "core must be a list of point ids or coords, got '3..9'"),
+    ], ids=["float", "bool", "str", "range-string"])
+    def test_core_entries_must_be_int_ids(self, tmp_path, core, message):
+        cfg = PipelineConfig.from_json({"stages": [
+            {"name": "win", "kind": "generate",
+             "params": {"spec": {"kind": "grid", "dim": 1, "low": 0, "high": 20}}},
+            {"name": "fam", "kind": "family",
+             "params": {"kind": "singletons", "core": core}, "inputs": {"space": "win"}},
+        ]})
+        with pytest.raises(ConfigError) as info:
+            run(cfg, tmp_path)
+        assert str(info.value) == f"stage 'fam': {message}"
+        assert not (tmp_path / "fam.json").exists()
+
 
 class TestCliPipelineParity:
     """The CLI commands and the pipeline stages share one run function per
@@ -644,6 +668,66 @@ class TestCoarsePushMap:
         assert "error: the map lists domain point 0 twice" in r.stderr
         assert not (tmp_path / "pushed.json").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"f": [1, 2]}, "the map entry 1 is not two int ids"),
+        ({"f": [[0, 0], [1, 2, 3]]}, "the map entry [1, 2, 3] is not two int ids"),
+        ({"f": [[0, 0], ["1", 2]]}, "the map entry ['1', 2] is not two int ids"),
+        ({"f": {"0": 0}}, "the map must be a list of [x, y] pairs, got {'0': 0}"),
+        ({"g": []}, "the map must be a list of [x, y] pairs, got None"),
+    ], ids=["int", "triple", "str-id", "object", "no-f"])
+    def test_entry_not_a_pair_is_exit_2(self, tmp_path, doc, message):
+        write_command_inputs(tmp_path)
+        dump_json(doc, tmp_path / "map.json")
+        r = run_cli([*PUSH, "--out", "pushed.json"], tmp_path)
+        assert (r.returncode, r.stderr) == (2, f"error: {message}\n")
+        assert not (tmp_path / "pushed.json").exists()
+
+
+class TestFamilyIdsAgainstSpace:
+    """Every command that loads an indexed family against --space rejects an
+    index or chain point that is not an id of the space, before any work."""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda c: c[3][1]["weights"].append([500, 1]),
+         "the chain at index 3 has point 500, outside the space's 0..20"),
+        (lambda c: c[3].__setitem__(0, 400), "family index 400 is not a point id in 0..20"),
+        (lambda c: c[3][1]["weights"].append([-1, 1]),
+         "the chain at index 3 has point -1, outside the space's 0..20"),
+        (lambda c: c[1].__setitem__(0, True), "family index True is not a point id in 0..20"),
+    ], ids=["point", "index", "negative-point", "bool-index"])
+    def test_loader_names_the_misfit(self, mutate, message):
+        X = grid_window(1, 0, 20)
+        doc = family_to_json(singleton_family(X, 1, Fraction(1, 4)))
+        mutate(doc["chains"])
+        with pytest.raises(ConfigError) as info:
+            family_from_json(doc, X)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("argv", [
+        ["family", "verify"],
+        ["flatten", "run", "--flow", "flow.json", "--out", "out.json"],
+        ["coarse", "push", "--target", "Y.json", "--map", "map.json", "--out", "out.json"],
+        ["coarse", "project", "--out", "out.json"],
+    ], ids=" ".join)
+    def test_every_command_is_exit_2(self, tmp_path, argv):
+        write_command_inputs(tmp_path)
+        X = grid_window(1, 0, 20)
+        dump_json(flow_to_json(build_flow(X, build_rips(X, 1))), tmp_path / "flow.json")
+        doc = json.loads((tmp_path / "pushfam.json").read_text())
+        doc["chains"][3][1]["weights"].append([500, 1])
+        dump_json(doc, tmp_path / "fam.json")
+        r = run_cli([*argv, "--family", "fam.json", "--space", "X.json"], tmp_path)
+        message = "the chain at index 3 has point 500, outside the space's 0..20"
+        assert (r.returncode, r.stderr) == (2, f"error: {message}\n")
+        assert not (tmp_path / "out.json").exists()
+
+
+class TestUnknownPointMessage:
+    def test_no_repr_quotes(self, tmp_path):
+        write_command_inputs(tmp_path)
+        r = run_cli(["amen", "boundary", "--space", "X.json", "--U", "500", "--R", "1"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: unknown point id 500\n")
+
 
 class TestFlattenChecksFlowAgainstSpace:
     """`flatten run` (the flatten stage) rejects a flow file that does not
@@ -701,6 +785,9 @@ def write_command_inputs(d):
     fam = IndexedFamily(space=prod, chains=chains,
                         params=FamilyParams(R=1, epsilon=Fraction(1, 2), S=8))
     dump_json(family_to_json(fam), d / "projfam.json")
+    pos = [0, Fraction(1, 2), 2, 3, Fraction(9, 2), 5, 7]  # a matrix metric: points of a line
+    dump_json(space_to_json(WindowSpace(7, frontier=(0, 6), matrix=[
+        [abs(a - b) for b in pos] for a in pos])), d / "matrix.json")
 
 
 PUSH = ["coarse", "push", "--family", "pushfam.json", "--space", "X.json", "--target", "Y.json",
@@ -735,6 +822,10 @@ COMMAND_BYTES = {
      "--out", "projected.json"):
         (0, "b6304d5ff1e48c85877a3b00fb978025247414f58c56f424c72d6c6e281d181e",
          {"projected.json": "219be9b23f2935d8ab9d8e8a0fa3db777743e9332a097d40f03ea61d53ebaafb"}),
+    # the matrix branch of `neighborhood` at R equal to a distance, pinned before the
+    # report records shared one renderer
+    ("amen", "boundary", "--space", "matrix.json", "--U", "2..4", "--R", "3/2"):
+        (0, "391ddd9b4bdc8281e779d7b5466542a119c6672529be6bae1f50b25d7d6fc187", {}),
 }
 
 

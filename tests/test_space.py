@@ -241,6 +241,7 @@ class TestMetricCoreOracle:
         assert space.neighborhood(U, R) == closed_neighborhood(D, U, R)
         # the same metric as a matrix space, which has its own scale L
         matrix = WindowSpace(n, frontier=frontier, matrix=D)
+        assert matrix.neighborhood(U, R) == closed_neighborhood(D, U, R)
         P = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
         sources = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
         for s in (space, matrix):

@@ -10,13 +10,13 @@ satisfy:
   * every chain is supported within distance S of its index;
   * weights count multiset levels 0..M (M = 0 means a plain set family).
 
-All ratio comparisons are exact: values are Fractions, and a pair whose
-meet vanishes gets the distinguished INFINITE_RATIO, which fails every
-epsilon test. `ratio` sums the meet in one pass over the smaller support and
-gets ||a - b||_1 = ||a||_1 + ||b||_1 - 2 ||a ^ b||_1, true for nonnegative
-chains as |u - v| = u + v - 2 min(u, v). The pointwise lattice (meet,
-join, truncated difference) lives in the tests, as the reference `ratio`
-is checked against.
+All ratio comparisons are exact. A pair's int terms (||a - b||_1, ||a ^ b||_1)
+sum the meet over the smaller support (for flat chains: the size of the support
+intersection) and use ||a - b||_1 = ||a||_1 + ||b||_1 - 2 ||a ^ b||_1, as |u - v|
+= u + v - 2 min(u, v) for u, v >= 0. Passes compare int terms by cross-multiplying;
+a meet of 0 is the INFINITE_RATIO that fails every epsilon test. `ratio` (the
+terms as one Fraction) is the passes' reference, and the pointwise lattice
+(meet, join, truncated difference) in the tests is the reference for `ratio`.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class Chain(Mapping):
     @classmethod
     def from_set(cls, points) -> "Chain":
         """Characteristic chain (0,1-valued) of a point set."""
-        return cls({x: 1 for x in points})
+        return cls._trusted(dict.fromkeys(points, 1))
 
     # Mapping interface: iteration runs over the support only, but lookup
     # of any point returns its weight, defaulting to 0.
@@ -112,22 +112,36 @@ class Chain(Mapping):
         return frozenset(self._w)
 
     def is_flat(self) -> bool:
-        """True when 0,1-valued."""
-        return all(v == 1 for v in self._w.values())
+        """True when 0,1-valued: positive int weights sum to their count iff all are 1."""
+        return self._l1 == len(self._w)
+
+
+def _terms(a: Chain, b: Chain) -> tuple[int, int]:
+    """(||a-b||_1, ||a^b||_1) as ints."""
+    if a.is_flat() and b.is_flat():
+        meet = len(a._w.keys() & b._w.keys())
+    else:
+        small, big = (a._w, b._w) if len(a._w) <= len(b._w) else (b._w, a._w)
+        meet = 0
+        for x, v in small.items():
+            u = big.get(x)
+            if u is not None:
+                meet += v if v < u else u
+    return a._l1 + b._l1 - 2 * meet, meet
+
+
+def _as_ratio(terms):
+    """Fraction(diff, meet) of int terms, INFINITE_RATIO for a meet of 0; None stays None."""
+    if terms is None:
+        return None
+    diff, meet = terms
+    return Fraction(diff, meet) if meet else INFINITE_RATIO
 
 
 def ratio(a: Chain, b: Chain):
     """||a-b||_1 / ||a^b||_1 as an exact Fraction; INFINITE_RATIO when the
     meet is empty. For 0,1-valued chains this is |A(+)B| / |A&B|."""
-    small, big = (a._w, b._w) if len(a._w) <= len(b._w) else (b._w, a._w)
-    meet = 0
-    for x, v in small.items():
-        u = big.get(x)
-        if u is not None:
-            meet += v if v < u else u
-    if meet == 0:
-        return INFINITE_RATIO
-    return Fraction(a._l1 + b._l1 - 2 * meet, meet)
+    return _as_ratio(_terms(a, b))
 
 
 def base_and_towers(a: Chain) -> tuple[Chain, Chain]:
@@ -272,18 +286,19 @@ def verify_family(fam: IndexedFamily, require_flat: bool = False) -> FamilyRepor
     bound S, and (optionally) 0,1-valuedness. Violations are report
     entries, never exceptions; iteration order is fixed by point id so the
     report is deterministic."""
-    space, params = fam.space, fam.params
-    worst = None
+    space, params, chains = fam.space, fam.params, fam.chains
+    num, den = params.epsilon.numerator, params.epsilon.denominator
+    worst = None  # the terms of the first worst pair
     worst_pair = None
     pair_count = 0
     ratio_violations = []
-    for x, y in in_range_pairs(space, fam.chains, params.R):
-        q = ratio(fam.chains[x], fam.chains[y])
+    for x, y in in_range_pairs(space, chains, params.R):
+        d, m = _terms(chains[x], chains[y])
         pair_count += 1
-        if worst is None or q > worst:
-            worst, worst_pair = q, (x, y)
-        if not (q < params.epsilon):
-            ratio_violations.append((x, y, q))
+        if worst is None or d * worst[1] > worst[0] * m:
+            worst, worst_pair = (d, m), (x, y)
+        if d * den >= num * m:
+            ratio_violations.append((x, y, _as_ratio((d, m))))
 
     radii = {x: space.support_radius(x, fam.chains[x].keys()) for x in fam.indices()}
     max_radius = max(radii.values(), default=Fraction(0))
@@ -296,7 +311,7 @@ def verify_family(fam: IndexedFamily, require_flat: bool = False) -> FamilyRepor
     return FamilyReport(
         passed=not (ratio_violations or support_violations or flat_violations),
         pair_count=pair_count,
-        worst_ratio=worst,
+        worst_ratio=_as_ratio(worst),
         worst_pair=worst_pair,
         max_support_radius=max_radius,
         ratio_violations=ratio_violations,
@@ -319,6 +334,16 @@ def chain_from_json(doc) -> Chain:
         raise ConfigError(f"bad chain: {e}") from e
 
 
+def _by_index(entries, parse) -> dict:
+    """{x: parse(value)} from [x, value] entries; ConfigError naming an index listed twice."""
+    out = {}
+    for x, value in entries:
+        if x in out:
+            raise ConfigError(f"the family lists index {x!r} twice")
+        out[x] = parse(value)
+    return out
+
+
 def family_to_json(fam: IndexedFamily) -> dict:
     return {
         "params": fam.params.to_json(),
@@ -327,10 +352,10 @@ def family_to_json(fam: IndexedFamily) -> dict:
 
 
 def family_from_json(doc, space: WindowSpace) -> IndexedFamily:
-    """ConfigError naming the first index or chain point that is not an id of the space."""
+    """ConfigError naming a repeated index, or the first index or chain point not in the space."""
     try:
         params = FamilyParams.from_json(doc["params"])
-        chains = {x: chain_from_json(c) for x, c in doc["chains"]}
+        chains = _by_index(doc["chains"], chain_from_json)
     except (KeyError, TypeError) as e:
         raise ConfigError(f"bad family file: {e}") from e
     n = space.n
@@ -362,9 +387,7 @@ def multiset_family_from_json(doc) -> MultisetFamily:
     try:
         params = FamilyParams.from_json(doc["params"])
         M = doc["M"]
-        sets = {
-            x: frozenset((z, n) for z, n in pairs) for x, pairs in doc["sets"]
-        }
+        sets = _by_index(doc["sets"], lambda pairs: frozenset((z, n) for z, n in pairs))
         return MultisetFamily(sets=sets, M=M, params=params)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad multiset family file: {e}") from e

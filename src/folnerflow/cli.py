@@ -19,10 +19,19 @@ import json
 import os
 import sys
 
-from .errors import FolnerflowError, InternalInvariantError
+from .errors import ConfigError, FolnerflowError, InternalInvariantError
 from .jsonio import dump_json, load_json
 
 _lib = lambda module: importlib.import_module(f".{module}", __package__)
+
+
+def _map_pairs(doc):
+    """The "f" list of a map file, which must hold a JSON object."""
+    if type(doc) is not dict:
+        raise ConfigError(f"the map file must hold a JSON object, got a {type(doc).__name__}")
+    return doc.get("f")
+
+
 # flag name -> loader(value, space), in load order: a file to load, or a comma list
 # to split; `space` is the --space a family is read against, except in a stage that
 # takes a space (transport's family is a multiset family, which loads without one)
@@ -31,7 +40,7 @@ _LOADERS = {
     "space": lambda path, _: _lib("space").load_space(path),
     "target": lambda path, _: _lib("space").load_space(path),
     "family": lambda path, space: _lib("chains").load_family(path, space),
-    "map": lambda path, _: load_json(path).get("f"),
+    "map": lambda path, _: _map_pairs(load_json(path)),
     "rips": lambda path, _: _lib("rips").rips_from_json(load_json(path)),
     "flow": lambda path, _: _lib("rips").flow_from_json(load_json(path)),
     "tails": lambda path, _: _lib("tails").cover_from_json(load_json(path)),

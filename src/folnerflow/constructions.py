@@ -5,7 +5,8 @@ box spaces of cyclic quotients.
 Everything here is exact and deterministic. Searches that fail on a
 finite window return None rather than claiming a negative: failure to
 find a Folner set at one window size proves nothing about the infinite
-model.
+model. On unit-weight graphs N_k(B(c,rho)) = B(c,rho+k), so a Folner search
+reads each centre's candidate balls off the layer sizes of one BFS.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import Chain, FamilyParams, IndexedFamily, ratio
+from .chains import Chain, FamilyParams, IndexedFamily, _as_ratio, _terms
 from .errors import EmptyImage, TranslateEscapesWindow, WindowTooSmall
 from .jsonio import Doc
 from .space import WindowSpace, check_radius, cycle_window, disjoint_union, product_with_interval
@@ -37,17 +38,44 @@ def foelner_search(space: WindowSpace, R, epsilon):
     boundary of the infinite model. Returns the first witness found, or
     None when the window admits none at this size (which is not evidence
     of non-amenability).
+
+    On a unit-weight graph, with k = floor(R) and integers rho >= 0:
+      * N_k(B(c,rho)) = B(c,rho+k): the triangle inequality gives one side;
+        a point at distance rho + j, 0 < j <= k, is within j of the point at
+        distance rho on a shortest path from c. So the boundary has
+        |B(c,rho+k)| - |B(c,rho)| points.
+      * B(c,rho) is interior iff d(c,F) > rho + k, F the frontier: then
+        d(y,F) >= d(c,F) - rho > k on the ball; else the point at distance
+        min(rho, d(c,F)) on a shortest path from c to F is in the ball and
+        within k of F.
+    So cumulative layer sizes |B(c,j)| of one BFS per centre, grown as far as
+    the test needs, answer every rho. Weighted graphs and matrices grow balls.
     """
     epsilon = check_radius(epsilon, "epsilon")
     if epsilon == 0:
         raise ValueError("epsilon must be positive")
-    interior = frozenset(space.interior_points(R))
-    for center in range(space.n):
-        if center not in interior:
-            continue
+    interior = space.interior_points(R)
+    if space._matrix is None and space._wts is None:
+        k, nbrs, n = space._limit(R), space._nbrs, space.n
+        fd = space._frontier_ints() if space.frontier else None
+        num, den = epsilon.numerator, epsilon.denominator
+        for c in interior:
+            seen, layer, sizes = {c}, [c], [1]  # sizes[j] = |B(c,j)|
+            for rho in range(n + 1 if fd is None else fd[c] - k):
+                while len(sizes) <= rho + k:  # the next BFS layer (seen.add returns None)
+                    layer = [v for u in layer for v in nbrs[u]
+                             if v not in seen and not seen.add(v)]
+                    sizes.append(len(seen))
+                if (sizes[rho + k] - sizes[rho]) * den <= num * sizes[rho]:
+                    return space.ball(c, rho)
+                if sizes[rho] == n:
+                    break
+        return None
+    inside = frozenset(interior)
+    for center in interior:
         for rho in range(space.n + 1):  # a ball stops growing once it swallows the window
             U = space.ball(center, rho)
-            if not U <= interior:
+            if not U <= inside:
                 break
             b = boundary(space, U, R)
             if len(b) <= epsilon * len(U):
@@ -417,10 +445,12 @@ def box_family(model: BoxSpaceModel, F, R, epsilon) -> tuple[IndexedFamily, BoxF
     # Folner precondition for F in the integers, checked exactly
     worst_model = None
     r_int = int(R)
+    shift_terms = []  # (|F (+) F+delta|, |F & F+delta|) at each shift delta
     for delta in range(0, r_int + 1):
         shifted = {f + delta for f in F}
         sym = len(Fset ^ shifted)
         inter = len(Fset & shifted)
+        shift_terms.append((sym, inter))
         q = Fraction(sym, inter) if inter else None
         if q is None or not (q < epsilon):
             raise ValueError(
@@ -465,29 +495,23 @@ def box_family(model: BoxSpaceModel, F, R, epsilon) -> tuple[IndexedFamily, BoxF
                 off + ((g + f) % size) for f in F
             )
 
-    # exact equalities against the integer model, all in-range deep pairs
+    # exact equalities against the integer model, all in-range deep pairs: the
+    # deep chains are flat, so a pair's terms are (|A (+) B|, |A & B|)
     pairs_checked = 0
     failures = []
-    worst = Fraction(0) if chains else None
+    worst = (0, 1) if chains else None
     for j in range(J + 1, model.boxes + 1):
         size = model.size(j)
         off = model.offsets[j - 1]
         for g in range(size):
             for delta in range(1, r_int + 1):
                 h = (g + delta) % size
-                A = chains[off + g].support()
-                B = chains[off + h].support()
-                shifted = {f + delta for f in F}
-                ok = (
-                    len(A ^ B) == len(Fset ^ shifted)
-                    and len(A & B) == len(Fset & shifted)
-                )
+                d, m = terms = _terms(chains[off + g], chains[off + h])
                 pairs_checked += 1
-                if not ok:
+                if terms != shift_terms[delta]:
                     failures.append((j, g, h))
-                q = ratio(chains[off + g], chains[off + h])
-                if worst is None or q > worst:
-                    worst = q
+                if d * worst[1] > worst[0] * m:
+                    worst = terms
 
     max_radius = max(model.space.support_radius(x, c.keys()) for x, c in chains.items())
     params = FamilyParams(R=R, epsilon=epsilon, S=max_radius, M=0)
@@ -500,7 +524,7 @@ def box_family(model: BoxSpaceModel, F, R, epsilon) -> tuple[IndexedFamily, BoxF
         pairs_checked=pairs_checked,
         equalities_hold=not failures,
         equality_failures=failures,
-        worst_ratio=worst,
+        worst_ratio=_as_ratio(worst),
         worst_model_ratio=worst_model,
     )
     return fam, report

@@ -36,7 +36,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import Chain, FamilyParams, IndexedFamily, base_and_towers, in_range_pairs, ratio
+from .chains import (Chain, FamilyParams, IndexedFamily, _as_ratio, _terms, base_and_towers,
+                     in_range_pairs)
 from .errors import FlowEscaped, InternalInvariantError
 from .jsonio import Doc, format_ratio
 from .rips import FlowField
@@ -196,14 +197,14 @@ def flatten_family(
     worst_before = worst_after = None
     regressions = []
     for x, y in in_range_pairs(fam.space, flat_chains, fam.params.R):
-        before = ratio(fam.chains[x], fam.chains[y])
-        after = ratio(flat_chains[x], flat_chains[y])
-        if worst_before is None or before > worst_before:
+        before = bd, bm = _terms(fam.chains[x], fam.chains[y])
+        after = ad, am = _terms(flat_chains[x], flat_chains[y])
+        if worst_before is None or bd * worst_before[1] > worst_before[0] * bm:
             worst_before = before
-        if worst_after is None or after > worst_after:
+        if worst_after is None or ad * worst_after[1] > worst_after[0] * am:
             worst_after = after
-        if after > before:
-            regressions.append((x, y, before, after))
+        if ad * bm > bd * am:
+            regressions.append((x, y, _as_ratio(before), _as_ratio(after)))
 
     if regressions:
         x, y, before, after = regressions[0]
@@ -213,8 +214,8 @@ def flatten_family(
         )
 
     report = FlattenReport(
-        worst_ratio_before=worst_before,
-        worst_ratio_after=worst_after,
+        worst_ratio_before=_as_ratio(worst_before),
+        worst_ratio_after=_as_ratio(worst_after),
         max_steps=max_steps,
         new_S=new_S,
         input_S=fam.params.S,

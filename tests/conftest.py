@@ -20,9 +20,9 @@ import pytest
 from hypothesis import strategies as st
 
 import folnerflow
-from folnerflow import Chain, WindowSpace
+from folnerflow import Chain, FamilyParams, IndexedFamily, WindowSpace, boundary
 from folnerflow.rips import FlowField
-from folnerflow.space import space_to_json
+from folnerflow.space import check_radius, space_to_json
 
 
 # -- child interpreters ----------------------------------------------------------
@@ -96,6 +96,38 @@ def rational_graphs(draw):
     return n, edges, frontier
 
 
+@st.composite
+def unit_graphs(draw):
+    """Connected unit-weight graph on 1..40 points: a random tree plus extra
+    edges; and a random frontier."""
+    n = draw(st.integers(1, 40))
+    reach = draw(st.integers(1, n))  # a parent among the last `reach` points: small reach, long paths
+    edges = [(draw(st.integers(max(0, v - reach), v - 1)), v, 1) for v in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    edges += [(x, y, 1) for x, y in extra if x != y]
+    frontier = draw(st.sets(st.integers(0, n - 1), max_size=max(1, n // 4)))
+    return n, edges, frontier
+
+
+@st.composite
+def mixed_families(draw, space, points):
+    """A family on `space` whose chains come from a pool of 1..4 flat and
+    weighted chains on `points`: indices that share a pool chain make ratios
+    tie, small supports are often disjoint, and epsilon often equals a ratio."""
+    flat = st.sets(st.sampled_from(points), min_size=1, max_size=5).map(Chain.from_set)
+    weighted = st.dictionaries(st.sampled_from(points), st.integers(1, 4),
+                               min_size=1, max_size=5).map(Chain)
+    pool = draw(st.lists(st.one_of(flat, weighted), min_size=1, max_size=4))
+    indices = draw(st.sets(st.sampled_from(points), min_size=1, max_size=10))
+    params = FamilyParams(R=draw(st.sampled_from([1, 2, Fraction(5, 2)])),
+                          epsilon=draw(st.one_of(
+                              st.sampled_from([Fraction(1, 2), Fraction(2, 3), 1, 2]),
+                              st.fractions(Fraction(1, 10), 4, max_denominator=20))),
+                          S=len(points))
+    return IndexedFamily(space=space, chains={x: draw(st.sampled_from(pool)) for x in indices},
+                         params=params)
+
+
 def graph_space(n, edges, frontier=()) -> WindowSpace:
     """The graph space of an undirected edge list [(x, y, w), ...]."""
     adjacency = [[] for _ in range(n)]
@@ -139,6 +171,28 @@ def assert_metric_axioms(D: np.ndarray):
     for y in range(n):
         via = D[:, y][:, None] + D[y, :][None, :]
         assert (D <= via).all(), f"triangle inequality fails through {y}"
+
+
+def foelner_search_by_balls(space: WindowSpace, R, epsilon):
+    """`foelner_search` as it grew one ball and one neighbourhood per radius
+    per centre on every space: the reference for its layer-count search."""
+    epsilon = check_radius(epsilon, "epsilon")
+    if epsilon == 0:
+        raise ValueError("epsilon must be positive")
+    interior = frozenset(space.interior_points(R))
+    for center in range(space.n):
+        if center not in interior:
+            continue
+        for rho in range(space.n + 1):  # a ball stops growing once it swallows the window
+            U = space.ball(center, rho)
+            if not U <= interior:
+                break
+            b = boundary(space, U, R)
+            if len(b) <= epsilon * len(U):
+                return frozenset(U)
+            if len(U) == space.n:
+                break
+    return None
 
 
 # -- multiset / set oracles ----------------------------------------------------

@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import add, join, l1_distance, leq, meet, scale, set_ratio, setminus
+from conftest import (add, join, l1_distance, leq, meet, mixed_families, scale, set_ratio,
+                      setminus)
 from folnerflow import (
     Chain,
     ConfigError,
@@ -21,13 +22,19 @@ from folnerflow import (
     ratio,
     verify_family,
 )
-from folnerflow.chains import chain_from_json
+from folnerflow.chains import _terms, chain_from_json, in_range_pairs
 
 chains = st.dictionaries(
     st.integers(min_value=0, max_value=12),
     st.integers(min_value=1, max_value=9),
     max_size=8,
 ).map(Chain)
+flat_chains = st.sets(st.integers(min_value=0, max_value=12), max_size=8).map(Chain.from_set)
+# weights 1 and 2: a chain one unit away from flat
+near_flat_chains = st.dictionaries(
+    st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=2), max_size=8,
+).map(Chain)
+any_chains = st.one_of(flat_chains, near_flat_chains, chains)
 
 
 class TestLatticeOps:
@@ -242,3 +249,38 @@ class TestVerifyFamily:
         r2 = verify_family(fam).to_json()
         assert r1 == r2
         assert isinstance(r1["worst_ratio"], str)
+
+
+class TestIntTerms:
+    """The passes compare int terms; `ratio` and the pointwise lattice are
+    their reference."""
+
+    @given(a=any_chains, b=any_chains)
+    def test_terms_match_pointwise_lattice(self, a, b):
+        # both flat: the meet is the support intersection; else the general loop
+        assert _terms(a, b) == (l1_distance(a, b), meet(a, b).l1())
+
+    @given(a=any_chains)
+    def test_is_flat_means_every_weight_is_one(self, a):
+        assert a.is_flat() == all(v == 1 for v in a.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(fam=mixed_families(grid_window(1, 0, 11), range(12)))
+    def test_verify_family_matches_ratio_loop(self, fam):
+        worst = worst_pair = None
+        violations = []
+        for x, y in in_range_pairs(fam.space, fam.chains, fam.params.R):
+            q = ratio(fam.chains[x], fam.chains[y])
+            if worst is None or q > worst:
+                worst, worst_pair = q, (x, y)
+            if not q < fam.params.epsilon:
+                violations.append((x, y, q))
+        report = verify_family(fam)
+        assert (report.worst_ratio, report.worst_pair) == (worst, worst_pair)
+        assert type(report.worst_ratio) is type(worst)
+        assert report.ratio_violations == violations
+
+    def test_ratio_equal_to_epsilon_is_a_violation(self):
+        # adjacent 5-point balls differ in 2 points and share 4: ratio 1/2
+        fam = ball_family(grid_window(1, 0, 20), 2, R=1, epsilon=Fraction(1, 2), core=[9, 10])
+        assert verify_family(fam).ratio_violations == [(9, 10, Fraction(1, 2))]

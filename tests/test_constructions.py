@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from conftest import graph_space, rational_graphs
+from conftest import foelner_search_by_balls, graph_space, rational_graphs, unit_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,6 +122,38 @@ class TestFoelnerSearch:
         c = cycle_window(9)
         U = foelner_search(c, 2, Fraction(1, 9))
         assert U == frozenset(range(9))
+
+
+class TestFoelnerLayerSearch:
+    """The layer-count search on unit-weight graphs against the ball-growing
+    loop, which weighted graphs and matrices still run."""
+
+    @staticmethod
+    def assert_same_witness(space, R, eps):
+        found, expected = foelner_search(space, R, eps), foelner_search_by_balls(space, R, eps)
+        assert found == expected
+        assert list(found or ()) == list(expected or ())  # the same ball, in ball order
+        return found
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=unit_graphs(),
+           R=st.sampled_from([0, Fraction(1, 2), 1, 2, Fraction(5, 2), 3]),
+           eps=st.fractions(Fraction(1, 100), 3, max_denominator=100))
+    def test_unit_graphs_match_ball_growing(self, graph, R, eps):
+        space = graph_space(*graph)
+        assert space._matrix is None and space._wts is None
+        self.assert_same_witness(space, R, eps)
+
+    def test_weighted_graph(self):
+        # a path of half-unit edges: R = 1 reaches two steps
+        space = graph_space(40, [(x, x + 1, Fraction(1, 2)) for x in range(39)], {0, 39})
+        assert space._wts is not None
+        assert self.assert_same_witness(space, 1, Fraction(1, 4)) is not None
+
+    def test_matrix_space(self):
+        space = subspace(grid_window(1, -30, 30), range(0, 61, 2))
+        assert space._matrix is not None
+        assert self.assert_same_witness(space, 2, Fraction(1, 3)) is not None
 
 
 class TestGroupFoelnerFamily:

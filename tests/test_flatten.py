@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    handmade_flow, l1_distance, leq, meet, random_chain, random_tree_space, setminus)
+    handmade_flow, l1_distance, leq, meet, mixed_families, random_chain, random_tree_space,
+    setminus)
 from folnerflow import (
     Chain,
     FamilyParams,
@@ -20,11 +21,13 @@ from folnerflow import (
     flatten,
     flatten_family,
     grid_window,
+    ratio,
     shift_step,
     singleton_family,
     subspace,
     tent_family,
 )
+from folnerflow.chains import in_range_pairs
 from folnerflow.rips import FlowField, build_flow, build_rips
 
 
@@ -357,3 +360,20 @@ class TestFlattenFamily:
         assert report.escaped_indices == [3]
         assert set(out.chains) == {20}
         assert report.escaped_traces[3].escaped
+
+
+LINE = grid_window(1, 0, 23)
+LINE_FLOW = build_flow(LINE, build_rips(LINE, 1))
+
+
+class TestFlattenFamilyIntTerms:
+    @settings(max_examples=100, deadline=None)
+    @given(fam=mixed_families(LINE, range(4, 20)))
+    def test_worst_ratios_match_ratio_loop(self, fam):
+        out, report = flatten_family(fam, LINE_FLOW, on_escape="collect")
+        pairs = list(in_range_pairs(LINE, out.chains, fam.params.R))
+        before = [ratio(fam.chains[x], fam.chains[y]) for x, y in pairs]
+        after = [ratio(out.chains[x], out.chains[y]) for x, y in pairs]
+        assert report.worst_ratio_before == max(before, default=None)
+        assert report.worst_ratio_after == max(after, default=None)
+        assert report.pair_regressions == []

@@ -23,6 +23,7 @@ from folnerflow.chains import (
     family_from_json,
     family_to_json,
     load_family,
+    multiset_family_from_json,
     multiset_family_to_json,
 )
 from folnerflow.constructions import box_family, build_box_space
@@ -681,6 +682,39 @@ class TestCoarsePushMap:
         r = run_cli([*PUSH, "--out", "pushed.json"], tmp_path)
         assert (r.returncode, r.stderr) == (2, f"error: {message}\n")
         assert not (tmp_path / "pushed.json").exists()
+
+
+class TestMapFileShape:
+    def test_map_file_not_an_object_is_exit_2(self, tmp_path):
+        write_command_inputs(tmp_path)
+        dump_json([[0, 0]], tmp_path / "map.json")
+        r = run_cli([*PUSH, "--out", "pushed.json"], tmp_path)
+        message = "error: the map file must hold a JSON object, got a list\n"
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", message)
+        assert not (tmp_path / "pushed.json").exists()
+
+
+class TestIndexListedTwice:
+    """A family file that lists an index twice is rejected, not read with the
+    last chain winning."""
+
+    def test_family_verify_is_exit_2(self, tmp_path):
+        write_command_inputs(tmp_path)
+        doc = json.loads((tmp_path / "pushfam.json").read_text())
+        doc["chains"].append([0, {"weights": [[5, 1]]}])
+        dump_json(doc, tmp_path / "fam.json")
+        r = run_cli(["family", "verify", "--family", "fam.json", "--space", "X.json"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: the family lists index 0 twice\n")
+
+    def test_multiset_family(self):
+        params = FamilyParams(R=1, epsilon=Fraction(1, 2), S=1)
+        doc = multiset_family_to_json(MultisetFamily(
+            sets={3: frozenset({(3, 0)}), 4: frozenset({(4, 0), (4, 1)})}, M=1, params=params))
+        doc["sets"].append([3, [[2, 0]]])
+        with pytest.raises(ConfigError) as info:
+            multiset_family_from_json(doc)
+        assert str(info.value) == "the family lists index 3 twice"
 
 
 class TestFamilyIdsAgainstSpace:

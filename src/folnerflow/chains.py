@@ -169,8 +169,8 @@ class FamilyParams(Doc):
             object.__setattr__(self, name, check_radius(getattr(self, name), name))
         if self.epsilon == 0:
             raise ValueError("epsilon must be positive")
-        if self.M < 0:
-            raise ValueError("M must be >= 0")
+        if type(self.M) is not int or self.M < 0:
+            raise ValueError(f"M must be an int >= 0, got {self.M!r}")
 
     @classmethod
     def from_json(cls, doc):
@@ -220,6 +220,8 @@ class MultisetFamily:
     params: FamilyParams
 
     def __post_init__(self):
+        if type(self.M) is not int or self.M < 0:
+            raise ValueError(f"M must be an int >= 0, got {self.M!r}")
         for x, s in self.sets.items():
             if not s:
                 raise ValueError(f"multiset family entry at {x} is empty")

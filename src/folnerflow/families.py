@@ -28,11 +28,9 @@ def tent_family(space: WindowSpace, width: int, R, epsilon, core=None) -> Indexe
     limit = space._limit(width - 1)
     chains = {}
     for x in indices:
-        points, found = space._ball_row(x, limit)
         w = {}
-        # in the ball's order, which flatten's support order follows
-        for z in frozenset(iter(points)):
-            d, rest = divmod(found[z], L)
+        for z, d_int in space._ball_ints(x, limit).items():
+            d, rest = divmod(d_int, L)
             if rest:
                 raise ValueError("this family shape needs integer distances")
             w[z] = width - d

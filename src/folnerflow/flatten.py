@@ -22,12 +22,12 @@ stays. So a unit from y reaches q at step depth(y) - depth(q): a deeper
 tower always arrives later, and equal-depth towers that meet have merged.
 Taken by increasing depth, each unit parks at the first free point of its
 sigma path (parking on a mapping; Lackner and Panholzer, JCTA 142, 2016),
-found by a path-compressed "next point to try" map (Tarjan 1975). A point
-parked at step s joins the support ordered by (s, smallest position among
-the points entering it at step s), as the step loop appends it; `steps` is
-the largest s. A unit that finds its sink occupied escapes at step
-depth(y); of the shallowest escapes, the sink first in support order is
-reported. The step budget is checked after the fact.
+found by a path-compressed "next point to try" map (Tarjan 1975); `steps`
+is the largest parking step. A unit that finds its sink occupied escapes
+at step depth(y). The flat chain, the steps and whether and when the chain
+escapes do not depend on the order in which units park; when several sinks
+overflow at the shallowest escape step, `shift_step` and `flatten` both
+report the smallest sink id. The step budget is checked after the fact.
 """
 
 from __future__ import annotations
@@ -68,9 +68,8 @@ def shift_step(a: Chain, flow: FlowField) -> Chain:
         return a
     _check_domain(a, flow)
     base, towers = base_and_towers(a)
-    for x in towers:
-        if x in flow.sinks:
-            raise FlowEscaped(sink=x, steps=0)
+    if sunk := flow.sinks.intersection(towers):
+        raise FlowEscaped(sink=min(sunk), steps=0)
     out = dict(base)
     sigma = flow.sigma
     for y, t in towers.items():
@@ -81,8 +80,8 @@ def shift_step(a: Chain, flow: FlowField) -> Chain:
 
 def flatten(a: Chain, flow: FlowField) -> tuple[Chain, FlattenTrace]:
     """Iterate `shift_step` until flat, by depth-ordered parking (see the
-    module docstring): the flat chain, in the iteration's support order, and
-    a trace, or the iteration's FlowEscaped with its sink and step."""
+    module docstring): the flat chain and a trace, or the iteration's
+    FlowEscaped with its sink and step."""
     if not a:
         raise ValueError("cannot flatten the empty chain")
     _check_domain(a, flow)
@@ -90,8 +89,7 @@ def flatten(a: Chain, flow: FlowField) -> tuple[Chain, FlattenTrace]:
     # last[u] for an occupied u: an occupied point on u's sigma path with only
     # occupied points between them, so the next point to try is sigma(last[u])
     last = {x: x for x in a}
-    claim = {}  # parked point -> depth of the towers that reached it first
-    entries = {}  # parked point -> the points it was entered from at that step
+    steps = 0
     escaped, escape_step = [], math.inf
     for y in sorted((y for y, v in a.items() if v > 1), key=depths.__getitem__):
         if (d := depths[y]) > escape_step:
@@ -102,8 +100,6 @@ def flatten(a: Chain, flow: FlowField) -> tuple[Chain, FlattenTrace]:
             if (q := sigma.get(p)) in last:
                 hops = [u]
                 while q in last:
-                    if claim.get(q) == d:  # entered at its parking step; jumps skip no new edge
-                        entries[q].append(p)
                     hops.append(q)
                     p = last[q]
                     q = sigma.get(p)
@@ -114,26 +110,14 @@ def flatten(a: Chain, flow: FlowField) -> tuple[Chain, FlattenTrace]:
                 escape_step = d
                 break
             last[q] = u = q
-            claim[q] = d
-            entries[q] = [p]
-    pos = {x: i for i, x in enumerate(a)}
-    by_step = {}
-    for q, d in claim.items():
-        by_step.setdefault(d - depths[q], []).append(q)
-    for s in sorted(by_step):
-        group = by_step[s]
-        if len(group) > 1:
-            group.sort(key=lambda q: min(map(pos.__getitem__, entries[q])))
-        for q in group:
-            pos[q] = len(pos)
+            steps = max(steps, d - depths[q])
     if escaped:
-        raise FlowEscaped(sink=min(escaped, key=pos.__getitem__), steps=escape_step)
+        raise FlowEscaped(sink=min(escaped), steps=escape_step)
     bound = a.l1() * (a.l1() - len(a))
-    steps = max(by_step, default=0)
     if steps > bound:
         raise InternalInvariantError(f"flattening {a!r} took {steps} steps > budget {bound}")
     trace = FlattenTrace(steps=steps, bound=bound, support_radius_growth=flow.r * steps)
-    return Chain._trusted(dict.fromkeys(pos, 1)), trace
+    return Chain._trusted(dict.fromkeys(last, 1)), trace
 
 
 @dataclass

@@ -18,10 +18,8 @@ when every weight is 1, int Dijkstra otherwise; `dist` and
 `support_radius` stop at their last target. A radius R (an int or
 Fraction >= 0, see `check_radius`) is compared as d_int <= floor(R * L).
 `balls(centres, R)` gives the balls of one radius at many centres with R
-checked once; each ball iterates like a set grown in (distance, id) order
-(id order on a matrix), which tent chains and flatten's support order
-follow. A matrix metric has its own L. `fractions.Fraction` appears only
-at the API and JSON boundary. The int adjacency is a graph metric's only
+checked once. A matrix metric has its own L. `fractions.Fraction` appears
+only at the API and JSON boundary. The int adjacency is a graph metric's only
 representation, and `nearest` gives every point its closest source in one
 multi-source search. Generators build adjacency; only a union or product
 over a matrix part becomes a matrix.
@@ -89,7 +87,7 @@ class WindowSpace:
         self._frontier_int: Optional[list] = None
         self._frontier_dist: Optional[list] = None
 
-        bad = [x for x in self.frontier if not (0 <= x < n)]
+        bad = [x for x in self.frontier if not (type(x) is int and 0 <= x < n)]
         if bad:
             raise ValueError(f"frontier ids outside 0..{n - 1}: {bad[:5]}")
 
@@ -219,11 +217,9 @@ class WindowSpace:
 
         Returns {point: d_int} for every point with d_int <= limit from the
         sources (every point when limit is None), where d_int = L * distance.
-        On unit weights a BFS one node at a time, whose points come out layer
-        by layer, in no set order within a layer; int Dijkstra otherwise, in
-        (distance, id) order. `targets` lets it stop, in no set order, once
-        it has them all: the BFS after the node that discovers the last,
-        Dijkstra at the pop that settles the last.
+        On unit weights a BFS one node at a time; int Dijkstra otherwise.
+        `targets` lets it stop once it has them all: the BFS after the node
+        that discovers the last, Dijkstra at the pop that settles the last.
         """
         nbrs, wts = self._nbrs, self._wts
         if limit is None:
@@ -273,20 +269,12 @@ class WindowSpace:
                     heapq.heappush(heap, (dv, v))
         return found
 
-    def _ball_row(self, x: PointId, limit: int):
-        """The closed ball {y : d_int(x, y) <= limit} as (its points in ball
-        order, {y: d_int}). Ball order is (distance, id) on graphs, which
-        sorts a BFS's layers, and id order on matrices."""
+    def _ball_ints(self, x: PointId, limit: int) -> dict:
+        """{y: d_int(x, y)} over the closed ball d_int(x, y) <= limit."""
         self._check_point(x)
         if self._matrix is not None:
-            row = {y: d for y, d in enumerate(self._row_ints(x)) if d <= limit}
-            return row, row
-        found = self._search((x,), limit)
-        if self._wts is not None:  # Dijkstra settles in (distance, id) order
-            return found, found
-        points = sorted(found)
-        points.sort(key=found.__getitem__)  # stable: id order within a layer
-        return points, found
+            return {y: d for y, d in enumerate(self._row_ints(x)) if d <= limit}
+        return self._search((x,), limit)
 
     def balls(self, centres, R):
         """The closed balls {y : d(x,y) <= R} for x in centres, one frozenset
@@ -295,15 +283,12 @@ class WindowSpace:
         reached. On graphs each ball is one truncated search, on matrices
         one row scan."""
         limit = self._limit(R)
-        # fed from an iterator (a dict would presize it), each set iterates
-        # like one grown in (distance, id) order; tent chains, flatten's
-        # support order and its reported sink follow that order
-        return (frozenset(iter(self._ball_row(x, limit)[0])) for x in centres)
+        return (frozenset(self._ball_ints(x, limit)) for x in centres)
 
     def ball(self, x: PointId, R) -> frozenset:
         """Closed ball {y : d(x,y) <= R}: `balls` at one centre, without
         the generator."""
-        return frozenset(iter(self._ball_row(x, self._limit(R))[0]))
+        return frozenset(self._ball_ints(x, self._limit(R)))
 
     def neighborhood(self, U, R) -> frozenset:
         """Closed R-neighbourhood {y : d(y, U) <= R} of the point set U."""
@@ -636,25 +621,34 @@ def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
 
 
 def generate(spec: dict) -> WindowSpace:
-    """Build a window from a generator descriptor (see the file-format docs)."""
+    """Build a window from a generator descriptor (see the file-format docs);
+    ConfigError naming the field unless every size field is an int."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("generator spec must be a dict with a 'kind' key")
     kind = spec["kind"]
+
+    def size(key, default=None):
+        v = spec[key] if default is None else spec.get(key, default)
+        if type(v) is not int:
+            raise ConfigError(f"generator spec for {kind!r}: {key} must be an int, got {v!r}")
+        return v
+
     try:
         if kind == "grid":
-            return grid_window(spec.get("dim", 1), spec["low"], spec["high"])
+            return grid_window(size("dim", 1), size("low"), size("high"))
         if kind == "cycle":
-            return cycle_window(spec["length"])
+            return cycle_window(size("length"))
         if kind == "tree":
-            return tree_window(spec["branching"], spec["depth"])
+            return tree_window(size("branching"), size("depth"))
         if kind == "regular_tree":
-            return regular_tree_window(spec["degree"], spec["depth"])
+            return regular_tree_window(size("degree"), size("depth"))
         if kind == "union":
-            parts = [generate(s) for s in spec["parts"]]
-            spacing = [parse_rational(s) for s in spec["spacing"]]
-            return disjoint_union(parts, spacing)
+            parts, spacing = spec["parts"], spec["spacing"]
+            if type(parts) is not list or type(spacing) is not list:
+                raise ConfigError("generator spec for 'union': parts and spacing must be lists")
+            return disjoint_union([generate(s) for s in parts], map(parse_rational, spacing))
         if kind == "product":
-            return product_with_interval(generate(spec["base"]), spec["levels"])
+            return product_with_interval(generate(spec["base"]), size("levels"))
     except KeyError as e:
         raise ConfigError(f"generator spec for {kind!r} is missing {e}") from e
     except ValueError as e:
@@ -693,6 +687,9 @@ def space_to_json(space: WindowSpace) -> dict:
 
 
 def space_from_json(doc: dict) -> WindowSpace:
+    """ConfigError naming the field unless `points` is a positive int,
+    `metric` an object with a list of matrix rows or graph edges, each edge
+    an [x, y, weight] triple, and `frontier` a list of int ids."""
     try:
         n = doc["points"]
         metric = doc["metric"]
@@ -700,6 +697,15 @@ def space_from_json(doc: dict) -> WindowSpace:
         label = doc.get("label", "")
     except (KeyError, TypeError) as e:
         raise ConfigError(f"space file missing field: {e}") from e
+    if type(n) is not int or n <= 0:
+        raise ConfigError(f"space file points must be a positive int, got {n!r}")
+    if type(metric) is not dict:
+        raise ConfigError(f"space file metric must be an object, got {metric!r}")
+    if type(frontier) is not list:
+        raise ConfigError(f"space file frontier must be a list, got {frontier!r}")
+    for f in frontier:
+        if type(f) is not int:
+            raise ConfigError(f"space frontier entry {f!r} is not an int point id")
 
     gen = doc.get("generator")
     if gen is not None:
@@ -712,15 +718,24 @@ def space_from_json(doc: dict) -> WindowSpace:
         return space
 
     if metric.get("type") == "matrix":
-        entries = [[parse_rational(v) for v in row] for row in metric["entries"]]
+        rows = metric.get("entries")
+        if type(rows) is not list or not all(type(row) is list for row in rows):
+            raise ConfigError("space file matrix entries must be a list of rows")
+        entries = [[parse_rational(v) for v in row] for row in rows]
         try:
             return WindowSpace(n, frontier=frontier, label=label, matrix=entries)
         except ValueError as e:
             raise ConfigError(str(e)) from e
     if metric.get("type") == "graph":
+        edges = metric.get("edges")
+        if type(edges) is not list:
+            raise ConfigError(f"space file graph edges must be a list, got {edges!r}")
         adjacency = [[] for _ in range(n)]
-        for x, y, w in metric["edges"]:
-            if not all(isinstance(p, int) and 0 <= p < n for p in (x, y)):
+        for edge in edges:
+            if type(edge) is not list or len(edge) != 3:
+                raise ConfigError(f"graph edge {edge!r} is not an [x, y, weight] triple")
+            x, y, w = edge
+            if not all(type(p) is int and 0 <= p < n for p in (x, y)):
                 raise ConfigError(f"graph edge [{x}, {y}] has an endpoint outside 0..{n - 1}")
             w = parse_rational(w)
             adjacency[x].append((y, w))

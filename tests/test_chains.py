@@ -1,6 +1,7 @@
 """Chain lattice algebra, ratios, multiset collapse, family verification."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from folnerflow import (
     FamilyParams,
     INFINITE_RATIO,
     IndexedFamily,
+    MultisetFamily,
     base_and_towers,
     ball_family,
     family_from_multisets,
@@ -149,6 +151,17 @@ class TestFamilyParams:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             FamilyParams(R=1, epsilon=0, S=2)
+
+    @pytest.mark.parametrize("M", [Fraction(3, 2), 1.5, 1.0, True, "1", -1])
+    def test_M_must_be_an_int(self, M):
+        message = f"M must be an int >= 0, got {M!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FamilyParams(R=1, epsilon=1, S=2, M=M)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MultisetFamily(sets={0: frozenset({(0, 0)})}, M=M,
+                           params=FamilyParams(R=1, epsilon=1, S=2))
+        with pytest.raises(ConfigError, match=re.escape(f"bad family params: {message}")):
+            FamilyParams.from_json({"R": "1", "epsilon": "1", "S": "2", "M": M})
 
     def test_exact_values_kept(self):
         p = FamilyParams(R=Fraction(3, 2), epsilon=1, S=0, M=2)

@@ -217,6 +217,32 @@ class TestCli:
         r = run_cli(["space", "info", "--space", "missing.json"], tmp_path)
         assert r.returncode == 2
 
+    def test_malformed_space_is_exit_2(self, tmp_path):
+        doc = space_to_json(grid_window(1, 0, 2))
+        del doc["generator"]
+        (tmp_path / "s.json").write_text(json.dumps({**doc, "frontier": [True]}))
+        r = run_cli(["space", "info", "--space", "s.json"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: space frontier entry True is not an int point id\n")
+        r = run_cli(["space", "gen", "--spec", '{"kind": "cycle", "length": true}',
+                     "--out", "c.json"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: generator spec for 'cycle': length must be an int, got True\n")
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("M", [1.5, True])
+    def test_family_M_not_an_int_is_exit_2(self, tmp_path, M):
+        # before the check, 1.5 failed only when the result was written,
+        # and True was written into the pushed family
+        write_command_inputs(tmp_path)
+        doc = json.loads((tmp_path / "pushfam.json").read_text())
+        doc["params"]["M"] = M
+        (tmp_path / "pushfam.json").write_text(json.dumps(doc))
+        r = run_cli([*PUSH, "--out", "pushed.json"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", f"error: bad family params: M must be an int >= 0, got {M!r}\n")
+        assert not (tmp_path / "pushed.json").exists()
+
     def test_family_verify_exit_codes(self, tmp_path):
         r = run_cli(["space", "gen", "--spec",
                      '{"kind": "grid", "dim": 1, "low": -30, "high": 30}',

@@ -55,8 +55,8 @@ def foelner_search(space: WindowSpace, R, epsilon):
     if epsilon == 0:
         raise ValueError("epsilon must be positive")
     interior = space.interior_points(R)
-    if space._matrix is None and space._wts is None:
-        k, nbrs, n = space._limit(R), space._nbrs, space.n
+    if space.unit_weights:
+        k, nbrs, n = space._limit(R), space.graph_neighbors, space.n
         fd = space._frontier_ints() if space.frontier else None
         num, den = epsilon.numerator, epsilon.denominator
         for c in interior:

@@ -37,14 +37,27 @@ class RipsGraph:
 
 
 def build_rips(space: WindowSpace, r) -> RipsGraph:
-    """Exact-threshold neighbourhood graph of the window at scale r."""
+    """Exact-threshold neighbourhood graph of the window at scale r.
+
+    Neighbours are balls without their centre. On a graph metric the
+    scale-r components are those of the light edges, of weight w <= r: a
+    light edge {x,y} has 0 < d(x,y) <= w <= r, and if 0 < d(x,y) <= r, each
+    edge of a shortest x-y path weighs <= d(x,y) <= r. On unit weights with
+    r >= 1 every edge is light, so the components come from the graph's own
+    edges; for 1 <= r < 2 the neighbours are the graph neighbours too (d is
+    an int, so 0 < d <= r means d = 1), with no ball search.
+    """
     r = check_radius(r, "scale")
     if r == 0:
         raise ValueError(f"scale must be positive, got {r}")
     points = range(space.n)
-    neighbors = tuple(b - {x} for x, b in zip(points, space.balls(points, r)))
-    return RipsGraph(r=r, n=space.n, neighbors=neighbors,
-                     components=_components(neighbors))
+    unit = space.unit_weights and r >= 1
+    if unit and r < 2:
+        neighbors = tuple(frozenset(nb) - {x} for x, nb in zip(points, space.graph_neighbors))
+    else:
+        neighbors = tuple(b - {x} for x, b in zip(points, space.balls(points, r)))
+    light = space.graph_neighbors if unit else neighbors
+    return RipsGraph(r=r, n=space.n, neighbors=neighbors, components=_components(light))
 
 
 def _components(neighbors) -> tuple:

@@ -128,6 +128,19 @@ class WindowSpace:
             self._bound = n if unit else sum(map(sum, self._wts))
             self._check_connected()
 
+    @property
+    def unit_weights(self) -> bool:
+        """True on a graph whose weights are all 1; False on a weighted graph
+        or a matrix. Read from the metric, so it cannot disagree with it."""
+        return self._matrix is None and self._wts is None
+
+    @property
+    def graph_neighbors(self) -> Optional[tuple]:
+        """Per point, the tuple of the ids of its graph neighbours (None on a
+        matrix). On unit weights d(x, y) = 1 exactly for the ids y != x of
+        x's tuple."""
+        return self._nbrs
+
     def _check_matrix(self):
         m = self._matrix
         if len(m) != self.n or any(len(row) != self.n for row in m):
@@ -687,16 +700,20 @@ def space_to_json(space: WindowSpace) -> dict:
 
 
 def space_from_json(doc: dict) -> WindowSpace:
-    """ConfigError naming the field unless `points` is a positive int,
-    `metric` an object with a list of matrix rows or graph edges, each edge
-    an [x, y, weight] triple, and `frontier` a list of int ids."""
+    """ConfigError naming the field unless the file is an object whose `points`
+    is a positive int, `metric` an object with a list of matrix rows or graph
+    edges ([x, y, weight] triples), `frontier` a list of int ids, `label` a str."""
+    if type(doc) is not dict:
+        raise ConfigError(f"a space file must be a JSON object, got a {type(doc).__name__}")
     try:
         n = doc["points"]
         metric = doc["metric"]
         frontier = doc["frontier"]
         label = doc.get("label", "")
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
         raise ConfigError(f"space file missing field: {e}") from e
+    if type(label) is not str:
+        raise ConfigError(f"space file label must be a str, got {label!r}")
     if type(n) is not int or n <= 0:
         raise ConfigError(f"space file points must be a positive int, got {n!r}")
     if type(metric) is not dict:

@@ -230,6 +230,13 @@ class TestCli:
             2, "", "error: generator spec for 'cycle': length must be an int, got True\n")
         assert not (tmp_path / "c.json").exists()
 
+    def test_space_file_not_an_object_is_exit_2(self, tmp_path):
+        (tmp_path / "s.json").write_text("[1, 2]")
+        r = run_cli(["space", "info", "--space", "s.json"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: a space file must be a JSON object, got a list\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
     @pytest.mark.parametrize("M", [1.5, True])
     def test_family_M_not_an_int_is_exit_2(self, tmp_path, M):
         # before the check, 1.5 failed only when the result was written,

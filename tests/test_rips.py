@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tree_space
+from conftest import floyd_warshall, graph_space, random_tree_space, rational_graphs, unit_graphs
 from folnerflow import (
     NotCoarselyUnbounded,
     WindowSpace,
@@ -68,6 +68,66 @@ class TestBuildRips:
     def test_float_or_bool_scale_rejected(self, r):
         with pytest.raises(ValueError, match="scale"):
             build_rips(grid_window(1, 0, 9), r)
+
+
+def rips_oracle(D, r):
+    """Neighbours {y : 0 < D[x][y] <= r} and, by a plain BFS over them, the
+    components in order of their least point."""
+    n = len(D)
+    neighbors = tuple(frozenset(y for y in range(n) if 0 < D[x][y] <= r) for x in range(n))
+    components, seen = [], set()
+    for s in range(n):
+        if s not in seen:
+            comp, stack = {s}, [s]
+            while stack:
+                for v in neighbors[stack.pop()] - comp:
+                    comp.add(v)
+                    stack.append(v)
+            seen |= comp
+            components.append(frozenset(comp))
+    return neighbors, tuple(components)
+
+
+@st.composite
+def scales(draw, edges):
+    """A scale below the lightest weight, in [1, 2), an integer >= 2 or a
+    half-integer: each side of every shortcut `build_rips` takes."""
+    lightest = min((w for *_, w in edges), default=Fraction(1))
+    return draw(st.one_of(
+        st.integers(1, 99).map(lambda k: lightest * Fraction(k, 100)),
+        st.integers(0, 11).map(lambda k: 1 + Fraction(k, 12)),
+        st.integers(2, 6),
+        st.integers(0, 6).map(lambda k: Fraction(2 * k + 1, 2)),
+    ))
+
+
+class TestBuildRipsOracle:
+    """`build_rips` on graphs, whose components on unit weights with r >= 1
+    and neighbours at 1 <= r < 2 come from the adjacency, and on their matrix
+    twins, against Floyd-Warshall."""
+
+    @staticmethod
+    def assert_matches(graph, r):
+        n, edges, frontier = graph
+        D = floyd_warshall(n, edges)
+        space = graph_space(n, edges, frontier)
+        matrix = WindowSpace(n, frontier=frontier, matrix=D)
+        assert space.unit_weights == all(w == 1 for *_, w in edges)
+        assert not matrix.unit_weights
+        expected = rips_oracle(D, r)
+        for s in (space, matrix):
+            rg = build_rips(s, r)
+            assert (rg.neighbors, rg.components) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(unit_graphs(), st.data())
+    def test_unit_graphs(self, graph, data):
+        self.assert_matches(graph, data.draw(scales(graph[1])))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_graphs(), st.data())
+    def test_rational_graphs(self, graph, data):
+        self.assert_matches(graph, data.draw(scales(graph[1])))
 
 
 class TestCoarselyUnbounded:

@@ -322,6 +322,53 @@ class TestMetricCoreOracle:
                 s.support_radius(0, [])
 
 
+class TestTargetedSearch:
+    """`dist` and `support_radius` stop their search once every target is
+    reached, on unit and weighted graphs; matrices read the row. Unknown
+    and missing targets are in `test_support_radius_needs_known_points`."""
+
+    EDGES = [(0, 1, Fraction(1, 2)), (1, 2, 3), (2, 3, Fraction(2, 3)), (3, 4, 1), (0, 4, 5)]
+
+    @pytest.fixture(params=["unit", "weighted", "matrix"])
+    def case(self, request):
+        edges = [(x, y, 1) for x, y, _ in self.EDGES] if request.param == "unit" else self.EDGES
+        D = floyd_warshall(5, edges)
+        space = WindowSpace(5, matrix=D) if request.param == "matrix" else graph_space(5, edges)
+        return space, D
+
+    def test_against_floyd_warshall(self, case):
+        space, D = case
+        for x in range(5):
+            for y in range(5):
+                assert space.dist(x, y) == D[x][y]
+                assert space.support_radius(x, {x, y}) == D[x][y]  # targets that hold x
+                assert space.support_radius(x, [y, x, y, y]) == D[x][y]  # repeats
+            assert space.support_radius(x, {x}) == space.dist(x, x) == 0
+            assert space.support_radius(x, range(5)) == max(D[x])
+
+
+class TestUnitWeights:
+    """`unit_weights` and `graph_neighbors` are read from the metric, and
+    cannot be set."""
+
+    def test_values(self):
+        unit = graph_space(3, [(0, 1, 1), (1, 2, 1)])
+        weighted = graph_space(3, [(0, 1, 1), (1, 2, Fraction(1, 2))])
+        matrix = WindowSpace(2, matrix=[[0, 1], [1, 0]])
+        assert (unit.unit_weights, weighted.unit_weights, matrix.unit_weights) == (
+            True, False, False)
+        assert unit.graph_neighbors == weighted.graph_neighbors == ((1,), (0, 2), (1,))
+        assert matrix.graph_neighbors is None
+
+    def test_read_only(self):
+        space = graph_space(2, [(0, 1, Fraction(1, 2))])
+        with pytest.raises(AttributeError):
+            space.unit_weights = True
+        with pytest.raises(AttributeError):
+            space.graph_neighbors = ((1,), (0,))
+        assert not space.unit_weights
+
+
 class TestRadiusValidation:
     """A radius is an int or Fraction >= 0: floats and bools are rejected,
     not rounded (a float 1.5 would otherwise pass as 3/2 and 0.1 as a
@@ -420,6 +467,17 @@ class TestMalformedSpaceFiles:
         with pytest.raises(ConfigError) as info:
             space_from_json(doc)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("generated", [True, False])
+    def test_label_must_be_a_str(self, generated):
+        # a generated space ignores the stored label, so it is checked first
+        doc = space_to_json(grid_window(1, 0, 2))
+        if not generated:
+            del doc["generator"]
+        doc["label"] = 5
+        with pytest.raises(ConfigError) as info:
+            space_from_json(doc)
+        assert str(info.value) == "space file label must be a str, got 5"
 
     def test_generated_file_frontier(self):
         # {0, 2.0} == {0, 2}, so only the entry check tells them apart

@@ -22,12 +22,12 @@ terms as one Fraction) is the passes' reference, and the pointwise lattice
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
-from .jsonio import Doc, load_json, parse_rational, to_doc
+from .jsonio import Doc, load_json, parse_rational
 from .space import WindowSpace, check_radius
 
 #: distinguished ratio for pairs with empty intersection; fails every
@@ -155,22 +155,19 @@ def base_and_towers(a: Chain) -> tuple[Chain, Chain]:
 # -- families ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyParams(Doc):
-    """Claimed parameters of an indexed family."""
+class FamilyParams(namedtuple("FamilyParams", "R epsilon S M"), Doc):
+    """Claimed parameters of an indexed family: the Fractions R, epsilon > 0
+    and S, and the int M >= 0 (default 0)."""
 
-    R: Fraction
-    epsilon: Fraction
-    S: Fraction
-    M: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("R", "epsilon", "S"):
-            object.__setattr__(self, name, check_radius(getattr(self, name), name))
-        if self.epsilon == 0:
+    def __new__(cls, R, epsilon, S, M=0):
+        R, epsilon, S = check_radius(R, "R"), check_radius(epsilon, "epsilon"), check_radius(S, "S")
+        if epsilon == 0:
             raise ValueError("epsilon must be positive")
-        if type(self.M) is not int or self.M < 0:
-            raise ValueError(f"M must be an int >= 0, got {self.M!r}")
+        if type(M) is not int or M < 0:
+            raise ValueError(f"M must be an int >= 0, got {M!r}")
+        return super().__new__(cls, R, epsilon, S, M)
 
     @classmethod
     def from_json(cls, doc):
@@ -185,23 +182,22 @@ class FamilyParams(Doc):
             raise ConfigError(f"bad family params: {e}") from e
 
 
-@dataclass
-class IndexedFamily:
-    """One chain per index point of a window.
+class IndexedFamily(namedtuple("IndexedFamily", "space chains params")):
+    """One chain per index point of a window: `chains` maps PointId -> Chain,
+    none of them empty, and `params` is the family's FamilyParams.
 
     The index set may be a subset of the window (a core), e.g. when
     translates near the window edge would escape. A family whose chains
     are all 0,1-valued represents plain subsets A_x = supp a_x.
     """
 
-    space: WindowSpace
-    chains: dict  # PointId -> Chain
-    params: FamilyParams
+    __slots__ = ()
 
-    def __post_init__(self):
-        for x, c in self.chains.items():
+    def __new__(cls, space, chains, params):
+        for x, c in chains.items():
             if not c:
                 raise ValueError(f"family chain at index {x} is empty")
+        return super().__new__(cls, space, chains, params)
 
     def indices(self) -> list:
         return sorted(self.chains)
@@ -210,26 +206,23 @@ class IndexedFamily:
         return all(c.is_flat() for c in self.chains.values())
 
 
-@dataclass(frozen=True)
-class MultisetFamily:
+class MultisetFamily(namedtuple("MultisetFamily", "sets M params")):
     """Family of finite subsets of (window) x {0..M}: the weighted input
-    normal form, one set of (point, level) pairs per index."""
+    normal form, one set of (point, level) pairs per index (`sets` maps
+    PointId -> frozenset[(PointId, int)])."""
 
-    sets: dict  # PointId -> frozenset[(PointId, int)]
-    M: int
-    params: FamilyParams
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.M) is not int or self.M < 0:
-            raise ValueError(f"M must be an int >= 0, got {self.M!r}")
-        for x, s in self.sets.items():
+    def __new__(cls, sets, M, params):
+        if type(M) is not int or M < 0:
+            raise ValueError(f"M must be an int >= 0, got {M!r}")
+        for x, s in sets.items():
             if not s:
                 raise ValueError(f"multiset family entry at {x} is empty")
             for (_, n) in s:
-                if not (0 <= n <= self.M):
-                    raise ValueError(
-                        f"entry at {x} has level {n} outside 0..{self.M}"
-                    )
+                if not (0 <= n <= M):
+                    raise ValueError(f"entry at {x} has level {n} outside 0..{M}")
+        return super().__new__(cls, sets, M, params)
 
 
 def family_from_multisets(space: WindowSpace, sets, params: FamilyParams) -> IndexedFamily:
@@ -254,22 +247,21 @@ def family_from_multisets(space: WindowSpace, sets, params: FamilyParams) -> Ind
 # -- verification ------------------------------------------------------------
 
 
-@dataclass
-class FamilyReport(Doc):
+class FamilyReport(namedtuple("FamilyReport", [
+        "passed", "pair_count",
+        "worst_ratio",  # Fraction | INFINITE_RATIO | None if no pairs
+        "worst_pair",  # (x, y) | None
+        "max_support_radius",  # Fraction
+        "ratio_violations",  # [(x, y, ratio)]
+        "support_violations",  # [(x, measured_radius)]
+        "flat_violations"]), Doc):  # [x]
     """Outcome of checking a family against its claimed parameters; its
     doc names `pair_count` "pairs_checked"."""
 
-    passed: bool
-    pair_count: int
-    worst_ratio: object  # Fraction | INFINITE_RATIO | None if no pairs
-    worst_pair: object  # (x, y) | None
-    max_support_radius: Fraction
-    ratio_violations: list  # [(x, y, ratio)]
-    support_violations: list  # [(x, measured_radius)]
-    flat_violations: list  # [x]
+    __slots__ = ()
 
     def to_json(self):
-        doc = to_doc(vars(self))
+        doc = super().to_json()
         doc["pairs_checked"] = doc.pop("pair_count")
         return doc
 

@@ -12,7 +12,7 @@ reads each centre's candidate balls off the layer sizes of one BFS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .chains import Chain, FamilyParams, IndexedFamily, _as_ratio, _terms
@@ -240,8 +240,14 @@ def pushforward_injective(
     return IndexedFamily(space=target, chains=chains, params=params)
 
 
-@dataclass
-class CoarseMapModel:
+class CoarseMapModel(namedtuple("CoarseMapModel", [
+        "X", "Y",
+        "f",  # PointId(X) -> PointId(Y)
+        "g",  # PointId(Y, image only) -> PointId(X)
+        "Z",  # sorted PointIds of X forming g(f(X))
+        "S", "M",
+        "iota",  # PointId(X) -> (PointId(X) in Z, level)
+        "rho_minus", "rho_plus"])):
     """A coarse equivalence f between two windows, normalized for transfer.
 
     Holds the section g of f (per image point, its smallest preimage),
@@ -252,16 +258,7 @@ class CoarseMapModel:
     distortion of f both ways.
     """
 
-    X: WindowSpace
-    Y: WindowSpace
-    f: dict  # PointId(X) -> PointId(Y)
-    g: dict  # PointId(Y, image only) -> PointId(X)
-    Z: list  # sorted PointIds of X forming g(f(X))
-    S: Fraction
-    M: int
-    iota: dict  # PointId(X) -> (PointId(X) in Z, level)
-    rho_minus: list
-    rho_plus: list
+    __slots__ = ()
 
     @classmethod
     def build(cls, X: WindowSpace, Y: WindowSpace, f: dict, rho_minus, rho_plus):
@@ -361,8 +358,7 @@ def project_family(product_space: WindowSpace, fam: IndexedFamily) -> IndexedFam
 # -- box spaces ---------------------------------------------------------------
 
 
-@dataclass
-class BoxSpaceModel:
+class BoxSpaceModel(namedtuple("BoxSpaceModel", "m boxes spacing space offsets sizes")):
     """Coarse union of the cyclic quotients of the integers by m^j.
 
     Box j (1-based) is a cycle of length m^j; the quotient map pi_j sends
@@ -371,12 +367,7 @@ class BoxSpaceModel:
     within any fixed range of each other.
     """
 
-    m: int
-    boxes: int
-    spacing: tuple
-    space: WindowSpace
-    offsets: tuple
-    sizes: tuple
+    __slots__ = ()
 
     def size(self, j: int) -> int:
         return self.sizes[j - 1]
@@ -409,16 +400,14 @@ def build_box_space(m: int, boxes: int, spacing=None) -> BoxSpaceModel:
     )
 
 
-@dataclass
-class BoxFamilyReport(Doc):
-    S: Fraction
-    J: int
-    injectivity_threshold: int  # least cycle length for faithful translate counting
-    pairs_checked: int
-    equalities_hold: bool
-    equality_failures: list  # [(j, gbar, hbar)]
-    worst_ratio: object
-    worst_model_ratio: object  # worst |gF /\ hF| ratio in the integers
+class BoxFamilyReport(namedtuple("BoxFamilyReport", [
+        "S", "J",
+        "injectivity_threshold",  # least cycle length for faithful translate counting
+        "pairs_checked", "equalities_hold",
+        "equality_failures",  # [(j, gbar, hbar)]
+        "worst_ratio",
+        "worst_model_ratio"]), Doc):  # worst |gF /\ hF| ratio in the integers
+    __slots__ = ()
 
 
 def box_family(model: BoxSpaceModel, F, R, epsilon) -> tuple[IndexedFamily, BoxFamilyReport]:
@@ -440,6 +429,8 @@ def box_family(model: BoxSpaceModel, F, R, epsilon) -> tuple[IndexedFamily, BoxF
         raise ValueError("Folner set F is empty")
     R = check_radius(R, "R")
     epsilon = check_radius(epsilon, "epsilon")
+    if epsilon == 0:
+        raise ValueError("epsilon must be positive")
     Fset = set(F)
 
     # Folner precondition for F in the integers, checked exactly

@@ -33,8 +33,7 @@ report the smallest sink id. The step budget is checked after the fact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .chains import (Chain, FamilyParams, IndexedFamily, _as_ratio, _terms, base_and_towers,
                      in_range_pairs)
@@ -43,16 +42,13 @@ from .jsonio import Doc, format_ratio
 from .rips import FlowField
 
 
-@dataclass(frozen=True)
-class FlattenTrace(Doc):
+class FlattenTrace(namedtuple("FlattenTrace", "steps bound support_radius_growth escaped",
+                              defaults=(False,)), Doc):
     """What one flattening run did: actual steps taken, the a-priori step
     budget ||a||_1 * ||towers(a)||_1, and how far the support can have
     spread (one flow edge of length <= r per step)."""
 
-    steps: int
-    bound: int
-    support_radius_growth: Fraction
-    escaped: bool = False
+    __slots__ = ()
 
 
 def _check_domain(a: Chain, flow: FlowField):
@@ -120,20 +116,15 @@ def flatten(a: Chain, flow: FlowField) -> tuple[Chain, FlattenTrace]:
     return Chain._trusted(dict.fromkeys(last, 1)), trace
 
 
-@dataclass
-class FlattenReport(Doc):
+class FlattenReport(namedtuple("FlattenReport", [
+        "worst_ratio_before",  # Fraction | inf | None
+        "worst_ratio_after", "max_steps", "new_S", "input_S", "r", "escaped_indices",
+        "escaped_traces",  # index -> FlattenTrace
+        "pair_regressions"]), Doc):  # [(x, y, before, after)] -- always empty
     """Family-level flattening outcome, with the exact before/after worst
     ratios over in-range index pairs and the support-radius update."""
 
-    worst_ratio_before: object  # Fraction | inf | None
-    worst_ratio_after: object
-    max_steps: int
-    new_S: Fraction
-    input_S: Fraction
-    r: Fraction
-    escaped_indices: list
-    escaped_traces: dict  # index -> FlattenTrace
-    pair_regressions: list  # [(x, y, before, after)] -- always empty
+    __slots__ = ()
 
 
 def flatten_family(

@@ -57,7 +57,8 @@ def _key(k) -> str:
 
 def to_doc(v):
     """The JSON doc of an exact value, by the rule in the module docstring.
-    Dispatch is on the exact type, the common leaves first."""
+    Dispatch is on the exact type, the common leaves first, so a record (a
+    tuple subclass) reaches the Doc branch."""
     t = type(v)
     if t is int or t is str or t is bool or v is None:
         return v
@@ -75,10 +76,13 @@ def to_doc(v):
 
 
 class Doc:
-    """A report record whose JSON doc is its fields under their own names."""
+    """Mixin for a namedtuple report record: its JSON doc is its fields
+    under their own names."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return to_doc(vars(self))
+        return {k: to_doc(v) for k, v in zip(self._fields, self)}
 
 
 def parse_ids(spec) -> list:

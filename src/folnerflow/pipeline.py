@@ -23,24 +23,20 @@ report for humans.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 from .errors import ConfigError, FolnerflowError, PipelineStageError
 from .jsonio import dump_json, format_rational, parse_ids, parse_rational
 
 
-class Stage(NamedTuple):
-    name: str
-    kind: str
-    params: dict
-    inputs: dict
+class Stage(namedtuple("Stage", "name kind params inputs")):
+    __slots__ = ()
 
 
-class PipelineConfig(NamedTuple):
-    stages: list
-    seed: int = 0
+class PipelineConfig(namedtuple("PipelineConfig", "stages seed", defaults=(0,))):
+    __slots__ = ()
 
     @classmethod
     def from_json(cls, doc) -> "PipelineConfig":
@@ -289,11 +285,13 @@ def _resolve_core(space, core):
     return core
 
 
-class StageKind(NamedTuple):
-    inputs: dict  # role -> the producer kinds it accepts
-    run: Callable  # (inputs, params, rng) -> (object, {file suffix: JSON doc}, summary)
-    blurb: str  # what `explain` says the stage does
-    fails: Callable = lambda summary: False  # whether the stage failed: run fails, CLI exits 1
+class StageKind(namedtuple("StageKind", [
+        "inputs",  # role -> the producer kinds it accepts
+        "run",  # (inputs, params, rng) -> (object, {file suffix: JSON doc}, summary)
+        "blurb",  # what `explain` says the stage does
+        "fails"],  # whether the stage failed: run fails, CLI exits 1
+        defaults=(lambda summary: False,))):
+    __slots__ = ()
 
 
 _SPACE = ("generate", "box")

@@ -14,23 +14,20 @@ point id.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import deque, namedtuple
 
 from .errors import ConfigError, NotCoarselyUnbounded
 from .jsonio import format_rational, parse_rational
 from .space import PointId, WindowSpace, check_radius
 
 
-@dataclass(frozen=True)
-class RipsGraph:
+class RipsGraph(namedtuple("RipsGraph", [
+        "r", "n",
+        "neighbors",  # tuple[frozenset[PointId], ...]
+        "components"])):  # tuple[frozenset[PointId], ...], sorted by min id
     """Edge set at scale r plus its component partition."""
 
-    r: Fraction
-    n: int
-    neighbors: tuple  # tuple[frozenset[PointId], ...]
-    components: tuple  # tuple[frozenset[PointId], ...], sorted by min id
+    __slots__ = ()
 
     def edge_count(self) -> int:
         return sum(len(nb) for nb in self.neighbors) // 2
@@ -82,14 +79,13 @@ def _components(neighbors) -> tuple:
     return tuple(components)
 
 
-@dataclass
-class UnboundednessReport:
+class UnboundednessReport(namedtuple("UnboundednessReport", [
+        "passed", "component_count",
+        "bounded_components"])):  # list[tuple[PointId, ...]]
     """Which components reach the frontier; those that do not are the
     window's witnesses of bounded pieces."""
 
-    passed: bool
-    component_count: int
-    bounded_components: list  # list[tuple[PointId, ...]]
+    __slots__ = ()
 
 
 def check_coarsely_unbounded(space: WindowSpace, rips: RipsGraph) -> UnboundednessReport:
@@ -104,8 +100,10 @@ def check_coarsely_unbounded(space: WindowSpace, rips: RipsGraph) -> Unboundedne
     )
 
 
-@dataclass(frozen=True)
-class FlowField:
+class FlowField(namedtuple("FlowField", [
+        "sigma",  # PointId -> PointId, sinks absent
+        "sinks", "r", "n",
+        "depths"])):  # PointId -> int
     """One outgoing tree edge per non-sink vertex, oriented toward the sink.
 
     sigma[x] is the next vertex downstream of x; sinks have no image.
@@ -115,18 +113,13 @@ class FlowField:
     stays in the flow (sigma keys and sinks) until it ends on a sink.
     """
 
-    sigma: dict  # PointId -> PointId, sinks absent
-    sinks: frozenset
-    r: Fraction
-    n: int
-    depths: dict = field(init=False, repr=False)  # PointId -> int
+    __slots__ = ()
 
-    def __post_init__(self):
-        sigma, n = self.sigma, self.n
-        for x in (*self.sinks, *sigma, *sigma.values()):
+    def __new__(cls, sigma, sinks, r, n):
+        for x in (*sinks, *sigma, *sigma.values()):
             if type(x) is not int or not 0 <= x < n:
                 raise ValueError(f"point {x!r} is not an id in 0..{n - 1}")
-        depths = dict.fromkeys(self.sinks, 0)
+        depths = dict.fromkeys(sinks, 0)
         for s in depths:
             if s in sigma:
                 raise ValueError(f"sink {s} has a sigma edge to {sigma[s]}")
@@ -142,7 +135,10 @@ class FlowField:
                 y = sigma[y]
             for i, t in enumerate(reversed(trail), start=depths[y] + 1):
                 depths[t] = i
-        object.__setattr__(self, "depths", depths)
+        return super().__new__(cls, sigma, sinks, r, n, depths)
+
+    def __getnewargs__(self):  # copy and pickle rebuild from the four inputs
+        return self[:4]
 
     def depth(self, x: PointId) -> int:
         try:

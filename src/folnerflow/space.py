@@ -34,7 +34,6 @@ import itertools
 import math
 import numbers
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigError
 from .jsonio import dump_json, format_rational, load_json, parse_rational, to_doc

@@ -22,7 +22,7 @@ no point ever carries more than two tails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .chains import Chain, FamilyParams, IndexedFamily, MultisetFamily
@@ -31,26 +31,22 @@ from .jsonio import Doc, format_rational, parse_rational
 from .space import PointId, WindowSpace
 
 
-@dataclass(frozen=True)
-class TailCover:
-    """Escape sequences per point with declared step bound r and
-    multiplicity bound K."""
+class TailCover(namedtuple("TailCover", "tails r K")):
+    """Escape sequences per point (`tails` maps PointId -> tuple[PointId,
+    ...]) with declared step bound r and multiplicity bound K."""
 
-    tails: dict  # PointId -> tuple[PointId, ...]
-    r: Fraction
-    K: int
+    __slots__ = ()
 
 
-@dataclass
-class TailCoverReport(Doc):
-    passed: bool
-    measured_K: int
-    measured_step: object  # Fraction | None when no tail has two points
-    start_violations: list  # [x] with t^x_0 != x
-    distinct_violations: list  # [x] with a repeated point
-    step_violations: list  # [(x, j, d)] steps longer than r
-    multiplicity_violations: list  # [(z, count)] points hit by > K tails
-    frontier_violations: list  # [x] whose tail does not end on the frontier
+class TailCoverReport(namedtuple("TailCoverReport", [
+        "passed", "measured_K",
+        "measured_step",  # Fraction | None when no tail has two points
+        "start_violations",  # [x] with t^x_0 != x
+        "distinct_violations",  # [x] with a repeated point
+        "step_violations",  # [(x, j, d)] steps longer than r
+        "multiplicity_violations",  # [(z, count)] points hit by > K tails
+        "frontier_violations"]), Doc):  # [x] whose tail does not end on the frontier
+    __slots__ = ()
 
 
 def verify_tail_cover(cover: TailCover, space: WindowSpace) -> TailCoverReport:

@@ -89,6 +89,11 @@ class TestRadiusValidation:
         with pytest.raises(ValueError, match=name):
             box_family(build_box_space(4, 5), range(10), args["R"], args["epsilon"])
 
+    @pytest.mark.parametrize("eps", [0, Fraction(0)])
+    def test_box_family_epsilon_zero(self, eps):
+        with pytest.raises(ValueError, match="^epsilon must be positive$"):
+            box_family(build_box_space(4, 5), range(10), 1, eps)
+
     @pytest.mark.parametrize("R", [0.1, 1.0, True, -1])
     def test_pushforward_target_R(self, R):
         space = grid_window(1, 0, 9)

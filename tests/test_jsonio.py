@@ -1,7 +1,6 @@
 """The one rendering rule for exact values (`jsonio.to_doc`) and the report
 records whose docs it renders (`jsonio.Doc`)."""
 
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -11,13 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folnerflow import FamilyParams, build_tree_tails, tree_window
-from folnerflow.chains import INFINITE_RATIO, FamilyReport, verify_family
-from folnerflow.constructions import BoxFamilyReport, box_family, build_box_space
+from folnerflow.chains import (INFINITE_RATIO, FamilyReport, IndexedFamily, MultisetFamily,
+                               verify_family)
+from folnerflow.constructions import (BoxFamilyReport, BoxSpaceModel, CoarseMapModel, box_family,
+                                      build_box_space)
 from folnerflow.families import ball_family
 from folnerflow.flatten import FlattenReport, FlattenTrace
 from folnerflow.jsonio import Doc, format_ratio, format_rational, to_doc
+from folnerflow.pipeline import PipelineConfig, Stage, StageKind
+from folnerflow.rips import FlowField, RipsGraph, UnboundednessReport
 from folnerflow.space import grid_window
-from folnerflow.tails import TailCoverReport, verify_tail_cover
+from folnerflow.tails import TailCover, TailCoverReport, verify_tail_cover
 
 
 def reference(v):
@@ -101,7 +104,7 @@ class TestDocRecords:
 
     @pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
     def test_keys_are_field_names(self, record):
-        names = [f.name for f in dataclasses.fields(record)]
+        names = list(type(record)._fields)
         if type(record) is FamilyReport:  # the one renamed key
             names[names.index("pair_count")] = "pairs_checked"
         doc = record.to_json()
@@ -118,3 +121,17 @@ class TestDocRecords:
     def test_family_report_keeps_its_attribute(self):
         verdict = records()[1]
         assert verdict.to_json()["pairs_checked"] == verdict.pair_count > 0
+
+
+RECORDS = [FamilyParams, IndexedFamily, MultisetFamily, FamilyReport, CoarseMapModel,
+           BoxSpaceModel, BoxFamilyReport, FlattenTrace, FlattenReport, RipsGraph,
+           UnboundednessReport, FlowField, TailCover, TailCoverReport, Stage, PipelineConfig,
+           StageKind]
+
+
+@pytest.mark.parametrize("kind", RECORDS, ids=lambda k: k.__name__)
+def test_every_record_is_a_slotted_namedtuple(kind):
+    assert issubclass(kind, tuple)
+    assert kind._fields
+    # _make builds the tuple without the record's own checks
+    assert not hasattr(kind._make(range(len(kind._fields))), "__dict__")

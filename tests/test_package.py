@@ -6,6 +6,7 @@ import importlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from conftest import child_env
@@ -30,8 +31,8 @@ EXPORTED = [
 ]
 
 
-def run_child(code, cwd):
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+def run_child(code, cwd, *flags):
+    r = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                        cwd=cwd, env=child_env(), timeout=120)
     assert r.returncode == 0, r.stderr
     return r.stdout
@@ -72,11 +73,79 @@ class TestLazyNamespace:
         assert out == "True\n"
 
 
-def modules_after(argv, cwd):
-    """The folnerflow modules a fresh child holds after cli.main(argv)."""
-    code = (f"import json, sys\nfrom folnerflow import cli\ncli.main({argv!r})\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('folnerflow'))))")
-    return set(json.loads(run_child(code, cwd).splitlines()[-1]))
+def modules_after(argv, cwd, *flags):
+    """The modules a fresh child (`python *flags`) holds after cli.main(argv),
+    which must return 0."""
+    code = (f"import json, sys\nfrom folnerflow import cli\nstatus = cli.main({argv!r})\n"
+            "print(json.dumps([status, sorted(sys.modules)]))")
+    status, loaded = json.loads(run_child(code, cwd, *flags).splitlines()[-1])
+    assert status == 0, argv
+    return set(loaded)
+
+
+LINE = {"kind": "grid", "dim": 1, "low": -30, "high": 30}
+TREE = {"kind": "tree", "branching": 2, "depth": 5}
+# one argv per command kind of the cli-artifacts benchmark workload
+SESSION = {
+    "space gen": ["space", "gen", "--spec", json.dumps(LINE), "--out", "gen.json"],
+    "rips build": ["rips", "build", "--space", "line.json", "--r", "1", "--out", "r.json"],
+    "flow build": ["flow", "build", "--rips", "rips.json", "--out", "f.json"],
+    "flatten run": ["flatten", "run", "--family", "tent.json", "--flow", "flow.json",
+                    "--space", "line.json", "--out", "flat.json", "--report", "flat.report.json"],
+    "family verify": ["family", "verify", "--family", "tent.json", "--space", "line.json"],
+    "tails build": ["tails", "build", "--space", "tree.json", "--out", "c.json"],
+    "tails verify": ["tails", "verify", "--space", "tree.json", "--cover", "cover.json"],
+    "tails transport": ["tails", "transport", "--space", "tree.json", "--cover", "cover.json",
+                        "--family", "cluster.json", "--M", "1", "--out", "transported.json"],
+    "box build": ["box", "build", "--m", "4", "--boxes", "5", "--F", "0..9", "--R", "1",
+                  "--eps", "1/4", "--out", "box.json", "--family-out", "boxfam.json"],
+    "coarse push": ["coarse", "push", "--family", "pushfam.json", "--space", "X.json",
+                    "--target", "Y.json", "--map", "map.json", "--out", "pushed.json"],
+    "run": ["run", "--config", "pipe.json", "--out", "out"],
+    "explain": ["explain", "done/report.json"],
+}
+
+
+@pytest.fixture(scope="module")
+def session_dir(tmp_path_factory):
+    """The input files of every SESSION command, written in this process."""
+    from folnerflow import (FamilyParams, MultisetFamily, ball_family, build_flow, build_rips,
+                            build_tree_tails, generate, grid_window, tent_family)
+    from folnerflow.chains import family_to_json, multiset_family_to_json
+    from folnerflow.jsonio import dump_json
+    from folnerflow.pipeline import PipelineConfig, run
+    from folnerflow.rips import flow_to_json, rips_to_json
+    from folnerflow.space import space_to_json
+    from folnerflow.tails import cover_to_json
+    d = tmp_path_factory.mktemp("session")
+    line, tree = generate(LINE), generate(TREE)
+    rips = build_rips(line, 1)
+    X = grid_window(1, 0, 20)
+    for doc, name in (
+            (space_to_json(line), "line"), (space_to_json(tree), "tree"),
+            (rips_to_json(line, rips), "rips"), (flow_to_json(build_flow(line, rips)), "flow"),
+            (family_to_json(tent_family(line, 4, 1, Fraction(3, 4), core=range(30, 40))), "tent"),
+            (cover_to_json(build_tree_tails(tree)), "cover"),
+            (multiset_family_to_json(MultisetFamily(
+                sets={0: frozenset({(0, 0), (1, 1)})}, M=1,
+                params=FamilyParams(R=1, epsilon=Fraction(1, 8), S=1, M=1))), "cluster"),
+            (space_to_json(X), "X"), (space_to_json(grid_window(1, 0, 40)), "Y"),
+            (family_to_json(ball_family(X, 2, R=1, epsilon=Fraction(2, 3))), "pushfam"),
+            ({"f": [[x, 2 * x] for x in range(X.n)]}, "map")):
+        dump_json(doc, d / f"{name}.json")
+    pipe = {"stages": [
+        {"name": "win", "kind": "generate", "params": {"spec": LINE}},
+        {"name": "graph", "kind": "rips", "params": {"r": "1/1"}, "inputs": {"space": "win"}},
+        {"name": "exit", "kind": "flow", "inputs": {"rips": "graph"}},
+        {"name": "tent", "kind": "family", "inputs": {"space": "win"},
+         "params": {"kind": "tent", "width": 4, "R": "1/1", "epsilon": "3/4",
+                    "core": {"coords": [0, 9]}}},
+        {"name": "flat", "kind": "flatten", "inputs": {"family": "tent", "flow": "exit"}},
+        {"name": "check", "kind": "verify", "params": {"require_flat": True},
+         "inputs": {"family": "flat"}}]}
+    dump_json(pipe, d / "pipe.json")
+    run(PipelineConfig.from_json(pipe), d / "done")
+    return d
 
 
 class TestImportGuard:
@@ -98,6 +167,19 @@ class TestImportGuard:
         assert "folnerflow.pipeline" in loaded
         for name in ("space", "chains", "rips", "flatten", "tails", "constructions", "families"):
             assert f"folnerflow.{name}" not in loaded
+
+    @pytest.mark.parametrize("command", SESSION)
+    def test_no_command_loads_dataclasses_or_inspect(self, session_dir, command):
+        loaded = modules_after(SESSION[command], session_dir)
+        assert "dataclasses" not in loaded
+        assert "inspect" not in loaded
+
+    def test_space_gen_without_site_loads_no_typing(self, tmp_path):
+        """Site start-up may preload `typing` (a .pth file can), so a child
+        started with -S shows whether the package itself imports it."""
+        loaded = modules_after(SESSION["space gen"], tmp_path, "-S")
+        assert (tmp_path / "gen.json").is_file()
+        assert "typing" not in loaded
 
 
 # (exit code, sha256 of stdout, sha256 of stderr) on Python 3.11 at 80

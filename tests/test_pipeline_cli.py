@@ -368,6 +368,13 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["passed"] is False
 
+    def test_box_build_epsilon_zero_is_exit_2(self, tmp_path):
+        r = run_cli(["box", "build", "--m", "2", "--boxes", "3", "--F", "0..2", "--R", "1",
+                     "--eps", "0", "--out", "b.json"], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr == "error: epsilon must be positive\n"
+        assert not (tmp_path / "b.json").exists()
+
     def test_run_exit_2_on_bad_config(self, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps({
             "stages": [{"name": "a", "kind": "rips", "inputs": {"space": "ghost"}}],

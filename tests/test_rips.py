@@ -1,5 +1,7 @@
 """Neighbourhood graphs, component/frontier checks, and exit flows."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 
@@ -318,6 +320,11 @@ class TestFlowConstruction:
         mutate(doc)
         with pytest.raises(ConfigError, match=f"flow file is corrupt: .*{message}"):
             flow_from_json(doc)
+
+    def test_copy_and_pickle_rebuild_the_flow(self):
+        flow = flow_from_json(line_flow_doc())
+        for twin in (copy.copy(flow), pickle.loads(pickle.dumps(flow))):
+            assert type(twin) is FlowField and twin == flow and twin.depth(7) == 7
 
     def test_bad_point_types_rejected(self):
         for sigma, sinks in [({"1": 0}, {0}), ({1: 0}, {True}), ({1: 0.0}, {0})]:

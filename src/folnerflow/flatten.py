@@ -21,10 +21,15 @@ until it reaches a point outside the support, where one arriving unit
 stays. So a unit from y reaches q at step depth(y) - depth(q): a deeper
 tower always arrives later, and equal-depth towers that meet have merged.
 Taken by increasing depth, each unit parks at the first free point of its
-sigma path (parking on a mapping; Lackner and Panholzer, JCTA 142, 2016),
-found by a path-compressed "next point to try" map (Tarjan 1975); `steps`
-is the largest parking step. A unit that finds its sink occupied escapes
-at step depth(y). The flat chain, the steps and whether and when the chain
+sigma path (parking on a mapping; Lackner and Panholzer, JCTA 142, 2016).
+A tower's units park along the run of free points below the point where
+its previous unit parked, one sigma lookup and one insert each; only where
+the run meets an occupied point does the search jump, through a
+path-compressed "next point to try" map (Tarjan 1975). Depth drops by one
+per flow edge, so a tower's last unit parks furthest downstream and gives
+the tower's largest parking step; `steps` is the largest over the towers,
+taken once per tower. A unit that finds its sink occupied escapes at step
+depth(y). The flat chain, the steps and whether and when the chain
 escapes do not depend on the order in which units park; when several sinks
 overflow at the shallowest escape step, `shift_step` and `flatten` both
 report the smallest sink id. The step budget is checked after the fact.
@@ -52,9 +57,9 @@ class FlattenTrace(namedtuple("FlattenTrace", "steps bound support_radius_growth
 
 
 def _check_domain(a: Chain, flow: FlowField):
-    for x in a:
-        if x not in flow.depths:
-            raise ValueError(f"chain point {x} is not covered by the flow")
+    if not flow.depths.keys() >= a.keys():
+        raise ValueError(f"chain point {min(a.keys() - flow.depths.keys())} "
+                         "is not covered by the flow")
 
 
 def shift_step(a: Chain, flow: FlowField) -> Chain:
@@ -81,32 +86,32 @@ def flatten(a: Chain, flow: FlowField) -> tuple[Chain, FlattenTrace]:
     if not a:
         raise ValueError("cannot flatten the empty chain")
     _check_domain(a, flow)
-    sigma, depths = flow.sigma, flow.depths
+    get, depths = flow.sigma.get, flow.depths
     # last[u] for an occupied u: an occupied point on u's sigma path with only
     # occupied points between them, so the next point to try is sigma(last[u])
     last = {x: x for x in a}
     steps = 0
     escaped, escape_step = [], math.inf
-    for y in sorted((y for y, v in a.items() if v > 1), key=depths.__getitem__):
+    towers = {y: v - 1 for y, v in a.items() if v > 1}  # units above the base
+    for y in sorted(towers, key=depths.__getitem__):
         if (d := depths[y]) > escape_step:
             break
-        u = y
-        for _ in range(a[y] - 1):
-            p = last[u]
-            if (q := sigma.get(p)) in last:
-                hops = [u]
-                while q in last:
+        # u: where this unit's search starts; p: the last occupied point seen
+        u, p = y, last[y]
+        for _ in range(towers[y]):
+            if (q := get(p)) in last:  # the run meets an occupied point: jump
+                hops = [u, q]
+                while (q := get(p := last[q])) in last:
                     hops.append(q)
-                    p = last[q]
-                    q = sigma.get(p)
                 for h in hops:
                     last[h] = p
             if q is None:  # every point down to the sink p is occupied
                 escaped.append(p)
                 escape_step = d
                 break
-            last[q] = u = q
-            steps = max(steps, d - depths[q])
+            last[q] = u = p = q
+        if d - depths[p] > steps:  # p: where the tower's last unit parked (moot on escape)
+            steps = d - depths[p]
     if escaped:
         raise FlowEscaped(sink=min(escaped), steps=escape_step)
     bound = a.l1() * (a.l1() - len(a))

@@ -36,46 +36,46 @@ class RipsGraph(namedtuple("RipsGraph", [
 def build_rips(space: WindowSpace, r) -> RipsGraph:
     """Exact-threshold neighbourhood graph of the window at scale r.
 
-    Neighbours are balls without their centre. On a graph metric the
-    scale-r components are those of the light edges, of weight w <= r: a
-    light edge {x,y} has 0 < d(x,y) <= w <= r, and if 0 < d(x,y) <= r, each
-    edge of a shortest x-y path weighs <= d(x,y) <= r. On unit weights with
-    r >= 1 every edge is light, so the components come from the graph's own
-    edges; for 1 <= r < 2 the neighbours are the graph neighbours too (d is
-    an int, so 0 < d <= r means d = 1), with no ball search.
+    Neighbours are balls without their centre. On unit weights with r >= 1
+    there is one component: a graph metric is connected (`WindowSpace`
+    checks it) and every unit edge is a scale-r edge. For 1 <= r < 2 the
+    neighbours are the graph neighbours too (d is an int, so 0 < d <= r
+    means d = 1), with no ball search. Elsewhere the components come from
+    the scale-r edges.
     """
     r = check_radius(r, "scale")
     if r == 0:
         raise ValueError(f"scale must be positive, got {r}")
     points = range(space.n)
-    unit = space.unit_weights and r >= 1
-    if unit and r < 2:
-        neighbors = tuple(frozenset(nb) - {x} for x, nb in zip(points, space.graph_neighbors))
-    else:
+    if not (space.unit_weights and r >= 1):
         neighbors = tuple(b - {x} for x, b in zip(points, space.balls(points, r)))
-    light = space.graph_neighbors if unit else neighbors
-    return RipsGraph(r=r, n=space.n, neighbors=neighbors, components=_components(light))
+        return RipsGraph(r=r, n=space.n, neighbors=neighbors, components=_components(neighbors))
+    if r < 2:
+        neighbors = [frozenset(nb) - {x} for x, nb in zip(points, space.graph_neighbors)]
+    else:
+        neighbors, limit = [], space._limit(r)
+        for x in points:
+            ball = space._search((x,), limit)
+            del ball[x]
+            neighbors.append(frozenset(ball))
+    return RipsGraph(r=r, n=space.n, neighbors=tuple(neighbors), components=(frozenset(points),))
 
 
 def _components(neighbors) -> tuple:
     """The connected components of the graph on 0..len(neighbors)-1 with
-    the given neighbour sets, as frozensets sorted by min id."""
+    the given neighbour sets, as frozensets sorted by min id (each search
+    starts at the smallest point not yet reached)."""
     unseen = set(range(len(neighbors)))
     components = []
     while unseen:
-        start = min(unseen)
-        comp = {start}
-        queue = deque([start])
-        unseen.discard(start)
-        while queue:
-            u = queue.popleft()
+        comp = [min(unseen)]
+        unseen.discard(comp[0])
+        for u in comp:  # read while it grows: a FIFO queue
             for v in neighbors[u]:
                 if v in unseen:
                     unseen.discard(v)
-                    comp.add(v)
-                    queue.append(v)
+                    comp.append(v)
         components.append(frozenset(comp))
-    components.sort(key=min)
     return tuple(components)
 
 

@@ -96,6 +96,14 @@ class TestShiftStep:
         with pytest.raises(ValueError):
             shift_step(Chain({9: 1}), flow)
 
+    def test_smallest_uncovered_point_named(self):
+        # inserted in descending order: the message names the smaller id
+        flow = forward_path_flow(3)
+        a = Chain({9: 2, 0: 1, 7: 1})
+        for run in (shift_step, flatten):
+            with pytest.raises(ValueError, match="^chain point 7 is not covered by the flow$"):
+                run(a, flow)
+
 
 class TestFlatten:
     def test_path_example(self):
@@ -168,7 +176,46 @@ def outcome(run, a, flow):
     return "flat", flat, steps, bound
 
 
+@st.composite
+def forest_chains(draw):
+    """A random sigma forest through `handmade_flow` (branching, one to
+    three sinks, ids shuffled) and a chain whose heavy towers sit on a
+    stretch of consecutive points of one sigma path, plus a few light
+    entries elsewhere: runs of parked units meet occupied points partway."""
+    n = draw(st.integers(min_value=2, max_value=24))
+    k = draw(st.integers(min_value=1, max_value=min(3, n - 1)))
+    ids = draw(st.permutations(range(n)))
+    sigma = {ids[i]: ids[draw(st.integers(min_value=0, max_value=i - 1))] for i in range(k, n)}
+    flow = handmade_flow(sigma, sinks={ids[i] for i in range(k)}, n=n)
+    path = [draw(st.sampled_from(ids))]
+    while path[-1] in sigma:
+        path.append(sigma[path[-1]])
+    i = draw(st.integers(min_value=0, max_value=len(path) - 1))
+    j = draw(st.integers(min_value=i + 1, max_value=len(path)))
+    w = {x: draw(st.integers(min_value=1, max_value=8)) for x in path[i:j]}
+    for x, v in draw(st.dictionaries(st.sampled_from(ids), st.integers(min_value=1, max_value=3),
+                                     max_size=6)).items():
+        w[x] = w.get(x, 0) + v
+    return Chain(w), flow
+
+
 class TestEngineMatchesSpec:
+    @settings(max_examples=300, deadline=None)
+    @given(forest_chains())
+    def test_random_sigma_forests(self, case):
+        a, flow = case
+        assert outcome(engine, a, flow) == outcome(iterated_shift_step, a, flow)
+
+    def test_equal_depth_towers_one_escaping_partway_through_a_run(self):
+        # lines 2 -> 1 -> 0 and 5 -> 4 -> 3; the towers of 5 and 2 both sit at
+        # depth 2. The tower of 5 parks a run of units on 4 and 3 (or, with 3
+        # occupied, one unit on 4 before the run meets 3) and then escapes at
+        # its sink, at step 2; the tower of 2 parks on 1 all the same
+        flow = handmade_flow({1: 0, 2: 1, 4: 3, 5: 4}, sinks={0, 3})
+        for a in (Chain({5: 4, 2: 2}), Chain({5: 3, 3: 1, 2: 2}), Chain({2: 2, 5: 4})):
+            assert outcome(engine, a, flow) == ("escaped", 3, 2)
+            assert outcome(iterated_shift_step, a, flow) == ("escaped", 3, 2)
+
     @settings(max_examples=80, deadline=None)
     @given(rng=st.randoms(use_true_random=False),
            spine=st.integers(min_value=1, max_value=12),
@@ -228,6 +275,33 @@ class TestEngineMatchesSpec:
         # sigma(1) = 9, and 9 is neither in sigma nor a sink: no flow to run on
         with pytest.raises(ValueError, match="orbit of 0 leaves the flow at 9"):
             FlowField(sigma={0: 1, 1: 9}, sinks=frozenset({2}), r=Fraction(1), n=10)
+
+
+class CountingSigma(dict):
+    """A sigma map that counts its `get` calls, the lookups `flatten` makes."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+class TestWorkBound:
+    def test_sigma_lookups_at_most_twice_the_mass(self):
+        # non-escaping width-W tents on the 401-point line, whose flow drains
+        # to point 0: the tent at c flattens onto the W * W points below c + W
+        line = grid_window(1, -200, 200)
+        built = build_flow(line, build_rips(line, 1))
+        for W in range(4, 17):
+            for c in (W * (W - 1), 300, line.n - W):
+                sigma = CountingSigma(built.sigma)
+                flow = FlowField(sigma=sigma, sinks=built.sinks, r=built.r, n=built.n)
+                a = tent_family(line, W, 1, 1, core=[c]).chains[c]
+                sigma.gets = 0
+                flat, _ = flatten(a, flow)
+                assert flat.l1() == a.l1() == W * W
+                assert sigma.gets <= 2 * a.l1(), (W, c, sigma.gets)
 
 
 class TestClaims:

@@ -279,24 +279,38 @@ def verify_family(fam: IndexedFamily, require_flat: bool = False) -> FamilyRepor
     """Exact check of the ratio condition at range R, the support-radius
     bound S, and (optionally) 0,1-valuedness. Violations are report
     entries, never exceptions; iteration order is fixed by point id so the
-    report is deterministic."""
+    report is deterministic.
+
+    One search per index x answers both questions (`WindowSpace.reach`): a
+    search from x that stops once it has reached every support point of
+    a_x, whose largest target distance is x's support radius far. When it
+    stops it holds every y with d(x, y) < far at its exact distance (a BFS
+    has discovered every layer before the last target's; Dijkstra has
+    settled every point nearer than the last target it settled), so when
+    R < far the in-range partners y > x come from that same search. Only
+    when far <= R does an R-ball search run as well; on a matrix both come
+    from x's row. The pairs are those of `in_range_pairs`, in its order."""
     space, params, chains = fam.space, fam.params, fam.chains
     num, den = params.epsilon.numerator, params.epsilon.denominator
     worst = None  # the terms of the first worst pair
     worst_pair = None
     pair_count = 0
     ratio_violations = []
-    for x, y in in_range_pairs(space, chains, params.R):
-        d, m = _terms(chains[x], chains[y])
-        pair_count += 1
-        if worst is None or d * worst[1] > worst[0] * m:
-            worst, worst_pair = (d, m), (x, y)
-        if d * den >= num * m:
-            ratio_violations.append((x, y, _as_ratio((d, m))))
+    radii = {}
+    for x in fam.indices():
+        a = chains[x]
+        near, radii[x] = space.reach(x, a.keys(), params.R)
+        for y in sorted([y for y in near if y > x and y in chains]):
+            d, m = _terms(a, chains[y])
+            pair_count += 1
+            if worst is None or d * worst[1] > worst[0] * m:
+                worst, worst_pair = (d, m), (x, y)
+            if d * den >= num * m:
+                ratio_violations.append((x, y, _as_ratio((d, m))))
 
-    radii = {x: space.support_radius(x, fam.chains[x].keys()) for x in fam.indices()}
     max_radius = max(radii.values(), default=Fraction(0))
-    support_violations = [(x, radius) for x, radius in radii.items() if radius > params.S]
+    support_violations = [] if max_radius <= params.S else [
+        (x, radius) for x, radius in radii.items() if radius > params.S]
 
     flat_violations = []
     if require_flat:

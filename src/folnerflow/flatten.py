@@ -56,6 +56,11 @@ class FlattenTrace(namedtuple("FlattenTrace", "steps bound support_radius_growth
     __slots__ = ()
 
 
+def _budget(a: Chain) -> int:
+    """The a-priori step budget ||a||_1 * ||towers(a)||_1."""
+    return a.l1() * (a.l1() - len(a))
+
+
 def _check_domain(a: Chain, flow: FlowField):
     if not flow.depths.keys() >= a.keys():
         raise ValueError(f"chain point {min(a.keys() - flow.depths.keys())} "
@@ -79,10 +84,11 @@ def shift_step(a: Chain, flow: FlowField) -> Chain:
     return Chain(out)
 
 
-def flatten(a: Chain, flow: FlowField) -> tuple[Chain, FlattenTrace]:
-    """Iterate `shift_step` until flat, by depth-ordered parking (see the
-    module docstring): the flat chain and a trace, or the iteration's
-    FlowEscaped with its sink and step."""
+def _park(a: Chain, flow: FlowField) -> tuple[Chain, int]:
+    """The flat chain and the steps of `flatten`, without its trace: every
+    tower unit parked by increasing depth (see the module docstring), the
+    iteration's FlowEscaped with its sink and step, and the step budget
+    checked."""
     if not a:
         raise ValueError("cannot flatten the empty chain")
     _check_domain(a, flow)
@@ -114,11 +120,17 @@ def flatten(a: Chain, flow: FlowField) -> tuple[Chain, FlattenTrace]:
             steps = d - depths[p]
     if escaped:
         raise FlowEscaped(sink=min(escaped), steps=escape_step)
-    bound = a.l1() * (a.l1() - len(a))
-    if steps > bound:
+    if steps > (bound := _budget(a)):
         raise InternalInvariantError(f"flattening {a!r} took {steps} steps > budget {bound}")
-    trace = FlattenTrace(steps=steps, bound=bound, support_radius_growth=flow.r * steps)
-    return Chain._trusted(dict.fromkeys(last, 1)), trace
+    return Chain._trusted(dict.fromkeys(last, 1)), steps
+
+
+def flatten(a: Chain, flow: FlowField) -> tuple[Chain, FlattenTrace]:
+    """Iterate `shift_step` until flat, by depth-ordered parking (see the
+    module docstring): the flat chain and a trace, or the iteration's
+    FlowEscaped with its sink and step."""
+    flat, steps = _park(a, flow)
+    return flat, FlattenTrace(steps=steps, bound=_budget(a), support_radius_growth=flow.r * steps)
 
 
 class FlattenReport(namedtuple("FlattenReport", [
@@ -153,21 +165,21 @@ def flatten_family(
         raise ValueError(f"on_escape must be 'raise' or 'collect', got {on_escape!r}")
 
     flat_chains = {}
-    traces = {}
+    max_steps = 0
     escaped_traces = {}
     for x in fam.indices():
         try:
-            flat_chains[x], traces[x] = flatten(fam.chains[x], flow)
+            flat_chains[x], steps = _park(fam.chains[x], flow)
         except FlowEscaped as err:
             if on_escape == "raise":
                 raise FlowEscaped(sink=err.sink, steps=err.steps, index=x) from None
-            norm = fam.chains[x].l1()
             escaped_traces[x] = FlattenTrace(
-                steps=err.steps, bound=norm * (norm - len(fam.chains[x])),
+                steps=err.steps, bound=_budget(fam.chains[x]),
                 support_radius_growth=flow.r * err.steps, escaped=True,
             )
+        else:
+            max_steps = max(max_steps, steps)
 
-    max_steps = max((t.steps for t in traces.values()), default=0)
     new_S = fam.params.S + flow.r * max_steps
     out_params = FamilyParams(
         R=fam.params.R, epsilon=fam.params.epsilon, S=new_S, M=0,

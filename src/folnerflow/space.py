@@ -12,10 +12,11 @@ metric keeps, per point, the tuple of its neighbour ids and the tuple of
 their edge weights as ints at a scale L, the least common multiple of the
 weight denominators (no weight tuples when every weight is 1), so distances
 inside the library are ints d_int = L * d. `dist`, balls, set
-neighbourhoods, frontier distances and `support_radius` (max distance to a
-point set) all come from one truncated search: a BFS one node at a time
-when every weight is 1, int Dijkstra otherwise; `dist` and
-`support_radius` stop at their last target. A radius R (an int or
+neighbourhoods, frontier distances and `reach` (the max distance to a point
+set, with the ball of radius R) all come from one truncated search: a BFS
+one node at a time when every weight is 1, int Dijkstra otherwise; `dist`
+and `reach` stop at their last target, and `reach` reads a ball smaller
+than that target's distance from the same search. A radius R (an int or
 Fraction >= 0, see `check_radius`) is compared as d_int <= floor(R * L).
 `balls(centres, R)` gives the balls of one radius at many centres with R
 checked once. A matrix metric has its own L. `fractions.Fraction` appears
@@ -33,6 +34,7 @@ import heapq
 import itertools
 import math
 import numbers
+from collections.abc import Set
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -176,8 +178,10 @@ class WindowSpace:
 
     def _limit(self, R) -> int:
         """floor(R * L) for a radius R checked by `check_radius`: as every
-        d_int is an int, d_int <= R * L iff d_int <= floor(R * L)."""
-        R = check_radius(R)
+        d_int is an int, d_int <= R * L iff d_int <= floor(R * L). A Fraction
+        with a numerator >= 0 is a valid radius as it stands."""
+        if type(R) is not Fraction or R.numerator < 0:
+            R = check_radius(R)
         return R.numerator * self._scale // R.denominator
 
     def dist(self, x: PointId, y: PointId) -> Fraction:
@@ -185,7 +189,7 @@ class WindowSpace:
         self._check_point(y)
         if self._matrix is not None:
             return self._matrix[x][y]
-        return Fraction(self._search((x,), targets=(y,))[y], self._scale)
+        return Fraction(self._search((x,), targets={y})[y], self._scale)
 
     def _row_ints(self, x: PointId) -> list:
         """[d_int(x, y) for y in 0..n-1]: one untargeted search on graphs, the
@@ -228,19 +232,23 @@ class WindowSpace:
         """Multi-source truncated search over the integer adjacency.
 
         Returns {point: d_int} for every point with d_int <= limit from the
-        sources (every point when limit is None), where d_int = L * distance.
+        sources (every point when limit is None), where d_int = L * distance,
+        in the order the search reached them, so by nondecreasing d_int.
         On unit weights a BFS one node at a time; int Dijkstra otherwise.
-        `targets` lets it stop once it has them all: the BFS after the node
-        that discovers the last, Dijkstra at the pop that settles the last.
+        `targets`, a set or dict key view of point ids, lets it stop once it
+        has them all, counting the targets still missing: the BFS after the
+        node that discovers the last, Dijkstra at the pop that settles the
+        last. Then its last entry lies at the farthest target's distance, and
+        it holds every point nearer than that (see `reach`); a target it
+        never reaches raises KeyError naming it.
         """
         nbrs, wts = self._nbrs, self._wts
         if limit is None:
             limit = self._bound
-        missing = None if targets is None else set(targets)
         if wts is None:
             found = dict.fromkeys(sources, 0)
             queue = list(found)  # read while it grows: a FIFO queue
-            if missing is None:
+            if targets is None:
                 for u in queue:
                     du = found[u] + 1
                     if du > limit:
@@ -250,17 +258,23 @@ class WindowSpace:
                             found[v] = du
                             queue.append(v)
                 return found
-            missing.difference_update(found)
+            left = len(targets) - len(found.keys() & targets)
             for u in queue:
                 du = found[u] + 1
-                if not missing or du > limit:
+                if not left or du > limit:
                     break
                 for v in nbrs[u]:
                     if v not in found:
                         found[v] = du
                         queue.append(v)
-                        missing.discard(v)
+                        if v in targets:
+                            left -= 1
+            if left:
+                raise KeyError(next(z for z in targets if z not in found))
             return found
+        if targets is None:
+            targets = ()
+        left = len(targets)
         layer = sorted(sources)
         best = dict.fromkeys(layer, 0)
         heap = [(0, s) for s in layer]
@@ -270,15 +284,17 @@ class WindowSpace:
             if u in found:
                 continue
             found[u] = du
-            if missing is not None:
-                missing.discard(u)
-                if not missing:
+            if u in targets:
+                left -= 1
+                if not left:
                     break
             for v, w in zip(nbrs[u], wts[u]):
                 dv = du + w
                 if dv <= limit and dv < best.get(v, dv + 1):
                     best[v] = dv
                     heapq.heappush(heap, (dv, v))
+        if left:
+            raise KeyError(next(z for z in targets if z not in found))
         return found
 
     def _ball_ints(self, x: PointId, limit: int) -> dict:
@@ -312,16 +328,49 @@ class WindowSpace:
         R = check_radius(R)
         return frozenset(y for y in range(self.n) if any(self._matrix[u][y] <= R for u in U))
 
-    def support_radius(self, x: PointId, points) -> Fraction:
-        """max d(x, z) over a nonempty point set (KeyError for an unknown z): on
-        graphs one search from x that stops once it has reached all of them."""
+    def reach(self, x: PointId, points, R) -> tuple:
+        """(near, radius) for an index x and the support `points` of its
+        chain: near lists the ids of x's closed R-ball {y : d(x, y) <= R},
+        each once; radius is max d(x, z) over `points`, which is read once
+        (a set or dict key view as it stands; ValueError if it is empty,
+        KeyError naming an unknown point).
+
+        On graphs one search from x stops once it has reached every point of
+        `points`, right after its farthest target, so its last entry lies at
+        the radius `far`. When it stops it holds every y with d(x, y) < far
+        at its exact distance: a BFS has discovered every layer before the
+        last target's, and Dijkstra has settled every point nearer than the
+        last target it settled. So if R < far, near is read from that one
+        search; otherwise one R-ball search gives it, as in `ball`. On
+        matrices both come from x's row."""
+        limit = self._limit(R)
         self._check_point(x)
+        targets = points if isinstance(points, Set) else set(points)
+        if not targets:
+            raise ValueError("the point set must be nonempty")
         if self._matrix is not None:
-            for z in points:
+            for z in targets:
                 self._check_point(z)
-            return max(self._matrix[x][z] for z in points)
-        found = self._search((x,), targets=points)
-        return Fraction(max(found[z] for z in points), self._scale)
+            row = self._row_ints(x)
+            far = max(map(row.__getitem__, targets))
+            near = [y for y, d in enumerate(row) if d <= limit]
+        else:
+            found = self._search((x,), targets=targets)
+            far = found[next(reversed(found))]  # it stopped at its farthest target
+            if far <= limit:
+                near = list(self._search((x,), limit))
+            else:  # found is in order of distance
+                near = []
+                for y, d in found.items():
+                    if d > limit:
+                        break
+                    near.append(y)
+        return near, Fraction(far, self._scale)
+
+    def support_radius(self, x: PointId, points) -> Fraction:
+        """max d(x, z) over a nonempty point set, read once (KeyError for an
+        unknown z): the radius of `reach` at R = 0."""
+        return self.reach(x, points, 0)[1]
 
     def _frontier_ints(self) -> list:
         """Per-point d_int to the (nonempty) frontier; None if unreachable."""

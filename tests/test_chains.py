@@ -1,5 +1,6 @@
 """Chain lattice algebra, ratios, multiset collapse, family verification."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (add, join, l1_distance, leq, meet, mixed_families, scale, set_ratio,
-                      setminus)
+from conftest import (add, floyd_warshall, graph_space, join, l1_distance, leq, meet,
+                      mixed_families, rational_graphs, scale, set_ratio, setminus, unit_graphs)
 from folnerflow import (
     Chain,
     ConfigError,
@@ -18,13 +19,17 @@ from folnerflow import (
     IndexedFamily,
     MultisetFamily,
     base_and_towers,
+    WindowSpace,
     ball_family,
     family_from_multisets,
+    generate,
     grid_window,
     ratio,
+    singleton_family,
     verify_family,
 )
-from folnerflow.chains import _terms, chain_from_json, in_range_pairs
+from folnerflow.chains import FamilyReport, _terms, chain_from_json, in_range_pairs
+from folnerflow.jsonio import dump_json
 
 chains = st.dictionaries(
     st.integers(min_value=0, max_value=12),
@@ -297,3 +302,123 @@ class TestIntTerms:
         # adjacent 5-point balls differ in 2 points and share 4: ratio 1/2
         fam = ball_family(grid_window(1, 0, 20), 2, R=1, epsilon=Fraction(1, 2), core=[9, 10])
         assert verify_family(fam).ratio_violations == [(9, 10, Fraction(1, 2))]
+
+
+def verify_by_two_searches(fam, require_flat=False):
+    """`verify_family` as it ran two searches per index: the pairs of
+    `in_range_pairs` (one R-ball search each) and `support_radius` (one
+    targeted search each), with every ratio from `ratio`."""
+    chains, params = fam.chains, fam.params
+    pairs = list(in_range_pairs(fam.space, chains, params.R))
+    worst = worst_pair = None
+    violations = []
+    for x, y in pairs:
+        q = ratio(chains[x], chains[y])
+        if worst is None or q > worst:
+            worst, worst_pair = q, (x, y)
+        if not q < params.epsilon:
+            violations.append((x, y, q))
+    radii = {x: fam.space.support_radius(x, chains[x].keys()) for x in sorted(chains)}
+    support = [(x, r) for x, r in radii.items() if r > params.S]
+    flat = [x for x in sorted(chains) if not chains[x].is_flat()] if require_flat else []
+    return FamilyReport(
+        passed=not (violations or support or flat), pair_count=len(pairs),
+        worst_ratio=worst, worst_pair=worst_pair, max_support_radius=max(radii.values()),
+        ratio_violations=violations, support_violations=support, flat_violations=flat)
+
+
+@st.composite
+def graph_families(draw, graphs):
+    """A family on a random graph or on its matrix twin: chains that are
+    flat, weighted or singletons {x}, and R and S drawn around the support
+    radii, so R falls below, at and above them and S below some."""
+    n, edges, _ = draw(graphs)
+    D = floyd_warshall(n, edges)
+    space = draw(st.sampled_from([graph_space(n, edges), WindowSpace(n, matrix=D)]))
+    indices = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=8))
+    points = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        chains = {x: Chain.from_set([x]) for x in indices}
+    else:
+        chain = st.one_of(st.sets(points, min_size=1, max_size=6).map(Chain.from_set),
+                          st.dictionaries(points, st.integers(1, 3), min_size=1,
+                                          max_size=6).map(Chain))
+        chains = {x: draw(chain) for x in indices}
+    radii = sorted({max(D[x][z] for z in c) for x, c in chains.items()})
+    L = math.lcm(*(Fraction(w).denominator for _, _, w in edges))
+    around = sorted({r for d in radii for r in (d - Fraction(1, 6 * L), d, d + 1) if r >= 0})
+    params = FamilyParams(R=draw(st.sampled_from(around)),
+                          epsilon=draw(st.sampled_from([Fraction(1, 3), 1, 2])),
+                          S=draw(st.sampled_from(around)))
+    return IndexedFamily(space=space, chains=chains, params=params)
+
+
+class TestOneSearchPerIndex:
+    """`verify_family` reads each index's in-range partners and support
+    radius from one search; the two-search verifier is its reference."""
+
+    @staticmethod
+    def check(fam, require_flat):
+        report = verify_family(fam, require_flat=require_flat)
+        expected = verify_by_two_searches(fam, require_flat)
+        assert report == expected
+        assert type(report.worst_ratio) is type(expected.worst_ratio)
+        assert dump_json(report.to_json()) == dump_json(expected.to_json())
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph_families(unit_graphs()), st.booleans())
+    def test_unit_graphs_and_matrix_twins(self, fam, require_flat):
+        self.check(fam, require_flat)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph_families(rational_graphs()), st.booleans())
+    def test_rational_graphs_and_matrix_twins(self, fam, require_flat):
+        self.check(fam, require_flat)
+
+    @staticmethod
+    def count_searches(space, monkeypatch):
+        calls = []
+        search = space._search
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(space, "_search", counted, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("space", [
+        grid_window(2, 0, 12),
+        generate({"kind": "union", "parts": [{"kind": "grid", "dim": 2, "low": 0, "high": 6}] * 2,
+                  "spacing": ["3/2", "5/2"]}),
+    ], ids=["unit", "weighted"])
+    def test_one_search_per_index_when_supports_reach_beyond_R(self, space, monkeypatch):
+        core = sorted(space.ball(space.n // 2, 2))
+        fam = ball_family(space, 3, R=Fraction(3, 2), epsilon=1, core=core)
+        calls = self.count_searches(space, monkeypatch)
+        verify_family(fam)
+        assert len(calls) == len(core)
+
+    def test_at_most_two_searches_per_index_otherwise(self, monkeypatch):
+        space = grid_window(2, 0, 12)
+        core = sorted(space.ball(space.n // 2, 2))
+        # radius-1 balls and singletons: supports within R = 2 of their index
+        for fam in (ball_family(space, 1, R=2, epsilon=1, core=core),
+                    singleton_family(space, R=2, epsilon=1, core=core)):
+            calls = self.count_searches(space, monkeypatch)
+            verify_family(fam)
+            assert len(calls) == 2 * len(core)
+        mixed = IndexedFamily(space=space, params=FamilyParams(R=1, epsilon=1, S=3), chains={
+            x: Chain.from_set(space.ball(x, 1 + x % 2)) for x in core})
+        calls = self.count_searches(space, monkeypatch)
+        verify_family(mixed)
+        assert len(core) < len(calls) < 2 * len(core)
+
+    def test_no_graph_search_on_a_matrix(self, monkeypatch):
+        line = grid_window(1, 0, 9)
+        space = WindowSpace(10, matrix=[[line.dist(x, y) for y in range(10)] for x in range(10)])
+        fam = ball_family(space, 2, R=1, epsilon=1, core=range(2, 8))
+        calls = self.count_searches(space, monkeypatch)
+        report = verify_family(fam)
+        assert calls == []
+        assert report == verify_family(ball_family(line, 2, R=1, epsilon=1, core=range(2, 8)))

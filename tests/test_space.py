@@ -17,6 +17,7 @@ from conftest import (
     graph_space,
     rational_graphs,
     space_adjacency_sets,
+    unit_graphs,
 )
 from folnerflow import (
     WindowSpace,
@@ -345,6 +346,80 @@ class TestTargetedSearch:
                 assert space.support_radius(x, [y, x, y, y]) == D[x][y]  # repeats
             assert space.support_radius(x, {x}) == space.dist(x, x) == 0
             assert space.support_radius(x, range(5)) == max(D[x])
+
+    def test_reach_against_floyd_warshall(self, case):
+        # targets that hold x, repeats, a generator and a single target, at
+        # R below, at and above the radius; near is x's closed R-ball
+        space, D = case
+        for x in range(5):
+            for y in range(5):
+                for targets in (lambda: {x, y}, lambda: [y, x, y, y],
+                                lambda: (z for z in (y, x, y)), lambda: (y,)):
+                    for R in (D[x][y] / 2, D[x][y], D[x][y] + 1):
+                        near, radius = space.reach(x, targets(), R)
+                        assert radius == D[x][y]
+                        assert sorted(near) == sorted(closed_ball(D, x, R))
+
+    def test_generator_targets_are_read_once(self, case):
+        # a generator used to be read twice: once into the search's target
+        # set, then found empty by the max over it
+        space, D = case
+        for x in range(5):
+            assert space.support_radius(x, (z for z in (1, 3))) == max(D[x][1], D[x][3])
+            assert space.reach(x, iter([4, 4]), 0) == ([x], D[x][4])
+
+    def test_unknown_target_is_a_key_error_naming_it(self, case):
+        space, _ = case
+        for x in range(5):
+            for targets in ([1, 25], (z for z in (25, 1)), {25}):
+                with pytest.raises(KeyError, match="25"):
+                    space.support_radius(x, targets)
+            with pytest.raises(KeyError, match="25"):
+                space.reach(x, [x, 25], 1)
+            with pytest.raises(KeyError, match="25"):
+                space.dist(x, 25)
+
+    def test_no_targets_is_a_value_error(self, case):
+        space, _ = case
+        for targets in ([], iter(()), set()):
+            with pytest.raises(ValueError, match="point set must be nonempty"):
+                space.support_radius(0, targets)
+        with pytest.raises(ValueError, match="point set must be nonempty"):
+            space.reach(0, (), 1)
+
+
+class TestReachOracle:
+    """`reach` against Floyd-Warshall on random graphs and their matrix
+    twins: near is the closed R-ball, each point once, and the radius is
+    the support radius, for R below, at and above it."""
+
+    @staticmethod
+    def check(n, edges, data):
+        D = floyd_warshall(n, edges)
+        L = math.lcm(*(Fraction(w).denominator for _, _, w in edges))
+        nudge = Fraction(1, 6 * L)
+        for space in (graph_space(n, edges), WindowSpace(n, matrix=D)):
+            for x in range(n):
+                P = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+                far = max(D[x][z] for z in P)
+                R = data.draw(st.sampled_from(
+                    [r for r in (far - nudge, far, far + nudge, far / 2) if r >= 0]))
+                near, radius = space.reach(x, P, R)
+                assert radius == far
+                assert len(near) == len(set(near))
+                assert set(near) == closed_ball(D, x, R) == space.ball(x, R)
+
+    @settings(max_examples=60, deadline=None)
+    @given(unit_graphs(), st.data())
+    def test_unit_graphs(self, graph, data):
+        n, edges, _ = graph
+        self.check(n, edges, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_graphs(), st.data())
+    def test_rational_graphs(self, graph, data):
+        n, edges, _ = graph
+        self.check(n, edges, data)
 
 
 class TestUnitWeights:

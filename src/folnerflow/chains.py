@@ -287,9 +287,9 @@ def verify_family(fam: IndexedFamily, require_flat: bool = False) -> FamilyRepor
     stops it holds every y with d(x, y) < far at its exact distance (a BFS
     has discovered every layer before the last target's; Dijkstra has
     settled every point nearer than the last target it settled), so when
-    R < far the in-range partners y > x come from that same search. Only
-    when far <= R does an R-ball search run as well; on a matrix both come
-    from x's row. The pairs are those of `in_range_pairs`, in its order."""
+    R < far the in-range partners y > x come from that same search, which
+    reads x's row on a matrix. Only when far <= R does an R-ball search run
+    as well. The pairs are those of `in_range_pairs`, in its order."""
     space, params, chains = fam.space, fam.params, fam.chains
     num, den = params.epsilon.numerator, params.epsilon.denominator
     worst = None  # the terms of the first worst pair

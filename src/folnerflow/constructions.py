@@ -18,7 +18,8 @@ from fractions import Fraction
 from .chains import Chain, FamilyParams, IndexedFamily, _as_ratio, _terms
 from .errors import EmptyImage, TranslateEscapesWindow, WindowTooSmall
 from .jsonio import Doc
-from .space import WindowSpace, check_radius, cycle_window, disjoint_union, product_with_interval
+from .space import (WindowSpace, _entries, check_radius, cycle_window, disjoint_union,
+                    product_with_interval)
 
 # -- boundaries and Folner sets ---------------------------------------------
 
@@ -309,14 +310,13 @@ def subspace(space: WindowSpace, points) -> WindowSpace:
     points = sorted(set(points))
     for x in points:
         space._check_point(x)
-    L = space._scale
-    matrix = [[Fraction(row[y], L) for y in points] for row in map(space._row_ints, points)]
+    rows = [[row[y] for y in points] for row in map(space._row_ints, points)]
     frontier = [i for i, x in enumerate(points) if x in space.frontier]
     return WindowSpace(
         len(points),
         frontier=frontier,
         label=f"{space.label}|{len(points)}pts",
-        matrix=matrix,
+        matrix=_entries(rows, space._scale),
         meta={"kind": "subspace", "points": points},
     )
 

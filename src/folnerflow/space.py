@@ -10,20 +10,17 @@ treated as unbounded, one that does not as genuinely bounded.
 Every distance and comparison is exact, with no floating point. A graph
 metric keeps, per point, the tuple of its neighbour ids and the tuple of
 their edge weights as ints at a scale L, the least common multiple of the
-weight denominators (no weight tuples when every weight is 1), so distances
-inside the library are ints d_int = L * d. `dist`, balls, set
-neighbourhoods, frontier distances and `reach` (the max distance to a point
-set, with the ball of radius R) all come from one truncated search: a BFS
-one node at a time when every weight is 1, int Dijkstra otherwise; `dist`
-and `reach` stop at their last target, and `reach` reads a ball smaller
-than that target's distance from the same search. A radius R (an int or
-Fraction >= 0, see `check_radius`) is compared as d_int <= floor(R * L).
-`balls(centres, R)` gives the balls of one radius at many centres with R
-checked once. A matrix metric has its own L. `fractions.Fraction` appears
-only at the API and JSON boundary. The int adjacency is a graph metric's only
-representation, and `nearest` gives every point its closest source in one
-multi-source search. Generators build adjacency; only a union or product
-over a matrix part becomes a matrix.
+weight denominators (no weight tuples when every weight is 1); a matrix
+keeps its rows as ints at the scale L of its entries. So distances inside
+the library are ints d_int = L * d, and balls, set neighbourhoods, frontier
+distances, distance rows and `reach` (the max distance to a point set, with
+the ball of radius R) all come from one truncated search: the minimum of
+the source rows on a matrix, a BFS one node at a time when every weight is
+1, int Dijkstra otherwise. `reach` and a graph's `dist` stop at their last
+target; a matrix's `dist` reads one entry. A radius R (an int or Fraction
+>= 0, see `check_radius`) is compared as d_int <= floor(R * L). `Fraction`
+appears only at the API and JSON boundary. Generators build adjacency; only
+a subspace, or a union or product over a matrix part, becomes a matrix.
 
 Point ids are dense integers 0..n-1.
 """
@@ -57,14 +54,13 @@ class WindowSpace:
     """A finite metric window with a marked frontier.
 
     Exactly one of ``matrix`` / ``adjacency`` must be supplied as the
-    metric: a symmetric n x n matrix with a zero diagonal and positive
-    entries off it, or the adjacency of a connected graph with positive
-    int or Fraction weights, whose shortest-path metric is the space's.
-
-    A graph is kept as two parallel tuples per point: `_nbrs[x]`, the
-    neighbour ids of x, and `_wts[x]`, the weights of those edges as ints
-    at scale L, where `_wts` is None when every weight is 1. Balls come in
-    batches from `balls(centres, R)`, which checks R once.
+    metric: a symmetric n x n matrix of ints or Fractions, zero on the
+    diagonal and positive off it, kept as `_matrix`, its rows as ints at
+    scale L; or the adjacency of a connected graph with positive int or
+    Fraction weights, whose shortest-path metric is the space's, kept as two
+    parallel tuples per point: `_nbrs[x]`, the neighbour ids of x, and
+    `_wts[x]`, the weights of those edges as ints at scale L, where `_wts`
+    is None when every weight is 1.
     """
 
     def __init__(
@@ -93,10 +89,19 @@ class WindowSpace:
             raise ValueError(f"frontier ids outside 0..{n - 1}: {bad[:5]}")
 
         if matrix is not None:
-            self._matrix = [[Fraction(v) for v in row] for row in matrix]
+            kinds = {type(v) for row in matrix for v in row}
+            if not kinds <= {int, Fraction}:
+                bad = next(v for row in matrix for v in row if type(v) not in (int, Fraction))
+                raise ValueError(f"matrix entry {bad!r} must be an int or Fraction")
+            # int rows at scale L, the least common multiple of the entries' denominators
+            if Fraction in kinds:
+                self._scale = L = math.lcm(*{v.denominator for row in matrix for v in row})
+                self._matrix = [[v.numerator * (L // v.denominator) for v in row]
+                                for row in matrix]
+            else:
+                self._scale, self._matrix = 1, [list(row) for row in matrix]
             self._nbrs = self._wts = None
             self._check_matrix()
-            self._scale = math.lcm(*(v.denominator for row in self._matrix for v in row))
         else:
             self._matrix = None
             if len(adjacency) != n:
@@ -187,18 +192,14 @@ class WindowSpace:
     def dist(self, x: PointId, y: PointId) -> Fraction:
         self._check_point(x)
         self._check_point(y)
-        if self._matrix is not None:
-            return self._matrix[x][y]
+        if self._matrix is not None:  # an O(1) read, where a search would sort a row
+            return Fraction(self._matrix[x][y], self._scale)
         return Fraction(self._search((x,), targets={y})[y], self._scale)
 
     def _row_ints(self, x: PointId) -> list:
-        """[d_int(x, y) for y in 0..n-1]: one untargeted search on graphs, the
-        matrix row at scale L on matrices."""
-        if self._matrix is None:
-            found = self._search((x,))
-            return [found[y] for y in range(self.n)]
-        L = self._scale
-        return [d.numerator * (L // d.denominator) for d in self._matrix[x]]
+        """[d_int(x, y) for y in 0..n-1], from one untargeted search."""
+        found = self._search((x,))
+        return [found[y] for y in range(self.n)]
 
     def nearest(self, sources) -> list:
         """The owning source of every point: owner[y] minimizes (d(y, s), s)
@@ -229,19 +230,36 @@ class WindowSpace:
         return owner
 
     def _search(self, sources, limit=None, targets=None) -> dict:
-        """Multi-source truncated search over the integer adjacency.
+        """Multi-source truncated search over the int metric.
 
         Returns {point: d_int} for every point with d_int <= limit from the
         sources (every point when limit is None), where d_int = L * distance,
-        in the order the search reached them, so by nondecreasing d_int.
-        On unit weights a BFS one node at a time; int Dijkstra otherwise.
+        by nondecreasing d_int: on a matrix the elementwise minimum of the
+        source rows in (d_int, id) order, on unit weights a BFS one node at a
+        time, int Dijkstra otherwise, each in the order it reached them.
         `targets`, a set or dict key view of point ids, lets it stop once it
         has them all, counting the targets still missing: the BFS after the
         node that discovers the last, Dijkstra at the pop that settles the
-        last. Then its last entry lies at the farthest target's distance, and
-        it holds every point nearer than that (see `reach`); a target it
-        never reaches raises KeyError naming it.
+        last, a matrix at the farthest target's distance. Then its last
+        entry lies at the farthest target's distance, and it holds every
+        point nearer than that (see `reach`); a target it never reaches
+        raises KeyError naming it.
         """
+        if self._matrix is not None:
+            rows = [self._matrix[s] for s in sources]
+            if not rows:
+                return {}
+            row = rows[0] if len(rows) == 1 else list(map(min, *rows))
+            if targets is not None:
+                for z in targets:
+                    self._check_point(z)
+                far = max(map(row.__getitem__, targets), default=0)
+                if limit is not None and far > limit:
+                    raise KeyError(next(z for z in targets if row[z] > limit))
+                limit = far
+            points = range(self.n) if limit is None else [
+                y for y, d in enumerate(row) if d <= limit]
+            return {y: row[y] for y in sorted(points, key=row.__getitem__)}
         nbrs, wts = self._nbrs, self._wts
         if limit is None:
             limit = self._bound
@@ -300,16 +318,13 @@ class WindowSpace:
     def _ball_ints(self, x: PointId, limit: int) -> dict:
         """{y: d_int(x, y)} over the closed ball d_int(x, y) <= limit."""
         self._check_point(x)
-        if self._matrix is not None:
-            return {y: d for y, d in enumerate(self._row_ints(x)) if d <= limit}
         return self._search((x,), limit)
 
     def balls(self, centres, R):
         """The closed balls {y : d(x,y) <= R} for x in centres, one frozenset
         at a time. R is checked once, at the call, so a bad R raises even
         without centres; an unknown centre raises KeyError when its ball is
-        reached. On graphs each ball is one truncated search, on matrices
-        one row scan."""
+        reached. Each ball is one truncated search."""
         limit = self._limit(R)
         return (frozenset(self._ball_ints(x, limit)) for x in centres)
 
@@ -323,10 +338,7 @@ class WindowSpace:
         U = frozenset(U)
         for x in U:
             self._check_point(x)
-        if self._matrix is None:
-            return frozenset(self._search(U, self._limit(R)))
-        R = check_radius(R)
-        return frozenset(y for y in range(self.n) if any(self._matrix[u][y] <= R for u in U))
+        return frozenset(self._search(U, self._limit(R)))
 
     def reach(self, x: PointId, points, R) -> tuple:
         """(near, radius) for an index x and the support `points` of its
@@ -335,36 +347,28 @@ class WindowSpace:
         (a set or dict key view as it stands; ValueError if it is empty,
         KeyError naming an unknown point).
 
-        On graphs one search from x stops once it has reached every point of
-        `points`, right after its farthest target, so its last entry lies at
-        the radius `far`. When it stops it holds every y with d(x, y) < far
-        at its exact distance: a BFS has discovered every layer before the
-        last target's, and Dijkstra has settled every point nearer than the
-        last target it settled. So if R < far, near is read from that one
-        search; otherwise one R-ball search gives it, as in `ball`. On
-        matrices both come from x's row."""
+        One search from x stops once it has reached every point of `points`,
+        so its last entry lies at the radius `far`, and it holds every y with
+        d(x, y) < far at its exact distance: a BFS has discovered every layer
+        before the last target's, Dijkstra has settled every point nearer
+        than the last target it settled, a matrix row keeps every point up
+        to `far`. So if R < far, near is read from that one search; otherwise
+        one R-ball search gives it, as in `ball`."""
         limit = self._limit(R)
         self._check_point(x)
         targets = points if isinstance(points, Set) else set(points)
         if not targets:
             raise ValueError("the point set must be nonempty")
-        if self._matrix is not None:
-            for z in targets:
-                self._check_point(z)
-            row = self._row_ints(x)
-            far = max(map(row.__getitem__, targets))
-            near = [y for y, d in enumerate(row) if d <= limit]
-        else:
-            found = self._search((x,), targets=targets)
-            far = found[next(reversed(found))]  # it stopped at its farthest target
-            if far <= limit:
-                near = list(self._search((x,), limit))
-            else:  # found is in order of distance
-                near = []
-                for y, d in found.items():
-                    if d > limit:
-                        break
-                    near.append(y)
+        found = self._search((x,), targets=targets)
+        far = found[next(reversed(found))]  # it stopped at its farthest target
+        if far <= limit:
+            near = list(self._search((x,), limit))
+        else:  # found is in order of distance
+            near = []
+            for y, d in found.items():
+                if d > limit:
+                    break
+                near.append(y)
         return near, Fraction(far, self._scale)
 
     def support_radius(self, x: PointId, points) -> Fraction:
@@ -375,12 +379,8 @@ class WindowSpace:
     def _frontier_ints(self) -> list:
         """Per-point d_int to the (nonempty) frontier; None if unreachable."""
         if self._frontier_int is None:
-            if self._matrix is None:
-                found = self._search(self.frontier)
-                self._frontier_int = [found.get(x) for x in range(self.n)]
-            else:
-                self._frontier_int = [int(min(row[f] for f in self.frontier) * self._scale)
-                                      for row in self._matrix]
+            found = self._search(self.frontier)
+            self._frontier_int = [found.get(x) for x in range(self.n)]
         return self._frontier_int
 
     def frontier_distances(self) -> list:
@@ -596,9 +596,6 @@ def disjoint_union(parts: Sequence[WindowSpace], spacing) -> WindowSpace:
         offsets.append(total)
         total += p.n
     n = total
-    part_of = []
-    for i, p in enumerate(parts):
-        part_of.extend([i] * p.n)
 
     frontier = [
         offsets[i] + f for i, p in enumerate(parts) for f in sorted(p.frontier)
@@ -624,19 +621,17 @@ def disjoint_union(parts: Sequence[WindowSpace], spacing) -> WindowSpace:
                 adjacency[offsets[j]].append((offsets[i], w))
         return WindowSpace(n, frontier=frontier, label=label, adjacency=adjacency, meta=meta)
 
-    # matrix fallback for parts without adjacency
-    def dist(x, y):
-        i, j = part_of[x], part_of[y]
-        if i == j:
-            return parts[i].dist(x - offsets[i], y - offsets[i])
-        return (
-            spacing[max(i, j)]
-            + parts[i].dist(x - offsets[i], 0)
-            + parts[j].dist(y - offsets[j], 0)
-        )
-
-    matrix = [[dist(x, y) for y in range(n)] for x in range(n)]
-    return WindowSpace(n, frontier=frontier, label=label, matrix=matrix, meta=meta)
+    # matrix fallback for parts without adjacency: one row per point at a common scale L
+    L = math.lcm(*(p._scale for p in parts), *(s.denominator for s in spacing))
+    gaps = [s.numerator * (L // s.denominator) for s in spacing]
+    part_rows = [[[d * (L // p._scale) for d in p._row_ints(x)] for x in range(p.n)]
+                 for p in parts]
+    rows = []
+    for i, own in enumerate(part_rows):
+        for row in own:  # in part j != i: gap + d(x, base_i) + d(base_j, y)
+            rows.append([d for j, other in enumerate(part_rows) for d in (
+                row if j == i else [gaps[max(i, j)] + row[0] + e for e in other[0]])])
+    return WindowSpace(n, frontier=frontier, label=label, matrix=_entries(rows, L), meta=meta)
 
 
 def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
@@ -671,14 +666,19 @@ def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
                     adjacency[v].append((z2 * levels + i, w))
         return WindowSpace(n, frontier=frontier, label=label, adjacency=adjacency, meta=meta)
 
-    # matrix fallback for a base without adjacency
-    def dist(x, y):
-        zx, ix = divmod(x, levels)
-        zy, iy = divmod(y, levels)
-        return base.dist(zx, zy) + abs(ix - iy)
+    # matrix fallback for a base without adjacency: one base row per point z,
+    # at the base's scale L; (z', j) lies d(z, z') + |i - j| from (z, i)
+    L = base._scale
+    steps = [[abs(i - j) * L for j in range(levels)] for i in range(levels)]
+    rows = [[d + s for d in base_row for s in step]
+            for base_row in map(base._row_ints, range(base.n)) for step in steps]
+    return WindowSpace(n, frontier=frontier, label=label, matrix=_entries(rows, L), meta=meta)
 
-    matrix = [[dist(x, y) for y in range(n)] for x in range(n)]
-    return WindowSpace(n, frontier=frontier, label=label, matrix=matrix, meta=meta)
+
+def _entries(rows, L) -> list:
+    """Int distance rows at scale L as exact `matrix=` entries: the rows as
+    they stand when L is 1."""
+    return rows if L == 1 else [[Fraction(d, L) for d in row] for row in rows]
 
 
 def generate(spec: dict) -> WindowSpace:
@@ -724,9 +724,8 @@ def space_to_json(space: WindowSpace) -> dict:
     if space._matrix is not None:
         metric = {
             "type": "matrix",
-            "entries": [
-                [format_rational(v) for v in row] for row in space._matrix
-            ],
+            "entries": [[format_rational(Fraction(d, space._scale)) for d in row]
+                        for row in space._matrix],
         }
     else:
         edges = []

@@ -414,11 +414,12 @@ class TestOneSearchPerIndex:
         verify_family(mixed)
         assert len(core) < len(calls) < 2 * len(core)
 
-    def test_no_graph_search_on_a_matrix(self, monkeypatch):
+    def test_one_search_per_index_on_a_matrix(self, monkeypatch):
+        # a matrix answers through the same `_search`: radius-2 balls reach beyond R = 1
         line = grid_window(1, 0, 9)
         space = WindowSpace(10, matrix=[[line.dist(x, y) for y in range(10)] for x in range(10)])
         fam = ball_family(space, 2, R=1, epsilon=1, core=range(2, 8))
         calls = self.count_searches(space, monkeypatch)
         report = verify_family(fam)
-        assert calls == []
+        assert len(calls) == 6
         assert report == verify_family(ball_family(line, 2, R=1, epsilon=1, core=range(2, 8)))

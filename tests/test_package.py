@@ -4,9 +4,11 @@ only the modules its command runs, without changing any message."""
 import hashlib
 import importlib
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import child_env
@@ -71,6 +73,17 @@ class TestLazyNamespace:
                         "print(folnerflow.flatten is sys.modules['folnerflow.flatten'].flatten)",
                         tmp_path)
         assert out == "True\n"
+
+
+def test_only_space_reads_the_metric_representation():
+    """A matrix's int rows (`_matrix`) and a graph's adjacency (`_nbrs`,
+    `_wts`) stay behind `space.py`; other modules use its methods."""
+    package = Path(folnerflow.__file__).parent
+    reads = [f"{path.name}:{i}: {line.strip()}"
+             for path in sorted(package.glob("*.py")) if path.name != "space.py"
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"\._(matrix|nbrs|wts)\b", line)]
+    assert reads == []
 
 
 def modules_after(argv, cwd, *flags):

@@ -422,6 +422,60 @@ class TestReachOracle:
         self.check(n, edges, data)
 
 
+class TestMatrixSearchOracle:
+    """`_search` on the matrix twin of a random graph against the graph's
+    own search: the same distances for any sources and limit, in (d_int, id)
+    order; with targets it ends at the farthest target's distance and holds
+    every nearer point. The twin's scale L may differ from the graph's, so
+    distances are compared as Fractions."""
+
+    @staticmethod
+    def exact(space, found):
+        return {y: Fraction(d, space._scale) for y, d in found.items()}
+
+    def check(self, n, edges, data):
+        D = floyd_warshall(n, edges)
+        graph, twin = graph_space(n, edges), WindowSpace(n, matrix=D)
+        L = math.lcm(*(Fraction(w).denominator for _, _, w in edges))
+        nudge = Fraction(1, 6 * L)
+        for _ in range(3):
+            sources = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+            near = [min(D[s][y] for s in sources) for y in range(n)]
+            for R in (None, *(r for d in set(near) for r in (d - nudge, d, d + nudge) if r >= 0)):
+                found = twin._search(sources, None if R is None else twin._limit(R))
+                assert list(found) == sorted(found, key=lambda y: (found[y], y))
+                assert self.exact(twin, found) == self.exact(
+                    graph, graph._search(sources, None if R is None else graph._limit(R)))
+            targets = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+            far = max(near[z] for z in targets)
+            for space in (twin, graph):
+                found = self.exact(space, space._search(sources, targets=targets))
+                assert list(found.values()) == sorted(found.values())
+                assert found[next(reversed(found))] == far
+                assert {y: d for y, d in found.items() if d < far} == {
+                    y: d for y, d in enumerate(near) if d < far}
+                if far:  # a limit short of the farthest target never reaches it
+                    with pytest.raises(KeyError):
+                        space._search(sources, space._limit(far) - 1, targets)
+        for space in (twin, graph):
+            assert space._search(()) == {}
+            for bad in (n, -1):
+                with pytest.raises(KeyError, match=str(bad)):
+                    space._search((0,), targets={0, bad})
+
+    @settings(max_examples=60, deadline=None)
+    @given(unit_graphs(), st.data())
+    def test_unit_graphs(self, graph, data):
+        n, edges, _ = graph
+        self.check(n, edges, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_graphs(), st.data())
+    def test_rational_graphs(self, graph, data):
+        n, edges, _ = graph
+        self.check(n, edges, data)
+
+
 class TestUnitWeights:
     """`unit_weights` and `graph_neighbors` are read from the metric, and
     cannot be set."""
@@ -513,6 +567,20 @@ class TestAdjacencyValidation:
                "frontier": [], "label": ""}
         with pytest.raises(ConfigError, match="outside"):
             space_from_json(doc)
+
+
+class TestMatrixValidation:
+    @pytest.mark.parametrize("v", [0.5, True, "1/2"])
+    def test_entries_must_be_int_or_fraction(self, v):
+        # a float would be taken at its binary value, a str or bool coerced
+        with pytest.raises(ValueError, match="matrix entry") as e:
+            WindowSpace(2, matrix=[[0, v], [v, 0]])
+        assert repr(v) in str(e.value)
+
+    def test_exact_entries_keep_their_values(self):
+        space = WindowSpace(2, matrix=[[Fraction(0), Fraction(1, 2)], [Fraction(1, 2), 0]])
+        assert space.dist(0, 1) == Fraction(1, 2)
+        assert WindowSpace(2, matrix=[[0, 3], [3, 0]]).dist(1, 0) == 3
 
 
 class TestMalformedSpaceFiles:

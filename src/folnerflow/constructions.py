@@ -18,7 +18,7 @@ from fractions import Fraction
 from .chains import Chain, FamilyParams, IndexedFamily, _as_ratio, _terms
 from .errors import EmptyImage, TranslateEscapesWindow, WindowTooSmall
 from .jsonio import Doc
-from .space import (WindowSpace, _entries, check_radius, cycle_window, disjoint_union,
+from .space import (WindowSpace, check_radius, cycle_window, disjoint_union,
                     product_with_interval)
 
 # -- boundaries and Folner sets ---------------------------------------------
@@ -316,8 +316,9 @@ def subspace(space: WindowSpace, points) -> WindowSpace:
         len(points),
         frontier=frontier,
         label=f"{space.label}|{len(points)}pts",
-        matrix=_entries(rows, space._scale),
+        matrix=rows,
         meta={"kind": "subspace", "points": points},
+        _scale=space._scale,
     )
 
 

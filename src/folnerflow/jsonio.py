@@ -7,6 +7,16 @@ rendering rule: a Fraction becomes "p/q", the distinguished infinite ratio
 and a `Doc` record the doc of its fields; ints, bools, str and None pass
 through, and any other value, a float above all, is a TypeError. A `Doc`
 record's JSON keys are its field names.
+
+`dump_json` writes the text of `json.dumps(obj, indent=2, sort_keys=True)`
+plus a newline, byte for byte, by rendering the document itself: a list of
+ints or of strs is one join; a list of equal-length lists (edges, chain
+weights, tails) is one %-template per row, filled a column at a time, an
+all-int or all-str column by one map and a column of int lists by one join
+per cell; dicts and other lists recurse. A document with anything else (a
+float, a non-str key, a subclass of a container or scalar, a nesting too
+deep) goes to `json.dumps` as a whole, which renders it or raises its own
+exception.
 """
 
 from __future__ import annotations
@@ -14,6 +24,8 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import ConfigError
@@ -105,9 +117,79 @@ def parse_ids(spec) -> list:
     raise ConfigError(f'expected ids as "a..b", "a,b", an int or a list, got {spec!r}')
 
 
+class _Unhandled(Exception):
+    """A value `_render` leaves to `json.dumps`."""
+
+
+def _table(rows, ind):
+    """The rows, lists of one length k >= 1, as `json.dumps` lays them out
+    one level below `ind`: one %-template per row, filled column by column,
+    an all-int or all-str column by one map, a column of nonempty int lists
+    by one join per cell, any other by `_render`."""
+    inner = ind + "  "
+    deeper = inner + "  "
+    sep = "," + deeper
+    cols = list(zip(*rows))
+    fields = []
+    for i, col in enumerate(cols):
+        kinds = set(map(type, col))
+        if kinds == {int}:
+            fields.append("%d")
+        elif kinds <= {list, tuple} and all(col) and set(map(type, chain(*col))) == {int}:
+            cols[i] = [sep.join(map(int.__repr__, c)) for c in col]
+            fields.append("[" + deeper + "%s" + inner + "]")
+        else:
+            cols[i] = map(_quote, col) if kinds == {str} else [_render(c, inner) for c in col]
+            fields.append("%s")
+    row = "[" + inner + ("," + inner).join(fields) + ind + "]"
+    return ("," + ind).join(map(row.__mod__, zip(*cols)))
+
+
+def _render(v, ind) -> str:
+    """`v` as `json.dumps(v, indent=2, sort_keys=True)` renders it at the
+    nesting whose line break and indent is `ind`; _Unhandled for a value of
+    any other type (exact types only, so a subclass is one)."""
+    t = type(v)
+    if t is str:
+        return _quote(v)
+    if t is int:
+        return int.__repr__(v)
+    if v is None:
+        return "null"
+    if t is bool:
+        return "true" if v else "false"
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        inner = ind + "  "
+        kinds = set(map(type, v))
+        if kinds == {int}:
+            body = ("," + inner).join(map(int.__repr__, v))
+        elif kinds == {str}:
+            body = ("," + inner).join(map(_quote, v))
+        elif kinds <= {list, tuple} and len(set(map(len, v))) == 1 and v[0]:
+            body = _table(v, inner)
+        else:
+            body = ("," + inner).join([_render(x, inner) for x in v])
+        return "[" + inner + body + ind + "]"
+    if t is dict:
+        if not v:
+            return "{}"
+        if set(map(type, v)) != {str}:
+            raise _Unhandled
+        inner = ind + "  "
+        return "{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _render(v[k], inner) for k in sorted(v)]) + ind + "}"
+    raise _Unhandled
+
+
 def dump_json(obj, path=None) -> str:
-    """Deterministic JSON text (sorted keys, trailing newline)."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON text (sorted keys, trailing newline): the bytes of
+    `json.dumps(obj, indent=2, sort_keys=True)`, see the module docstring."""
+    try:
+        text = _render(obj, "\n") + "\n"
+    except (_Unhandled, RecursionError):
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text

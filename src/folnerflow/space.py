@@ -56,11 +56,12 @@ class WindowSpace:
     Exactly one of ``matrix`` / ``adjacency`` must be supplied as the
     metric: a symmetric n x n matrix of ints or Fractions, zero on the
     diagonal and positive off it, kept as `_matrix`, its rows as ints at
-    scale L; or the adjacency of a connected graph with positive int or
-    Fraction weights, whose shortest-path metric is the space's, kept as two
-    parallel tuples per point: `_nbrs[x]`, the neighbour ids of x, and
-    `_wts[x]`, the weights of those edges as ints at scale L, where `_wts`
-    is None when every weight is 1.
+    scale L (the private ``_scale=L`` takes int rows at scale L as they
+    stand, still checked); or the adjacency of a connected graph with
+    positive int or Fraction weights, whose shortest-path metric is the
+    space's, kept as two parallel tuples per point: `_nbrs[x]`, the
+    neighbour ids of x, and `_wts[x]`, the weights of those edges as ints
+    at scale L, where `_wts` is None when every weight is 1.
     """
 
     def __init__(
@@ -72,6 +73,7 @@ class WindowSpace:
         matrix: Optional[Sequence[Sequence[Fraction]]] = None,
         adjacency: Optional[Sequence[Sequence[tuple[PointId, Fraction]]]] = None,
         meta: Optional[dict] = None,
+        _scale: Optional[int] = None,
     ):
         if n <= 0:
             raise ValueError(f"a window needs at least one point, got n={n}")
@@ -89,17 +91,15 @@ class WindowSpace:
             raise ValueError(f"frontier ids outside 0..{n - 1}: {bad[:5]}")
 
         if matrix is not None:
-            kinds = {type(v) for row in matrix for v in row}
-            if not kinds <= {int, Fraction}:
-                bad = next(v for row in matrix for v in row if type(v) not in (int, Fraction))
-                raise ValueError(f"matrix entry {bad!r} must be an int or Fraction")
-            # int rows at scale L, the least common multiple of the entries' denominators
-            if Fraction in kinds:
-                self._scale = L = math.lcm(*{v.denominator for row in matrix for v in row})
-                self._matrix = [[v.numerator * (L // v.denominator) for v in row]
-                                for row in matrix]
-            else:
-                self._scale, self._matrix = 1, [list(row) for row in matrix]
+            if _scale is None:  # int rows at scale L, the lcm of the entries' denominators
+                kinds = {type(v) for row in matrix for v in row}
+                if not kinds <= {int, Fraction}:
+                    bad = next(v for row in matrix for v in row if type(v) not in (int, Fraction))
+                    raise ValueError(f"matrix entry {bad!r} must be an int or Fraction")
+                _scale = math.lcm(*{v.denominator for row in matrix for v in row})
+                matrix = [[v.numerator * (_scale // v.denominator) for v in row]
+                          for row in matrix]
+            self._scale, self._matrix = _scale, matrix
             self._nbrs = self._wts = None
             self._check_matrix()
         else:
@@ -631,7 +631,7 @@ def disjoint_union(parts: Sequence[WindowSpace], spacing) -> WindowSpace:
         for row in own:  # in part j != i: gap + d(x, base_i) + d(base_j, y)
             rows.append([d for j, other in enumerate(part_rows) for d in (
                 row if j == i else [gaps[max(i, j)] + row[0] + e for e in other[0]])])
-    return WindowSpace(n, frontier=frontier, label=label, matrix=_entries(rows, L), meta=meta)
+    return WindowSpace(n, frontier=frontier, label=label, matrix=rows, meta=meta, _scale=L)
 
 
 def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
@@ -672,13 +672,7 @@ def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
     steps = [[abs(i - j) * L for j in range(levels)] for i in range(levels)]
     rows = [[d + s for d in base_row for s in step]
             for base_row in map(base._row_ints, range(base.n)) for step in steps]
-    return WindowSpace(n, frontier=frontier, label=label, matrix=_entries(rows, L), meta=meta)
-
-
-def _entries(rows, L) -> list:
-    """Int distance rows at scale L as exact `matrix=` entries: the rows as
-    they stand when L is 1."""
-    return rows if L == 1 else [[Fraction(d, L) for d in row] for row in rows]
+    return WindowSpace(n, frontier=frontier, label=label, matrix=rows, meta=meta, _scale=L)
 
 
 def generate(spec: dict) -> WindowSpace:
@@ -720,19 +714,25 @@ def generate(spec: dict) -> WindowSpace:
 # -- serialization ---------------------------------------------------------
 
 
+def _names(ints, L) -> dict:
+    """{d: "p/q" of d / L} for each distinct int d of `ints`."""
+    return {d: format_rational(Fraction(d, L)) for d in set(ints)}
+
+
 def space_to_json(space: WindowSpace) -> dict:
+    """The space file: a matrix's rows or a graph's edges [x, y, weight] with
+    x < y, in adjacency order, each distinct int distance formatted once."""
+    L = space._scale
     if space._matrix is not None:
-        metric = {
-            "type": "matrix",
-            "entries": [[format_rational(Fraction(d, space._scale)) for d in row]
-                        for row in space._matrix],
-        }
+        name = _names(itertools.chain.from_iterable(space._matrix), L).__getitem__
+        metric = {"type": "matrix", "entries": [list(map(name, row)) for row in space._matrix]}
     else:
-        edges = []
-        for x in range(space.n):
-            for y, w in space._edges(x):
-                if x < y:
-                    edges.append([x, y, format_rational(w)])
+        wts = space._wts
+        name = _names((1,) if wts is None else itertools.chain.from_iterable(wts), L)
+        edges = [[x, y, name[w]]
+                 for x, ys, ws in zip(range(space.n), space._nbrs,
+                                      itertools.repeat(_ONES) if wts is None else wts)
+                 for y, w in zip(ys, ws) if x < y]
         metric = {"type": "graph", "edges": edges}
     doc = {
         "points": space.n,

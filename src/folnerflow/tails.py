@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .chains import Chain, FamilyParams, IndexedFamily, MultisetFamily
 from .errors import BranchingTooLow, ConfigError, TailTooShort
 from .jsonio import Doc, format_rational, parse_rational
 from .space import PointId, WindowSpace
@@ -53,33 +52,51 @@ def verify_tail_cover(cover: TailCover, space: WindowSpace) -> TailCoverReport:
     """Exact check of every cover invariant; violations are report entries.
 
     Also measures the smallest K and largest step the cover actually
-    attains, so a hand-built cover's declared bounds can be audited.
+    attains, so a hand-built cover's declared bounds can be audited. The
+    steps are grouped by the point they leave: one search per such point,
+    targeted at all the points its steps reach, gives their lengths as ints
+    at the space's scale L, each compared with floor(r * L).
     """
     start_violations = []
     distinct_violations = []
-    step_violations = []
     frontier_violations = []
     counts = {}
-    measured_step = None
+    successors = {}  # the points one step after each point, over all tails
 
-    for x in sorted(cover.tails):
-        seq = cover.tails[x]
+    tails = cover.tails
+    for x in sorted(tails):
+        seq = tails[x]
         for t in seq:
             space._check_point(t)
         if not seq or seq[0] != x:
             start_violations.append(x)
-        if len(set(seq)) != len(seq):
+        points = set(seq)
+        if len(points) != len(seq):
             distinct_violations.append(x)
-        for z in set(seq):
+        for z in points:
             counts[z] = counts.get(z, 0) + 1
-        for j in range(len(seq) - 1):
-            d = space.dist(seq[j], seq[j + 1])
-            if measured_step is None or d > measured_step:
-                measured_step = d
-            if d > cover.r:
-                step_violations.append((x, j, d))
+        for a, b in zip(seq, seq[1:]):
+            successors.setdefault(a, set()).add(b)
         if seq and seq[-1] not in space.frontier:
             frontier_violations.append(x)
+
+    steps = {}  # (a, b) -> d_int(a, b)
+    for a, targets in successors.items():
+        found = space._search((a,), targets=targets)
+        for b in targets:
+            steps[a, b] = found[b]
+    L = space._scale
+    longest = max(steps.values(), default=None)
+    step_violations = []
+    if steps:
+        r = Fraction(cover.r)
+        limit = r.numerator * L // r.denominator  # d_int > limit iff d > r
+        if longest > limit:
+            for x in sorted(tails):
+                seq = tails[x]
+                for j, ab in enumerate(zip(seq, seq[1:])):
+                    if steps[ab] > limit:
+                        step_violations.append((x, j, Fraction(steps[ab], L)))
 
     measured_K = max(counts.values(), default=0)
     multiplicity_violations = sorted(
@@ -91,7 +108,7 @@ def verify_tail_cover(cover: TailCover, space: WindowSpace) -> TailCoverReport:
             or multiplicity_violations or frontier_violations
         ),
         measured_K=measured_K,
-        measured_step=measured_step,
+        measured_step=None if longest is None else Fraction(longest, L),
         start_violations=start_violations,
         distinct_violations=distinct_violations,
         step_violations=step_violations,
@@ -170,6 +187,7 @@ def tail_transport(fam: MultisetFamily, cover: TailCover, space: WindowSpace) ->
     the window; windows too small for the requested height must be
     visible, never padded over.
     """
+    from .chains import Chain, FamilyParams, IndexedFamily
     M = fam.M
     chains = {}
     for x in sorted(fam.sets):

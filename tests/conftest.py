@@ -23,6 +23,7 @@ import folnerflow
 from folnerflow import Chain, FamilyParams, IndexedFamily, WindowSpace, boundary
 from folnerflow.rips import FlowField
 from folnerflow.space import check_radius, space_to_json
+from folnerflow.tails import TailCoverReport
 
 
 # -- child interpreters ----------------------------------------------------------
@@ -193,6 +194,50 @@ def foelner_search_by_balls(space: WindowSpace, R, epsilon):
             if len(U) == space.n:
                 break
     return None
+
+
+def verify_tail_cover_by_steps(cover, space: WindowSpace) -> TailCoverReport:
+    """`verify_tail_cover` as it measured one `space.dist` per step of every
+    tail, in the order of the tails and their steps: the reference for its
+    one targeted search per source point."""
+    start_violations = []
+    distinct_violations = []
+    step_violations = []
+    frontier_violations = []
+    counts = {}
+    measured_step = None
+
+    for x in sorted(cover.tails):
+        seq = cover.tails[x]
+        for t in seq:
+            space._check_point(t)
+        if not seq or seq[0] != x:
+            start_violations.append(x)
+        if len(set(seq)) != len(seq):
+            distinct_violations.append(x)
+        for z in set(seq):
+            counts[z] = counts.get(z, 0) + 1
+        for j in range(len(seq) - 1):
+            d = space.dist(seq[j], seq[j + 1])
+            if measured_step is None or d > measured_step:
+                measured_step = d
+            if d > cover.r:
+                step_violations.append((x, j, d))
+        if seq and seq[-1] not in space.frontier:
+            frontier_violations.append(x)
+
+    multiplicity_violations = sorted((z, c) for z, c in counts.items() if c > cover.K)
+    return TailCoverReport(
+        passed=not (start_violations or distinct_violations or step_violations
+                    or multiplicity_violations or frontier_violations),
+        measured_K=max(counts.values(), default=0),
+        measured_step=measured_step,
+        start_violations=start_violations,
+        distinct_violations=distinct_violations,
+        step_violations=step_violations,
+        multiplicity_violations=multiplicity_violations,
+        frontier_violations=frontier_violations,
+    )
 
 
 # -- multiset / set oracles ----------------------------------------------------

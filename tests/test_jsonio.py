@@ -1,8 +1,10 @@
-"""The one rendering rule for exact values (`jsonio.to_doc`) and the report
-records whose docs it renders (`jsonio.Doc`)."""
+"""The one rendering rule for exact values (`jsonio.to_doc`), the report
+records whose docs it renders (`jsonio.Doc`), and the writer
+(`jsonio.dump_json`) against `json.dumps`."""
 
 import json
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from folnerflow.constructions import (BoxFamilyReport, BoxSpaceModel, CoarseMapM
                                       build_box_space)
 from folnerflow.families import ball_family
 from folnerflow.flatten import FlattenReport, FlattenTrace
-from folnerflow.jsonio import Doc, format_ratio, format_rational, to_doc
+from folnerflow.jsonio import Doc, dump_json, format_ratio, format_rational, to_doc
 from folnerflow.pipeline import PipelineConfig, Stage, StageKind
 from folnerflow.rips import FlowField, RipsGraph, UnboundednessReport
 from folnerflow.space import grid_window
@@ -135,3 +137,99 @@ def test_every_record_is_a_slotted_namedtuple(kind):
     assert kind._fields
     # _make builds the tuple without the record's own checks
     assert not hasattr(kind._make(range(len(kind._fields))), "__dict__")
+
+
+# -- the writer ------------------------------------------------------------------
+
+
+class Int(int):
+    pass
+
+
+class Str(str):
+    pass
+
+
+Pair = namedtuple("Pair", "a b")
+
+texts = st.text(alphabet=st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€😀')),
+                max_size=4)
+ints = st.one_of(st.integers(-3, 3), st.integers(), st.integers(-2 ** 80, 2 ** 80))
+scalars = st.one_of(ints, st.booleans(), st.none(), texts)
+
+
+def rows(cells, min_size=0):
+    """Lists of equal-length lists (the writer's tables), as lists or tuples."""
+    return st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.one_of(st.lists(cells, min_size=k, max_size=k),
+                  st.lists(cells, min_size=k, max_size=k).map(tuple)),
+        min_size=min_size, max_size=4))
+
+
+json_leaves = st.one_of(
+    scalars, st.lists(ints, max_size=5), st.lists(texts, max_size=5),
+    st.lists(st.one_of(st.booleans(), st.integers(-1, 2)), max_size=5),  # True next to 1
+    rows(ints), rows(scalars), st.lists(st.lists(ints, max_size=3), max_size=4),  # ragged
+    rows(st.lists(ints, max_size=3)), rows(st.one_of(ints, st.lists(ints, min_size=1))),
+    st.just([]), st.just({}), st.just(()), st.just([[], []]))
+json_docs = st.recursive(json_leaves, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(texts, children, max_size=4), rows(children, min_size=1)), max_leaves=25)
+# a value the writer leaves to json.dumps, somewhere inside a clean doc
+unhandled = st.one_of(
+    st.floats(), st.builds(Int, st.integers()), st.builds(Str, texts),
+    st.builds(Pair, ints, texts),
+    st.dictionaries(st.one_of(st.integers(), st.booleans(), st.none(), st.floats()), scalars,
+                    min_size=1, max_size=3),
+    st.builds(lambda d, k: {**d, k: 1}, st.dictionaries(texts, scalars, max_size=2),
+              st.one_of(st.integers(), st.builds(Str, texts))))
+with_unhandled = st.recursive(unhandled, lambda child: st.one_of(
+    st.tuples(json_docs, child).map(list), st.tuples(child, json_docs),
+    st.builds(lambda d, k, x: {**d, k: x}, st.dictionaries(texts, json_docs, max_size=3),
+              texts, child),
+    st.builds(lambda x, y: [[1, x], [2, y]], child, scalars)), max_leaves=6)
+
+
+def assert_writes_as_json_dumps(doc):
+    """dump_json(doc) is json.dumps's text plus a newline, or raises the
+    exception type json.dumps raises."""
+    try:
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    except Exception as e:
+        with pytest.raises(type(e)):
+            dump_json(doc)
+    else:
+        assert dump_json(doc) == expected
+
+
+class TestDumpJson:
+    @settings(max_examples=300, deadline=None)
+    @given(json_docs)
+    def test_matches_json_dumps(self, doc):
+        assert_writes_as_json_dumps(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(with_unhandled)
+    def test_falls_back_to_json_dumps(self, doc):
+        assert_writes_as_json_dumps(doc)
+
+    def test_pinned_text(self):
+        doc = {"b": [[1, "x"], [2, "\u00e9"]], "a": (True, 1, None, []), "c": {}}
+        assert dump_json(doc) == (
+            '{\n  "a": [\n    true,\n    1,\n    null,\n    []\n  ],\n  "b": [\n    [\n'
+            '      1,\n      "x"\n    ],\n    [\n      2,\n      "\\u00e9"\n    ]\n  ],\n'
+            '  "c": {}\n}\n')
+
+    def test_circular_and_deep_documents(self):
+        loop = [1]
+        loop.append(loop)
+        deep = []
+        for _ in range(5000):
+            deep = [deep]
+        for doc in (loop, {"a": [loop]}, deep):
+            assert_writes_as_json_dumps(doc)
+
+    def test_writes_the_text_it_returns(self, tmp_path):
+        doc = {"edges": [[0, 1, "1/1"], [1, 2, "3/2"]], "points": 3}
+        text = dump_json(doc, tmp_path / "doc.json")
+        assert (tmp_path / "doc.json").read_text() == text == dump_json(doc)

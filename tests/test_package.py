@@ -181,6 +181,14 @@ class TestImportGuard:
         for name in ("space", "chains", "rips", "flatten", "tails", "constructions", "families"):
             assert f"folnerflow.{name}" not in loaded
 
+    @pytest.mark.parametrize("command", ["tails build", "tails verify"])
+    def test_tails_build_and_verify(self, session_dir, command):
+        """Only `tail_transport` needs the chain module."""
+        loaded = modules_after(SESSION[command], session_dir)
+        assert "folnerflow.tails" in loaded
+        for name in ("chains", "flatten", "constructions", "families", "rips"):
+            assert f"folnerflow.{name}" not in loaded
+
     @pytest.mark.parametrize("command", SESSION)
     def test_no_command_loads_dataclasses_or_inspect(self, session_dir, command):
         loaded = modules_after(SESSION[command], session_dir)

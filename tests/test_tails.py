@@ -5,6 +5,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from conftest import (floyd_warshall, graph_space, rational_graphs, unit_graphs,
+                      verify_tail_cover_by_steps)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folnerflow import (
     BranchingTooLow,
@@ -12,6 +16,7 @@ from folnerflow import (
     MultisetFamily,
     TailCover,
     TailTooShort,
+    WindowSpace,
     build_tree_tails,
     grid_window,
     tail_transport,
@@ -62,6 +67,109 @@ class TestVerifyTailCover:
         assert report.frontier_violations == [2]
         assert (5, 3) not in report.multiplicity_violations  # 2 tails end at 5... third is short
         assert any(z == 2 for z, _c in report.multiplicity_violations)
+
+
+def outcome(check, cover, space):
+    """The report of `check`, or the KeyError it raises, as a comparable value."""
+    try:
+        report = check(cover, space)
+    except KeyError as e:
+        return "KeyError", str(e)
+    return report, type(report.measured_step), [type(d) for _, _, d in report.step_violations]
+
+
+@st.composite
+def covers(draw, space, neighbours):
+    """A hand-made cover of some points of `space`: tails that walk along
+    `neighbours` or jump anywhere (long steps), repeat points, start
+    elsewhere, stop off the frontier or at a frontier point, and now and
+    then name a point outside the space; r from 0 to 5/2 (and -1/2), K small;
+    the points in a random order."""
+    n = space.n
+    point = st.integers(0, n - 1)
+    tails = {}
+    for x in sorted(draw(st.sets(point, max_size=n))):
+        seq = [x if draw(st.integers(0, 5)) else draw(point)]  # the wrong start 1 in 6
+        for _ in range(draw(st.integers(0, 5))):
+            near = neighbours[seq[-1]]
+            seq.append(draw(st.sampled_from(sorted(near))) if near and draw(st.booleans())
+                       else draw(point))
+        if space.frontier and draw(st.booleans()):
+            seq.append(draw(st.sampled_from(sorted(space.frontier))))
+        if not draw(st.integers(0, 9)):
+            seq = [] if not draw(st.integers(0, 2)) else seq + [draw(st.sampled_from([n, -1]))]
+        tails[x] = tuple(seq)
+    tails = {x: tails[x] for x in draw(st.permutations(list(tails)))}  # in no particular order
+    r = draw(st.one_of(st.sampled_from([0, 1, 2, Fraction(-1, 2)]),
+                       st.fractions(0, Fraction(5, 2), max_denominator=6)))
+    return TailCover(tails=tails, r=r, K=draw(st.integers(1, 3)))
+
+
+class TestOneSearchPerSource:
+    """`verify_tail_cover` (one targeted search per point a step leaves)
+    against the per-step `dist` loop: the same report, field by field and in
+    the same order, with Fractions for the measured step and the step
+    lengths, or the same KeyError for a point outside the space."""
+
+    def check(self, space, cover):
+        assert outcome(verify_tail_cover, cover, space) == outcome(
+            verify_tail_cover_by_steps, cover, space)
+
+    def check_graph(self, n, edges, frontier, data):
+        neighbours = [set() for _ in range(n)]
+        for x, y, _ in edges:
+            neighbours[x].add(y)
+            neighbours[y].add(x)
+        graph = graph_space(n, edges, frontier)
+        twin = WindowSpace(n, frontier=frontier, matrix=floyd_warshall(n, edges))
+        for _ in range(3):
+            cover = data.draw(covers(graph, neighbours))
+            self.check(graph, cover)
+            self.check(twin, cover)
+
+    @settings(max_examples=60, deadline=None)
+    @given(unit_graphs(), st.data())
+    def test_unit_graphs_and_their_matrices(self, graph, data):
+        self.check_graph(*graph, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_graphs(), st.data())
+    def test_rational_graphs_and_their_matrices(self, graph, data):
+        self.check_graph(*graph, data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3), st.integers(0, 4), st.data())
+    def test_built_and_mutated_tree_covers(self, branching, depth, data):
+        """A built cover passes; one mutation of it (a long step, a repeated
+        point, a wrong start, a dropped end, a lower K, a smaller r) shows up
+        the same on both sides."""
+        space = tree_window(branching, depth)
+        cover = build_tree_tails(space)
+        self.check(space, cover)
+        tails = dict(cover.tails)
+        x = data.draw(st.sampled_from(sorted(tails)))
+        seq = list(tails[x])
+        kind = data.draw(st.sampled_from(["jump", "repeat", "start", "end", "K", "r"]))
+        if kind == "jump":
+            seq.insert(data.draw(st.integers(1, len(seq))), data.draw(st.integers(0, space.n - 1)))
+        elif kind == "repeat":
+            seq.insert(data.draw(st.integers(0, len(seq))), data.draw(st.sampled_from(seq)))
+        elif kind == "start":
+            seq[0] = (x + 1) % space.n
+        elif kind == "end":
+            seq = seq[:-1]
+        tails[x] = tuple(seq)
+        self.check(space, TailCover(
+            tails=tails, r=Fraction(1, 2) if kind == "r" else cover.r,
+            K=cover.K - 1 if kind == "K" else cover.K))
+
+    def test_depth_11_tree(self):
+        """The benchmark's tree: 4,083 steps over 2,047 source points."""
+        space = tree_window(2, 11)
+        cover = build_tree_tails(space)
+        self.check(space, cover)
+        tails = {x: seq[:1] + seq[2:] if x % 7 == 0 else seq for x, seq in cover.tails.items()}
+        self.check(space, TailCover(tails=tails, r=Fraction(3, 2), K=1))
 
 
 class TestCheckCoverOnSpace:

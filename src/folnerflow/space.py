@@ -61,7 +61,11 @@ class WindowSpace:
     positive int or Fraction weights, whose shortest-path metric is the
     space's, kept as two parallel tuples per point: `_nbrs[x]`, the
     neighbour ids of x, and `_wts[x]`, the weights of those edges as ints
-    at scale L, where `_wts` is None when every weight is 1.
+    at scale L, where `_wts` is None when every weight is 1. With
+    ``_scale=L`` a graph is trusted: ``adjacency`` holds the neighbour-id
+    tuples and ``_wts`` the int weight tuples, taken as they stand with no
+    check, so L must be the lcm of the weights' denominators and the graph
+    connected; the generators build it so.
     """
 
     def __init__(
@@ -74,6 +78,7 @@ class WindowSpace:
         adjacency: Optional[Sequence[Sequence[tuple[PointId, Fraction]]]] = None,
         meta: Optional[dict] = None,
         _scale: Optional[int] = None,
+        _wts: Optional[Sequence[tuple]] = None,
     ):
         if n <= 0:
             raise ValueError(f"a window needs at least one point, got n={n}")
@@ -83,8 +88,7 @@ class WindowSpace:
         self.frontier = frozenset(frontier)
         self.label = label
         self.meta = meta or {}
-        self._frontier_int: Optional[list] = None
-        self._frontier_dist: Optional[list] = None
+        self._frontier_int = self._frontier_dist = None  # per-point ints and Fractions
 
         bad = [x for x in self.frontier if not (type(x) is int and 0 <= x < n)]
         if bad:
@@ -102,6 +106,9 @@ class WindowSpace:
             self._scale, self._matrix = _scale, matrix
             self._nbrs = self._wts = None
             self._check_matrix()
+        elif _scale is not None:
+            self._matrix, self._scale, self._nbrs = None, _scale, tuple(adjacency)
+            self._wts = None if _wts is None else tuple(_wts)
         else:
             self._matrix = None
             if len(adjacency) != n:
@@ -109,7 +116,6 @@ class WindowSpace:
             # distances inside the library are ints at scale L, the least
             # common multiple of the weight denominators: d = d_int / L
             L, all_int, unit = 1, True, True
-            nbrs = []
             for x, pairs in enumerate(adjacency):
                 for y, w in pairs:
                     if type(y) is not int or not 0 <= y < n:
@@ -122,17 +128,17 @@ class WindowSpace:
                     if type(w) is not int:
                         all_int = False
                         L = math.lcm(L, w.denominator)
-                nbrs.append(tuple([y for y, _ in pairs]))
             self._scale = L
-            self._nbrs = tuple(nbrs)
+            self._nbrs = tuple(tuple([y for y, _ in pairs]) for pairs in adjacency)
             self._wts = None if unit else tuple(
                 tuple([w for _, w in pairs]) if all_int else
                 tuple([w.numerator * (L // w.denominator) for _, w in pairs])
                 for pairs in adjacency
             )
-            # bounds every shortest path, as an int at scale L
-            self._bound = n if unit else sum(map(sum, self._wts))
-            self._check_connected()
+        if matrix is None:  # bounds every shortest path, as an int at scale L
+            self._bound = n if self._wts is None else sum(map(sum, self._wts))
+            if _scale is None:
+                self._check_connected()
 
     @property
     def unit_weights(self) -> bool:
@@ -167,13 +173,6 @@ class WindowSpace:
                 "graph metric requires a connected graph; "
                 f"only {reached} of {self.n} points reachable from 0"
             )
-
-    def _edges(self, x: PointId) -> list:
-        """[(y, weight)] for the edges at x, weights as Fractions."""
-        wts = self._wts
-        L = self._scale
-        return [(y, Fraction(w, L))
-                for y, w in zip(self._nbrs[x], _ONES if wts is None else wts[x])]
 
     # -- metric queries ----------------------------------------------------
 
@@ -387,9 +386,10 @@ class WindowSpace:
         """Per-point exact distance to the frontier; None if frontier empty."""
         if not self.frontier:
             return [None] * self.n
-        if self._frontier_dist is None:
-            self._frontier_dist = [d if d is None else Fraction(d, self._scale)
-                                   for d in self._frontier_ints()]
+        if self._frontier_dist is None:  # one Fraction per distinct distance
+            ints = self._frontier_ints()
+            name = {d: d if d is None else Fraction(d, self._scale) for d in set(ints)}
+            self._frontier_dist = list(map(name.__getitem__, ints))
         return self._frontier_dist
 
     def interior_points(self, R) -> list[PointId]:
@@ -444,35 +444,38 @@ def grid_window(dim: int, low: int, high: int) -> WindowSpace:
 
     Frontier = points with some coordinate at low or high (their full
     neighbourhood in the infinite grid is truncated).
+
+    Ids run in lexicographic coordinate order, so axis k has stride
+    side^(dim-1-k); each point lists its down-neighbours along axes
+    0..dim-1, then its up-neighbours, every edge at both ends with weight
+    1. The grid is connected (any point steps down to the least corner),
+    so the graph goes through the trusted path.
     """
     if dim <= 0:
         raise ValueError(f"grid dimension must be positive, got {dim}")
     if high < low:
         raise ValueError(f"empty coordinate range [{low}..{high}]")
-    axis = range(low, high + 1)
-    coords = list(itertools.product(axis, repeat=dim))
-    index = {c: i for i, c in enumerate(coords)}
-    n = len(coords)
-
-    adjacency = [[] for _ in range(n)]
-    for c, i in index.items():
-        for k in range(dim):
-            up = list(c)
-            up[k] += 1
-            j = index.get(tuple(up))
-            if j is not None:
-                adjacency[i].append((j, 1))
-                adjacency[j].append((i, 1))
-
-    frontier = [
-        i for c, i in index.items() if any(v == low or v == high for v in c)
-    ]
+    side = high - low + 1
+    coords = list(itertools.product(range(low, high + 1), repeat=dim))
+    ids = list(range(len(coords)))  # one int object per id, shared by every edge
+    index = dict(zip(coords, ids))
+    nbrs = [()] * len(ids)
+    for up in (0, 1):  # each axis k, of stride s, cuts the ids into blocks of side * s
+        for s in [side ** k for k in reversed(range(dim))]:
+            shift, ends = [], [()] * s  # per id, its neighbour a step down (up) the axis
+            for b in range(0, len(ids), side * s):
+                line = zip(ids[b + s * up:b + s * (side - 1 + up)])
+                shift += itertools.chain(line, ends) if up else itertools.chain(ends, line)
+            nbrs = list(map(tuple.__add__, nbrs, shift))
+    # a point misses a neighbour exactly when a coordinate sits at low or high
+    frontier = [i for i, ys in zip(ids, nbrs) if len(ys) < 2 * dim]
 
     return WindowSpace(
-        n,
+        len(ids),
         frontier=frontier,
         label=f"grid{dim}d[{low}..{high}]",
-        adjacency=adjacency,
+        adjacency=nbrs,
+        _scale=1,
         meta={
             "kind": "grid",
             "spec": {"kind": "grid", "dim": dim, "low": low, "high": high},
@@ -483,25 +486,22 @@ def grid_window(dim: int, low: int, high: int) -> WindowSpace:
 
 
 def cycle_window(length: int) -> WindowSpace:
-    """Cycle of the given length; empty frontier (a bounded, untruncated space)."""
+    """Cycle of the given length; empty frontier (a bounded, untruncated space).
+
+    Point i lists i-1 and i+1 (mod length), point 0 as (1, length-1); a
+    cycle of one point has no edge, one of two a single edge. Stepping up
+    from 0 reaches every point, so the graph goes through the trusted path."""
     if length <= 0:
         raise ValueError(f"cycle length must be positive, got {length}")
-    n = length
-    adjacency = [[] for _ in range(n)]
-    if n == 2:
-        adjacency[0].append((1, 1))
-        adjacency[1].append((0, 1))
-    elif n > 2:
-        for i in range(n):
-            j = (i + 1) % n
-            adjacency[i].append((j, 1))
-            adjacency[j].append((i, 1))
-
+    ids = list(range(length))  # one int object per id, shared by every edge
+    nbrs = [tuple(ids[1 - i:2 - i]) for i in ids] if length <= 2 else [
+        (ids[1], ids[-1]), *((ids[i - 1], ids[i + 1 - length]) for i in ids[1:])]
     return WindowSpace(
-        n,
+        length,
         frontier=(),
         label=f"cycle({length})",
-        adjacency=adjacency,
+        adjacency=nbrs,
+        _scale=1,
         meta={"kind": "cycle", "spec": {"kind": "cycle", "length": length}},
     )
 
@@ -511,28 +511,22 @@ def _tree_from_child_counts(child_count, depth, label, spec):
 
     ``child_count(level)`` gives the number of children of every vertex at
     that level; vertices at ``depth`` are leaves and form the frontier.
+    Each vertex lists its parent, then its children, every edge at both
+    ends with weight 1; every vertex has a path to the root, so the graph
+    goes through the trusted path.
     """
-    parents = [None]
-    depths = [0]
-    level = [0]
+    parents, depths, ids = [None], [0], [0]  # one int object per id in ids
+    level = ids
     for d in range(depth):
-        nxt = []
-        c = child_count(d)
-        for v in level:
-            for _ in range(c):
-                parents.append(v)
-                depths.append(d + 1)
-                nxt.append(len(parents) - 1)
-        level = nxt
-    n = len(parents)
-    children = [[] for _ in range(n)]
-    adjacency = [[] for _ in range(n)]
-    for v in range(1, n):
-        p = parents[v]
+        parents += [v for v in level for _ in range(child_count(d))]
+        level = list(range(len(ids), len(parents)))
+        ids += level
+        depths += [d + 1] * len(level)
+    children = [[] for _ in ids]
+    for v, p in zip(ids[1:], parents[1:]):
         children[p].append(v)
-        adjacency[p].append((v, 1))
-        adjacency[v].append((p, 1))
-    frontier = [v for v in range(n) if depths[v] == depth]
+    nbrs = [tuple(kids) if p is None else (p, *kids) for p, kids in zip(parents, children)]
+    n, frontier = len(ids), level
 
     meta = {
         "kind": spec["kind"],
@@ -542,7 +536,7 @@ def _tree_from_child_counts(child_count, depth, label, spec):
         "children": children,
         "depth": depth,
     }
-    return WindowSpace(n, frontier=frontier, label=label, adjacency=adjacency, meta=meta)
+    return WindowSpace(n, frontier=frontier, label=label, adjacency=nbrs, meta=meta, _scale=1)
 
 
 def tree_window(branching: int, depth: int) -> WindowSpace:
@@ -578,7 +572,11 @@ def disjoint_union(parts: Sequence[WindowSpace], spacing) -> WindowSpace:
     with base_k the lowest-id point of part k. The spacing sequence must be
     positive and nondecreasing; under that constraint the convention is a
     genuine metric (it is the shortest-path metric of the part graphs plus
-    one base-to-base edge of weight spacing[max(i,j)] per part pair).
+    one base-to-base edge of weight spacing[max(i,j)] per part pair). Over
+    graph parts that graph goes through the trusted path: each part's edges
+    with its ids shifted and its weights at the common scale L, then at each
+    base its edges to the other bases in part order. It is connected, as
+    every part is and the bases are joined.
     """
     if not parts:
         raise ValueError("disjoint union of zero parts")
@@ -590,16 +588,9 @@ def disjoint_union(parts: Sequence[WindowSpace], spacing) -> WindowSpace:
     if any(a > b for a, b in zip(spacing, spacing[1:])):
         raise ValueError("spacing must be nondecreasing")
 
-    offsets = []
-    total = 0
-    for p in parts:
-        offsets.append(total)
-        total += p.n
-    n = total
-
-    frontier = [
-        offsets[i] + f for i, p in enumerate(parts) for f in sorted(p.frontier)
-    ]
+    offsets = list(itertools.accumulate([p.n for p in parts], initial=0))
+    n = offsets.pop()
+    frontier = [off + f for off, p in zip(offsets, parts) for f in sorted(p.frontier)]
     label = "union(" + ", ".join(p.label for p in parts) + ")"
     specs = [p.meta.get("spec") for p in parts]
     meta = {
@@ -608,22 +599,25 @@ def disjoint_union(parts: Sequence[WindowSpace], spacing) -> WindowSpace:
             "kind": "union", "parts": specs, "spacing": [format_rational(s) for s in spacing]},
         "offsets": offsets,
     }
+    # the spacing edges are spacing[1:], so L is the lcm of the weights' denominators
+    L = math.lcm(*(p._scale for p in parts), *(s.denominator for s in spacing[1:]))
+    gaps = [s.numerator * (L // s.denominator) for s in spacing]
     if all(p._matrix is None for p in parts):
-        adjacency = [[] for _ in range(n)]
-        for i, p in enumerate(parts):
-            off = offsets[i]
-            for x in range(p.n):
-                adjacency[off + x].extend((off + y, w) for y, w in p._edges(x))
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                w = spacing[j]
-                adjacency[offsets[i]].append((offsets[j], w))
-                adjacency[offsets[j]].append((offsets[i], w))
-        return WindowSpace(n, frontier=frontier, label=label, adjacency=adjacency, meta=meta)
+        ids = list(range(n))  # one int object per id, shared by every edge
+        nbrs, wts = [], []
+        for k, p in enumerate(parts):
+            own, scale = ids[offsets[k]:offsets[k] + p.n], L // p._scale
+            nbrs += [tuple(map(own.__getitem__, ys)) for ys in p._nbrs]
+            wts += ([(scale,) * len(ys) for ys in p._nbrs] if p._wts is None
+                    else [tuple([w * scale for w in ws]) for ws in p._wts])
+            others = [j for j in range(len(parts)) if j != k]  # after the base's own edges
+            nbrs[offsets[k]] += tuple(ids[offsets[j]] for j in others)
+            wts[offsets[k]] += tuple(gaps[max(j, k)] for j in others)
+        unit = L == 1 and all(w == 1 for ws in wts for w in ws)
+        return WindowSpace(n, frontier=frontier, label=label, adjacency=nbrs, meta=meta,
+                           _scale=L, _wts=None if unit else wts)
 
     # matrix fallback for parts without adjacency: one row per point at a common scale L
-    L = math.lcm(*(p._scale for p in parts), *(s.denominator for s in spacing))
-    gaps = [s.numerator * (L // s.denominator) for s in spacing]
     part_rows = [[[d * (L // p._scale) for d in p._row_ints(x)] for x in range(p.n)]
                  for p in parts]
     rows = []
@@ -636,14 +630,17 @@ def disjoint_union(parts: Sequence[WindowSpace], spacing) -> WindowSpace:
 
 def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
     """Product of a window with the interval {0..levels-1}, sum metric:
-    d((z,i),(z',i')) = d(z,z') + |i-i'|. Point (z,i) gets id z*levels + i."""
+    d((z,i),(z',i')) = d(z,z') + |i-i'|. Point (z,i) gets id z*levels + i.
+
+    Over a graph base the product graph goes through the trusted path: (z,i)
+    lists (z,i-1) and (z,i+1) with weight 1, then (z',i) for each edge
+    (z, z') of the base with its weight. It is connected, as the base is
+    and each column {z} x {0..levels-1} is a path."""
     if levels <= 0:
         raise ValueError(f"need at least one level, got {levels}")
     n = base.n * levels
 
-    frontier = [
-        z * levels + i for z in sorted(base.frontier) for i in range(levels)
-    ]
+    frontier = [z * levels + i for z in sorted(base.frontier) for i in range(levels)]
     label = f"{base.label} x [0..{levels - 1}]"
     base_spec = base.meta.get("spec")
     meta = {
@@ -653,22 +650,20 @@ def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
         "levels": levels,
         "base": base,
     }
+    L = base._scale
     if base._matrix is None:
-        adjacency = [[] for _ in range(n)]
-        for z in range(base.n):
-            edges = base._edges(z)
-            for i in range(levels):
-                v = z * levels + i
-                if i + 1 < levels:
-                    adjacency[v].append((v + 1, 1))
-                    adjacency[v + 1].append((v, 1))
-                for z2, w in edges:
-                    adjacency[v].append((z2 * levels + i, w))
-        return WindowSpace(n, frontier=frontier, label=label, adjacency=adjacency, meta=meta)
+        ids = list(range(n))  # one int object per id, shared by every edge
+        levels_at = [ids[i::levels] for i in range(levels)]  # levels_at[i][z]: the id of (z, i)
+        nbrs = [(*column[max(i - 1, 0):i], *column[i + 1:i + 2], *map(at.__getitem__, ys))
+                for ys, column in zip(base._nbrs, zip(*levels_at))
+                for i, at in enumerate(levels_at)]
+        wts = None if base._wts is None else [
+            (L,) * ((i > 0) + (i + 1 < levels)) + ws for ws in base._wts for i in range(levels)]
+        return WindowSpace(n, frontier=frontier, label=label, adjacency=nbrs, meta=meta,
+                           _scale=L, _wts=wts)
 
     # matrix fallback for a base without adjacency: one base row per point z,
     # at the base's scale L; (z', j) lies d(z, z') + |i - j| from (z, i)
-    L = base._scale
     steps = [[abs(i - j) * L for j in range(levels)] for i in range(levels)]
     rows = [[d + s for d in base_row for s in step]
             for base_row in map(base._row_ints, range(base.n)) for step in steps]
@@ -749,7 +744,8 @@ def space_to_json(space: WindowSpace) -> dict:
 def space_from_json(doc: dict) -> WindowSpace:
     """ConfigError naming the field unless the file is an object whose `points`
     is a positive int, `metric` an object with a list of matrix rows or graph
-    edges ([x, y, weight] triples), `frontier` a list of int ids, `label` a str."""
+    edges ([x, y, weight] triples), `frontier` a list of int ids, `label` a str,
+    and, with a `generator`, unless all four match its space's file."""
     if type(doc) is not dict:
         raise ConfigError(f"a space file must be a JSON object, got a {type(doc).__name__}")
     try:
@@ -772,13 +768,14 @@ def space_from_json(doc: dict) -> WindowSpace:
             raise ConfigError(f"space frontier entry {f!r} is not an int point id")
 
     gen = doc.get("generator")
-    if gen is not None:
+    if gen is not None:  # a generated file must be the file of its generator's space
         space = generate(gen)
-        if space.n != n or space.frontier != frozenset(frontier):
-            raise ConfigError(
-                "space file is inconsistent: stored points/frontier do not "
-                "match its generator descriptor"
-            )
+        made = space_to_json(space)
+        made["frontier"] = set(made["frontier"])
+        stored = {"points": n, "label": label, "metric": metric, "frontier": set(frontier)}
+        bad = next((key for key, value in stored.items() if made[key] != value), None)
+        if bad:
+            raise ConfigError(f"space file {bad} does not match its generator descriptor")
         return space
 
     if metric.get("type") == "matrix":

@@ -214,7 +214,7 @@ def cover_to_json(cover: TailCover) -> dict:
 
 def cover_from_json(doc) -> TailCover:
     """ConfigError naming the point unless every tail is a list of int ids
-    under an int point listed once, and K is a positive int."""
+    under an int point listed once, r is >= 0 and K is a positive int."""
     try:
         tails = {}
         for x, seq in doc["tails"]:
@@ -228,6 +228,8 @@ def cover_from_json(doc) -> TailCover:
         cover = TailCover(tails=tails, r=parse_rational(doc["r"]), K=doc["K"])
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad tail cover file: {e}") from e
+    if cover.r < 0:
+        raise ConfigError(f"tail cover r must be >= 0, got {doc['r']!r}")
     if type(cover.K) is not int or cover.K <= 0:
         raise ConfigError(f"tail cover K must be a positive int, got {cover.K!r}")
     return cover

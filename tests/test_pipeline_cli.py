@@ -921,3 +921,26 @@ class TestCommandBytes:
     def test_pinned(self, tmp_path, argv):
         write_command_inputs(tmp_path)
         assert command_bytes(argv, tmp_path) == COMMAND_BYTES[argv]
+
+
+class TestForgedTailInputs:
+    """A generated space file whose stored fields differ from its generator's
+    space, or a tail cover with a negative r, stops `tails verify` with exit 2,
+    a message naming the field and no output."""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda space, cover: space["metric"]["edges"][0].__setitem__(2, "7/1"),
+         "space file metric does not match its generator descriptor"),
+        (lambda space, cover: space.update(label="forged"),
+         "space file label does not match its generator descriptor"),
+        (lambda space, cover: cover.update(r="-1/2"), "tail cover r must be >= 0, got '-1/2'"),
+    ], ids=["tree-edge-7", "tree-label-forged", "cover-r-negative"])
+    def test_tails_verify_is_exit_2(self, tmp_path, mutate, message):
+        tree = tree_window(2, 11)
+        space, cover = space_to_json(tree), cover_to_json(build_tree_tails(tree))
+        mutate(space, cover)
+        dump_json(space, tmp_path / "t.json")
+        dump_json(cover, tmp_path / "cov.json")
+        r = run_cli(["tails", "verify", "--space", "t.json", "--cover", "cov.json"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cov.json", "t.json"]

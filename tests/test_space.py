@@ -1,12 +1,13 @@
 """Window generators, exact metrics, balls, growth profiles, JSON round-trips."""
 
+import copy
 import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -16,6 +17,7 @@ from conftest import (
     floyd_warshall,
     graph_space,
     rational_graphs,
+    rebuild_space,
     space_adjacency_sets,
     unit_graphs,
 )
@@ -822,3 +824,135 @@ class TestGeneratorDescriptor:
         ]:
             assert "generator" not in space_to_json(space), space.label
             assert digest is None or space_digest(space) == digest, space.label
+
+
+# -- generators build trusted graphs ------------------------------------------
+
+RATIONAL = st.builds(Fraction, st.integers(1, 12), st.integers(1, 6))
+
+
+def generator_specs(depth=2):
+    """Generator descriptors of every kind: grids of dimension 1 to 3 down to
+    a single point, cycles of length 1 to 7, trees and regular trees of depth
+    0 up, and, while `depth` lasts, unions with rational spacings and
+    products over smaller descriptors."""
+    leaves = st.one_of(
+        st.integers(1, 3).flatmap(lambda dim: st.builds(
+            lambda low, size: {"kind": "grid", "dim": dim, "low": low, "high": low + size},
+            st.integers(-3, 3), st.integers(0, (6, 3, 2)[dim - 1]))),
+        st.builds(lambda n: {"kind": "cycle", "length": n}, st.integers(1, 7)),
+        st.builds(lambda b, d: {"kind": "tree", "branching": b, "depth": d},
+                  st.integers(1, 3), st.integers(0, 3)),
+        st.builds(lambda k, d: {"kind": "regular_tree", "degree": k, "depth": d},
+                  st.integers(2, 4), st.integers(0, 2)),
+    )
+    if not depth:
+        return leaves
+    inner = generator_specs(depth - 1)
+    unions = st.lists(inner, min_size=1, max_size=3).flatmap(lambda parts: st.builds(
+        lambda spacing: {"kind": "union", "parts": parts,
+                         "spacing": [f"{s.numerator}/{s.denominator}" for s in sorted(spacing)]},
+        st.lists(RATIONAL, min_size=len(parts), max_size=len(parts))))
+    products = st.builds(lambda base, levels: {"kind": "product", "base": base, "levels": levels},
+                         inner, st.integers(1, 3))
+    return st.one_of(leaves, unions, products)
+
+
+def assert_same_as_rebuild(space):
+    twin = rebuild_space(space)
+    for field in ("n", "_nbrs", "_wts", "_scale", "_matrix", "frontier", "label"):
+        assert getattr(space, field) == getattr(twin, field), field
+    assert getattr(space, "_bound", None) == getattr(twin, "_bound", None)
+    assert space_to_json(space) == space_to_json(twin)
+
+
+class TestTrustedGenerators:
+    """Every generator skips the constructor's checks, so its output must be
+    what the checking constructor makes of the same graph."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(generator_specs())
+    # no unit edge, and every spacing edge 1 at scale L = 2: not a unit graph
+    @example({"kind": "union", "spacing": ["1/2", "1/2"], "parts": [
+        {"kind": "grid", "dim": 1, "low": 0, "high": 0}, {"kind": "cycle", "length": 1}]})
+    def test_every_kind_matches_its_checked_rebuild(self, spec):
+        space = generate(spec)
+        assert_same_as_rebuild(space)
+        assert space.meta["spec"] == spec
+
+    @settings(max_examples=60, deadline=None)
+    @given(generator_specs(1), rational_graphs(), st.lists(RATIONAL, min_size=2, max_size=2),
+           st.integers(1, 3))
+    def test_unions_and_products_over_a_matrix_part(self, spec, graph, spacing, levels):
+        n, edges, frontier = graph
+        matrix = WindowSpace(n, frontier=frontier, matrix=floyd_warshall(n, edges))
+        for space in (disjoint_union([generate(spec), matrix], sorted(spacing)),
+                      disjoint_union([matrix, generate(spec)], sorted(spacing)),
+                      product_with_interval(matrix, levels)):
+            assert space._matrix is not None and space.meta["spec"] is None
+            assert_same_as_rebuild(space)
+
+    @pytest.mark.parametrize("spec, digest", [
+        ({"kind": "grid", "dim": 3, "low": -1, "high": 2},
+         "4f3c9f6f41220bc1a5f84c1f4b2679ff22c7459859a479fb320f1d02d1f09280"),
+        ({"kind": "cycle", "length": 7},
+         "64d3352fba979e2d9835a4048fce6027b59e106199121d87a6ba9a58b7742217"),
+        ({"kind": "regular_tree", "degree": 3, "depth": 3},
+         "afec097c02ed900e911b702450a850724295a34e951749eafeb2b563eb62f45d"),
+        ({"kind": "union", "spacing": ["3/2", "4", "9/2"], "parts": [
+            {"kind": "product", "base": {"kind": "tree", "branching": 2, "depth": 2},
+             "levels": 3},
+            {"kind": "union", "spacing": ["1", "5/3"], "parts": [
+                {"kind": "product", "base": {"kind": "grid", "dim": 2, "low": 0, "high": 2},
+                 "levels": 2},
+                {"kind": "cycle", "length": 5}]},
+            {"kind": "grid", "dim": 1, "low": 0, "high": 0}]},
+         "243faa70bde40141ed3ae539d9def090808ec10bff9c838dac1cb651acbdbc8a"),
+    ], ids=["grid-3d", "cycle", "regular-tree", "union-of-products"])
+    def test_adjacency_order_pinned(self, spec, digest):
+        # searches visit neighbours in this order, so it is pinned (sha256
+        # of the repr of `_nbrs`, `_wts` and `_scale`) to the output of the
+        # earlier builders that appended each edge at both ends
+        space = generate(spec)
+        text = repr((space._nbrs, space._wts, space._scale))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "grid", "dim": 2, "low": 0, "high": 60},
+        {"kind": "tree", "branching": 2, "depth": 11},
+        {"kind": "union", "parts": [{"kind": "grid", "dim": 2, "low": 0, "high": 11}] * 5,
+         "spacing": [f"{2 * k + 3}/2" for k in range(5)]},
+    ], ids=["grid-61x61", "tree-depth-11", "union-of-five-grids"])
+    def test_one_int_object_per_point(self, spec):
+        # a search's dict lookup that misses on identity falls back to
+        # comparing the ints, so every edge shares its id's one int object
+        space = generate(spec)
+        assert len({id(y) for ys in space._nbrs for y in ys}) == space.n
+
+
+class TestGeneratedFileMustMatch:
+    """A file with a generator descriptor loads as the generator's space, so
+    its stored points, label, metric and frontier must be that space's."""
+
+    @pytest.fixture(scope="class")
+    def tree_doc(self):
+        return space_to_json(tree_window(2, 11))
+
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d["metric"]["edges"][0].__setitem__(2, "7/1"), "metric"),
+        (lambda d: d.update(label="forged"), "label"),
+        (lambda d: d.update(points=d["points"] + 1), "points"),
+        (lambda d: d["frontier"].pop(), "frontier"),
+        (lambda d: d["metric"]["edges"].pop(), "metric"),
+    ], ids=["edge-weight", "label", "points", "frontier", "edge-dropped"])
+    def test_mismatch_names_the_field(self, tree_doc, mutate, field):
+        doc = copy.deepcopy(tree_doc)
+        mutate(doc)
+        with pytest.raises(ConfigError) as info:
+            space_from_json(doc)
+        assert str(info.value) == f"space file {field} does not match its generator descriptor"
+
+    def test_frontier_is_compared_as_a_set(self, tree_doc):
+        doc = copy.deepcopy(tree_doc)
+        doc["frontier"] = doc["frontier"][::-1] + doc["frontier"][:1]
+        assert space_to_json(space_from_json(doc)) == tree_doc

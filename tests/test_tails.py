@@ -340,6 +340,11 @@ class TestSerialization:
         assert back.r == cover.r and back.K == cover.K
         assert cover_to_json(back) == doc
 
+    def test_zero_r_loads(self):
+        doc = cover_to_json(build_tree_tails(tree_window(2, 3)))
+        doc["r"] = "0"
+        assert cover_from_json(doc).r == 0
+
     @pytest.mark.parametrize("mutate, message", [
         (lambda d: d["tails"].append([3, [3]]), "tail cover lists point 3 twice"),
         (lambda d: d["tails"].append(["3", [3]]), "tail cover point '3' is not an int id"),
@@ -352,8 +357,11 @@ class TestSerialization:
         (lambda d: d.update(K=True), "tail cover K must be a positive int, got True"),
         (lambda d: d.update(K=0), "tail cover K must be a positive int, got 0"),
         (lambda d: d.update(K=1.5), "tail cover K must be a positive int, got 1.5"),
+        (lambda d: d.update(r="-1/2"), "tail cover r must be >= 0, got '-1/2'"),
+        (lambda d: d.update(r=-1), "tail cover r must be >= 0, got -1"),
     ], ids=["point-twice", "point-not-int", "point-bool", "tail-not-list",
-            "tail-entry-not-int", "K-string", "K-bool", "K-zero", "K-float"])
+            "tail-entry-not-int", "K-string", "K-bool", "K-zero", "K-float",
+            "r-negative", "r-negative-int"])
     def test_malformed_cover_rejected(self, mutate, message):
         doc = cover_to_json(build_tree_tails(tree_window(2, 3)))
         mutate(doc)

@@ -17,6 +17,8 @@ intersection) and use ||a - b||_1 = ||a||_1 + ||b||_1 - 2 ||a ^ b||_1, as |u - v
 a meet of 0 is the INFINITE_RATIO that fails every epsilon test. `ratio` (the
 terms as one Fraction) is the passes' reference, and the pointwise lattice
 (meet, join, truncated difference) in the tests is the reference for `ratio`.
+Index pairs in range come from one pass, `_in_range`; one fold, `_worst`, takes
+(x, y, terms) rows, `box_family`'s shift pairs too, to their worst ratio.
 """
 
 from __future__ import annotations
@@ -131,9 +133,7 @@ def _terms(a: Chain, b: Chain) -> tuple[int, int]:
 
 
 def _as_ratio(terms):
-    """Fraction(diff, meet) of int terms, INFINITE_RATIO for a meet of 0; None stays None."""
-    if terms is None:
-        return None
+    """Fraction(diff, meet) of int terms, INFINITE_RATIO for a meet of 0."""
     diff, meet = terms
     return Fraction(diff, meet) if meet else INFINITE_RATIO
 
@@ -266,13 +266,31 @@ class FamilyReport(namedtuple("FamilyReport", [
         return doc
 
 
-def in_range_pairs(space: WindowSpace, indices, R):
-    """Ordered pairs (x, y), x < y, of indices at distance <= R."""
-    index_set = set(indices)
-    xs = sorted(index_set)
-    for x, b in zip(xs, space.balls(xs, R)):
-        for y in sorted(y for y in b if y > x and y in index_set):
+def _in_range(space: WindowSpace, chains, R, radii=None):
+    """The pairs (x, y), x < y, of indices of `chains` at distance <= R, in
+    id order, from one search per index: an R-ball, or with `radii` the
+    `WindowSpace.reach` of x's support, which also stores x's support radius
+    as radii[x]."""
+    xs = sorted(chains)
+    balls = space.balls(xs, R) if radii is None else None
+    for x in xs:
+        if radii is None:
+            near = next(balls)
+        else:
+            near, radii[x] = space.reach(x, chains[x].keys(), R)
+        for y in sorted([y for y in near if y > x and y in chains]):
             yield x, y
+
+
+def _worst(rows):
+    """The first (x, y, (diff, meet)) row of largest ratio, comparing int terms
+    by cross-multiplying; None without rows."""
+    worst, wd, wm = None, -1, 1  # -1/1 lies below every ratio, so the first row replaces it
+    for row in rows:
+        d, m = row[2]
+        if d * wm > wd * m:
+            worst, wd, wm = row, d, m
+    return worst
 
 
 def verify_family(fam: IndexedFamily, require_flat: bool = False) -> FamilyReport:
@@ -289,24 +307,14 @@ def verify_family(fam: IndexedFamily, require_flat: bool = False) -> FamilyRepor
     settled every point nearer than the last target it settled), so when
     R < far the in-range partners y > x come from that same search, which
     reads x's row on a matrix. Only when far <= R does an R-ball search run
-    as well. The pairs are those of `in_range_pairs`, in its order."""
+    as well. The pairs are those of `_in_range`, in id order."""
     space, params, chains = fam.space, fam.params, fam.chains
     num, den = params.epsilon.numerator, params.epsilon.denominator
-    worst = None  # the terms of the first worst pair
-    worst_pair = None
-    pair_count = 0
-    ratio_violations = []
     radii = {}
-    for x in fam.indices():
-        a = chains[x]
-        near, radii[x] = space.reach(x, a.keys(), params.R)
-        for y in sorted([y for y in near if y > x and y in chains]):
-            d, m = _terms(a, chains[y])
-            pair_count += 1
-            if worst is None or d * worst[1] > worst[0] * m:
-                worst, worst_pair = (d, m), (x, y)
-            if d * den >= num * m:
-                ratio_violations.append((x, y, _as_ratio((d, m))))
+    rows = [(x, y, _terms(chains[x], chains[y]))
+            for x, y in _in_range(space, chains, params.R, radii)]
+    worst = _worst(rows)
+    ratio_violations = [(x, y, _as_ratio((d, m))) for x, y, (d, m) in rows if d * den >= num * m]
 
     max_radius = max(radii.values(), default=Fraction(0))
     support_violations = [] if max_radius <= params.S else [
@@ -318,9 +326,9 @@ def verify_family(fam: IndexedFamily, require_flat: bool = False) -> FamilyRepor
 
     return FamilyReport(
         passed=not (ratio_violations or support_violations or flat_violations),
-        pair_count=pair_count,
-        worst_ratio=_as_ratio(worst),
-        worst_pair=worst_pair,
+        pair_count=len(rows),
+        worst_ratio=worst and _as_ratio(worst[2]),
+        worst_pair=worst and worst[:2],
         max_support_radius=max_radius,
         ratio_violations=ratio_violations,
         support_violations=support_violations,

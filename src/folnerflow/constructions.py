@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .chains import Chain, FamilyParams, IndexedFamily, _as_ratio, _terms
+from .chains import Chain, FamilyParams, IndexedFamily, _as_ratio, _terms, _worst
 from .errors import EmptyImage, TranslateEscapesWindow, WindowTooSmall
 from .jsonio import Doc
 from .space import (WindowSpace, check_radius, cycle_window, disjoint_union,
@@ -435,7 +435,6 @@ def box_family(model: BoxSpaceModel, F, R, epsilon) -> tuple[IndexedFamily, BoxF
     Fset = set(F)
 
     # Folner precondition for F in the integers, checked exactly
-    worst_model = None
     r_int = int(R)
     shift_terms = []  # (|F (+) F+delta|, |F & F+delta|) at each shift delta
     for delta in range(0, r_int + 1):
@@ -449,8 +448,7 @@ def box_family(model: BoxSpaceModel, F, R, epsilon) -> tuple[IndexedFamily, BoxF
                 f"F is not a Folner set at range {R}, epsilon {epsilon}: "
                 f"shift {delta} gives ratio {q if q is not None else 'infinity'}"
             )
-        if worst_model is None or q > worst_model:
-            worst_model = q
+    worst_model = max(map(_as_ratio, shift_terms))
 
     diam = Fraction(F[-1] - F[0])
     dist_to_zero = Fraction(min(abs(f) for f in F))
@@ -489,21 +487,17 @@ def box_family(model: BoxSpaceModel, F, R, epsilon) -> tuple[IndexedFamily, BoxF
 
     # exact equalities against the integer model, all in-range deep pairs: the
     # deep chains are flat, so a pair's terms are (|A (+) B|, |A & B|)
-    pairs_checked = 0
+    rows = []  # (x, y, terms) of each deep pair
     failures = []
-    worst = (0, 1) if chains else None
     for j in range(J + 1, model.boxes + 1):
         size = model.size(j)
         off = model.offsets[j - 1]
         for g in range(size):
             for delta in range(1, r_int + 1):
                 h = (g + delta) % size
-                d, m = terms = _terms(chains[off + g], chains[off + h])
-                pairs_checked += 1
+                rows.append((off + g, off + h, terms := _terms(chains[off + g], chains[off + h])))
                 if terms != shift_terms[delta]:
                     failures.append((j, g, h))
-                if d * worst[1] > worst[0] * m:
-                    worst = terms
 
     max_radius = max(model.space.support_radius(x, c.keys()) for x, c in chains.items())
     params = FamilyParams(R=R, epsilon=epsilon, S=max_radius, M=0)
@@ -513,10 +507,10 @@ def box_family(model: BoxSpaceModel, F, R, epsilon) -> tuple[IndexedFamily, BoxF
         S=S,
         J=J,
         injectivity_threshold=threshold,
-        pairs_checked=pairs_checked,
+        pairs_checked=len(rows),
         equalities_hold=not failures,
         equality_failures=failures,
-        worst_ratio=_as_ratio(worst),
+        worst_ratio=_as_ratio(_worst(rows)[2]) if rows else Fraction(0),  # 0 for R < 1
         worst_model_ratio=worst_model,
     )
     return fam, report

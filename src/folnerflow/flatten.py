@@ -40,8 +40,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .chains import (Chain, FamilyParams, IndexedFamily, _as_ratio, _terms, base_and_towers,
-                     in_range_pairs)
+from .chains import (Chain, FamilyParams, IndexedFamily, _as_ratio, _in_range, _terms, _worst,
+                     base_and_towers)
 from .errors import FlowEscaped, InternalInvariantError
 from .jsonio import Doc, format_ratio
 from .rips import FlowField
@@ -137,7 +137,7 @@ class FlattenReport(namedtuple("FlattenReport", [
         "worst_ratio_before",  # Fraction | inf | None
         "worst_ratio_after", "max_steps", "new_S", "input_S", "r", "escaped_indices",
         "escaped_traces",  # index -> FlattenTrace
-        "pair_regressions"]), Doc):  # [(x, y, before, after)] -- always empty
+        "pair_regressions"]), Doc):  # always []: flatten_family raises at a worsened pair
     """Family-level flattening outcome, with the exact before/after worst
     ratios over in-range index pairs and the support-radius update."""
 
@@ -156,10 +156,10 @@ def flatten_family(
     sink aborts the run, naming its index. With "collect", escaped indices
     are dropped from the output family and listed in the report instead.
 
-    The report compares the worst in-range ratio before and after and
-    checks pairwise that no ratio got worse; a regression would contradict
-    the contraction property of flattening, so it raises
-    InternalInvariantError.
+    The report compares the worst in-range ratio before and after, over the
+    pairs of one `_in_range` pass. A pair whose ratio got worse would
+    contradict the contraction property of flattening, so the first one
+    raises InternalInvariantError naming it and both ratios.
     """
     if on_escape not in ("raise", "collect"):
         raise ValueError(f"on_escape must be 'raise' or 'collect', got {on_escape!r}")
@@ -186,34 +186,24 @@ def flatten_family(
     )
     out_fam = IndexedFamily(space=fam.space, chains=flat_chains, params=out_params)
 
-    worst_before = worst_after = None
-    regressions = []
-    for x, y in in_range_pairs(fam.space, flat_chains, fam.params.R):
-        before = bd, bm = _terms(fam.chains[x], fam.chains[y])
-        after = ad, am = _terms(flat_chains[x], flat_chains[y])
-        if worst_before is None or bd * worst_before[1] > worst_before[0] * bm:
-            worst_before = before
-        if worst_after is None or ad * worst_after[1] > worst_after[0] * am:
-            worst_after = after
-        if ad * bm > bd * am:
-            regressions.append((x, y, _as_ratio(before), _as_ratio(after)))
-
-    if regressions:
-        x, y, before, after = regressions[0]
-        raise InternalInvariantError(
-            f"flattening worsened the ratio of pair ({x},{y}): "
-            f"{format_ratio(before)} -> {format_ratio(after)}"
-        )
+    before, after = [], []  # (x, y, terms) rows of the input and the flat chains
+    for x, y in _in_range(fam.space, flat_chains, fam.params.R):
+        before.append((x, y, b := _terms(fam.chains[x], fam.chains[y])))
+        after.append((x, y, a := _terms(flat_chains[x], flat_chains[y])))
+        if a[0] * b[1] > b[0] * a[1]:
+            raise InternalInvariantError(
+                f"flattening worsened the ratio of pair ({x},{y}): "
+                f"{format_ratio(_as_ratio(b))} -> {format_ratio(_as_ratio(a))}")
 
     report = FlattenReport(
-        worst_ratio_before=_as_ratio(worst_before),
-        worst_ratio_after=_as_ratio(worst_after),
+        worst_ratio_before=_as_ratio(_worst(before)[2]) if before else None,
+        worst_ratio_after=_as_ratio(_worst(after)[2]) if after else None,
         max_steps=max_steps,
         new_S=new_S,
         input_S=fam.params.S,
         r=flow.r,
         escaped_indices=sorted(escaped_traces),
         escaped_traces=escaped_traces,
-        pair_regressions=regressions,
+        pair_regressions=[],
     )
     return out_fam, report

@@ -672,7 +672,7 @@ def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
 
 def generate(spec: dict) -> WindowSpace:
     """Build a window from a generator descriptor (see the file-format docs);
-    ConfigError naming the field unless every size field is an int."""
+    ConfigError naming a size field that is not an int, or a key not read."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("generator spec must be a dict with a 'kind' key")
     kind = spec["kind"]
@@ -685,25 +685,31 @@ def generate(spec: dict) -> WindowSpace:
 
     try:
         if kind == "grid":
-            return grid_window(size("dim", 1), size("low"), size("high"))
-        if kind == "cycle":
-            return cycle_window(size("length"))
-        if kind == "tree":
-            return tree_window(size("branching"), size("depth"))
-        if kind == "regular_tree":
-            return regular_tree_window(size("degree"), size("depth"))
-        if kind == "union":
+            space = grid_window(size("dim", 1), size("low"), size("high"))
+        elif kind == "cycle":
+            space = cycle_window(size("length"))
+        elif kind == "tree":
+            space = tree_window(size("branching"), size("depth"))
+        elif kind == "regular_tree":
+            space = regular_tree_window(size("degree"), size("depth"))
+        elif kind == "union":
             parts, spacing = spec["parts"], spec["spacing"]
             if type(parts) is not list or type(spacing) is not list:
                 raise ConfigError("generator spec for 'union': parts and spacing must be lists")
-            return disjoint_union([generate(s) for s in parts], map(parse_rational, spacing))
-        if kind == "product":
-            return product_with_interval(generate(spec["base"]), size("levels"))
+            space = disjoint_union([generate(s) for s in parts], map(parse_rational, spacing))
+        elif kind == "product":
+            space = product_with_interval(generate(spec["base"]), size("levels"))
+        else:
+            raise ConfigError(f"unknown generator kind {kind!r}")
     except KeyError as e:
         raise ConfigError(f"generator spec for {kind!r} is missing {e}") from e
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    raise ConfigError(f"unknown generator kind {kind!r}")
+    # the space's own descriptor holds every key its kind reads, and no other
+    if extra := spec.keys() - space.meta["spec"].keys():
+        raise ConfigError(f"generator spec for {kind!r} does not read "
+                          f"{', '.join(sorted(map(repr, extra)))}")
+    return space
 
 
 # -- serialization ---------------------------------------------------------

@@ -190,6 +190,16 @@ def assert_metric_axioms(D: np.ndarray):
         assert (D <= via).all(), f"triangle inequality fails through {y}"
 
 
+def in_range_pairs(space: WindowSpace, indices, R):
+    """Ordered pairs (x, y), x < y, of indices at distance <= R, from one
+    R-ball per index: the reference for the library's in-range pair pass."""
+    index_set = set(indices)
+    xs = sorted(index_set)
+    for x, b in zip(xs, space.balls(xs, R)):
+        for y in sorted(y for y in b if y > x and y in index_set):
+            yield x, y
+
+
 def foelner_search_by_balls(space: WindowSpace, R, epsilon):
     """`foelner_search` as it grew one ball and one neighbourhood per radius
     per centre on every space: the reference for its layer-count search."""

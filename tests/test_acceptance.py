@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import leq, meet, random_chain, random_tree_space, set_ratio, setminus
+from conftest import (in_range_pairs, leq, meet, random_chain, random_tree_space, set_ratio,
+                      setminus)
 from folnerflow import (
     Chain,
     FamilyParams,
@@ -33,7 +34,7 @@ from folnerflow import (
     verify_family,
     verify_tail_cover,
 )
-from folnerflow.chains import base_and_towers, in_range_pairs
+from folnerflow.chains import base_and_towers
 from folnerflow.constructions import box_family, build_box_space
 from folnerflow.rips import build_flow, build_rips
 from folnerflow.space import cycle_window

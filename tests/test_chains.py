@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (add, floyd_warshall, graph_space, join, l1_distance, leq, meet,
-                      mixed_families, rational_graphs, scale, set_ratio, setminus, unit_graphs)
+from conftest import (add, floyd_warshall, graph_space, in_range_pairs, join, l1_distance, leq,
+                      meet, mixed_families, rational_graphs, scale, set_ratio, setminus,
+                      unit_graphs)
 from folnerflow import (
     Chain,
     ConfigError,
@@ -28,7 +29,7 @@ from folnerflow import (
     singleton_family,
     verify_family,
 )
-from folnerflow.chains import FamilyReport, _terms, chain_from_json, in_range_pairs
+from folnerflow.chains import FamilyReport, _in_range, _terms, chain_from_json
 from folnerflow.jsonio import dump_json
 
 chains = st.dictionaries(
@@ -364,6 +365,14 @@ class TestOneSearchPerIndex:
         assert report == expected
         assert type(report.worst_ratio) is type(expected.worst_ratio)
         assert dump_json(report.to_json()) == dump_json(expected.to_json())
+        # the shared pair pass, by R-balls and by `reach`, against the oracle
+        space, chains, R = fam.space, fam.chains, fam.params.R
+        pairs = list(in_range_pairs(space, chains, R))
+        assert list(_in_range(space, chains, R)) == pairs
+        radii = {}
+        assert list(_in_range(space, chains, R, radii)) == pairs
+        assert radii == {x: space.support_radius(x, chains[x].keys()) for x in sorted(chains)}
+        assert list(radii) == sorted(chains)
 
     @settings(max_examples=150, deadline=None)
     @given(graph_families(unit_graphs()), st.booleans())

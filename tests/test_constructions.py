@@ -493,6 +493,22 @@ class TestBoxFamily:
                 assert ratio(fam.chains[p], catchall) == 0
         assert catchall.support() == frozenset(range(20))  # boxes 1 and 2
 
+    @pytest.mark.parametrize("R", [0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3])
+    def test_worst_ratio_matches_ratio_loop(self, R):
+        # every deep point g against g + delta for delta in 1..floor(R), by
+        # definition; below R = 1 there is no pair and the worst ratio is 0
+        model = build_box_space(4, 5)
+        fam, report = box_family(model, range(10), R, 1)
+        ratios = [ratio(fam.chains[off + g], fam.chains[off + (g + delta) % size])
+                  for j, off, size in zip(range(1, 6), model.offsets, model.sizes) if j > report.J
+                  for g in range(size) for delta in range(1, int(R) + 1)]
+        assert report.pairs_checked == len(ratios)
+        assert bool(ratios) == (R >= 1)
+        assert report.worst_ratio == max(ratios, default=0)
+        assert type(report.worst_ratio) is Fraction
+        if not ratios:
+            assert report.to_json()["worst_ratio"] == "0/1"
+
     def test_not_folner_rejected(self):
         model = build_box_space(4, 4)
         with pytest.raises(ValueError):

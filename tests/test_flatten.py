@@ -1,6 +1,7 @@
 """Tower shifting: pinned step examples, termination, monotonicity,
 contraction, and family-level flattening."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    handmade_flow, l1_distance, leq, meet, mixed_families, random_chain, random_tree_space,
-    setminus)
+    handmade_flow, in_range_pairs, l1_distance, leq, meet, mixed_families, random_chain,
+    random_tree_space, setminus)
 from folnerflow import (
     Chain,
     FamilyParams,
     FlowEscaped,
     INFINITE_RATIO,
+    InternalInvariantError,
     IndexedFamily,
     base_and_towers,
     disjoint_union,
@@ -27,8 +29,11 @@ from folnerflow import (
     subspace,
     tent_family,
 )
-from folnerflow.chains import in_range_pairs
-from folnerflow.rips import FlowField, build_flow, build_rips
+from folnerflow import cli
+from folnerflow.chains import family_to_json
+from folnerflow.jsonio import dump_json
+from folnerflow.rips import FlowField, build_flow, build_rips, flow_to_json
+from folnerflow.space import space_to_json
 
 
 def forward_path_flow(n=8):
@@ -473,3 +478,45 @@ class TestFlattenFamilyIntTerms:
         assert report.worst_ratio_before == max(before, default=None)
         assert report.worst_ratio_after == max(after, default=None)
         assert report.pair_regressions == []
+
+
+class TestWorsenedPairRaises:
+    """No pair's ratio can grow under flattening, so a flat chain forced
+    worse, by a stand-in for `_park`, must raise InternalInvariantError at
+    the first such pair in id order, and the CLI must exit 3."""
+
+    # tents {x-2..x+2}: adjacent pairs have ratio 2/4; index 12's flat chain
+    # shrinks to {10, 11, 12}, so pair (11, 12) goes 1/2 -> 2/3 and (12, 13) 1/2 -> 2
+    MESSAGE = "flattening worsened the ratio of pair (11,12): 1/2 -> 2/3"
+
+    @pytest.fixture
+    def worse_park(self, monkeypatch):
+        module = importlib.import_module("folnerflow.flatten")
+        monkeypatch.setattr(module, "_park", lambda a, flow: (
+            Chain.from_set(range(10, 13)) if min(a) == 10 else a, 0))
+
+    @staticmethod
+    def family():
+        space = grid_window(1, 0, 30)
+        return IndexedFamily(space=space, params=FamilyParams(R=1, epsilon=1, S=2), chains={
+            x: Chain.from_set(range(x - 2, x + 3)) for x in range(10, 14)})
+
+    def test_names_the_first_worsened_pair(self, worse_park):
+        fam = self.family()
+        with pytest.raises(InternalInvariantError) as info:
+            flatten_family(fam, build_flow(fam.space, build_rips(fam.space, 1)))
+        assert str(info.value) == self.MESSAGE
+
+    def test_flatten_run_exits_3(self, worse_park, tmp_path, capsys):
+        fam = self.family()
+        files = {"space": space_to_json(fam.space), "family": family_to_json(fam),
+                 "flow": flow_to_json(build_flow(fam.space, build_rips(fam.space, 1)))}
+        argv = ["flatten", "run"]
+        for name, doc in files.items():
+            dump_json(doc, tmp_path / f"{name}.json")
+            argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+        argv += ["--out", str(tmp_path / "flat.json"), "--report", str(tmp_path / "rep.json")]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == f"internal invariant violation: {self.MESSAGE}\n"
+        assert not (tmp_path / "flat.json").exists()
+        assert not (tmp_path / "rep.json").exists()

@@ -189,6 +189,17 @@ class TestImportGuard:
         for name in ("chains", "flatten", "constructions", "families", "rips"):
             assert f"folnerflow.{name}" not in loaded
 
+    @pytest.mark.parametrize("command, absent", [
+        ("flatten run", ("constructions", "tails", "families")),
+        ("family verify", ("constructions", "tails", "families", "flatten", "rips")),
+    ])
+    def test_flatten_run_and_family_verify(self, session_dir, command, absent):
+        """The pair pass they share lives in the chain module."""
+        loaded = modules_after(SESSION[command], session_dir)
+        assert "folnerflow.chains" in loaded
+        for name in absent:
+            assert f"folnerflow.{name}" not in loaded
+
     @pytest.mark.parametrize("command", SESSION)
     def test_no_command_loads_dataclasses_or_inspect(self, session_dir, command):
         loaded = modules_after(SESSION[command], session_dir)

@@ -216,6 +216,11 @@ class TestCli:
         assert r.returncode == 2
         r = run_cli(["space", "info", "--space", "missing.json"], tmp_path)
         assert r.returncode == 2
+        r = run_cli(["space", "gen", "--spec", '{"kind": "cycle", "length": 5, "foo": 1}',
+                     "--out", "c.json"], tmp_path)
+        assert r.returncode == 2
+        assert "generator spec for 'cycle' does not read 'foo'" in r.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_space_is_exit_2(self, tmp_path):
         doc = space_to_json(grid_window(1, 0, 2))

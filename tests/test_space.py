@@ -643,8 +643,20 @@ class TestMalformedSpaceFiles:
          "'product': levels must be an int, got '2'"),
         ({"kind": "union", "parts": 5, "spacing": [1]},
          "'union': parts and spacing must be lists"),
+        # a key the kind does not read would be dropped by space_to_json
+        ({"kind": "cycle", "length": 5, "foo": 1}, "'cycle' does not read 'foo'"),
+        ({"kind": "grid", "low": 0, "high": 3, "length": 4, "b": 0},
+         "'grid' does not read 'b', 'length'"),
+        ({"kind": "union", "parts": [{"kind": "cycle", "length": 3},
+                                     {"kind": "tree", "branching": 2, "depth": 1, "degree": 3}],
+          "spacing": [1, 2]}, "'tree' does not read 'degree'"),
+        ({"kind": "product", "base": {"kind": "regular_tree", "degree": 3, "depth": 1, "x": 0},
+          "levels": 2}, "'regular_tree' does not read 'x'"),
+        ({"kind": "product", "base": {"kind": "cycle", "length": 3}, "levels": 2, "dim": 1},
+         "'product' does not read 'dim'"),
     ], ids=["grid-high", "grid-dim", "cycle-length", "tree-branching", "regular-tree-depth",
-            "product-levels", "union-parts"])
+            "product-levels", "union-parts", "cycle-extra", "grid-extras", "union-part-extra",
+            "product-base-extra", "product-extra"])
     def test_generator_descriptor(self, spec, message):
         with pytest.raises(ConfigError) as info:
             generate(spec)
@@ -951,6 +963,14 @@ class TestGeneratedFileMustMatch:
         with pytest.raises(ConfigError) as info:
             space_from_json(doc)
         assert str(info.value) == f"space file {field} does not match its generator descriptor"
+
+    def test_descriptor_key_not_read(self):
+        # such a file used to load, and re-serialize without the key
+        doc = space_to_json(cycle_window(5))
+        doc["generator"]["foo"] = 1
+        with pytest.raises(ConfigError) as info:
+            space_from_json(doc)
+        assert str(info.value) == "generator spec for 'cycle' does not read 'foo'"
 
     def test_frontier_is_compared_as_a_set(self, tree_doc):
         doc = copy.deepcopy(tree_doc)

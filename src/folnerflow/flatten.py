@@ -23,16 +23,20 @@ tower always arrives later, and equal-depth towers that meet have merged.
 Taken by increasing depth, each unit parks at the first free point of its
 sigma path (parking on a mapping; Lackner and Panholzer, JCTA 142, 2016).
 A tower's units park along the run of free points below the point where
-its previous unit parked, one sigma lookup and one insert each; only where
-the run meets an occupied point does the search jump, through a
-path-compressed "next point to try" map (Tarjan 1975). Depth drops by one
-per flow edge, so a tower's last unit parks furthest downstream and gives
-the tower's largest parking step; `steps` is the largest over the towers,
-taken once per tower. A unit that finds its sink occupied escapes at step
-depth(y). The flat chain, the steps and whether and when the chain
-escapes do not depend on the order in which units park; when several sinks
-overflow at the shallowest escape step, `shift_step` and `flatten` both
-report the smallest sink id. The step budget is checked after the fact.
+its previous unit parked, one sigma lookup and one insert each; where the
+search meets an occupied point it jumps, through a "next point to try" map
+(Tarjan 1975). After its last unit the tower points its start and the
+points it jumped through at where that unit parked, as all points between
+are occupied: at most units + towers lookups on a path, amortised on a
+forest, where a tower from another branch can enter a parked run partway.
+Depth drops by one per flow edge, so a tower's last unit parks furthest
+downstream and gives the tower's largest parking step; `steps` is the
+largest over the towers, taken once per tower. A unit that finds its sink
+occupied escapes at step depth(y). The flat chain, the steps and whether
+and when the chain escapes do not depend on the order in which units park;
+when several sinks overflow at the shallowest escape step, `shift_step`
+and `flatten` both report the smallest sink id. The step budget is checked
+after the fact.
 """
 
 from __future__ import annotations
@@ -102,20 +106,19 @@ def _park(a: Chain, flow: FlowField) -> tuple[Chain, int]:
     for y in sorted(towers, key=depths.__getitem__):
         if (d := depths[y]) > escape_step:
             break
-        # u: where this unit's search starts; p: the last occupied point seen
-        u, p = y, last[y]
+        # run: y and the occupied points jumped through; p: the last occupied point seen
+        run, p = [y], last[y]
         for _ in range(towers[y]):
-            if (q := get(p)) in last:  # the run meets an occupied point: jump
-                hops = [u, q]
-                while (q := get(p := last[q])) in last:
-                    hops.append(q)
-                for h in hops:
-                    last[h] = p
+            while (q := get(p)) in last:  # an occupied point: jump past it
+                run.append(q)
+                p = last[q]
             if q is None:  # every point down to the sink p is occupied
                 escaped.append(p)
                 escape_step = d
                 break
-            last[q] = u = p = q
+            last[q] = p = q
+        for h in run:  # every point from y down to p is now occupied
+            last[h] = p
         if d - depths[p] > steps:  # p: where the tower's last unit parked (moot on escape)
             steps = d - depths[p]
     if escaped:

@@ -33,6 +33,7 @@ import math
 import numbers
 from collections.abc import Set
 from fractions import Fraction
+from operator import le
 
 from .errors import ConfigError
 from .jsonio import dump_json, format_rational, load_json, parse_rational, to_doc
@@ -55,17 +56,18 @@ class WindowSpace:
 
     Exactly one of ``matrix`` / ``adjacency`` must be supplied as the
     metric: a symmetric n x n matrix of ints or Fractions, zero on the
-    diagonal and positive off it, kept as `_matrix`, its rows as ints at
-    scale L (the private ``_scale=L`` takes int rows at scale L as they
-    stand, still checked); or the adjacency of a connected graph with
-    positive int or Fraction weights, whose shortest-path metric is the
-    space's, kept as two parallel tuples per point: `_nbrs[x]`, the
-    neighbour ids of x, and `_wts[x]`, the weights of those edges as ints
-    at scale L, where `_wts` is None when every weight is 1. With
-    ``_scale=L`` a graph is trusted: ``adjacency`` holds the neighbour-id
-    tuples and ``_wts`` the int weight tuples, taken as they stand with no
-    check, so L must be the lcm of the weights' denominators and the graph
-    connected; the generators build it so.
+    diagonal, positive off it and obeying the triangle inequality, kept as
+    `_matrix`, its rows as ints at scale L (the private ``_scale=L`` takes
+    int rows at scale L as they stand, checked but for the triangle
+    inequality, which its callers build in); or the adjacency of a
+    connected graph with positive int or Fraction weights, whose
+    shortest-path metric is the space's, kept as two parallel tuples per
+    point: `_nbrs[x]`, the neighbour ids of x, and `_wts[x]`, the weights
+    of those edges as ints at scale L, where `_wts` is None when every
+    weight is 1. With ``_scale=L`` a graph is trusted: ``adjacency`` holds
+    the neighbour-id tuples and ``_wts`` the int weight tuples, taken as
+    they stand with no check, so L must be the lcm of the weights'
+    denominators and the graph connected; the generators build it so.
     """
 
     def __init__(
@@ -95,7 +97,8 @@ class WindowSpace:
             raise ValueError(f"frontier ids outside 0..{n - 1}: {bad[:5]}")
 
         if matrix is not None:
-            if _scale is None:  # int rows at scale L, the lcm of the entries' denominators
+            checked = _scale is None  # the private path builds metrics by construction
+            if checked:  # int rows at scale L, the lcm of the entries' denominators
                 kinds = {type(v) for row in matrix for v in row}
                 if not kinds <= {int, Fraction}:
                     bad = next(v for row in matrix for v in row if type(v) not in (int, Fraction))
@@ -105,7 +108,7 @@ class WindowSpace:
                           for row in matrix]
             self._scale, self._matrix = _scale, matrix
             self._nbrs = self._wts = None
-            self._check_matrix()
+            self._check_matrix(triangle=checked)
         elif _scale is not None:
             self._matrix, self._scale, self._nbrs = None, _scale, tuple(adjacency)
             self._wts = None if _wts is None else tuple(_wts)
@@ -153,7 +156,7 @@ class WindowSpace:
         x's tuple."""
         return self._nbrs
 
-    def _check_matrix(self):
+    def _check_matrix(self, triangle):
         m = self._matrix
         if len(m) != self.n or any(len(row) != self.n for row in m):
             raise ValueError("matrix must be n x n")
@@ -165,6 +168,14 @@ class WindowSpace:
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
                 if m[i][j] <= 0:
                     raise ValueError(f"dist({i},{j}) must be positive")
+        if not triangle:
+            return
+        for i, row_i in enumerate(m):
+            for k, row_k in enumerate(m):  # row_i <= d(i, k) + row_k entrywise
+                if not all(map(le, row_i, map(row_i[k].__add__, row_k))):
+                    j = next(j for j, d in enumerate(row_i) if d > row_i[k] + row_k[j])
+                    raise ValueError(f"matrix breaks the triangle inequality at ({i},{k},{j}): "
+                                     f"dist({i},{j}) > dist({i},{k}) + dist({k},{j})")
 
     def _check_connected(self):
         reached = len(self._search((0,)))
@@ -751,7 +762,8 @@ def space_from_json(doc: dict) -> WindowSpace:
     """ConfigError naming the field unless the file is an object whose `points`
     is a positive int, `metric` an object with a list of matrix rows or graph
     edges ([x, y, weight] triples), `frontier` a list of int ids, `label` a str,
-    and, with a `generator`, unless all four match its space's file."""
+    and, with a `generator`, unless all four and the generator itself match its
+    space's file."""
     if type(doc) is not dict:
         raise ConfigError(f"a space file must be a JSON object, got a {type(doc).__name__}")
     try:
@@ -778,7 +790,8 @@ def space_from_json(doc: dict) -> WindowSpace:
         space = generate(gen)
         made = space_to_json(space)
         made["frontier"] = set(made["frontier"])
-        stored = {"points": n, "label": label, "metric": metric, "frontier": set(frontier)}
+        stored = {"points": n, "label": label, "metric": metric, "frontier": set(frontier),
+                  "generator": gen}
         bad = next((key for key, value in stored.items() if made[key] != value), None)
         if bad:
             raise ConfigError(f"space file {bad} does not match its generator descriptor")

@@ -221,6 +221,23 @@ class TestEngineMatchesSpec:
             assert outcome(engine, a, flow) == ("escaped", 3, 2)
             assert outcome(iterated_shift_step, a, flow) == ("escaped", 3, 2)
 
+    def test_tower_from_another_branch_enters_a_parked_run_partway(self):
+        # the line 9 -> ... -> 0 with branches 22 -> 21 -> 20 -> 6 and
+        # 32 -> 31 -> 30 -> 7. The tower of 8 (depth 8) parks 7, 6, 5. The
+        # tower of 22 (depth 9) walks its branch into that run at 6, below 7,
+        # and parks 4, 3, 2. The tower of 32 (depth 10) enters at 7, meets 6,
+        # now in the merged run of 8 and 22, and parks 1 and 0; one more unit
+        # escapes at the sink 0, at step 10
+        sigma = {i: i - 1 for i in range(1, 10)}
+        sigma.update({20: 6, 21: 20, 22: 21, 30: 7, 31: 30, 32: 31})
+        flow = handmade_flow(sigma, sinks={0}, n=33)
+        arms = {8: 4, 20: 1, 21: 1, 22: 4, 30: 1, 31: 1}
+        flat = Chain(dict.fromkeys([*range(9), 20, 21, 22, 30, 31, 32], 1))
+        for t, want in ((3, ("flat", flat, 10, 15 * 8)), (4, ("escaped", 0, 10))):
+            a = Chain({**arms, 32: t})
+            assert outcome(engine, a, flow) == want
+            assert outcome(iterated_shift_step, a, flow) == want
+
     @settings(max_examples=80, deadline=None)
     @given(rng=st.randoms(use_true_random=False),
            spine=st.integers(min_value=1, max_value=12),
@@ -293,9 +310,11 @@ class CountingSigma(dict):
 
 
 class TestWorkBound:
-    def test_sigma_lookups_at_most_twice_the_mass(self):
+    def test_sigma_lookups_at_most_units_plus_towers(self):
         # non-escaping width-W tents on the 401-point line, whose flow drains
-        # to point 0: the tent at c flattens onto the W * W points below c + W
+        # to point 0: the tent at c flattens onto the W * W points below c + W.
+        # On a path each tower looks up one parking point per unit and jumps
+        # once, to the end of the occupied run below it
         line = grid_window(1, -200, 200)
         built = build_flow(line, build_rips(line, 1))
         for W in range(4, 17):
@@ -306,7 +325,8 @@ class TestWorkBound:
                 sigma.gets = 0
                 flat, _ = flatten(a, flow)
                 assert flat.l1() == a.l1() == W * W
-                assert sigma.gets <= 2 * a.l1(), (W, c, sigma.gets)
+                units, towers = a.l1() - len(a), sum(v > 1 for v in a.values())
+                assert sigma.gets <= units + towers, (W, c, sigma.gets)
 
 
 class TestClaims:

@@ -235,6 +235,17 @@ class TestCli:
             2, "", "error: generator spec for 'cycle': length must be an int, got True\n")
         assert not (tmp_path / "c.json").exists()
 
+    def test_matrix_not_a_metric_is_exit_2(self, tmp_path):
+        (tmp_path / "m.json").write_text(json.dumps({
+            "points": 3, "frontier": [0], "label": "m", "metric": {"type": "matrix", "entries": [
+                ["0", "1", "5"], ["1", "0", "1"], ["5", "1", "0"]]}}))
+        r = run_cli(["rips", "build", "--space", "m.json", "--r", "1", "--out", "r.json"],
+                    tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: matrix breaks the triangle inequality at (0,1,2): "
+            "dist(0,2) > dist(0,1) + dist(1,2)\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
     def test_space_file_not_an_object_is_exit_2(self, tmp_path):
         (tmp_path / "s.json").write_text("[1, 2]")
         r = run_cli(["space", "info", "--space", "s.json"], tmp_path)
@@ -948,4 +959,20 @@ class TestForgedTailInputs:
         dump_json(cover, tmp_path / "cov.json")
         r = run_cli(["tails", "verify", "--space", "t.json", "--cover", "cov.json"], tmp_path)
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cov.json", "t.json"]
+
+    def test_generator_without_dim_is_exit_2(self, tmp_path):
+        # `space gen` takes a grid spec without dim, but its file records
+        # dim; a file whose generator drops it is not that file
+        r = run_cli(["space", "gen", "--spec", '{"kind": "grid", "low": 0, "high": 4}',
+                     "--out", "t.json"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        space = json.loads((tmp_path / "t.json").read_text())
+        assert space["generator"] == {"kind": "grid", "dim": 1, "low": 0, "high": 4}
+        del space["generator"]["dim"]
+        dump_json(space, tmp_path / "t.json")
+        dump_json(cover_to_json(build_tree_tails(tree_window(2, 3))), tmp_path / "cov.json")
+        r = run_cli(["tails", "verify", "--space", "t.json", "--cover", "cov.json"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: space file generator does not match its generator descriptor\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cov.json", "t.json"]

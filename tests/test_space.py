@@ -584,6 +584,19 @@ class TestMatrixValidation:
         assert space.dist(0, 1) == Fraction(1, 2)
         assert WindowSpace(2, matrix=[[0, 3], [3, 0]]).dist(1, 0) == 3
 
+    @pytest.mark.parametrize("m, triple", [
+        ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], (0, 1, 2)),
+        ([[0, Fraction(1, 2), 2], [Fraction(1, 2), 0, 1], [2, 1, 0]], (0, 1, 2)),
+        ([[0, 1, 1, 1], [1, 0, 1, 3], [1, 1, 0, 1], [1, 3, 1, 0]], (1, 0, 3)),
+    ], ids=["ints", "fractions", "first-k"])
+    def test_triangle_inequality_names_the_first_triple(self, m, triple):
+        # d(i, j) > d(i, k) + d(k, j) at the first i, then k, then j
+        i, k, j = triple
+        with pytest.raises(ValueError) as e:
+            WindowSpace(len(m), matrix=m)
+        assert str(e.value) == (f"matrix breaks the triangle inequality at ({i},{k},{j}): "
+                                f"dist({i},{j}) > dist({i},{k}) + dist({k},{j})")
+
 
 class TestMalformedSpaceFiles:
     """A space file or generator descriptor of the wrong shape is a
@@ -971,6 +984,16 @@ class TestGeneratedFileMustMatch:
         with pytest.raises(ConfigError) as info:
             space_from_json(doc)
         assert str(info.value) == "generator spec for 'cycle' does not read 'foo'"
+
+    def test_descriptor_without_a_default_key(self):
+        # generate fills a grid's missing dim with 1; such a file used to load
+        # and re-serialize with "dim": 1, so it did not round-trip
+        doc = space_to_json(grid_window(1, 0, 4))
+        del doc["generator"]["dim"]
+        with pytest.raises(ConfigError) as info:
+            space_from_json(doc)
+        assert str(info.value) == "space file generator does not match its generator descriptor"
+        assert generate(doc["generator"]).meta["spec"]["dim"] == 1
 
     def test_frontier_is_compared_as_a_set(self, tree_doc):
         doc = copy.deepcopy(tree_doc)

@@ -270,14 +270,13 @@ def _in_range(space: WindowSpace, chains, R, radii=None):
     """The pairs (x, y), x < y, of indices of `chains` at distance <= R, in
     id order, from one search per index: an R-ball, or with `radii` the
     `WindowSpace.reach` of x's support, which also stores x's support radius
-    as radii[x]."""
-    xs = sorted(chains)
-    balls = space.balls(xs, R) if radii is None else None
-    for x in xs:
+    as radii[x], an int at the space's scale L."""
+    limit = space._limit(R)
+    for x in sorted(chains):
         if radii is None:
-            near = next(balls)
+            near = space._ball_ints(x, limit)
         else:
-            near, radii[x] = space.reach(x, chains[x].keys(), R)
+            near, radii[x] = space._reach(x, chains[x].keys(), limit)
         for y in sorted([y for y in near if y > x and y in chains]):
             yield x, y
 
@@ -307,7 +306,9 @@ def verify_family(fam: IndexedFamily, require_flat: bool = False) -> FamilyRepor
     settled every point nearer than the last target it settled), so when
     R < far the in-range partners y > x come from that same search, which
     reads x's row on a matrix. Only when far <= R does an R-ball search run
-    as well. The pairs are those of `_in_range`, in id order."""
+    as well. The pairs are those of `_in_range`, in id order. The radii stay
+    ints at the space's scale L, compared with floor(S * L); only the
+    largest and each violator's become Fractions."""
     space, params, chains = fam.space, fam.params, fam.chains
     num, den = params.epsilon.numerator, params.epsilon.denominator
     radii = {}
@@ -316,9 +317,10 @@ def verify_family(fam: IndexedFamily, require_flat: bool = False) -> FamilyRepor
     worst = _worst(rows)
     ratio_violations = [(x, y, _as_ratio((d, m))) for x, y, (d, m) in rows if d * den >= num * m]
 
-    max_radius = max(radii.values(), default=Fraction(0))
-    support_violations = [] if max_radius <= params.S else [
-        (x, radius) for x, radius in radii.items() if radius > params.S]
+    L, limit = space._scale, space._limit(params.S)  # the radii are ints at scale L
+    max_radius = max(radii.values(), default=0)
+    support_violations = [] if max_radius <= limit else [
+        (x, Fraction(radius, L)) for x, radius in radii.items() if radius > limit]
 
     flat_violations = []
     if require_flat:
@@ -329,7 +331,7 @@ def verify_family(fam: IndexedFamily, require_flat: bool = False) -> FamilyRepor
         pair_count=len(rows),
         worst_ratio=worst and _as_ratio(worst[2]),
         worst_pair=worst and worst[:2],
-        max_support_radius=max_radius,
+        max_support_radius=Fraction(max_radius, L),
         ratio_violations=ratio_violations,
         support_violations=support_violations,
         flat_violations=flat_violations,

@@ -40,8 +40,11 @@ def build_rips(space: WindowSpace, r) -> RipsGraph:
     there is one component: a graph metric is connected (`WindowSpace`
     checks it) and every unit edge is a scale-r edge. For 1 <= r < 2 the
     neighbours are the graph neighbours too (d is an int, so 0 < d <= r
-    means d = 1), with no ball search. Elsewhere the components come from
-    the scale-r edges.
+    means d = 1), with no ball search. For 2 <= r < 3 they are the union
+    of the closed graph neighbourhoods of x's closed graph neighbourhood,
+    without x, again with no search: 0 < d(x, z) <= r means d(x, z) is 1
+    or 2, that is a path of at most two edges joins x and z. Elsewhere the
+    components come from the scale-r edges.
     """
     r = check_radius(r, "scale")
     if r == 0:
@@ -50,8 +53,12 @@ def build_rips(space: WindowSpace, r) -> RipsGraph:
     if not (space.unit_weights and r >= 1):
         neighbors = tuple(b - {x} for x, b in zip(points, space.balls(points, r)))
         return RipsGraph(r=r, n=space.n, neighbors=neighbors, components=_components(neighbors))
+    nbrs = space.graph_neighbors
     if r < 2:
-        neighbors = [frozenset(nb) - {x} for x, nb in zip(points, space.graph_neighbors)]
+        neighbors = [frozenset(nb) - {x} for x, nb in zip(points, nbrs)]
+    elif r < 3:
+        neighbors = [frozenset().union(nb, *map(nbrs.__getitem__, nb)) - {x}
+                     for x, nb in zip(points, nbrs)]
     else:
         neighbors, limit = [], space._limit(r)
         for x in points:

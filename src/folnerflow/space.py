@@ -27,6 +27,7 @@ Point ids are dense integers 0..n-1.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -364,7 +365,12 @@ class WindowSpace:
         than the last target it settled, a matrix row keeps every point up
         to `far`. So if R < far, near is read from that one search; otherwise
         one R-ball search gives it, as in `ball`."""
-        limit = self._limit(R)
+        near, far = self._reach(x, points, self._limit(R))
+        return near, Fraction(far, self._scale)
+
+    def _reach(self, x: PointId, points, limit: int) -> tuple:
+        """`reach` at the int limit floor(R * L), with the radius as an int
+        at scale L."""
         self._check_point(x)
         targets = points if isinstance(points, Set) else set(points)
         if not targets:
@@ -372,14 +378,13 @@ class WindowSpace:
         found = self._search((x,), targets=targets)
         far = found[next(reversed(found))]  # it stopped at its farthest target
         if far <= limit:
-            near = list(self._search((x,), limit))
-        else:  # found is in order of distance
-            near = []
-            for y, d in found.items():
-                if d > limit:
-                    break
-                near.append(y)
-        return near, Fraction(far, self._scale)
+            return list(self._search((x,), limit)), far
+        near = []  # found is in order of distance
+        for y, d in found.items():
+            if d > limit:
+                break
+            near.append(y)
+        return near, far
 
     def support_radius(self, x: PointId, points) -> Fraction:
         """max d(x, z) over a nonempty point set, read once (KeyError for an
@@ -429,22 +434,29 @@ class GrowthProfile:
         self.values = dict(values)
 
     def __getitem__(self, R):
-        return self.values[Fraction(R)]
+        return self.values[check_radius(R)]
 
     def to_json(self):
         return to_doc(dict(sorted(self.values.items())))
 
 
 def growth_profile(space: WindowSpace, radii) -> GrowthProfile:
-    values = {}
-    for R in radii:
-        R = check_radius(R)
-        interior = space.interior_points(R)
-        if not interior:
-            values[R] = None
-            continue
-        values[R] = max(map(len, space.balls(interior, R)))
-    return GrowthProfile(values)
+    """Max |B(x, R)| over the interior points x of each radius R, from one
+    search per point of the smallest radius's interior: out to the largest
+    radius at which x is still interior, whose nondecreasing distances give
+    |B(x, R)| for every smaller R by bisection."""
+    limit = {R: space._limit(R) for R in map(check_radius, radii)}
+    limits = sorted(set(limit.values()))
+    sizes = [0] * len(limits)  # per limit, the largest ball so far; 0 while none
+    fd = space._frontier_ints() if space.frontier and limits else None
+    for x in range(space.n):
+        k = len(limits) if fd is None else bisect.bisect_left(limits, fd[x])
+        if k:  # x is interior for limits[:k]
+            dists = list(space._search((x,), limits[k - 1]).values())
+            for j in range(k):
+                sizes[j] = max(sizes[j], bisect.bisect_right(dists, limits[j]))
+    best = dict(zip(limits, sizes))
+    return GrowthProfile({R: best[d] or None for R, d in limit.items()})
 
 
 # -- generators ------------------------------------------------------------

@@ -200,6 +200,31 @@ def in_range_pairs(space: WindowSpace, indices, R):
             yield x, y
 
 
+def growth_by_radius(space: WindowSpace, radii) -> dict:
+    """`growth_profile`'s values by its definition, one radius at a time: the
+    largest R-ball over `interior_points(R)`, None when that is empty."""
+    values = {}
+    for R in radii:
+        R = check_radius(R)
+        interior = space.interior_points(R)
+        values[R] = max(map(len, space.balls(interior, R))) if interior else None
+    return values
+
+
+def count_searches(space: WindowSpace, monkeypatch) -> list:
+    """Replace `space._search` with a probe that records the positional
+    arguments of each call in the returned list and then runs the search."""
+    calls = []
+    search = space._search
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(space, "_search", counted, raising=False)
+    return calls
+
+
 def foelner_search_by_balls(space: WindowSpace, R, epsilon):
     """`foelner_search` as it grew one ball and one neighbourhood per radius
     per centre on every space: the reference for its layer-count search."""

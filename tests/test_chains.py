@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (add, floyd_warshall, graph_space, in_range_pairs, join, l1_distance, leq,
-                      meet, mixed_families, rational_graphs, scale, set_ratio, setminus,
-                      unit_graphs)
+from conftest import (add, count_searches, floyd_warshall, graph_space, in_range_pairs, join,
+                      l1_distance, leq, meet, mixed_families, rational_graphs, scale, set_ratio,
+                      setminus, unit_graphs)
 from folnerflow import (
     Chain,
     ConfigError,
@@ -371,8 +371,10 @@ class TestOneSearchPerIndex:
         assert list(_in_range(space, chains, R)) == pairs
         radii = {}
         assert list(_in_range(space, chains, R, radii)) == pairs
-        assert radii == {x: space.support_radius(x, chains[x].keys()) for x in sorted(chains)}
         assert list(radii) == sorted(chains)
+        for x, r in radii.items():  # ints at the space's scale L
+            assert type(r) is int
+            assert Fraction(r, space._scale) == space.support_radius(x, chains[x].keys())
 
     @settings(max_examples=150, deadline=None)
     @given(graph_families(unit_graphs()), st.booleans())
@@ -384,18 +386,6 @@ class TestOneSearchPerIndex:
     def test_rational_graphs_and_matrix_twins(self, fam, require_flat):
         self.check(fam, require_flat)
 
-    @staticmethod
-    def count_searches(space, monkeypatch):
-        calls = []
-        search = space._search
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return search(*args, **kwargs)
-
-        monkeypatch.setattr(space, "_search", counted, raising=False)
-        return calls
-
     @pytest.mark.parametrize("space", [
         grid_window(2, 0, 12),
         generate({"kind": "union", "parts": [{"kind": "grid", "dim": 2, "low": 0, "high": 6}] * 2,
@@ -404,7 +394,7 @@ class TestOneSearchPerIndex:
     def test_one_search_per_index_when_supports_reach_beyond_R(self, space, monkeypatch):
         core = sorted(space.ball(space.n // 2, 2))
         fam = ball_family(space, 3, R=Fraction(3, 2), epsilon=1, core=core)
-        calls = self.count_searches(space, monkeypatch)
+        calls = count_searches(space, monkeypatch)
         verify_family(fam)
         assert len(calls) == len(core)
 
@@ -414,12 +404,12 @@ class TestOneSearchPerIndex:
         # radius-1 balls and singletons: supports within R = 2 of their index
         for fam in (ball_family(space, 1, R=2, epsilon=1, core=core),
                     singleton_family(space, R=2, epsilon=1, core=core)):
-            calls = self.count_searches(space, monkeypatch)
+            calls = count_searches(space, monkeypatch)
             verify_family(fam)
             assert len(calls) == 2 * len(core)
         mixed = IndexedFamily(space=space, params=FamilyParams(R=1, epsilon=1, S=3), chains={
             x: Chain.from_set(space.ball(x, 1 + x % 2)) for x in core})
-        calls = self.count_searches(space, monkeypatch)
+        calls = count_searches(space, monkeypatch)
         verify_family(mixed)
         assert len(core) < len(calls) < 2 * len(core)
 
@@ -428,7 +418,7 @@ class TestOneSearchPerIndex:
         line = grid_window(1, 0, 9)
         space = WindowSpace(10, matrix=[[line.dist(x, y) for y in range(10)] for x in range(10)])
         fam = ball_family(space, 2, R=1, epsilon=1, core=range(2, 8))
-        calls = self.count_searches(space, monkeypatch)
+        calls = count_searches(space, monkeypatch)
         report = verify_family(fam)
         assert len(calls) == 6
         assert report == verify_family(ball_family(line, 2, R=1, epsilon=1, core=range(2, 8)))

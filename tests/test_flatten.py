@@ -186,20 +186,29 @@ def forest_chains(draw):
     """A random sigma forest through `handmade_flow` (branching, one to
     three sinks, ids shuffled) and a chain whose heavy towers sit on a
     stretch of consecutive points of one sigma path, plus a few light
-    entries elsewhere: runs of parked units meet occupied points partway."""
+    entries elsewhere: runs of parked units meet occupied points partway.
+    The stretch's tower mass is at most the free points downstream of it,
+    so most chains flatten and their outcome shows where every unit parked."""
     n = draw(st.integers(min_value=2, max_value=24))
     k = draw(st.integers(min_value=1, max_value=min(3, n - 1)))
     ids = draw(st.permutations(range(n)))
-    sigma = {ids[i]: ids[draw(st.integers(min_value=0, max_value=i - 1))] for i in range(k, n)}
+    reach = draw(st.integers(min_value=1, max_value=n))  # a parent among the last `reach`: deep paths
+    sigma = {ids[i]: ids[draw(st.integers(min_value=max(0, i - reach), max_value=i - 1))]
+             for i in range(k, n)}
     flow = handmade_flow(sigma, sinks={ids[i] for i in range(k)}, n=n)
-    path = [draw(st.sampled_from(ids))]
+    path = [draw(st.sampled_from(sorted(ids, key=flow.depth)[n // 2:]))]  # from the deeper half
     while path[-1] in sigma:
         path.append(sigma[path[-1]])
-    i = draw(st.integers(min_value=0, max_value=len(path) - 1))
-    j = draw(st.integers(min_value=i + 1, max_value=len(path)))
-    w = {x: draw(st.integers(min_value=1, max_value=8)) for x in path[i:j]}
-    for x, v in draw(st.dictionaries(st.sampled_from(ids), st.integers(min_value=1, max_value=3),
-                                     max_size=6)).items():
+    i = draw(st.integers(min_value=0, max_value=max(0, len(path) - 2)))
+    j = draw(st.integers(min_value=i + 1, max_value=max(i + 1, len(path) - 1)))
+    light = draw(st.dictionaries(st.sampled_from(ids), st.integers(min_value=1, max_value=2),
+                                 max_size=4))
+    free = sum(x not in light for x in path[j:])  # the free points downstream of the stretch
+    w = {}
+    for x in reversed(path[i:j]):  # towers of 1..3 units while `free` lasts
+        w[x] = 1 + draw(st.integers(min_value=min(1, free), max_value=min(3, free)))
+        free -= w[x] - 1
+    for x, v in light.items():
         w[x] = w.get(x, 0) + v
     return Chain(w), flow
 

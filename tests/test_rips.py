@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import floyd_warshall, graph_space, random_tree_space, rational_graphs, unit_graphs
+from conftest import (count_searches, floyd_warshall, graph_space, random_tree_space,
+                      rational_graphs, unit_graphs)
 from folnerflow import (
     NotCoarselyUnbounded,
     WindowSpace,
@@ -130,6 +131,18 @@ class TestBuildRipsOracle:
     @given(rational_graphs(), st.data())
     def test_rational_graphs(self, graph, data):
         self.assert_matches(graph, data.draw(scales(graph[1])))
+
+    @settings(max_examples=60, deadline=None)
+    @given(unit_graphs(), st.sampled_from([2, Fraction(5, 2), 3]))
+    def test_distance_two_from_the_adjacency_without_searches(self, graph, r):
+        # on unit weights, 2 <= r < 3 runs no search; r = 3 one ball per point
+        n, edges, frontier = graph
+        space = graph_space(n, edges, frontier)
+        balls = tuple(b - {x} for x, b in enumerate(space.balls(range(n), r)))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = count_searches(space, monkeypatch)
+            assert build_rips(space, r).neighbors == balls
+        assert len(calls) == (0 if r < 3 else n)
 
 
 class TestCoarselyUnbounded:

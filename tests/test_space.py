@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from conftest import (
     assert_metric_axioms,
     bfs_all_pairs,
+    count_searches,
     dist_matrix,
     floyd_warshall,
     graph_space,
+    growth_by_radius,
     rational_graphs,
     rebuild_space,
     space_adjacency_sets,
@@ -140,6 +142,59 @@ class TestGrowthProfile:
     def test_window_too_thin_reports_none(self):
         g = grid_window(1, 0, 3)  # every point within 2 of the frontier
         assert growth_profile(g, [2])[2] is None
+
+    def test_one_search_per_interior_point_of_the_smallest_radius(self, monkeypatch):
+        g = grid_window(2, 0, 18)  # side 19: 225 points lie further than 1 from the frontier
+        expected = growth_by_radius(g, [1, 2, 3, 4])
+        calls = count_searches(g, monkeypatch)
+        assert growth_profile(g, [4, 3, 2, 1]).values == expected
+        assert len(calls) == len(g.interior_points(1)) == 225
+
+
+@st.composite
+def growth_cases(draw, graphs):
+    """A graph, or its matrix twin, with or without its frontier, and a list
+    of radii drawn unsorted and repeated from its distances, each distance
+    plus half a step at scale L (so 1 and 3/2 share a floor), 0, and one
+    past every distance (no interior point there once there is a frontier)."""
+    n, edges, frontier = draw(graphs)
+    if draw(st.booleans()):
+        frontier = set()
+    D = floyd_warshall(n, edges)
+    space = draw(st.sampled_from([graph_space(n, edges, frontier),
+                                  WindowSpace(n, frontier=frontier, matrix=D)]))
+    half = Fraction(1, 2 * space._scale)
+    distances = {d for row in D for d in row}
+    pool = sorted(distances | {d + half for d in distances} | {max(distances) + 1})
+    return space, draw(st.lists(st.sampled_from(pool), max_size=6))
+
+
+class TestGrowthOracle:
+    """`growth_profile` against its per-radius definition, with one search per
+    point of the smallest radius's interior."""
+
+    @staticmethod
+    def check(case, monkeypatch):
+        space, radii = case
+        expected = growth_by_radius(space, radii)  # and the frontier distances, cached
+        calls = count_searches(space, monkeypatch)
+        profile = growth_profile(space, radii)
+        assert list(profile.values.items()) == list(expected.items())
+        assert len(calls) == (len(space.interior_points(min(radii))) if radii else 0)
+        for R in radii:
+            assert profile[R] == expected[R]
+
+    @settings(max_examples=150, deadline=None)
+    @given(growth_cases(unit_graphs()))
+    def test_unit_graphs_and_matrix_twins(self, case):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check(case, monkeypatch)
+
+    @settings(max_examples=150, deadline=None)
+    @given(growth_cases(rational_graphs()))
+    def test_rational_graphs_and_matrix_twins(self, case):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check(case, monkeypatch)
 
 
 class TestMetricAxioms:
@@ -533,6 +588,13 @@ class TestRadiusValidation:
     def test_growth_profile(self, R):
         with pytest.raises(ValueError, match="radius"):
             growth_profile(grid_window(1, 0, 9), [1, R])
+
+    @bad
+    def test_growth_profile_lookup(self, R):
+        profile = growth_profile(grid_window(1, -5, 5), [1])
+        with pytest.raises(ValueError, match="radius") as e:
+            profile[R]
+        assert repr(R) in str(e.value)
 
     def test_exact_radii_accepted(self):
         g = grid_window(1, 0, 9)

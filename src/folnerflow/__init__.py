@@ -39,8 +39,7 @@ _EXPORTS = {  # public name -> the submodule that defines it
                      "project_family", "pushforward_injective", "subspace"), "constructions"),
     **dict.fromkeys(("BranchingTooLow", "ConfigError", "EmptyImage", "FlowEscaped",
                      "FolnerflowError", "InternalInvariantError", "NotCoarselyUnbounded",
-                     "PipelineStageError", "TailTooShort", "TranslateEscapesWindow",
-                     "WindowTooSmall"), "errors"),
+                     "TailTooShort", "TranslateEscapesWindow", "WindowTooSmall"), "errors"),
     **dict.fromkeys(("ball_family", "perturbed_cluster_family", "random_multiset_family",
                      "singleton_family", "tent_family"), "families"),
     **dict.fromkeys(("FlattenReport", "FlattenTrace", "flatten", "flatten_family",
@@ -49,8 +48,7 @@ _EXPORTS = {  # public name -> the submodule that defines it
                      "check_coarsely_unbounded"), "rips"),
     **dict.fromkeys(("GrowthProfile", "WindowSpace", "cycle_window", "disjoint_union",
                      "generate", "grid_window", "growth_profile", "load_space",
-                     "product_with_interval", "regular_tree_window", "save_space",
-                     "tree_window"), "space"),
+                     "product_with_interval", "regular_tree_window", "tree_window"), "space"),
     **dict.fromkeys(("TailCover", "TailCoverReport", "build_tree_tails", "tail_transport",
                      "transport_set", "verify_tail_cover"), "tails"),
 }

@@ -6,9 +6,10 @@ other command is a row of `_COMMANDS` that runs one pipeline stage kind.
 All artifacts are JSON with rationals as "p/q" strings.
 
 Exit codes: 0 success / all checks pass; 1 a verification failed (the
-stage kind's failure rule holds); 2 configuration or input problem
-(including windows too small for the requested run); 3 internal invariant
-violation (a bug, not bad input).
+stage kind's failure rule holds, as on a flatten escape); 2 configuration
+or input problem (every other error a stage raises, windows too small for
+a construction included); 3 internal invariant violation (a bug, not bad
+input).
 """
 
 from __future__ import annotations
@@ -111,8 +112,7 @@ _COMMANDS = {
     "family": {"verify": ("verify", {
         "--family": _REQ, "--space": _REQ, "--flat": dict(action="store_true")}, {})},
     "flatten": {"run": ("flatten", {
-        "--family": _REQ, "--flow": _REQ, "--space": _REQ, "--out": _REQ, "--report": _OPT,
-        "--on-escape": dict(dest="on_escape", default="collect", choices=("raise", "collect"))},
+        "--family": _REQ, "--flow": _REQ, "--space": _REQ, "--out": _REQ, "--report": _OPT},
         {"": ("out", None), ".report": ("report", "-")})},
     "tails": {
         "build": ("tails", {"--space": _REQ, "--out": _OPT}, _OUT("cover.json")),
@@ -135,8 +135,7 @@ _COMMANDS = {
         {".space": ("out", "boxspace.json"), "": ("family_out", None),
          ".report": ("report", "-")})},
     "run": (cmd_run, {"--config": _REQ, "--out": _REQ, "--seed": dict(type=int, default=None)}),
-    "explain": (cmd_explain, {"report": dict(nargs="?", default=None),
-                              "--report": dict(dest="report_flag", default=None)}),
+    "explain": (cmd_explain, {"report": {}}),
 }
 
 
@@ -169,12 +168,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
-    if getattr(args, "report_flag", None) is not None:
-        args.report = args.report_flag
-    if getattr(args, "handler", None) is cmd_explain and args.report is None:
-        parser.error("explain needs a report path")
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except InternalInvariantError as e:

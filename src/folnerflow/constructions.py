@@ -460,8 +460,9 @@ def box_family(model: BoxSpaceModel, F, R, epsilon) -> tuple[IndexedFamily, BoxF
     while model.m ** j_iso < threshold:
         j_iso += 1
     J = j_iso - 1
-    # boxes within range R of another box must all lie in the catch-all zone
-    for j in range(1, model.boxes + 1):
+    # boxes within range R of another box must all lie in the catch-all zone;
+    # box j >= 2 lies spacing[j-1] from each box before it (spacing[0] is no distance)
+    for j in range(2, model.boxes + 1):
         if model.spacing[j - 1] <= R:
             J = max(J, j)
     if model.boxes <= J:

@@ -89,17 +89,6 @@ class ConfigError(FolnerflowError):
     """A pipeline configuration or input file failed validation."""
 
 
-class PipelineStageError(FolnerflowError):
-    """A stage failed while running; wraps the underlying error with the
-    stage name and index."""
-
-    def __init__(self, stage_name, stage_index, cause):
-        self.stage_name = stage_name
-        self.stage_index = stage_index
-        self.cause = cause
-        super().__init__(f"stage {stage_index} ({stage_name!r}): {cause}")
-
-
 class InternalInvariantError(RuntimeError):
     """A mathematically impossible state was reached; indicates a code bug.
 

@@ -147,12 +147,8 @@ class FlattenReport(namedtuple("FlattenReport", [
     __slots__ = ()
 
 
-def flatten_family(
-    fam: IndexedFamily,
-    flow: FlowField,
-    *,
-    on_escape: str = "raise",
-) -> tuple[IndexedFamily, FlattenReport]:
+def flatten_family(fam: IndexedFamily, flow: FlowField,
+                   on_escape: str = "raise") -> tuple[IndexedFamily, FlattenReport]:
     """Flatten every chain of the family along one shared flow.
 
     With on_escape="raise" (default) the first chain whose mass hits a

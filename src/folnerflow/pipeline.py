@@ -27,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ConfigError, FolnerflowError, PipelineStageError
+from .errors import ConfigError, FolnerflowError
 from .jsonio import dump_json, format_rational, parse_ids, parse_rational
 
 
@@ -46,21 +46,14 @@ class PipelineConfig(namedtuple("PipelineConfig", "stages seed", defaults=(0,)))
         names = set()
         for i, s in enumerate(doc["stages"]):
             try:
-                stage = Stage(
-                    name=s["name"],
-                    kind=s["kind"],
-                    params=s.get("params", {}),
-                    inputs=s.get("inputs", {}),
-                )
+                stage = Stage(s["name"], s["kind"], s.get("params", {}), s.get("inputs", {}))
             except (KeyError, TypeError) as e:
                 raise ConfigError(f"stage {i} is missing {e}") from e
             for key, v in (("params", stage.params), ("inputs", stage.inputs)):
                 if not isinstance(v, dict):
                     raise ConfigError(f"stage {stage.name!r}: {key} must be an object, got {v!r}")
             if stage.kind not in STAGES:
-                raise ConfigError(
-                    f"stage {stage.name!r}: unknown kind {stage.kind!r}"
-                )
+                raise ConfigError(f"stage {stage.name!r}: unknown kind {stage.kind!r}")
             if stage.name in names:
                 raise ConfigError(f"duplicate stage name {stage.name!r}")
             for role, ref in stage.inputs.items():
@@ -126,7 +119,8 @@ def _flatten(inputs, p, rng):
     from .rips import check_flow_on_space
     fam = _chain_family(inputs["family"], "flatten")
     check_flow_on_space(inputs["flow"], fam.space)
-    out, report = flatten_family(fam, inputs["flow"], on_escape=p.get("on_escape", "raise"))
+    # an escape is a verdict on the window: collected, it fails the stage's rule
+    out, report = flatten_family(fam, inputs["flow"], "collect")
     summary = report.to_json()
     return out, {"": family_to_json(out), ".report": summary}, summary
 
@@ -344,15 +338,16 @@ class _Params(dict):
 
 def run(config: PipelineConfig, out_dir, *, seed=None) -> dict:
     """Execute all stages; returns the run report (also written to
-    <out_dir>/report.json). Raises ConfigError for bad configs and lets
-    stage errors propagate, prefixed with the stage name."""
+    <out_dir>/report.json). Raises ConfigError for bad configs and for any
+    error a stage raises, prefixed with the stage name; a flatten escape is
+    no error but a verdict the flatten stage reports."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = config.seed if seed is None else seed
     done = {}  # name -> (kind, live object)
     summaries = []
     failures = []
-    for i, stage in enumerate(config.stages):
+    for stage in config.stages:
         spec = STAGES[stage.kind]
         inputs = {}
         for role, kinds in spec.inputs.items():
@@ -370,10 +365,8 @@ def run(config: PipelineConfig, out_dir, *, seed=None) -> dict:
         rng = random.Random(f"{seed}/{stage.name}")
         try:
             obj, docs, summary = spec.run(inputs, _Params(stage.params), rng)
-        except ConfigError as e:
+        except FolnerflowError as e:  # every error a stage raises is an input problem
             raise ConfigError(f"stage {stage.name!r}: {e}") from e
-        except FolnerflowError as e:
-            raise PipelineStageError(stage.name, i, e) from e
         for suffix, doc in docs.items():
             dump_json(doc, out / f"{stage.name}{suffix}.json")
         done[stage.name] = (stage.kind, obj)
@@ -399,55 +392,35 @@ def explain(report: dict) -> str:
     and the worst witnesses it found."""
     if "stages" not in report:
         raise ConfigError("not a run report: missing 'stages'")
-    lines = []
-    verdict = "PASS" if report.get("passed") else "FAIL"
-    lines.append(f"run verdict: {verdict} (seed {report.get('seed')})")
+    lines = [f"run verdict: {'PASS' if report.get('passed') else 'FAIL'} "
+             f"(seed {report.get('seed')})"]
     for s in report["stages"]:
-        kind = s.get("kind", "?")
-        lines.append(f"- {s.get('name')}: {STAGES[kind].blurb if kind in STAGES else kind}")
-        if kind == "verify":
-            if s.get("passed"):
-                lines.append(
-                    f"    all {s.get('pairs_checked', 0)} in-range pairs pass; "
-                    f"worst ratio {s.get('worst_ratio')} at pair {s.get('worst_pair')}"
-                )
-            else:
-                for x, y, q in s.get("ratio_violations", [])[:5]:
-                    lines.append(
-                        f"    ratio violation: pair ({x},{y}) has ratio {q}"
-                    )
-                for x, d in s.get("support_violations", [])[:5]:
-                    lines.append(
-                        f"    support violation: index {x} reaches radius {d}"
-                    )
-                if s.get("flat_violations"):
-                    lines.append(
-                        f"    not 0,1-valued at indices {s['flat_violations'][:10]}"
-                    )
+        kind, get = s.get("kind", "?"), s.get
+        lines.append(f"- {get('name')}: {STAGES[kind].blurb if kind in STAGES else kind}")
+        if kind == "verify" and get("passed"):
+            lines.append(f"    all {get('pairs_checked', 0)} in-range pairs pass; "
+                         f"worst ratio {get('worst_ratio')} at pair {get('worst_pair')}")
+        elif kind == "verify":
+            lines += [f"    ratio violation: pair ({x},{y}) has ratio {q}"
+                      for x, y, q in get("ratio_violations", [])[:5]]
+            lines += [f"    support violation: index {x} reaches radius {d}"
+                      for x, d in get("support_violations", [])[:5]]
+            if get("flat_violations"):
+                lines.append(f"    not 0,1-valued at indices {s['flat_violations'][:10]}")
         elif kind == "flatten":
-            lines.append(
-                f"    worst ratio {s.get('worst_ratio_before')} -> "
-                f"{s.get('worst_ratio_after')} in <= {s.get('max_steps')} steps; "
-                f"new support bound {s.get('new_S')}"
-            )
-            for x, t in sorted((s.get("escaped_traces") or {}).items()):
-                r = parse_rational(s.get("r", "1/1"))
-                S = parse_rational(s.get("input_S", "0/1"))
-                margin = r * t["bound"] + S
-                lines.append(
-                    f"    escaped at index {x} after {t['steps']} steps; a "
-                    f"window margin of {format_rational(margin)} around the "
-                    "index is always sufficient"
-                )
+            lines.append(f"    worst ratio {get('worst_ratio_before')} -> "
+                         f"{get('worst_ratio_after')} in <= {get('max_steps')} steps; "
+                         f"new support bound {get('new_S')}")
+            traces = get("escaped_traces") or {}
+            r, S = parse_rational(get("r", "1/1")), parse_rational(get("input_S", "0/1"))
+            lines += [f"    escaped at index {x} after {traces[x]['steps']} steps; a window "
+                      f"margin of {format_rational(r * traces[x]['bound'] + S)} around the "
+                      "index is always sufficient"
+                      for x in sorted(traces, key=int)]  # JSON keys are strings: "10" < "5"
         elif kind == "box":
-            lines.append(
-                f"    catch-all boxes: j <= {s.get('J')}; deep-box equalities "
-                f"{'hold' if s.get('equalities_hold') else 'FAIL'}; worst "
-                f"ratio {s.get('worst_ratio')}"
-            )
+            lines.append(f"    catch-all boxes: j <= {get('J')}; deep-box equalities "
+                         f"{'hold' if get('equalities_hold') else 'FAIL'}; "
+                         f"worst ratio {get('worst_ratio')}")
         elif kind == "transport":
-            lines.append(
-                f"    new support bound {s.get('new_S')}, target epsilon "
-                f"{s.get('epsilon')}"
-            )
+            lines.append(f"    new support bound {get('new_S')}, target epsilon {get('epsilon')}")
     return "\n".join(lines) + "\n"

@@ -227,7 +227,8 @@ def rips_from_json(doc: dict) -> tuple[RipsGraph, frozenset]:
     """Rebuild a RipsGraph (plus the frontier recorded alongside it).
 
     The components are recomputed from the edges; ConfigError unless
-    `points` is a positive int, the stored components match the recomputed
+    `points` is a positive int no larger than the listed components hold,
+    `edges` a list of id pairs, the stored components match the recomputed
     ones and every frontier entry is a point id."""
     try:
         n = doc["points"]
@@ -239,6 +240,10 @@ def rips_from_json(doc: dict) -> tuple[RipsGraph, frozenset]:
         raise ConfigError(f"rips file missing field: {e}") from e
     if type(n) is not int or n <= 0:
         raise ConfigError(f"rips file points must be a positive int, got {n!r}")
+    if type(edge_list) is not list:
+        raise ConfigError(f"rips file edges must be a list, got {edge_list!r}")
+    if n > sum(map(len, listed)):  # checked before n neighbour sets are made
+        raise ConfigError(f"rips file points {n} exceed the points its components list")
     for f in doc["frontier"]:
         if type(f) is not int or not 0 <= f < n:
             raise ConfigError(f"rips frontier entry {f!r} is not a point id in 0..{n - 1}")
@@ -257,14 +262,7 @@ def rips_from_json(doc: dict) -> tuple[RipsGraph, frozenset]:
                               "but the file does not list it")
     if len(listed) != len(components):
         raise ConfigError("rips file lists components that its edges do not form")
-    return (
-        RipsGraph(
-            r=r, n=n,
-            neighbors=tuple(frozenset(nb) for nb in neighbors),
-            components=components,
-        ),
-        frontier,
-    )
+    return RipsGraph(r, n, tuple(map(frozenset, neighbors)), components), frontier
 
 
 def flow_to_json(flow: FlowField) -> dict:

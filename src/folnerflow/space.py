@@ -37,7 +37,7 @@ from fractions import Fraction
 from operator import le
 
 from .errors import ConfigError
-from .jsonio import dump_json, format_rational, load_json, parse_rational, to_doc
+from .jsonio import format_rational, load_json, parse_rational, to_doc
 
 PointId = int
 # the weights of a unit-weight graph, whose `_wts` is None, for zip
@@ -735,6 +735,44 @@ def generate(spec: dict) -> WindowSpace:
     return space
 
 
+def _spec_points(spec, cap):
+    """The point count of `generate(spec)`, or a count above `cap` once the
+    parts `generate` builds first pass it, so no int much above `cap` is
+    made; None where `generate` rejects the spec before building past `cap`."""
+    get = spec.get if type(spec) is dict else {}.get
+    kind, dim, depth = get("kind"), get("dim", 1), get("depth")
+    ints = lambda *values: all(type(v) is int for v in values)
+
+    def powers(first, ratio, terms):  # first * (1 + ratio + ... + ratio^(terms-1))
+        total, term = 0, first
+        for _ in range(terms if ratio > 1 else 0):  # O(log cap) rounds
+            total, term = total + term, term * ratio
+            if total > cap:
+                break
+        return total if ratio > 1 else first * terms
+
+    if kind == "grid" and ints(dim, get("low"), get("high")):
+        side = get("high") - get("low") + 1  # side^dim = 1 + (side - 1)(1 + ... + side^(dim-1))
+        return 1 + powers(side - 1, side, dim) if dim > 0 and side > 0 else None
+    if kind == "cycle" and ints(get("length")):
+        return get("length") if get("length") > 0 else None
+    b = get("branching" if kind == "tree" else "degree")
+    if kind in ("tree", "regular_tree") and ints(b, depth) and depth >= 0 and b > (kind != "tree"):
+        # a tree's vertices have b children; a regular tree's root b, the others b - 1
+        return powers(1, b, depth + 1) if kind == "tree" else 1 + powers(b, b - 1, depth)
+    parts = get("parts") if kind == "union" and type(get("spacing")) is list else [get("base")]
+    if kind not in ("union", "product") or type(parts) is not list:
+        return None
+    total = 0
+    for part in parts:  # generate builds a union's parts, or a product's base, first
+        count = _spec_points(part, cap)
+        if count is None or count > cap - total:
+            return None if count is None else total + count
+        total += count
+    levels = get("levels") if kind == "product" else 1
+    return total * levels if ints(levels) and levels > 0 else None
+
+
 # -- serialization ---------------------------------------------------------
 
 
@@ -773,9 +811,10 @@ def space_to_json(space: WindowSpace) -> dict:
 def space_from_json(doc: dict) -> WindowSpace:
     """ConfigError naming the field unless the file is an object whose `points`
     is a positive int, `metric` an object with a list of matrix rows or graph
-    edges ([x, y, weight] triples), `frontier` a list of int ids, `label` a str,
-    and, with a `generator`, unless all four and the generator itself match its
-    space's file."""
+    edges ([x, y, weight] triples), at least a row per point or points - 1
+    edges, `frontier` a list of int ids, `label` a str, and, with a
+    `generator`, unless all four and the generator itself match its space's
+    file. A generator's point count is compared before anything is built."""
     if type(doc) is not dict:
         raise ConfigError(f"a space file must be a JSON object, got a {type(doc).__name__}")
     try:
@@ -797,20 +836,27 @@ def space_from_json(doc: dict) -> WindowSpace:
         if type(f) is not int:
             raise ConfigError(f"space frontier entry {f!r} is not an int point id")
 
+    # a matrix holds a row per point, a connected graph at least points - 1
+    # edges: checked before any build, this bounds the build by the file's size
+    kind = metric.get("type")
+    held = metric.get("entries" if kind == "matrix" else "edges")
+    fits = type(held) is list and len(held) >= n - (kind != "matrix")
     gen = doc.get("generator")
     if gen is not None:  # a generated file must be the file of its generator's space
-        space = generate(gen)
-        made = space_to_json(space)
-        made["frontier"] = set(made["frontier"])
-        stored = {"points": n, "label": label, "metric": metric, "frontier": set(frontier),
-                  "generator": gen}
-        bad = next((key for key, value in stored.items() if made[key] != value), None)
+        bad = "points" if _spec_points(gen, n) not in (None, n) else None if fits else "metric"
+        if not bad:
+            space = generate(gen)
+            made = space_to_json(space)
+            made["frontier"] = set(made["frontier"])
+            stored = {"points": n, "label": label, "metric": metric, "frontier": set(frontier),
+                      "generator": gen}
+            bad = next((key for key, value in stored.items() if made[key] != value), None)
         if bad:
             raise ConfigError(f"space file {bad} does not match its generator descriptor")
         return space
 
-    if metric.get("type") == "matrix":
-        rows = metric.get("entries")
+    if kind == "matrix":
+        rows = held
         if type(rows) is not list or not all(type(row) is list for row in rows):
             raise ConfigError("space file matrix entries must be a list of rows")
         entries = [[parse_rational(v) for v in row] for row in rows]
@@ -818,10 +864,13 @@ def space_from_json(doc: dict) -> WindowSpace:
             return WindowSpace(n, frontier=frontier, label=label, matrix=entries)
         except ValueError as e:
             raise ConfigError(str(e)) from e
-    if metric.get("type") == "graph":
-        edges = metric.get("edges")
+    if kind == "graph":
+        edges = held
         if type(edges) is not list:
             raise ConfigError(f"space file graph edges must be a list, got {edges!r}")
+        if not fits:
+            raise ConfigError(f"space file points {n} need at least {n - 1} graph edges, "
+                              f"got {len(edges)}")
         adjacency = [[] for _ in range(n)]
         for edge in edges:
             if type(edge) is not list or len(edge) != 3:
@@ -836,11 +885,7 @@ def space_from_json(doc: dict) -> WindowSpace:
             return WindowSpace(n, frontier=frontier, label=label, adjacency=adjacency)
         except ValueError as e:
             raise ConfigError(str(e)) from e
-    raise ConfigError(f"unknown metric type {metric.get('type')!r}")
-
-
-def save_space(space: WindowSpace, path) -> None:
-    dump_json(space_to_json(space), path)
+    raise ConfigError(f"unknown metric type {kind!r}")
 
 
 def load_space(path) -> WindowSpace:

@@ -456,6 +456,19 @@ class TestBoxSpace:
             d = model.space.dist(model.offsets[j - 1], model.offsets[l - 1])
             assert d > 1
 
+    def test_explicit_spacing(self):
+        # box j lies spacing[j-1] from each box before it, base to base; the
+        # first entry is no distance, but must still start the increase
+        spacing = [1, Fraction(5, 2), 7]
+        model = build_box_space(3, 3, spacing)
+        assert model.spacing == tuple(spacing)
+        for i, j in itertools.combinations(range(3), 2):
+            assert model.space.dist(model.offsets[i], model.offsets[j]) == spacing[j]
+        with pytest.raises(ValueError, match="one spacing entry per box"):
+            build_box_space(3, 3, [1, 2])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_box_space(3, 3, [1, 3, 3])
+
 
 class TestBoxFamily:
     def test_acceptance_numbers(self):

@@ -22,13 +22,13 @@ EXPORTED = [
     "box_family", "build_box_space", "foelner_search", "group_foelner_family", "project_family",
     "pushforward_injective", "subspace", "BranchingTooLow", "ConfigError", "EmptyImage",
     "FlowEscaped", "FolnerflowError", "InternalInvariantError", "NotCoarselyUnbounded",
-    "PipelineStageError", "TailTooShort", "TranslateEscapesWindow", "WindowTooSmall",
+    "TailTooShort", "TranslateEscapesWindow", "WindowTooSmall",
     "ball_family", "perturbed_cluster_family", "random_multiset_family", "singleton_family",
     "tent_family", "FlattenReport", "FlattenTrace", "flatten", "flatten_family", "shift_step",
     "FlowField", "RipsGraph", "build_flow", "build_rips", "check_coarsely_unbounded",
     "GrowthProfile", "WindowSpace", "cycle_window", "disjoint_union", "generate", "grid_window",
     "growth_profile", "load_space", "product_with_interval", "regular_tree_window",
-    "save_space", "tree_window", "TailCover", "TailCoverReport", "build_tree_tails",
+    "tree_window", "TailCover", "TailCoverReport", "build_tree_tails",
     "tail_transport", "transport_set", "verify_tail_cover",
 ]
 
@@ -249,9 +249,9 @@ MESSAGES = {
                          "a0250999a116057fdd2cb8be91a971e01b7162d930b80b8015641307a13e4a72"),
     "flatten --help": (0, "df0d68ade182667597a009c7cee361c2ce9b64529857131de1c43f29e2773d98",
                           EMPTY),
-    "flatten run --help": (0, "e9bce5507527760a45d2a6a36bf9e240c17b91cac7a92238693782b2b1730662",
+    "flatten run --help": (0, "e168aa0c3d6701a875b93cf8b1aee8ab4b759699b571d2055a8eb84c9714cb1f",
                               EMPTY),
-    "flatten run": (2, EMPTY, "7b6ad21166c64d985c1513df371efd387e53d6412183775696e6dd6a70c91a7e"),
+    "flatten run": (2, EMPTY, "c389ac23cb0e17af54eaa6a96225afe71ae4f8aa5dfab261e11ca80b5ef6a22e"),
     "tails --help": (0, "51945d8ab7a7e15810f8e7001f0fe6e0f7a2817f557a169547cfa337236dd6da", EMPTY),
     "tails build --help": (0, "046abb2bce1a5f9853077bbc604d052286ceef087fcadf569fcb52222f6984f4",
                               EMPTY),
@@ -286,9 +286,9 @@ MESSAGES = {
     "box build": (2, EMPTY, "d8448a42acde73b95b6aae4088ca65556d0fcca3fbfbc95a8fc5da968a3d6c96"),
     "run --help": (0, "a66ad3510797629f07434da367898c6df5ae100fe339cd2fdc1061d5bd211f17", EMPTY),
     "run": (2, EMPTY, "6d847a11e1bd436b9cf2703dcd006a4a63338bbefebbfa510eae650a08afc360"),
-    "explain --help": (0, "96292d3febcee0ee41bb11e2605dcc6c69ba80d7cac5a60b19106bc73faa7fdc",
+    "explain --help": (0, "db4309c6f453e5c1b3a41a44d873b2296d55d99858758f719a5cd2187e6cea08",
                           EMPTY),
-    "explain": (2, EMPTY, "baf3faa65d7a66882473d64aee7eed3f8da7c38046638ca0189b3955c6f2b49b"),
+    "explain": (2, EMPTY, "0a6e9c2ab0517a0a900af4f3510d2d0a552e5cdb383374abadbd0fd243b2cacd"),
 }
 
 

@@ -20,6 +20,8 @@ from folnerflow import (
     tree_window,
 )
 from folnerflow.chains import (
+    Chain,
+    IndexedFamily,
     family_from_json,
     family_to_json,
     load_family,
@@ -28,7 +30,7 @@ from folnerflow.chains import (
 )
 from folnerflow.constructions import box_family, build_box_space
 from folnerflow.jsonio import dump_json, parse_ids
-from folnerflow.pipeline import PipelineConfig, explain, run
+from folnerflow.pipeline import STAGES, PipelineConfig, explain, run
 from folnerflow.rips import build_flow, build_rips, flow_to_json, rips_to_json
 from folnerflow.space import load_space, space_to_json
 from folnerflow.tails import cover_to_json
@@ -65,6 +67,27 @@ def box_config():
              "inputs": {"family": "boxes"}},
         ],
     })
+
+
+# a tent family whose core hugs the line's left sink: indices 5..10 escape
+ESCAPE_CONFIG = {"stages": [
+    {"name": "win", "kind": "generate",
+     "params": {"spec": {"kind": "grid", "dim": 1, "low": -200, "high": 200}}},
+    {"name": "graph", "kind": "rips", "params": {"r": "1/1"}, "inputs": {"space": "win"}},
+    {"name": "exit", "kind": "flow", "inputs": {"rips": "graph"}},
+    {"name": "tent", "kind": "family",
+     "params": {"kind": "tent", "width": 11, "R": "1/1", "epsilon": "1/4",
+                "core": {"coords": [-195, -190]}},
+     "inputs": {"space": "win"}},
+    {"name": "flat", "kind": "flatten", "inputs": {"family": "tent", "flow": "exit"}},
+]}
+ESCAPED = [5, 6, 7, 8, 9, 10]
+
+
+def escaped_order(text):
+    """The indices of explain's escape lines, in the order it prints them."""
+    return [int(line.split()[3]) for line in text.splitlines()
+            if line.startswith("    escaped at index")]
 
 
 class TestConfigValidation:
@@ -149,6 +172,60 @@ class TestRun:
         assert boxes["J"] == 2
         assert boxes["worst_ratio"] == "2/9"
 
+    @pytest.mark.parametrize("m, boxes, F, R, epsilon, spacing", [
+        (2, 3, "0", "1/2", "1/4", ["1/4", "1", "2"]),  # box 1 is spacing[1] from box 2
+        (2, 3, "0", "1/2", "1/4", ["1/4", "1/2", "2"]),
+        (4, 4, "0..5", "1/1", "1/2", ["1/4", "1/2", "1", "2"]),
+        (4, 4, "0..5", "1/1", "1/2", None),
+    ], ids=["first-entry-no-distance", "boxes-1-2-close", "boxes-1-3-close", "default"])
+    def test_box_stage_spacing_gives_the_defined_J(self, tmp_path, m, boxes, F, R, epsilon,
+                                                    spacing):
+        """J is the last box that is too short to count translates faithfully
+        (m^j below the threshold) or within R of another box, found here
+        from the balls of the stage's own box space."""
+        params = {"m": m, "boxes": boxes, "F": F, "R": R, "epsilon": epsilon}
+        report = run(PipelineConfig.from_json({"stages": [
+            {"name": "boxes", "kind": "box", "params": {**params, "spacing": spacing}}]}),
+            tmp_path)
+        model = build_box_space(m, boxes, spacing and [Fraction(s) for s in spacing])
+        assert (tmp_path / "boxes.space.json").read_text() == dump_json(
+            space_to_json(model.space))
+        R = Fraction(R)
+        close = [j for j in range(1, boxes + 1) if any(
+            not model.space.ball(x, R) <= set(model.box_points(j)) for x in model.box_points(j))]
+        short = [j for j in range(1, boxes + 1)
+                 if m ** j < report["stages"][0]["injectivity_threshold"]]
+        assert report["stages"][0]["J"] == max(close + short, default=0)
+
+    def test_explain_renders_violations_and_transport(self, tmp_path):
+        # a family that claims S = 1 with a weight-2 chain reaching 3 away
+        space = grid_window(1, 0, 9)
+        fam = IndexedFamily(space=space, chains={3: Chain({3: 2, 6: 1}), 4: Chain({4: 1})},
+                            params=FamilyParams(R=1, epsilon=Fraction(1, 4), S=1))
+        dump_json(space_to_json(space), tmp_path / "s.json")
+        dump_json(family_to_json(fam), tmp_path / "f.json")
+        r = run_cli(["family", "verify", "--family", "f.json", "--space", "s.json", "--flat"],
+                    tmp_path)
+        assert r.returncode == 1, r.stderr
+        report = run(PipelineConfig.from_json({"stages": [
+            {"name": "tree", "kind": "generate",
+             "params": {"spec": {"kind": "tree", "branching": 2, "depth": 4}}},
+            {"name": "cover", "kind": "tails", "inputs": {"space": "tree"}},
+            {"name": "fam", "kind": "family", "inputs": {"space": "tree"},
+             "params": {"kind": "random_multiset", "M": 2, "size": 2, "spread": "1/1",
+                        "core": [0, 1, 2]}},
+            {"name": "moved", "kind": "transport",
+             "inputs": {"family": "fam", "tails": "cover", "space": "tree"}}]}), tmp_path)
+        report["stages"].append({"name": "check", "kind": "verify", **json.loads(r.stdout)})
+        lines = explain(report).splitlines()
+        moved = report["stages"][3]
+        assert lines[lines.index("- moved: " + STAGES["transport"].blurb) + 1] == (
+            f"    new support bound {moved['new_S']}, target epsilon {moved['epsilon']}")
+        assert lines[lines.index("- check: " + STAGES["verify"].blurb) + 1:] == [
+            "    ratio violation: pair (3,4) has ratio infinity",  # disjoint supports
+            "    support violation: index 3 reaches radius 3/1",
+            "    not 0,1-valued at indices [3]"]
+
     def test_verdicts_recomputable_from_artifacts(self, tmp_path):
         # re-verify the stored flat family against the stored space: the
         # report's verdict must be reproducible from artifacts alone
@@ -168,29 +245,14 @@ class TestRun:
         assert "worst ratio" in text
 
     def test_escapes_fail_the_run_and_explain_suggests_margin(self, tmp_path):
-        cfg = PipelineConfig.from_json({
-            "stages": [
-                {"name": "win", "kind": "generate",
-                 "params": {"spec": {"kind": "grid", "dim": 1, "low": -200, "high": 200}}},
-                {"name": "graph", "kind": "rips", "params": {"r": "1/1"},
-                 "inputs": {"space": "win"}},
-                {"name": "exit", "kind": "flow", "inputs": {"rips": "graph"}},
-                {"name": "tent", "kind": "family",
-                 "params": {"kind": "tent", "width": 11, "R": "1/1", "epsilon": "1/4",
-                            "core": {"coords": [-195, -190]}},  # hugs the sink: must escape
-                 "inputs": {"space": "win"}},
-                {"name": "flat", "kind": "flatten", "params": {"on_escape": "collect"},
-                 "inputs": {"family": "tent", "flow": "exit"}},
-            ],
-        })
-        report = run(cfg, tmp_path)
+        report = run(PipelineConfig.from_json(ESCAPE_CONFIG), tmp_path)
         assert not report["passed"]
         assert "flat" in report["failed_stages"]
         flat = next(s for s in report["stages"] if s["name"] == "flat")
-        assert flat["escaped_indices"]
+        assert flat["escaped_indices"] == ESCAPED
         text = explain(report)
-        assert "escaped at index" in text
         assert "window margin" in text
+        assert escaped_order(text) == ESCAPED
 
 
 def run_cli(args, cwd):
@@ -522,8 +584,7 @@ class TestCliPipelineParity:
             ["rips", "build", "--space", "out/win.json", "--r", "1/1", "--out", "graph.json"],
             ["flow", "build", "--rips", "graph.json", "--out", "exit.json"],
             ["flatten", "run", "--family", "out/tent.json", "--flow", "exit.json",
-             "--space", "out/win.json", "--out", "flat.json", "--report", "flat.report.json",
-             "--on-escape", "raise"],
+             "--space", "out/win.json", "--out", "flat.json", "--report", "flat.report.json"],
         ]
         for args in steps:
             r = run_cli(args, tmp_path)
@@ -534,6 +595,25 @@ class TestCliPipelineParity:
                      "--flat"], tmp_path)
         assert r.returncode == 0, r.stderr
         assert r.stdout == (tmp_path / "out" / "check.report.json").read_text()
+
+    def test_escaping_route(self, tmp_path):
+        """An escape is a verdict both ways: exit 1, the report lists the
+        escaped indices, and `flatten run` writes the stage's bytes."""
+        (tmp_path / "cfg.json").write_text(json.dumps(ESCAPE_CONFIG))
+        r = run_cli(["run", "--config", "cfg.json", "--out", "out"], tmp_path)
+        assert (r.returncode, r.stderr) == (1, "")
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["failed_stages"] == ["flat"]
+        assert report["stages"][-1]["escaped_indices"] == ESCAPED
+        assert escaped_order(r.stdout) == ESCAPED
+        r = run_cli(["explain", "out/report.json"], tmp_path)
+        assert (r.returncode, escaped_order(r.stdout)) == (0, ESCAPED)
+        r = run_cli(["flatten", "run", "--family", "out/tent.json", "--flow", "out/exit.json",
+                     "--space", "out/win.json", "--out", "flat.json",
+                     "--report", "flat.report.json"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (1, "flat.report.json\n", "")
+        for name in ("flat.json", "flat.report.json"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
 
     def test_box_route(self, tmp_path):
         run(box_config(), tmp_path / "out")
@@ -670,6 +750,17 @@ class TestMalformedStages:
         assert f"rips edge {edge} is not two point ids in 0..4" in r.stderr
         assert not (tmp_path / "f.json").exists()
 
+    @pytest.mark.parametrize("edges", [None, True, 1.5, 7], ids=["null", "true", "float", "int"])
+    def test_flow_build_rejects_rips_edges_not_a_list(self, tmp_path, edges):
+        space = grid_window(1, 0, 4)
+        doc = rips_to_json(space, build_rips(space, 1))
+        doc["edges"] = edges
+        dump_json(doc, tmp_path / "r.json")
+        r = run_cli(["flow", "build", "--rips", "r.json", "--out", "f.json"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", f"error: rips file edges must be a list, got {edges!r}\n")
+        assert not (tmp_path / "f.json").exists()
+
     @pytest.mark.parametrize("update, message", [
         ({"frontier": [9], "components": [[0, 1, 2, 3, 4, 9]]},
          "rips frontier entry 9 is not a point id in 0..4"),
@@ -712,6 +803,63 @@ class TestMalformedStages:
         assert r.returncode == 2, r.stderr
         assert message in r.stderr
         assert not (tmp_path / "out.json").exists()
+
+
+def stage_error_stages(name):
+    """A config's stages whose last stage raises the error `name`."""
+    win = lambda spec: {"name": "win", "kind": "generate", "params": {"spec": spec}}
+    on_win = {"space": "win"}
+    return {
+        "NotCoarselyUnbounded": [  # a cycle has no frontier to flow to
+            win({"kind": "cycle", "length": 6}),
+            {"name": "graph", "kind": "rips", "inputs": on_win},
+            {"name": "exit", "kind": "flow", "inputs": {"rips": "graph"}}],
+        "WindowTooSmall": [  # F = 0..9 needs cycles longer than 2 and 4
+            {"name": "boxes", "kind": "box",
+             "params": {"m": 2, "boxes": 2, "F": "0..9", "R": "1/1", "epsilon": "1/4"}}],
+        "TranslateEscapesWindow": [
+            win({"kind": "grid", "dim": 1, "low": 0, "high": 15}),
+            {"name": "fam", "kind": "family", "params": {"kind": "translates", "F": "0..20"},
+             "inputs": on_win}],
+        "BranchingTooLow": [
+            win({"kind": "tree", "branching": 1, "depth": 3}),
+            {"name": "cover", "kind": "tails", "inputs": on_win}],
+        "TailTooShort": [  # height-3 multisets on the leaves, whose tails end at once
+            win({"kind": "tree", "branching": 2, "depth": 2}),
+            {"name": "cover", "kind": "tails", "inputs": on_win},
+            {"name": "fam", "kind": "family", "inputs": on_win,
+             "params": {"kind": "random_multiset", "M": 3, "size": 2, "spread": "1/1",
+                        "core": [3, 4]}},
+            {"name": "moved", "kind": "transport",
+             "inputs": {"family": "fam", "tails": "cover", "space": "win"}}],
+        "EmptyImage": [
+            win({"kind": "grid", "dim": 1, "low": 0, "high": 9}),
+            {"name": "fam", "kind": "family", "params": {"kind": "singletons"}, "inputs": on_win},
+            {"name": "pushed", "kind": "push", "params": {"map": []},
+             "inputs": {"family": "fam", "target": "win"}}],
+    }[name]
+
+
+class TestStageErrorsExit2:
+    """Every error a stage raises, but a flatten escape (a verdict, exit 1),
+    is an input problem: `run` raises it as a ConfigError naming the stage,
+    and the CLI exits 2 with that message and writes no report."""
+
+    @pytest.mark.parametrize("name", ["NotCoarselyUnbounded", "WindowTooSmall",
+                                      "TranslateEscapesWindow", "BranchingTooLow",
+                                      "TailTooShort", "EmptyImage"])
+    def test_one_case_each(self, tmp_path, name):
+        import folnerflow
+        doc = {"stages": stage_error_stages(name)}
+        with pytest.raises(ConfigError) as info:
+            run(PipelineConfig.from_json(doc), tmp_path / "lib")
+        cause = info.value.__cause__
+        assert type(cause) is getattr(folnerflow, name)
+        assert str(info.value) == f"stage {doc['stages'][-1]['name']!r}: {cause}"
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        r = run_cli(["run", "--config", "cfg.json", "--out", "cli"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {info.value}\n")
+        assert not (tmp_path / "cli" / "report.json").exists()
 
 
 class TestCoarsePushMap:
@@ -976,3 +1124,58 @@ class TestForgedTailInputs:
         assert (r.returncode, r.stdout, r.stderr) == (
             2, "", "error: space file generator does not match its generator descriptor\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cov.json", "t.json"]
+
+
+def run_capped_cli(args, cwd):
+    """run_cli in a child whose address space is capped at 512 MiB, so a
+    build that runs away dies there with a MemoryError instead of
+    exhausting the machine."""
+    import resource
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+    return subprocess.run([sys.executable, "-m", "folnerflow.cli", *args], capture_output=True,
+                          text=True, cwd=cwd, env=child_env(), preexec_fn=cap, timeout=120)
+
+
+class TestForgedSizes:
+    """A file whose stored size does not bound what loading it builds stops
+    with exit 2 naming `points`, before the build: a generator descriptor
+    must imply the stored point count, a graph must hold at least
+    points - 1 edges, and a rips file's components at least its points."""
+
+    @pytest.mark.parametrize("forge", [
+        {"dim": 999}, {"high": 10 ** 9}, {"kind": "tree", "branching": 2, "depth": 10 ** 6},
+        {"kind": "product", "base": {"kind": "cycle", "length": 121}, "levels": 10 ** 9},
+        {"kind": "union", "parts": [{"kind": "cycle", "length": 11}] * 2 + [
+            {"kind": "grid", "dim": 999, "low": 0, "high": 1}], "spacing": ["1", "2", "3"]},
+    ], ids=["grid-dim", "grid-high", "tree-depth", "product-levels", "union-part"])
+    def test_generator_descriptor(self, tmp_path, forge):
+        doc = space_to_json(grid_window(1, -60, 60))  # 121 points
+        if "kind" in forge:
+            doc["generator"] = forge
+        else:
+            doc["generator"].update(forge)
+        dump_json(doc, tmp_path / "s.json")
+        r = run_capped_cli(["space", "info", "--space", "s.json"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: space file points does not match its generator descriptor\n")
+
+    def test_rips_points(self, tmp_path):
+        space = grid_window(1, 0, 4)
+        doc = rips_to_json(space, build_rips(space, 1))
+        doc["points"] = 10 ** 10
+        dump_json(doc, tmp_path / "r.json")
+        r = run_capped_cli(["flow", "build", "--rips", "r.json", "--out", "f.json"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: rips file points 10000000000 exceed the points its components "
+            "list\n")
+        assert not (tmp_path / "f.json").exists()
+
+    def test_graph_points(self, tmp_path):
+        doc = space_to_json(grid_window(1, -60, 60))
+        del doc["generator"]
+        doc["points"] = 10 ** 10
+        dump_json(doc, tmp_path / "s.json")
+        r = run_capped_cli(["space", "info", "--space", "s.json"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: space file points 10000000000 need at least 9999999999 graph "
+            "edges, got 120\n")

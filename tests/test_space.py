@@ -37,7 +37,7 @@ from folnerflow import (
 from folnerflow.constructions import build_box_space, subspace
 from folnerflow.errors import ConfigError
 from folnerflow.jsonio import dump_json
-from folnerflow.space import check_radius, space_from_json, space_to_json
+from folnerflow.space import _spec_points, check_radius, space_from_json, space_to_json
 
 
 def ids_of_coords(space, *coords):
@@ -1038,6 +1038,55 @@ class TestGeneratedFileMustMatch:
         with pytest.raises(ConfigError) as info:
             space_from_json(doc)
         assert str(info.value) == f"space file {field} does not match its generator descriptor"
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "grid", "dim": 3, "low": -1, "high": 2}, {"kind": "grid", "low": 0, "high": 4},
+        {"kind": "grid", "dim": 4, "low": 7, "high": 7}, {"kind": "cycle", "length": 9},
+        {"kind": "tree", "branching": 1, "depth": 6}, {"kind": "tree", "branching": 3, "depth": 3},
+        {"kind": "regular_tree", "degree": 2, "depth": 5},
+        {"kind": "regular_tree", "degree": 4, "depth": 2},
+        {"kind": "union", "parts": [{"kind": "cycle", "length": 3},
+                                    {"kind": "tree", "branching": 2, "depth": 2}],
+         "spacing": ["1", "2"]},
+        {"kind": "product", "base": {"kind": "tree", "branching": 2, "depth": 2}, "levels": 3},
+    ], ids=["grid", "grid-no-dim", "grid-one-point", "cycle", "path-tree", "tree",
+            "regular-path", "regular-tree", "union", "product"])
+    def test_point_count_matches_the_build(self, spec):
+        # the count the file's points are held to before anything is built:
+        # exact up to the cap, and past the cap as soon as the build would be
+        n = generate(spec).n
+        for cap in (1, n - 1, n, n + 1, 10 ** 9):
+            count = _spec_points(spec, cap)
+            assert count == n if cap >= n else count > cap, cap
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "grid", "dim": 10 ** 9, "low": 0, "high": 1},
+        {"kind": "tree", "branching": 2, "depth": 10 ** 9},
+        {"kind": "regular_tree", "degree": 3, "depth": 10 ** 9},
+        {"kind": "product", "base": {"kind": "grid", "dim": 10 ** 9, "low": 0, "high": 1},
+         "levels": "x"},
+    ], ids=["grid", "tree", "regular-tree", "product-base"])
+    def test_point_count_stops_past_the_cap(self, spec):
+        count = _spec_points(spec, 121)
+        assert 121 < count < 4 * 121
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "wat"}, {"kind": "grid", "dim": 0, "low": 0, "high": 3},
+        {"kind": "grid", "dim": True, "low": 0, "high": 3}, {"kind": "cycle", "length": 0},
+        {"kind": "tree", "branching": 0, "depth": 3},
+        {"kind": "regular_tree", "degree": 1, "depth": 3},
+        {"kind": "union", "parts": [{"kind": "cycle", "length": 3}], "spacing": "1"},
+        {"kind": "union", "parts": [{"kind": "cycle", "length": 3}, {"kind": "wat"}],
+         "spacing": ["1", "2"]},
+        {"kind": "product", "base": {"kind": "cycle", "length": 3}},
+    ], ids=["unknown-kind", "grid-dim-0", "grid-dim-bool", "cycle-empty", "tree-branching-0",
+            "regular-tree-degree-1", "union-spacing-str", "union-part-unknown",
+            "product-no-levels"])
+    def test_no_point_count_where_generate_refuses(self, spec):
+        # generate's own error then names the field
+        assert _spec_points(spec, 100) is None
+        with pytest.raises(ConfigError):
+            generate(spec)
 
     def test_descriptor_key_not_read(self):
         # such a file used to load, and re-serialize without the key

@@ -16,7 +16,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .chains import Chain, FamilyParams, IndexedFamily, _as_ratio, _terms, _worst
-from .errors import EmptyImage, TranslateEscapesWindow, WindowTooSmall
+from .errors import EmptyImage, InternalInvariantError, TranslateEscapesWindow, WindowTooSmall
 from .jsonio import Doc
 from .space import (WindowSpace, check_radius, cycle_window, disjoint_union,
                     product_with_interval)
@@ -69,20 +69,16 @@ def foelner_search(space: WindowSpace, R, epsilon):
                     sizes.append(len(seen))
                 if (sizes[rho + k] - sizes[rho]) * den <= num * sizes[rho]:
                     return space.ball(c, rho)
-                if sizes[rho] == n:
-                    break
         return None
     inside = frozenset(interior)
     for center in interior:
-        for rho in range(space.n + 1):  # a ball stops growing once it swallows the window
+        for rho in range(space.n + 1):
             U = space.ball(center, rho)
             if not U <= inside:
                 break
             b = boundary(space, U, R)
             if len(b) <= epsilon * len(U):
                 return frozenset(U)
-            if len(U) == space.n:
-                break
     return None
 
 
@@ -284,8 +280,8 @@ class CoarseMapModel(namedtuple("CoarseMapModel", [
             k = buckets.get(gf[x], 0)
             buckets[gf[x]] = k + 1
             iota[x] = (gf[x], k)
-        if any(c > M for c in buckets.values()):
-            raise ValueError("ball bound M too small for iota (metric inconsistency)")
+        if any(c > M for c in buckets.values()):  # a bucket lies in its point's S-ball
+            raise InternalInvariantError("ball bound M too small for iota")
         return cls(
             X=X, Y=Y, f=dict(f), g=g, Z=Z, S=S, M=M, iota=iota,
             rho_minus=sorted((Fraction(d), Fraction(v)) for d, v in rho_minus),

@@ -77,10 +77,7 @@ def random_multiset_family(
     for x, ball in zip(indices, space.balls(indices, spread)):
         nearby = sorted(ball)
         pool = [(z, n) for z in nearby for n in range(M + 1)]
-        if not pool:
-            pool = [(x, 0)]
-        k = min(size, len(pool))
-        sets[x] = frozenset(rng.sample(pool, k))
+        sets[x] = frozenset(rng.sample(pool, min(size, len(pool))))
     params = FamilyParams(R=R, epsilon=epsilon, S=Fraction(spread), M=M)
     return MultisetFamily(sets=sets, M=M, params=params)
 

@@ -74,8 +74,6 @@ def _check_domain(a: Chain, flow: FlowField):
 def shift_step(a: Chain, flow: FlowField) -> Chain:
     """One synchronous tower shift; raises FlowEscaped if a tower sits on a
     sink in the input snapshot (its mass would have nowhere to go)."""
-    if not a:
-        return a
     _check_domain(a, flow)
     base, towers = base_and_towers(a)
     if sunk := flow.sinks.intersection(towers):

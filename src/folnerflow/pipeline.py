@@ -100,8 +100,9 @@ def _rips(inputs, p, rng):
 
 
 def _flow(inputs, p, rng):
-    from .rips import build_flow_from_parts, flow_to_json
-    flow = build_flow_from_parts(*inputs["rips"])
+    from .rips import build_flow, flow_to_json
+    rg, frontier = inputs["rips"]
+    flow = build_flow(frontier, rg)
     return flow, {"": flow_to_json(flow)}, {"sinks": sorted(flow.sinks)}
 
 

@@ -36,27 +36,24 @@ class RipsGraph(namedtuple("RipsGraph", [
 def build_rips(space: WindowSpace, r) -> RipsGraph:
     """Exact-threshold neighbourhood graph of the window at scale r.
 
-    Neighbours are balls without their centre. On unit weights with r >= 1
-    there is one component: a graph metric is connected (`WindowSpace`
-    checks it) and every unit edge is a scale-r edge. For 1 <= r < 2 the
-    neighbours are the graph neighbours too (d is an int, so 0 < d <= r
-    means d = 1), with no ball search. For 2 <= r < 3 they are the union
-    of the closed graph neighbourhoods of x's closed graph neighbourhood,
-    without x, again with no search: 0 < d(x, z) <= r means d(x, z) is 1
-    or 2, that is a path of at most two edges joins x and z. Elsewhere the
-    components come from the scale-r edges.
+    Neighbours are balls without their centre, one search each. On unit
+    weights with r >= 1 there is one component: a graph metric is connected
+    (`WindowSpace` checks it) and every unit edge is a scale-r edge. For
+    1 <= r < 2 the neighbours are the graph neighbours too (d is an int, so
+    0 < d <= r means d = 1), with no search. For 2 <= r < 3 they are the
+    union of the closed graph neighbourhoods of x's closed graph
+    neighbourhood, without x, again with no search: 0 < d(x, z) <= r means
+    d(x, z) is 1 or 2, that is a path of at most two edges joins x and z.
+    Elsewhere the components come from the scale-r edges.
     """
     r = check_radius(r, "scale")
     if r == 0:
         raise ValueError(f"scale must be positive, got {r}")
-    points = range(space.n)
-    if not (space.unit_weights and r >= 1):
-        neighbors = tuple(b - {x} for x, b in zip(points, space.balls(points, r)))
-        return RipsGraph(r=r, n=space.n, neighbors=neighbors, components=_components(neighbors))
-    nbrs = space.graph_neighbors
-    if r < 2:
+    points, nbrs = range(space.n), space.graph_neighbors
+    unit = space.unit_weights and r >= 1
+    if unit and r < 2:
         neighbors = [frozenset(nb) - {x} for x, nb in zip(points, nbrs)]
-    elif r < 3:
+    elif unit and r < 3:
         neighbors = [frozenset().union(nb, *map(nbrs.__getitem__, nb)) - {x}
                      for x, nb in zip(points, nbrs)]
     else:
@@ -65,7 +62,9 @@ def build_rips(space: WindowSpace, r) -> RipsGraph:
             ball = space._search((x,), limit)
             del ball[x]
             neighbors.append(frozenset(ball))
-    return RipsGraph(r=r, n=space.n, neighbors=tuple(neighbors), components=(frozenset(points),))
+    neighbors = tuple(neighbors)
+    components = (frozenset(points),) if unit else _components(neighbors)
+    return RipsGraph(r=r, n=space.n, neighbors=neighbors, components=components)
 
 
 def _components(neighbors) -> tuple:
@@ -95,11 +94,11 @@ class UnboundednessReport(namedtuple("UnboundednessReport", [
     __slots__ = ()
 
 
-def check_coarsely_unbounded(space: WindowSpace, rips: RipsGraph) -> UnboundednessReport:
-    """Pass iff every component contains a frontier point."""
-    bounded = [
-        tuple(sorted(c)) for c in rips.components if not (c & space.frontier)
-    ]
+def check_coarsely_unbounded(space, rips: RipsGraph) -> UnboundednessReport:
+    """Pass iff every component contains a frontier point; `space` is the
+    window or its bare frontier."""
+    frontier = getattr(space, "frontier", space)
+    bounded = [tuple(sorted(c)) for c in rips.components if not (c & frontier)]
     return UnboundednessReport(
         passed=not bounded,
         component_count=len(rips.components),
@@ -170,25 +169,19 @@ def check_flow_on_space(flow: FlowField, space: WindowSpace) -> None:
                               f"more than r = {format_rational(flow.r)}")
 
 
-def build_flow(space: WindowSpace, rips: RipsGraph) -> FlowField:
+def build_flow(space, rips: RipsGraph) -> FlowField:
     """Breadth-first spanning tree per component, rooted at the sink.
 
-    Sink = smallest frontier vertex of the component; BFS visits
-    neighbours in increasing id order, and sigma maps each vertex to its
-    BFS parent. Raises NotCoarselyUnbounded when a component has no
-    frontier vertex to exit through.
+    `space` is the window or its bare frontier (as `rips_from_json` gives
+    it); only the frontier is read. Sink = smallest frontier vertex of the
+    component; BFS visits neighbours in increasing id order, and sigma maps
+    each vertex to its BFS parent. Raises NotCoarselyUnbounded when a
+    component has no frontier vertex to exit through.
     """
-    return build_flow_from_parts(rips, space.frontier)
-
-
-def build_flow_from_parts(rips: RipsGraph, frontier) -> FlowField:
-    """build_flow when only the graph and the frontier are at hand (e.g.
-    rebuilding from a serialized artifact)."""
-    frontier = frozenset(frontier)
-    bounded = [tuple(sorted(c)) for c in rips.components if not (c & frontier)]
-    if bounded:
-        raise NotCoarselyUnbounded(bounded)
-
+    frontier = frozenset(getattr(space, "frontier", space))
+    reach = check_coarsely_unbounded(frontier, rips)
+    if not reach.passed:
+        raise NotCoarselyUnbounded(reach.bounded_components)
     sigma = {}
     sinks = []
     for comp in rips.components:

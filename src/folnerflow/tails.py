@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import BranchingTooLow, ConfigError, TailTooShort
 from .jsonio import Doc, format_rational, parse_rational
-from .space import PointId, WindowSpace
+from .space import WindowSpace
 
 
 class TailCover(namedtuple("TailCover", "tails r K")):
@@ -159,20 +159,19 @@ def build_tree_tails(space: WindowSpace) -> TailCover:
     return TailCover(tails=tails, r=Fraction(1), K=1 + max(map(len, arrivals.values())))
 
 
-def transport_point(cover: TailCover, y: PointId, n: int, M: int, index=None) -> PointId:
-    """Where the element (y, n) of a height-M multiset lands: t^y_{M-n}."""
-    seq = cover.tails.get(y)
-    if seq is None:
-        raise ValueError(f"cover has no tail for point {y}")
-    j = M - n
-    if j >= len(seq):
-        raise TailTooShort(index=index, tail_of=y, position=j, available=len(seq))
-    return seq[j]
-
-
 def transport_set(cover: TailCover, elems, M: int, index=None) -> frozenset:
-    """Image of a set of (point, level) pairs under transport."""
-    return frozenset(transport_point(cover, y, n, M, index) for y, n in elems)
+    """Image of a set of (point, level) pairs under transport: the element
+    (y, n) of a height-M multiset lands on t^y_{M-n}."""
+    image = set()
+    for y, n in elems:
+        seq = cover.tails.get(y)
+        if seq is None:
+            raise ValueError(f"cover has no tail for point {y}")
+        j = M - n
+        if j >= len(seq):
+            raise TailTooShort(index=index, tail_of=y, position=j, available=len(seq))
+        image.add(seq[j])
+    return frozenset(image)
 
 
 def tail_transport(fam: MultisetFamily, cover: TailCover, space: WindowSpace) -> IndexedFamily:

@@ -29,7 +29,10 @@ from folnerflow import (
     singleton_family,
     verify_family,
 )
-from folnerflow.chains import FamilyReport, _in_range, _terms, chain_from_json
+from folnerflow.chains import (FamilyReport, _in_range, _terms, chain_from_json,
+                               family_from_json, family_to_json, load_family,
+                               multiset_family_from_json)
+from folnerflow.families import perturbed_cluster_family
 from folnerflow.jsonio import dump_json
 
 chains = st.dictionaries(
@@ -96,6 +99,27 @@ class TestLatticeOps:
         m, j = meet(a, b), join(a, b)
         assert leq(m, a) and leq(m, b)
         assert leq(a, j) and leq(b, j)
+
+
+class TestChainProtocol:
+    @given(chains, st.integers(min_value=0, max_value=12))
+    def test_membership_is_the_support(self, a, x):
+        """`Mapping`'s own `in` asks `__getitem__`, which answers 0 for an
+        absent point rather than raising, so it would hold every point."""
+        assert (x in a) == (a[x] > 0) == (x in a.support())
+
+    def test_never_equal_to_a_non_chain(self):
+        a = Chain({0: 3, 2: 1})
+        assert a != {0: 3, 2: 1}
+        assert not a == {0: 3, 2: 1}
+        assert a == Chain({2: 1, 0: 3})
+
+    def test_repr_lists_the_support_in_id_order(self):
+        assert repr(Chain({2: 1, 0: 3})) == "Chain({0: 3, 2: 1})"
+        assert repr(Chain()) == "Chain({})"
+
+    def test_window_repr(self):
+        assert repr(grid_window(1, 0, 4)) == "WindowSpace(n=5, label='grid1d[0..4]')"
 
 
 class TestBaseAndTowers:
@@ -173,6 +197,57 @@ class TestFamilyParams:
         p = FamilyParams(R=Fraction(3, 2), epsilon=1, S=0, M=2)
         assert (p.R, p.epsilon, p.S) == (Fraction(3, 2), 1, 0)
         assert all(type(v) is Fraction for v in (p.R, p.epsilon, p.S))
+
+
+PARAMS = FamilyParams(R=1, epsilon=1, S=2, M=1)
+
+
+class TestMalformedFamilies:
+    """A family that breaks its definition is refused, naming the index."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: IndexedFamily(space=grid_window(1, 0, 2), chains={1: Chain()}, params=PARAMS),
+         "family chain at index 1 is empty"),
+        (lambda: MultisetFamily(sets={2: frozenset()}, M=1, params=PARAMS),
+         "multiset family entry at 2 is empty"),
+        (lambda: MultisetFamily(sets={0: frozenset({(0, 2)})}, M=1, params=PARAMS),
+         "entry at 0 has level 2 outside 0..1"),
+        (lambda: perturbed_cluster_family(grid_window(1, 0, 20), random.Random(1), M=0,
+                                          centers=[10], cluster_radius=3, core_radius=1,
+                                          base_size=4, R=1, epsilon=1),
+         "need base_size >= 5 for a nontrivial guarantee"),
+        (lambda: perturbed_cluster_family(grid_window(1, 0, 20), random.Random(1), M=0,
+                                          centers=[10], cluster_radius=2, core_radius=1,
+                                          base_size=5, R=1, epsilon=1),
+         "cluster at 10 too small for base_size 5"),
+    ], ids=["chain-empty", "multiset-entry-empty", "level-past-M", "cluster-base-size",
+            "cluster-too-small"])
+    def test_constructors(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("load, message", [
+        (lambda: family_from_json({"chains": []}, grid_window(1, 0, 2)),
+         "bad family file: 'params'"),
+        (lambda: family_from_json({"params": PARAMS.to_json(), "chains": [[1, {"weights": []}]]},
+                                  grid_window(1, 0, 2)),
+         "family chain at index 1 is empty"),
+        (lambda: multiset_family_from_json({"params": PARAMS.to_json(), "sets": []}),
+         "bad multiset family file: 'M'"),
+    ], ids=["family-params-missing", "family-chain-empty", "multiset-M-missing"])
+    def test_files(self, load, message):
+        with pytest.raises(ConfigError) as info:
+            load()
+        assert str(info.value) == message
+
+    def test_chain_family_file_needs_its_space(self, tmp_path):
+        space = grid_window(1, 0, 2)
+        dump_json(family_to_json(singleton_family(space, 1, 1)), tmp_path / "fam.json")
+        assert load_family(tmp_path / "fam.json", space).chains[2] == Chain({2: 1})
+        with pytest.raises(ConfigError) as info:
+            load_family(tmp_path / "fam.json")
+        assert str(info.value) == "loading an indexed family requires its window space"
 
 
 class TestFamilyFromMultisets:

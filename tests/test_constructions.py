@@ -77,7 +77,7 @@ class TestRadiusValidation:
             with pytest.raises(ValueError, match="radius"):
                 foelner_search(space, R, Fraction(1, 4))
 
-    @pytest.mark.parametrize("eps", [0.1, 0.25, True, -1])
+    @pytest.mark.parametrize("eps", [0.1, 0.25, True, -1, 0])
     def test_foelner_search_epsilon(self, eps):
         with pytest.raises(ValueError, match="epsilon"):
             foelner_search(grid_window(1, -50, 49), 1, eps)
@@ -101,6 +101,44 @@ class TestRadiusValidation:
                             params=FamilyParams(R=1, epsilon=1, S=1))
         with pytest.raises(ValueError, match="target_R"):
             pushforward_injective(fam, {x: x for x in range(10)}, space, target_R=R)
+
+
+def _one_chain_family(space, x, points):
+    return IndexedFamily(space=space, chains={x: Chain.from_set(points)},
+                         params=FamilyParams(R=1, epsilon=1, S=1))
+
+
+class TestInputErrors:
+    """A construction refuses an input outside its definition, naming it."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: group_foelner_family(cycle_window(5), [1], 1, 1),
+         "translate families need a grid window (group structure)"),
+        (lambda: group_foelner_family(grid_window(2, 0, 3), [1], 1, 1),
+         "translate vector (1,) has wrong dimension (need 2)"),
+        (lambda: group_foelner_family(grid_window(1, 0, 3), [], 1, 1), "translate set F is empty"),
+        (lambda: pushforward_injective(_one_chain_family(grid_window(1, 0, 9), 3, {3, 4}),
+                                       {0: 0, 1: 1}, grid_window(1, 0, 9)),
+         "map is undefined on family index 3"),
+        (lambda: CoarseMapModel.build(grid_window(1, 0, 3), grid_window(1, 0, 3), {0: 0},
+                                      [(0, 0)], [(0, 9)]),
+         "f must be defined on every point of the domain"),
+        (lambda: project_family(grid_window(1, 0, 3),
+                                _one_chain_family(grid_window(1, 0, 3), 0, {0})),
+         "project_family needs a product-with-interval window"),
+        (lambda: project_family(product_with_interval(grid_window(1, 0, 3), 2), _one_chain_family(
+            product_with_interval(grid_window(1, 0, 3), 2), 1, {1})),
+         "family has no index at level 0 to project"),
+        (lambda: build_box_space(1, 3), "need m >= 2, got 1"),
+        (lambda: build_box_space(2, 0), "need at least one box, got 0"),
+        (lambda: box_family(build_box_space(4, 3), [], 1, Fraction(1, 4)), "Folner set F is empty"),
+    ], ids=["translates-off-a-grid", "translate-dimension", "translates-empty", "map-undefined",
+            "coarse-map-partial", "project-off-a-product", "project-no-level-0", "box-m",
+            "box-count", "box-F-empty"])
+    def test_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestFoelnerSearch:
@@ -159,6 +197,12 @@ class TestFoelnerLayerSearch:
         space = subspace(grid_window(1, -30, 30), range(0, 61, 2))
         assert space._matrix is not None
         assert self.assert_same_witness(space, 2, Fraction(1, 3)) is not None
+
+    def test_matrix_tree_has_no_witness(self):
+        tree = tree_window(2, 5)
+        space = subspace(tree, range(tree.n))
+        assert space._matrix is not None
+        assert self.assert_same_witness(space, 1, Fraction(1, 4)) is None
 
 
 class TestGroupFoelnerFamily:

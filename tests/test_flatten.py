@@ -66,7 +66,7 @@ class TestShiftStep:
 
     def test_flat_chains_are_fixed_points(self):
         flow = forward_path_flow()
-        for pts in ({0}, {0, 1}, {2, 5}, {0, 3, 6}):
+        for pts in ((), {0}, {0, 1}, {2, 5}, {0, 3, 6}):
             a = Chain.from_set(pts)
             assert shift_step(a, flow) == a
 
@@ -432,6 +432,13 @@ class TestFlattenFamily:
         for x in core:
             for z in out.chains[x].support():
                 assert space.dist(x, z) <= report.new_S
+
+    def test_unknown_escape_mode_rejected(self):
+        space, flow = self.build_line(0, 9)
+        fam = tent_family(space, 2, R=1, epsilon=1, core=range(3, 6))
+        with pytest.raises(ValueError) as info:
+            flatten_family(fam, flow, on_escape="skip")
+        assert str(info.value) == "on_escape must be 'raise' or 'collect', got 'skip'"
 
     def test_tent_weights_in_ball_order(self):
         space, _ = self.build_line()

@@ -18,7 +18,9 @@ from folnerflow.constructions import (BoxFamilyReport, BoxSpaceModel, CoarseMapM
                                       build_box_space)
 from folnerflow.families import ball_family
 from folnerflow.flatten import FlattenReport, FlattenTrace
-from folnerflow.jsonio import Doc, dump_json, format_ratio, format_rational, to_doc
+from folnerflow.errors import ConfigError
+from folnerflow.jsonio import (Doc, dump_json, format_ratio, format_rational, load_json,
+                               parse_rational, to_doc)
 from folnerflow.pipeline import PipelineConfig, Stage, StageKind
 from folnerflow.rips import FlowField, RipsGraph, UnboundednessReport
 from folnerflow.space import grid_window
@@ -73,12 +75,33 @@ class TestToDoc:
         assert to_doc(Fraction(-2, 6)) == "-1/3"
         assert to_doc(INFINITE_RATIO) == "infinity"
         assert to_doc({Fraction(1, 2): 1, 3: (True, None)}) == {"1/2": 1, "3": [True, None]}
+        assert to_doc({"S": Fraction(1, 2)}) == {"S": "1/2"}
 
     @pytest.mark.parametrize("v", [0.5, -math.inf, math.nan, {1.0: 1}, {True: 1}, {(1,): 1},
                                    {1, 2}, frozenset()])
     def test_other_values_raise(self, v):
         with pytest.raises(TypeError):
             to_doc(v)
+
+
+@pytest.mark.parametrize("s, message", [
+    (0.5, "expected an exact rational, got 0.5"),
+    (False, "expected an exact rational, got False"),
+    ("1.5.2", "not a rational: '1.5.2'"),
+    ("1/0", "not a rational: '1/0'"),
+], ids=["float", "bool", "junk", "zero-denominator"])
+def test_parse_rational_refuses_what_is_no_exact_rational(s, message):
+    with pytest.raises(ConfigError) as info:
+        parse_rational(s)
+    assert str(info.value) == message
+
+
+def test_load_json_names_a_malformed_file(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"points": ')
+    with pytest.raises(ConfigError) as info:
+        load_json(path)
+    assert str(info.value).startswith(f"malformed JSON in {path}: Expecting value")
 
 
 def records():

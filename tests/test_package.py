@@ -98,9 +98,11 @@ def modules_after(argv, cwd, *flags):
 
 LINE = {"kind": "grid", "dim": 1, "low": -30, "high": 30}
 TREE = {"kind": "tree", "branching": 2, "depth": 5}
-# one argv per command kind of the cli-artifacts benchmark workload
+# one argv per command: the command kinds of the cli-artifacts benchmark
+# workload, then space info, amen boundary, amen search and coarse project
 SESSION = {
     "space gen": ["space", "gen", "--spec", json.dumps(LINE), "--out", "gen.json"],
+    "space info": ["space", "info", "--space", "line.json", "--radii", "1,2"],
     "rips build": ["rips", "build", "--space", "line.json", "--r", "1", "--out", "r.json"],
     "flow build": ["flow", "build", "--rips", "rips.json", "--out", "f.json"],
     "flatten run": ["flatten", "run", "--family", "tent.json", "--flow", "flow.json",
@@ -112,8 +114,12 @@ SESSION = {
                         "--family", "cluster.json", "--M", "1", "--out", "transported.json"],
     "box build": ["box", "build", "--m", "4", "--boxes", "5", "--F", "0..9", "--R", "1",
                   "--eps", "1/4", "--out", "box.json", "--family-out", "boxfam.json"],
+    "amen boundary": ["amen", "boundary", "--space", "line.json", "--U", "20..29", "--R", "1"],
+    "amen search": ["amen", "search", "--space", "line.json", "--R", "1", "--eps", "1/2"],
     "coarse push": ["coarse", "push", "--family", "pushfam.json", "--space", "X.json",
                     "--target", "Y.json", "--map", "map.json", "--out", "pushed.json"],
+    "coarse project": ["coarse", "project", "--family", "projfam.json", "--space", "prod.json",
+                       "--out", "projected.json"],
     "run": ["run", "--config", "pipe.json", "--out", "out"],
     "explain": ["explain", "done/report.json"],
 }
@@ -122,8 +128,9 @@ SESSION = {
 @pytest.fixture(scope="module")
 def session_dir(tmp_path_factory):
     """The input files of every SESSION command, written in this process."""
-    from folnerflow import (FamilyParams, MultisetFamily, ball_family, build_flow, build_rips,
-                            build_tree_tails, generate, grid_window, tent_family)
+    from folnerflow import (Chain, FamilyParams, IndexedFamily, MultisetFamily, ball_family,
+                            build_flow, build_rips, build_tree_tails, generate, grid_window,
+                            product_with_interval, tent_family)
     from folnerflow.chains import family_to_json, multiset_family_to_json
     from folnerflow.jsonio import dump_json
     from folnerflow.pipeline import PipelineConfig, run
@@ -133,7 +140,7 @@ def session_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("session")
     line, tree = generate(LINE), generate(TREE)
     rips = build_rips(line, 1)
-    X = grid_window(1, 0, 20)
+    X, prod = grid_window(1, 0, 20), product_with_interval(grid_window(1, 0, 9), 2)
     for doc, name in (
             (space_to_json(line), "line"), (space_to_json(tree), "tree"),
             (rips_to_json(line, rips), "rips"), (flow_to_json(build_flow(line, rips)), "flow"),
@@ -144,7 +151,10 @@ def session_dir(tmp_path_factory):
                 params=FamilyParams(R=1, epsilon=Fraction(1, 8), S=1, M=1))), "cluster"),
             (space_to_json(X), "X"), (space_to_json(grid_window(1, 0, 40)), "Y"),
             (family_to_json(ball_family(X, 2, R=1, epsilon=Fraction(2, 3))), "pushfam"),
-            ({"f": [[x, 2 * x] for x in range(X.n)]}, "map")):
+            ({"f": [[x, 2 * x] for x in range(X.n)]}, "map"), (space_to_json(prod), "prod"),
+            (family_to_json(IndexedFamily(
+                space=prod, chains={2 * z: Chain.from_set({8, 9, 2 * z}) for z in range(3, 7)},
+                params=FamilyParams(R=1, epsilon=Fraction(1, 2), S=8))), "projfam")):
         dump_json(doc, d / f"{name}.json")
     pipe = {"stages": [
         {"name": "win", "kind": "generate", "params": {"spec": LINE}},
@@ -199,6 +209,26 @@ class TestImportGuard:
         assert "folnerflow.chains" in loaded
         for name in absent:
             assert f"folnerflow.{name}" not in loaded
+
+    @pytest.mark.parametrize("command, modules", [
+        ("space info", ()),
+        ("rips build", ("rips",)),
+        ("flow build", ("rips",)),
+        ("tails transport", ("chains", "tails")),
+        ("amen boundary", ("constructions", "chains")),
+        ("amen search", ("constructions", "chains")),
+        ("coarse push", ("constructions", "chains")),
+        ("coarse project", ("constructions", "chains")),
+        ("box build", ("constructions", "chains")),
+        ("run", ("rips", "families", "chains", "flatten")),
+    ])
+    def test_each_command_loads_only_its_modules(self, session_dir, command, modules):
+        """Besides what every command loads: the package, its errors, its JSON
+        writer, the CLI, the pipeline and the space module that loading reads."""
+        loaded = {m for m in modules_after(SESSION[command], session_dir)
+                  if m.startswith("folnerflow.")}
+        common = {"errors", "jsonio", "cli", "pipeline", "space"}
+        assert loaded == {f"folnerflow.{name}" for name in (*common, *modules)}
 
     @pytest.mark.parametrize("command", SESSION)
     def test_no_command_loads_dataclasses_or_inspect(self, session_dir, command):

@@ -114,6 +114,17 @@ class TestConfigValidation:
                 ],
             })
 
+    @pytest.mark.parametrize("doc, message", [
+        ([], "config must be an object with a 'stages' list"),
+        ({"seed": 1}, "config must be an object with a 'stages' list"),
+        ({"stages": [{"kind": "generate"}]}, "stage 0 is missing 'name'"),
+        ({"stages": [], "seed": "1"}, "seed must be an integer"),
+    ], ids=["list", "no-stages", "stage-name", "seed-str"])
+    def test_malformed_config_named(self, doc, message):
+        with pytest.raises(ConfigError) as info:
+            PipelineConfig.from_json(doc)
+        assert str(info.value) == message
+
     def test_forward_reference_rejected(self):
         with pytest.raises(ConfigError):
             PipelineConfig.from_json({
@@ -243,6 +254,12 @@ class TestRun:
         text = explain(report)
         assert "PASS" in text
         assert "worst ratio" in text
+
+    @pytest.mark.parametrize("doc", [{}, {"passed": True}, {"seed": 0, "stage": []}])
+    def test_explain_needs_a_run_report(self, doc):
+        with pytest.raises(ConfigError) as info:
+            explain(doc)
+        assert str(info.value) == "not a run report: missing 'stages'"
 
     def test_escapes_fail_the_run_and_explain_suggests_margin(self, tmp_path):
         report = run(PipelineConfig.from_json(ESCAPE_CONFIG), tmp_path)
@@ -541,6 +558,37 @@ class TestStageParams:
         r = run_cli(["run", "--config", "cfg.json", "--out", "cli"], tmp_path)
         assert r.returncode == 2, r.stderr
         assert message in r.stderr
+
+    @pytest.mark.parametrize("stages, message", [
+        ([{"name": "g", "kind": "rips"}], "stage 'g' needs an input 'space'"),
+        ([{"name": "g", "kind": "rips", "inputs": {"space": "win"}},
+          {"name": "h", "kind": "rips", "inputs": {"space": "g"}}],
+         "stage 'h': input 'g' is a rips stage, expected one of ('generate', 'box')"),
+        ([{"name": "fam", "kind": "family", "params": {"kind": "blob"}, "inputs": {"space": "win"}}],
+         "stage 'fam': unknown family kind 'blob'"),
+        ([{"name": "cover", "kind": "tails", "inputs": {"space": "win"}},
+          {"name": "fam", "kind": "family", "params": {"kind": "singletons"},
+           "inputs": {"space": "win"}},
+          {"name": "moved", "kind": "transport",
+           "inputs": {"family": "fam", "tails": "cover", "space": "win"}}],
+         "stage 'moved': transport needs a multiset family"),
+        ([{"name": "cover", "kind": "tails", "inputs": {"space": "win"}},
+          {"name": "fam", "kind": "family", "inputs": {"space": "win"},
+           "params": {"kind": "random_multiset", "M": 1, "size": 2, "spread": "1/1"}},
+          {"name": "moved", "kind": "transport", "params": {"M": 2},
+           "inputs": {"family": "fam", "tails": "cover", "space": "win"}}],
+         "stage 'moved': --M 2 does not match the family's height bound 1"),
+        ([{"name": "fam", "kind": "family", "inputs": {"space": "win"},
+           "params": {"kind": "singletons", "core": {"coords": [0, 3]}}}],
+         "stage 'fam': coordinate cores need a grid window"),
+    ], ids=["input-missing", "input-kind", "family-kind", "transport-chain-family",
+            "transport-M", "coords-off-a-grid"])
+    def test_stage_inputs_named(self, tmp_path, stages, message):
+        win = {"name": "win", "kind": "generate",
+               "params": {"spec": {"kind": "tree", "branching": 2, "depth": 3}}}
+        with pytest.raises(ConfigError) as info:
+            run(PipelineConfig.from_json({"stages": [win, *stages]}), tmp_path)
+        assert str(info.value) == message
 
     def test_multiset_family_cannot_be_verified(self, tmp_path):
         cfg = PipelineConfig.from_json({"stages": [

@@ -165,6 +165,7 @@ class TestCoarselyUnbounded:
         report = check_coarsely_unbounded(u, rg)
         assert not report.passed
         assert report.bounded_components == [(6,)]
+        assert check_coarsely_unbounded(u.frontier, rg) == report  # the bare frontier
 
 
 class TestBuildFlow:
@@ -178,6 +179,13 @@ class TestBuildFlow:
         c = cycle_window(9)
         with pytest.raises(NotCoarselyUnbounded):
             build_flow(c, build_rips(c, 1))
+
+    @pytest.mark.parametrize("space", [grid_window(1, 0, 5), star_space()], ids=["line", "star"])
+    def test_a_bare_frontier_reads_as_its_window(self, space):
+        """The flow stage passes the frontier a rips file stores."""
+        rg = build_rips(space, 1)
+        for frontier in (space.frontier, sorted(space.frontier)):
+            assert build_flow(frontier, rg) == build_flow(space, rg)
 
     def test_star_flow(self):
         s = star_space()
@@ -265,8 +273,9 @@ class TestSerialization:
         (lambda d: d["components"].append([3]),
          "rips file lists components that its edges do not form"),
         (lambda d: d.update(points="5"), "rips file points must be a positive int, got '5'"),
+        (lambda d: d.pop("edges"), "rips file missing field: 'edges'"),
     ], ids=["frontier-past-points", "frontier-not-int", "component-past-points",
-            "components-split-an-edge", "extra-component", "points-not-int"])
+            "components-split-an-edge", "extra-component", "points-not-int", "edges-missing"])
     def test_stored_frontier_and_components_checked(self, mutate, message):
         # the components are recomputed from the edges, so a stored one that
         # differs cannot reach build_flow
@@ -333,6 +342,14 @@ class TestFlowConstruction:
         mutate(doc)
         with pytest.raises(ConfigError, match=f"flow file is corrupt: .*{message}"):
             flow_from_json(doc)
+
+    @pytest.mark.parametrize("field", ["sigma", "sinks", "r", "points"])
+    def test_missing_field_named(self, field):
+        doc = line_flow_doc()
+        del doc[field]
+        with pytest.raises(ConfigError) as info:
+            flow_from_json(doc)
+        assert str(info.value) == f"flow file missing field: {field!r}"
 
     def test_copy_and_pickle_rebuild_the_flow(self):
         flow = flow_from_json(line_flow_doc())

@@ -75,6 +75,25 @@ class TestGenerators:
         with pytest.raises(ValueError):
             disjoint_union([cycle_window(3)], [0])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: grid_window(1, 5, 4), "empty coordinate range [5..4]"),
+        (lambda: disjoint_union([], []), "disjoint union of zero parts"),
+        (lambda: disjoint_union([cycle_window(3)], [1, 2]), "need one spacing entry per part"),
+        (lambda: disjoint_union([cycle_window(3)] * 2, [2, 1]), "spacing must be nondecreasing"),
+        (lambda: product_with_interval(cycle_window(3), 0), "need at least one level, got 0"),
+    ], ids=["grid-range", "union-no-parts", "union-spacing-count", "union-spacing-order",
+            "product-levels"])
+    def test_invalid_parameters_named(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("spec", [[], "cycle", {"length": 5}], ids=["list", "str", "no-kind"])
+    def test_generate_needs_a_kind(self, spec):
+        with pytest.raises(ConfigError) as info:
+            generate(spec)
+        assert str(info.value) == "generator spec must be a dict with a 'kind' key"
+
     def test_generate_dispatch_and_errors(self):
         s = generate({"kind": "cycle", "length": 5})
         assert s.n == 5
@@ -641,6 +660,23 @@ class TestMatrixValidation:
             WindowSpace(2, matrix=[[0, v], [v, 0]])
         assert repr(v) in str(e.value)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n=0, matrix=[]), "a window needs at least one point, got n=0"),
+        (dict(n=2), "supply exactly one of matrix= or adjacency="),
+        (dict(n=2, matrix=[[0, 1]]), "matrix must be n x n"),
+        (dict(n=2, matrix=[[0, 1], [1]]), "matrix must be n x n"),
+        (dict(n=2, matrix=[[1, 1], [1, 0]]), "dist(0,0) != 0"),
+        (dict(n=2, matrix=[[0, 0], [0, 0]]), "dist(0,1) must be positive"),
+        (dict(n=3, adjacency=[[(1, 1)], [(0, 1)]]), "adjacency length != n"),
+        (dict(n=3, adjacency=[[(1, 1)], [(0, 1)], []]),
+         "graph metric requires a connected graph; only 2 of 3 points reachable from 0"),
+    ], ids=["no-points", "no-metric", "rows", "row-length", "diagonal", "zero-distance",
+            "adjacency-length", "disconnected"])
+    def test_constructor_names_the_fault(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            WindowSpace(**kwargs)
+        assert str(info.value) == message
+
     def test_exact_entries_keep_their_values(self):
         space = WindowSpace(2, matrix=[[Fraction(0), Fraction(1, 2)], [Fraction(1, 2), 0]])
         assert space.dist(0, 1) == Fraction(1, 2)
@@ -677,9 +713,10 @@ class TestMalformedSpaceFiles:
         (lambda d: d["metric"].update(edges=5), "space file graph edges must be a list, got 5"),
         (lambda d: d.update(metric={"type": "matrix", "entries": [5]}),
          "space file matrix entries must be a list of rows"),
+        (lambda d: d.update(metric={"type": "grid"}), "unknown metric type 'grid'"),
     ], ids=["frontier-float", "frontier-str", "frontier-bool", "frontier-not-list",
             "points-str", "points-bool", "metric-str", "edge-pair", "edges-not-list",
-            "matrix-row-not-list"])
+            "matrix-row-not-list", "metric-type"])
     def test_raw_file(self, mutate, message):
         doc = space_to_json(grid_window(1, 0, 2))
         del doc["generator"]

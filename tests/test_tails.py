@@ -206,6 +206,20 @@ class TestBuildTreeTails:
         with pytest.raises(BranchingTooLow):
             build_tree_tails(tree_window(1, 5))
 
+    def test_needs_a_generated_tree(self):
+        with pytest.raises(ValueError) as info:
+            build_tree_tails(grid_window(1, 0, 6))
+        assert str(info.value) == ("space carries no rooted-tree structure; "
+                                   "build_tree_tails needs a generated tree window")
+
+    def test_leaf_off_the_frontier_rejected(self):
+        t = tree_window(2, 2)  # leaves 3..6
+        inner = WindowSpace(t.n, frontier=t.frontier - {5}, meta=t.meta,
+                            adjacency=[[(y, 1) for y in nb] for nb in t.graph_neighbors])
+        with pytest.raises(ValueError) as info:
+            build_tree_tails(inner)
+        assert str(info.value) == "leaf 5 is not on the frontier; tails cannot escape there"
+
     def test_ternary_tree_depth4(self):
         t = tree_window(3, 4)
         cover = build_tree_tails(t)
@@ -281,6 +295,11 @@ class TestTransport:
         for x, c in out.chains.items():
             for z in c.support():
                 assert space.dist(x, z) <= bound
+
+    def test_point_without_a_tail(self):
+        with pytest.raises(ValueError) as info:
+            transport_set(TailCover(tails={9: (9,)}, r=Fraction(1), K=1), {(9, 1), (8, 0)}, 1)
+        assert str(info.value) == "cover has no tail for point 8"
 
     def test_tail_too_short(self):
         space, cover = chain_cover()
@@ -359,9 +378,10 @@ class TestSerialization:
         (lambda d: d.update(K=1.5), "tail cover K must be a positive int, got 1.5"),
         (lambda d: d.update(r="-1/2"), "tail cover r must be >= 0, got '-1/2'"),
         (lambda d: d.update(r=-1), "tail cover r must be >= 0, got -1"),
+        (lambda d: d.pop("r"), "bad tail cover file: 'r'"),
     ], ids=["point-twice", "point-not-int", "point-bool", "tail-not-list",
             "tail-entry-not-int", "K-string", "K-bool", "K-zero", "K-float",
-            "r-negative", "r-negative-int"])
+            "r-negative", "r-negative-int", "r-missing"])
     def test_malformed_cover_rejected(self, mutate, message):
         doc = cover_to_json(build_tree_tails(tree_window(2, 3)))
         mutate(doc)

@@ -40,14 +40,16 @@ class PipelineConfig(namedtuple("PipelineConfig", "stages seed", defaults=(0,)))
 
     @classmethod
     def from_json(cls, doc) -> "PipelineConfig":
-        if not isinstance(doc, dict) or "stages" not in doc:
+        if not isinstance(doc, dict) or type(doc.get("stages")) is not list:
             raise ConfigError("config must be an object with a 'stages' list")
         stages = []
         names = set()
         for i, s in enumerate(doc["stages"]):
+            if not isinstance(s, dict):
+                raise ConfigError(f"stage {i} must be an object, got {s!r}")
             try:
                 stage = Stage(s["name"], s["kind"], s.get("params", {}), s.get("inputs", {}))
-            except (KeyError, TypeError) as e:
+            except KeyError as e:
                 raise ConfigError(f"stage {i} is missing {e}") from e
             for key, v in (("params", stage.params), ("inputs", stage.inputs)):
                 if not isinstance(v, dict):
@@ -254,6 +256,9 @@ def _make_family(space, p, rng):
         from .constructions import group_foelner_family
         return group_foelner_family(space, parse_ids(p["F"]), R, eps, core=core)
     if kind == "random_multiset":
+        for key in ("M", "size"):
+            if type(p[key]) is not int or p[key] < 0:
+                raise ConfigError(f"random_multiset {key} must be an int >= 0, got {p[key]!r}")
         return families.random_multiset_family(
             space, rng, M=p["M"], size=p["size"],
             spread=parse_rational(p["spread"]), R=R, epsilon=eps, core=core,

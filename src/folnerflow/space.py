@@ -22,6 +22,15 @@ target; a matrix's `dist` reads one entry. A radius R (an int or Fraction
 appears only at the API and JSON boundary. Generators build adjacency; only
 a subspace, or a union or product over a matrix part, becomes a matrix.
 
+A window remembers its most recent single-centre balls, one per centre and
+at most n distances in all, n its point count, dropping the oldest first.
+`ball`, `balls` and `reach` (so a family built from balls and then
+verified, or flattened) answer from a remembered ball of their centre that
+covers what they ask, without a search; its prefix lists the points a
+search would, in the same order, so no result, artifact or report changes.
+Targeted searches, set neighbourhoods, growth profiles and scale graphs
+search as before.
+
 Point ids are dense integers 0..n-1.
 """
 
@@ -92,6 +101,9 @@ class WindowSpace:
         self.label = label
         self.meta = meta or {}
         self._frontier_int = self._frontier_dist = None  # per-point ints and Fractions
+        # x -> (limit, x's ball at limit), oldest first, holding `_held` <= n
+        # distances in all (see `_ball_ints`)
+        self._balls, self._held = {}, 0
 
         bad = [x for x in self.frontier if not (type(x) is int and 0 <= x < n)]
         if bad:
@@ -327,15 +339,36 @@ class WindowSpace:
         return found
 
     def _ball_ints(self, x: PointId, limit: int) -> dict:
-        """{y: d_int(x, y)} over the closed ball d_int(x, y) <= limit."""
+        """{y: d_int(x, y)} over the closed ball d_int(x, y) <= limit, in the
+        order of `_search`. Callers only read it: the dict may be the one the
+        window remembers.
+
+        The window remembers its most recent balls, one per centre, at most
+        n distances in all: a search's ball replaces x's older one, and the
+        oldest balls are dropped until the rest fit. A remembered ball of x
+        whose limit is at least `limit` answers without a search: its prefix
+        up to `limit` is the ball a search would list, in the same order, as
+        a search at a larger limit only appends the points beyond `limit`."""
         self._check_point(x)
-        return self._search((x,), limit)
+        kept = self._balls.get(x)
+        if kept is not None and kept[0] >= limit:
+            ball = kept[1]
+            return ball if ball[next(reversed(ball))] <= limit else _prefix(ball, limit)
+        ball = self._search((x,), limit)
+        if kept is not None:
+            self._held -= len(self._balls.pop(x)[1])
+        self._held += len(ball)
+        while self._held > self.n:  # the oldest first; ball alone holds at most n
+            self._held -= len(self._balls.pop(next(iter(self._balls)))[1])
+        self._balls[x] = (limit, ball)
+        return ball
 
     def balls(self, centres, R):
         """The closed balls {y : d(x,y) <= R} for x in centres, one frozenset
         at a time. R is checked once, at the call, so a bad R raises even
         without centres; an unknown centre raises KeyError when its ball is
-        reached. Each ball is one truncated search."""
+        reached. Each ball is one truncated search, or the prefix of a
+        remembered ball (see `_ball_ints`)."""
         limit = self._limit(R)
         return (frozenset(self._ball_ints(x, limit)) for x in centres)
 
@@ -364,7 +397,12 @@ class WindowSpace:
         before the last target's, Dijkstra has settled every point nearer
         than the last target it settled, a matrix row keeps every point up
         to `far`. So if R < far, near is read from that one search; otherwise
-        one R-ball search gives it, as in `ball`."""
+        one R-ball search gives it, as in `ball`.
+
+        A ball of x that the window remembers (see `_ball_ints`) and that
+        holds every point of `points` stands in for the search: far is the
+        largest of its distances over `points`, and its prefix lists the
+        same near points in the same order."""
         near, far = self._reach(x, points, self._limit(R))
         return near, Fraction(far, self._scale)
 
@@ -375,16 +413,18 @@ class WindowSpace:
         targets = points if isinstance(points, Set) else set(points)
         if not targets:
             raise ValueError("the point set must be nonempty")
-        found = self._search((x,), targets=targets)
-        far = found[next(reversed(found))]  # it stopped at its farthest target
-        if far <= limit:
-            return list(self._search((x,), limit)), far
-        near = []  # found is in order of distance
-        for y, d in found.items():
-            if d > limit:
-                break
-            near.append(y)
-        return near, far
+        kept = self._balls.get(x)
+        # an unknown id is in no ball; a matrix's search also refuses a
+        # non-int id equal to one (True, 1.0), so such a target searches
+        if kept is not None and targets <= kept[1].keys() and (
+                self._matrix is None or all(type(z) is int for z in targets)):
+            far = max(map(kept[1].__getitem__, targets))  # the R-ball is kept's prefix if R < far
+        else:
+            found = self._search((x,), targets=targets)
+            far = found[next(reversed(found))]  # it stopped at its farthest target
+            if far > limit:
+                return list(_prefix(found, limit)), far
+        return list(self._ball_ints(x, limit)), far
 
     def support_radius(self, x: PointId, points) -> Fraction:
         """max d(x, z) over a nonempty point set, read once (KeyError for an
@@ -417,6 +457,17 @@ class WindowSpace:
 
     def __repr__(self):
         return f"WindowSpace(n={self.n}, label={self.label!r})"
+
+
+def _prefix(found: dict, limit: int) -> dict:
+    """The leading entries of `found`, a search's {point: d_int} in
+    nondecreasing d_int, up to `limit`."""
+    near = {}
+    for y, d in found.items():
+        if d > limit:
+            break
+        near[y] = d
+    return near
 
 
 # -- growth profile --------------------------------------------------------
@@ -476,6 +527,8 @@ def grid_window(dim: int, low: int, high: int) -> WindowSpace:
     """
     if dim <= 0:
         raise ValueError(f"grid dimension must be positive, got {dim}")
+    if dim > 64:  # past 2^64 points at side >= 2; a side-1 grid still builds dim-long tuples
+        raise ValueError(f"grid dim must be at most 64, got {dim}")
     if high < low:
         raise ValueError(f"empty coordinate range [{low}..{high}]")
     side = high - low + 1

@@ -27,6 +27,7 @@ from folnerflow import (
     grid_window,
     ratio,
     singleton_family,
+    tent_family,
     verify_family,
 )
 from folnerflow.chains import (FamilyReport, _in_range, _terms, chain_from_json,
@@ -34,6 +35,7 @@ from folnerflow.chains import (FamilyReport, _in_range, _terms, chain_from_json,
                                multiset_family_from_json)
 from folnerflow.families import perturbed_cluster_family
 from folnerflow.jsonio import dump_json
+from folnerflow.space import space_from_json, space_to_json
 
 chains = st.dictionaries(
     st.integers(min_value=0, max_value=12),
@@ -461,6 +463,19 @@ class TestOneSearchPerIndex:
     def test_rational_graphs_and_matrix_twins(self, fam, require_flat):
         self.check(fam, require_flat)
 
+    @staticmethod
+    def searches(fam, monkeypatch) -> tuple:
+        """(warm, cold): the searches `verify_family(fam)` runs on fam's window
+        as it stands, after the searches that built fam, and on a cold twin of
+        it, a window that remembers no ball yet."""
+        cold = fam._replace(space=space_from_json(space_to_json(fam.space)))
+        counts = []
+        for f in (fam, cold):
+            calls = count_searches(f.space, monkeypatch)
+            verify_family(f)
+            counts.append(len(calls))
+        return tuple(counts)
+
     @pytest.mark.parametrize("space", [
         grid_window(2, 0, 12),
         generate({"kind": "union", "parts": [{"kind": "grid", "dim": 2, "low": 0, "high": 6}] * 2,
@@ -469,31 +484,81 @@ class TestOneSearchPerIndex:
     def test_one_search_per_index_when_supports_reach_beyond_R(self, space, monkeypatch):
         core = sorted(space.ball(space.n // 2, 2))
         fam = ball_family(space, 3, R=Fraction(3, 2), epsilon=1, core=core)
-        calls = count_searches(space, monkeypatch)
-        verify_family(fam)
-        assert len(calls) == len(core)
+        # the window keeps the balls that fit in n distances, the latest
+        # first: on the 13 x 13 grid 6 radius-3 balls of 25 points of the 13,
+        # on the union all 6 (of 11 to 17 points in 98); each kept ball
+        # holds its support, so its index runs no search
+        kept = [x for x in core if x in space._balls]
+        assert kept == core[-(space.n // 25 if space.unit_weights else 6):]
+        assert self.searches(fam, monkeypatch) == (len(core) - len(kept), len(core))
 
     def test_at_most_two_searches_per_index_otherwise(self, monkeypatch):
         space = grid_window(2, 0, 12)
         core = sorted(space.ball(space.n // 2, 2))
-        # radius-1 balls and singletons: supports within R = 2 of their index
-        for fam in (ball_family(space, 1, R=2, epsilon=1, core=core),
-                    singleton_family(space, R=2, epsilon=1, core=core)):
-            calls = count_searches(space, monkeypatch)
-            verify_family(fam)
-            assert len(calls) == 2 * len(core)
+        # radius-1 balls and singletons: supports within R = 2 of their index;
+        # warm, the kept radius-1 ball gives the radius and the R-ball is
+        # searched, but at the centre, whose R-ball the core was read from;
+        # then those R-balls (13 of 13 points in 169 distances) answer the
+        # singletons' radius and R-ball both
+        fam = ball_family(space, 1, R=2, epsilon=1, core=core)
+        assert self.searches(fam, monkeypatch) == (len(core) - 1, 2 * len(core))
+        fam = singleton_family(space, R=2, epsilon=1, core=core)
+        assert self.searches(fam, monkeypatch) == (0, 2 * len(core))
         mixed = IndexedFamily(space=space, params=FamilyParams(R=1, epsilon=1, S=3), chains={
             x: Chain.from_set(space.ball(x, 1 + x % 2)) for x in core})
-        calls = count_searches(space, monkeypatch)
-        verify_family(mixed)
-        assert len(core) < len(calls) < 2 * len(core)
+        # warm, each index's radius-2 ball, kept from the singletons, holds
+        # its support and has its R-ball as a prefix: no search
+        warm, cold = self.searches(mixed, monkeypatch)
+        assert len(core) < cold < 2 * len(core)
+        assert warm == 0
 
     def test_one_search_per_index_on_a_matrix(self, monkeypatch):
-        # a matrix answers through the same `_search`: radius-2 balls reach beyond R = 1
+        # a matrix answers through the same `_search`: radius-2 balls reach
+        # beyond R = 1; 2 of the 6 five-point balls fit in 10 distances
         line = grid_window(1, 0, 9)
         space = WindowSpace(10, matrix=[[line.dist(x, y) for y in range(10)] for x in range(10)])
         fam = ball_family(space, 2, R=1, epsilon=1, core=range(2, 8))
-        calls = count_searches(space, monkeypatch)
-        report = verify_family(fam)
-        assert len(calls) == 6
-        assert report == verify_family(ball_family(line, 2, R=1, epsilon=1, core=range(2, 8)))
+        assert list(space._balls) == [6, 7]
+        assert self.searches(fam, monkeypatch) == (4, 6)
+        assert verify_family(fam) == verify_family(
+            ball_family(line, 2, R=1, epsilon=1, core=range(2, 8)))
+
+
+class TestRememberedBalls:
+    """A window that remembers the balls of earlier families and `ball` calls
+    answers `verify_family`, `reach` and `support_radius` exactly as a cold
+    twin that remembers none: the same reports, to the byte, and the same
+    near points in the same order."""
+
+    @staticmethod
+    def check(fam, require_flat, data):
+        def twin():  # the window of fam, built again and cold
+            return space_from_json(space_to_json(fam.space))
+
+        space = twin()
+        n, params = space.n, fam.params
+        points = st.lists(st.integers(0, n - 1), min_size=1, max_size=8)
+        radii = st.sampled_from(sorted({0, 1, 2, 3, params.R, params.S}))
+        ball_family(space, data.draw(radii), R=params.R, epsilon=1, core=data.draw(points))
+        if space._scale == 1:  # a tent needs integer distances
+            tent_family(space, data.draw(st.integers(1, 4)), R=params.R, epsilon=1,
+                        core=data.draw(points))
+        for x in data.draw(points):
+            space.ball(x, data.draw(radii))
+        warm = fam._replace(space=space)
+        assert dump_json(verify_family(warm, require_flat).to_json()) == dump_json(
+            verify_family(fam._replace(space=twin()), require_flat).to_json())
+        for x, chain in fam.chains.items():
+            for R in (0, params.R, params.S, data.draw(radii)):
+                assert space.reach(x, chain.keys(), R) == twin().reach(x, chain.keys(), R)
+            assert space.support_radius(x, chain.keys()) == twin().support_radius(x, chain.keys())
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph_families(unit_graphs()), st.booleans(), st.data())
+    def test_unit_graphs_and_matrix_twins(self, fam, require_flat, data):
+        self.check(fam, require_flat, data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph_families(rational_graphs()), st.booleans(), st.data())
+    def test_rational_graphs_and_matrix_twins(self, fam, require_flat, data):
+        self.check(fam, require_flat, data)

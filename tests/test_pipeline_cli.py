@@ -119,7 +119,9 @@ class TestConfigValidation:
         ({"seed": 1}, "config must be an object with a 'stages' list"),
         ({"stages": [{"kind": "generate"}]}, "stage 0 is missing 'name'"),
         ({"stages": [], "seed": "1"}, "seed must be an integer"),
-    ], ids=["list", "no-stages", "stage-name", "seed-str"])
+        ({"stages": [7]}, "stage 0 must be an object, got 7"),
+        ({"stages": 7}, "config must be an object with a 'stages' list"),
+    ], ids=["list", "no-stages", "stage-name", "seed-str", "stage-int", "stages-int"])
     def test_malformed_config_named(self, doc, message):
         with pytest.raises(ConfigError) as info:
             PipelineConfig.from_json(doc)
@@ -469,6 +471,23 @@ class TestCli:
         assert r.returncode == 2
         assert r.stderr == "error: epsilon must be positive\n"
         assert not (tmp_path / "b.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("size", 1.5), ("size", True), ("size", -1),
+                                            ("M", 1.5)])
+    def test_random_multiset_size_and_M_are_exit_2(self, tmp_path, key, value):
+        # before the check, size 1.5 and M 1.5 died with a TypeError (exit
+        # 1), size True ran as size 1 and size -1 exited 2 naming no field
+        params = {"kind": "random_multiset", "M": 1, "size": 2, "spread": "1/1", key: value}
+        (tmp_path / "cfg.json").write_text(json.dumps({"stages": [
+            {"name": "win", "kind": "generate",
+             "params": {"spec": {"kind": "grid", "dim": 1, "low": 0, "high": 9}}},
+            {"name": "fam", "kind": "family", "inputs": {"space": "win"}, "params": params},
+        ]}))
+        r = run_cli(["run", "--config", "cfg.json", "--out", "out"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", f"error: stage 'fam': random_multiset {key} must be an int >= 0, "
+            f"got {value!r}\n")
+        assert not (tmp_path / "out" / "fam.json").exists()
 
     def test_run_exit_2_on_bad_config(self, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps({
@@ -1206,6 +1225,26 @@ class TestForgedSizes:
         r = run_capped_cli(["space", "info", "--space", "s.json"], tmp_path)
         assert (r.returncode, r.stdout, r.stderr) == (
             2, "", "error: space file points does not match its generator descriptor\n")
+
+    def test_one_point_grid_dim(self, tmp_path):
+        # a one-point grid counts 1 point whatever its dim, so its stored
+        # points bound nothing; its dim is refused before the build
+        spec = {"kind": "grid", "dim": 64, "low": 0, "high": 0}
+        r = run_capped_cli(["space", "gen", "--spec", json.dumps(spec), "--out", "s.json"],
+                           tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = run_capped_cli(["space", "info", "--space", "s.json"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        doc = json.loads((tmp_path / "s.json").read_text())
+        doc["generator"]["dim"], doc["label"] = 10 ** 8, "grid100000000d[0..0]"
+        dump_json(doc, tmp_path / "s.json")
+        spec["dim"] = 65
+        for args, dim in ((["space", "info", "--space", "s.json"], 10 ** 8),
+                          (["space", "gen", "--spec", json.dumps(spec), "--out", "t.json"], 65)):
+            r = run_capped_cli(args, tmp_path)
+            assert (r.returncode, r.stdout, r.stderr) == (
+                2, "", f"error: grid dim must be at most 64, got {dim}\n")
+        assert not (tmp_path / "t.json").exists()
 
     def test_rips_points(self, tmp_path):
         space = grid_window(1, 0, 4)

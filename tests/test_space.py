@@ -25,6 +25,7 @@ from conftest import (
 )
 from folnerflow import (
     WindowSpace,
+    ball_family,
     cycle_window,
     disjoint_union,
     generate,
@@ -462,6 +463,32 @@ class TestTargetedSearch:
                 space.support_radius(0, targets)
         with pytest.raises(ValueError, match="point set must be nonempty"):
             space.reach(0, (), 1)
+
+
+    def test_unknown_and_empty_targets_on_a_warm_window(self, case):
+        # x's whole window is remembered: the errors stay those of a search,
+        # and a matrix still refuses a non-int id equal to one, which a
+        # graph's search takes as that id
+        space, D = case
+        cold = space_from_json(space_to_json(space))
+        for x in range(5):
+            space.ball(x, max(D[x]))
+            for targets in ([1, 25], (z for z in (25, 1)), {25}):
+                with pytest.raises(KeyError, match="25"):
+                    space.support_radius(x, targets)
+            with pytest.raises(KeyError, match="25"):
+                space.reach(x, [x, 25], 1)
+            for targets in ([], iter(()), set()):
+                with pytest.raises(ValueError, match="point set must be nonempty"):
+                    space.reach(x, targets, 1)
+            for targets in ({True}, [1.0, x]):
+                if space.graph_neighbors is not None:
+                    assert space.support_radius(x, targets) == cold.support_radius(x, targets)
+                else:
+                    for s in (space, cold):
+                        with pytest.raises(KeyError):
+                            s.support_radius(x, targets)
+            assert list(space._balls) == [x]
 
 
 class TestReachOracle:
@@ -1147,3 +1174,71 @@ class TestGeneratedFileMustMatch:
         doc = copy.deepcopy(tree_doc)
         doc["frontier"] = doc["frontier"][::-1] + doc["frontier"][:1]
         assert space_to_json(space_from_json(doc)) == tree_doc
+
+
+class TestRememberedBalls:
+    """The balls a window remembers: at most n distances, the oldest dropped
+    first, and a remembered ball answers `_ball_ints` and `reach` with what
+    a search lists, in its order, without a search."""
+
+    @staticmethod
+    def check(n, edges, data):
+        D = floyd_warshall(n, edges)
+        radii = sorted({d for row in D for d in row} | {Fraction(1, 7)})
+        for space in (graph_space(n, edges), WindowSpace(n, matrix=D)):
+            for _ in range(12):
+                x = data.draw(st.integers(0, n - 1))
+                limit = space._limit(data.draw(st.sampled_from(radii)))
+                assert list(space._ball_ints(x, limit).items()) == list(
+                    space._search((x,), limit).items())
+                kept = space._balls.items()
+                assert space._held == sum(len(ball) for _, (_, ball) in kept) <= n
+                assert all(list(ball.items()) == list(space._search((y,), lim).items())
+                           for y, (lim, ball) in kept)
+
+    @settings(max_examples=60, deadline=None)
+    @given(unit_graphs(), st.data())
+    def test_unit_graphs(self, graph, data):
+        n, edges, _ = graph
+        self.check(n, edges, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_graphs(), st.data())
+    def test_rational_graphs(self, graph, data):
+        n, edges, _ = graph
+        self.check(n, edges, data)
+
+    def test_a_full_window_family_keeps_at_most_n_distances(self):
+        space = grid_window(2, 0, 12)
+        ball_family(space, 3, R=1, epsilon=1)
+        kept = list(space._balls)
+        assert space._held == sum(len(space._balls[x][1]) for x in kept) <= space.n
+        assert kept == list(range(space.n))[-len(kept):]  # the latest balls
+
+    def test_the_oldest_ball_is_dropped_first(self, monkeypatch):
+        line = grid_window(1, 0, 9)
+        line.ball(0, 4)
+        line.ball(9, 4)
+        assert (list(line._balls), line._held) == ([0, 9], 10)
+        line.ball(5, 1)  # 3 more distances: 0's ball goes
+        assert (list(line._balls), line._held) == ([9, 5], 8)
+        calls = count_searches(line, monkeypatch)
+        assert list(line._ball_ints(9, 2).items()) == [(9, 0), (8, 1), (7, 2)]
+        assert calls == [] and list(line._balls) == [9, 5]
+        line.ball(9, 6)  # a larger ball of 9 replaces its own
+        assert (list(line._balls), line._held) == ([5, 9], 10)
+        assert len(calls) == 1
+
+    def test_reach_reads_a_remembered_ball(self, monkeypatch):
+        line = grid_window(1, 0, 9)
+        line.ball(3, 4)
+        calls = count_searches(line, monkeypatch)
+        # the support within R: the R-ball is the remembered ball's prefix
+        assert line.reach(3, {1, 5}, 3) == ([3, 2, 4, 1, 5, 0, 6], 2)
+        # the support beyond R: near is the prefix up to R
+        assert line.reach(3, {0, 7}, 1) == ([3, 2, 4], 4)
+        assert line.support_radius(3, range(8)) == 4
+        assert calls == []
+        # a support the ball does not hold: one targeted search, not kept
+        assert line.reach(3, {9}, 1) == ([3, 2, 4], 6)
+        assert len(calls) == 1 and line._balls[3][0] == 4

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .errors import ConfigError, FolnerflowError, InternalInvariantError
+from .errors import ConfigError, FolnerflowError, InternalInvariantError, error_message
 from .jsonio import dump_json, load_json
 
 _lib = lambda module: importlib.import_module(f".{module}", __package__)
@@ -175,8 +175,7 @@ def main(argv=None) -> int:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 3
     except (FolnerflowError, ValueError, KeyError, OSError) as e:
-        # a KeyError's str() is the repr of its message
-        print(f"error: {e.args[0] if isinstance(e, KeyError) and e.args else e}", file=sys.stderr)
+        print(f"error: {error_message(e)}", file=sys.stderr)
         return 2
 
 

@@ -96,3 +96,9 @@ class InternalInvariantError(RuntimeError):
     without producing a 0,1-valued chain, or a pairwise ratio increasing
     across flattening. These cannot happen for correct implementations.
     """
+
+
+def error_message(e: Exception) -> str:
+    """The message the command line prints for an input error: a KeyError's
+    str() is the repr of its message, so it is read from its first arg."""
+    return str(e.args[0]) if isinstance(e, KeyError) and e.args else str(e)

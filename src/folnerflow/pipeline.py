@@ -27,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ConfigError, FolnerflowError
+from .errors import ConfigError, FolnerflowError, error_message
 from .jsonio import dump_json, format_rational, parse_ids, parse_rational
 
 
@@ -345,8 +345,10 @@ class _Params(dict):
 def run(config: PipelineConfig, out_dir, *, seed=None) -> dict:
     """Execute all stages; returns the run report (also written to
     <out_dir>/report.json). Raises ConfigError for bad configs and for any
-    error a stage raises, prefixed with the stage name; a flatten escape is
-    no error but a verdict the flatten stage reports."""
+    input error a stage raises (a FolnerflowError, ValueError or KeyError,
+    formatted as the CLI formats it), prefixed with the stage name; an
+    InternalInvariantError passes as it is, and a flatten escape is no error
+    but a verdict the flatten stage reports."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = config.seed if seed is None else seed
@@ -371,8 +373,8 @@ def run(config: PipelineConfig, out_dir, *, seed=None) -> dict:
         rng = random.Random(f"{seed}/{stage.name}")
         try:
             obj, docs, summary = spec.run(inputs, _Params(stage.params), rng)
-        except FolnerflowError as e:  # every error a stage raises is an input problem
-            raise ConfigError(f"stage {stage.name!r}: {e}") from e
+        except (FolnerflowError, ValueError, KeyError) as e:
+            raise ConfigError(f"stage {stage.name!r}: {error_message(e)}") from e
         for suffix, doc in docs.items():
             dump_json(doc, out / f"{stage.name}{suffix}.json")
         done[stage.name] = (stage.kind, obj)

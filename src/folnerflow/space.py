@@ -22,8 +22,10 @@ target; a matrix's `dist` reads one entry. A radius R (an int or Fraction
 appears only at the API and JSON boundary. Generators build adjacency; only
 a subspace, or a union or product over a matrix part, becomes a matrix.
 
-A window remembers its most recent single-centre balls, one per centre and
-at most n distances in all, n its point count, dropping the oldest first.
+A window remembers its most recent single-centre balls, one per centre,
+dropping the oldest first once they hold more distances than its cap: on a
+graph the number of entries its adjacency stores (2|E|, and at least n, n
+its point count), on a matrix n, whose search reads one row and sorts it.
 `ball`, `balls` and `reach` (so a family built from balls and then
 verified, or flattened) answer from a remembered ball of their centre that
 covers what they ask, without a search; its prefix lists the points a
@@ -101,7 +103,7 @@ class WindowSpace:
         self.label = label
         self.meta = meta or {}
         self._frontier_int = self._frontier_dist = None  # per-point ints and Fractions
-        # x -> (limit, x's ball at limit), oldest first, holding `_held` <= n
+        # x -> (limit, x's ball at limit), oldest first, holding `_held` <= `_cap`
         # distances in all (see `_ball_ints`)
         self._balls, self._held = {}, 0
 
@@ -155,6 +157,10 @@ class WindowSpace:
             self._bound = n if self._wts is None else sum(map(sum, self._wts))
             if _scale is None:
                 self._check_connected()
+        # the distances the remembered balls may hold: a graph's adjacency
+        # entries, and at least n, so a one-point window keeps its own ball;
+        # n on a matrix, where n^2 dict entries would dwarf its rows
+        self._cap = n if matrix is not None else max(n, sum(map(len, self._nbrs)))
 
     @property
     def unit_weights(self) -> bool:
@@ -344,8 +350,9 @@ class WindowSpace:
         window remembers.
 
         The window remembers its most recent balls, one per centre, at most
-        n distances in all: a search's ball replaces x's older one, and the
-        oldest balls are dropped until the rest fit. A remembered ball of x
+        `_cap` distances in all (its adjacency entries on a graph, n on a
+        matrix): a search's ball replaces x's older one, and the oldest
+        balls are dropped until the rest fit. A remembered ball of x
         whose limit is at least `limit` answers without a search: its prefix
         up to `limit` is the ball a search would list, in the same order, as
         a search at a larger limit only appends the points beyond `limit`."""
@@ -358,7 +365,7 @@ class WindowSpace:
         if kept is not None:
             self._held -= len(self._balls.pop(x)[1])
         self._held += len(ball)
-        while self._held > self.n:  # the oldest first; ball alone holds at most n
+        while self._held > self._cap:  # the oldest first; ball alone holds <= n <= cap
             self._held -= len(self._balls.pop(next(iter(self._balls)))[1])
         self._balls[x] = (limit, ball)
         return ball

@@ -484,13 +484,24 @@ class TestOneSearchPerIndex:
     def test_one_search_per_index_when_supports_reach_beyond_R(self, space, monkeypatch):
         core = sorted(space.ball(space.n // 2, 2))
         fam = ball_family(space, 3, R=Fraction(3, 2), epsilon=1, core=core)
-        # the window keeps the balls that fit in n distances, the latest
-        # first: on the 13 x 13 grid 6 radius-3 balls of 25 points of the 13,
-        # on the union all 6 (of 11 to 17 points in 98); each kept ball
-        # holds its support, so its index runs no search
-        kept = [x for x in core if x in space._balls]
-        assert kept == core[-(space.n // 25 if space.unit_weights else 6):]
-        assert self.searches(fam, monkeypatch) == (len(core) - len(kept), len(core))
+        # the window keeps every ball: on the 13 x 13 grid the 13 radius-3
+        # balls of 25 points fit its 624 adjacency entries, on the union the
+        # 6 of 11 to 17 points fit its cap; each kept ball holds its
+        # support, so its index runs no search
+        assert [x for x in core if x in space._balls] == core
+        assert len(core) == (13 if space.unit_weights else 6)
+        assert self.searches(fam, monkeypatch) == (0, len(core))
+
+    def test_a_family_of_more_than_n_distances_within_the_cap(self, monkeypatch):
+        # 25 radius-3 balls on the 7 x 7 x 7 grid hold 1,509 distances: more
+        # than its n = 343 points, within its 1,764 adjacency entries
+        space = grid_window(3, 0, 6)
+        core = sorted(space.ball(space.n // 2, 2))
+        fam = ball_family(space, 3, R=Fraction(3, 2), epsilon=1, core=core)
+        assert (len(core), space.n, space._cap, space._held) == (25, 343, 1764, 1509)
+        cold = fam._replace(space=space_from_json(space_to_json(space)))
+        assert self.searches(fam, monkeypatch) == (0, 25)
+        assert dump_json(verify_family(fam).to_json()) == dump_json(verify_family(cold).to_json())
 
     def test_at_most_two_searches_per_index_otherwise(self, monkeypatch):
         space = grid_window(2, 0, 12)

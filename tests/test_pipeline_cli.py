@@ -489,6 +489,21 @@ class TestCli:
             f"got {value!r}\n")
         assert not (tmp_path / "out" / "fam.json").exists()
 
+    @pytest.mark.parametrize("params, message", [
+        ({"kind": "tent", "width": 0}, "width must be an int >= 1, got 0"),
+        ({"kind": "ball", "radius": 1, "core": [999]}, "unknown point id 999"),
+    ], ids=["ValueError", "KeyError"])
+    def test_a_stage_value_or_key_error_names_the_stage(self, tmp_path, params, message):
+        # both used to reach `cli.main` bare, as `error: <message>`
+        (tmp_path / "cfg.json").write_text(json.dumps({"stages": [
+            {"name": "win", "kind": "generate",
+             "params": {"spec": {"kind": "grid", "dim": 1, "low": 0, "high": 9}}},
+            {"name": "fam", "kind": "family", "inputs": {"space": "win"}, "params": params},
+        ]}))
+        r = run_cli(["run", "--config", "cfg.json", "--out", "out"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: stage 'fam': {message}\n")
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_run_exit_2_on_bad_config(self, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps({
             "stages": [{"name": "a", "kind": "rips", "inputs": {"space": "ghost"}}],

@@ -488,7 +488,9 @@ class TestTargetedSearch:
                     for s in (space, cold):
                         with pytest.raises(KeyError):
                             s.support_radius(x, targets)
-            assert list(space._balls) == [x]
+            # the latest whole-window balls of 5 distances that fit the
+            # cap: 10 adjacency entries on the graphs, 5 on the matrix
+            assert list(space._balls) == list(range(x + 1))[-(space._cap // 5):]
 
 
 class TestReachOracle:
@@ -1177,22 +1179,24 @@ class TestGeneratedFileMustMatch:
 
 
 class TestRememberedBalls:
-    """The balls a window remembers: at most n distances, the oldest dropped
-    first, and a remembered ball answers `_ball_ints` and `reach` with what
-    a search lists, in its order, without a search."""
+    """The balls a window remembers: at most its cap of distances (its
+    adjacency entries on a graph, n on a matrix), the oldest dropped first,
+    and a remembered ball answers `_ball_ints` and `reach` with what a
+    search lists, in its order, without a search."""
 
     @staticmethod
     def check(n, edges, data):
         D = floyd_warshall(n, edges)
         radii = sorted({d for row in D for d in row} | {Fraction(1, 7)})
         for space in (graph_space(n, edges), WindowSpace(n, matrix=D)):
+            assert space._cap == (n if space.graph_neighbors is None else max(n, 2 * len(edges)))
             for _ in range(12):
                 x = data.draw(st.integers(0, n - 1))
                 limit = space._limit(data.draw(st.sampled_from(radii)))
                 assert list(space._ball_ints(x, limit).items()) == list(
                     space._search((x,), limit).items())
                 kept = space._balls.items()
-                assert space._held == sum(len(ball) for _, (_, ball) in kept) <= n
+                assert space._held == sum(len(ball) for _, (_, ball) in kept) <= space._cap
                 assert all(list(ball.items()) == list(space._search((y,), lim).items())
                            for y, (lim, ball) in kept)
 
@@ -1208,26 +1212,41 @@ class TestRememberedBalls:
         n, edges, _ = graph
         self.check(n, edges, data)
 
-    def test_a_full_window_family_keeps_at_most_n_distances(self):
-        space = grid_window(2, 0, 12)
-        ball_family(space, 3, R=1, epsilon=1)
-        kept = list(space._balls)
-        assert space._held == sum(len(space._balls[x][1]) for x in kept) <= space.n
-        assert kept == list(range(space.n))[-len(kept):]  # the latest balls
+    def test_a_full_window_family_keeps_at_most_its_cap(self):
+        # the 13 x 13 grid's 312 edges give 624 adjacency entries; its
+        # matrix twin keeps n = 169 distances
+        grid = grid_window(2, 0, 12)
+        twin = WindowSpace(grid.n, matrix=[[grid.dist(x, y) for y in range(grid.n)]
+                                           for x in range(grid.n)])
+        for space, cap in ((grid, 624), (twin, 169)):
+            ball_family(space, 3, R=1, epsilon=1)
+            kept = list(space._balls)
+            assert space._cap == cap
+            assert cap - 25 < space._held == sum(len(space._balls[x][1]) for x in kept) <= cap
+            assert kept == list(range(space.n))[-len(kept):]  # the latest balls
 
     def test_the_oldest_ball_is_dropped_first(self, monkeypatch):
-        line = grid_window(1, 0, 9)
-        line.ball(0, 4)
-        line.ball(9, 4)
-        assert (list(line._balls), line._held) == ([0, 9], 10)
+        line = grid_window(1, 0, 9)  # 9 edges: a cap of 18 distances
+        line.ball(0, 8)
+        line.ball(9, 8)
+        assert (list(line._balls), line._held, line._cap) == ([0, 9], 18, 18)
         line.ball(5, 1)  # 3 more distances: 0's ball goes
-        assert (list(line._balls), line._held) == ([9, 5], 8)
+        assert (list(line._balls), line._held) == ([9, 5], 12)
         calls = count_searches(line, monkeypatch)
         assert list(line._ball_ints(9, 2).items()) == [(9, 0), (8, 1), (7, 2)]
         assert calls == [] and list(line._balls) == [9, 5]
-        line.ball(9, 6)  # a larger ball of 9 replaces its own
-        assert (list(line._balls), line._held) == ([5, 9], 10)
+        line.ball(9, 9)  # a larger ball of 9 replaces its own
+        assert (list(line._balls), line._held) == ([5, 9], 13)
         assert len(calls) == 1
+
+    def test_a_one_point_window_keeps_its_ball(self):
+        # no adjacency entries, so the cap is n = 1, and the ball fits
+        point = grid_window(2, 0, 0)
+        assert (point.n, point._cap) == (1, 1)
+        assert point.ball(0, 3) == {0}
+        assert point.reach(0, {0}, 1) == ([0], 0)
+        assert point.support_radius(0, [0]) == 0
+        assert (point._balls, point._held) == ({0: (3, {0: 0})}, 1)
 
     def test_reach_reads_a_remembered_ball(self, monkeypatch):
         line = grid_window(1, 0, 9)

@@ -304,11 +304,11 @@ def verify_family(fam: IndexedFamily, require_flat: bool = False) -> FamilyRepor
     stops it holds every y with d(x, y) < far at its exact distance (a BFS
     has discovered every layer before the last target's; Dijkstra has
     settled every point nearer than the last target it settled), so when
-    R < far the in-range partners y > x come from that same search, which
-    reads x's row on a matrix. Only when far <= R does an R-ball search run
-    as well. The pairs are those of `_in_range`, in id order. The radii stay
-    ints at the space's scale L, compared with floor(S * L); only the
-    largest and each violator's become Fractions."""
+    R < far the in-range partners y > x come from that same search. Only
+    when far <= R does an R-ball search run as well. The pairs are those of
+    `_in_range`, in id order. The radii stay ints at the space's scale L,
+    compared with floor(S * L); only the largest and each violator's become
+    Fractions."""
     space, params, chains = fam.space, fam.params, fam.chains
     num, den = params.epsilon.numerator, params.epsilon.denominator
     radii = {}

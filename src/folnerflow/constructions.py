@@ -50,7 +50,8 @@ def foelner_search(space: WindowSpace, R, epsilon):
         min(rho, d(c,F)) on a shortest path from c to F is in the ball and
         within k of F.
     So cumulative layer sizes |B(c,j)| of one BFS per centre, grown as far as
-    the test needs, answer every rho. Weighted graphs and matrices grow balls.
+    the test needs, answer every rho. Weighted graphs grow balls, as does a
+    matrix whose entries are not all 1 (it is searched as its complete graph).
     """
     epsilon = check_radius(epsilon, "epsilon")
     if epsilon == 0:
@@ -189,11 +190,11 @@ def check_moduli(X: WindowSpace, f: dict, Y: WindowSpace, rho_minus, rho_plus):
     bad = []
     fx = None
     for i, x in enumerate(pts):
-        # one distance row of X per point, one of Y per run of equal images
-        row = X._row_ints(x)
+        # one search of X per point, one of Y per run of equal images
+        row = X._search((x,))
         if f[x] != fx:
             fx = f[x]
-            image_row = Y._row_ints(fx)
+            image_row = Y._search((fx,))
         for y in pts[i + 1:]:
             d, dy = row[y], image_row[f[y]]
             if not low(d) <= dy <= high(d):
@@ -306,7 +307,7 @@ def subspace(space: WindowSpace, points) -> WindowSpace:
     points = sorted(set(points))
     for x in points:
         space._check_point(x)
-    rows = [[row[y] for y in points] for row in map(space._row_ints, points)]
+    rows = [[row[y] for y in points] for row in (space._search((x,)) for x in points)]
     frontier = [i for i, x in enumerate(points) if x in space.frontier]
     return WindowSpace(
         len(points),

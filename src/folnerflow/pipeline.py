@@ -267,9 +267,13 @@ def _make_family(space, p, rng):
 
 
 def _resolve_core(space, core):
-    """A core is a list of point ids, or {"coords": [lo, hi]} on grids."""
+    """A core is a list of point ids of the window, or {"coords": [lo, hi]}
+    on grids, lo and hi ints; an unknown id raises KeyError naming it."""
     if isinstance(core, dict) and "coords" in core:
-        lo, hi = core["coords"]
+        bounds = core["coords"]
+        if type(bounds) is not list or len(bounds) != 2 or any(type(v) is not int for v in bounds):
+            raise ConfigError(f"core coords must be a list of two ints [lo, hi], got {bounds!r}")
+        lo, hi = bounds
         index = space.meta.get("coord_index")
         if index is None:
             raise ConfigError("coordinate cores need a grid window")
@@ -282,6 +286,7 @@ def _resolve_core(space, core):
     for x in core:
         if type(x) is not int:
             raise ConfigError(f"core entry {x!r} is not an int point id")
+        space._check_point(x)
     return core
 
 

@@ -7,25 +7,28 @@ code uses frontier membership as the finite surrogate for "direction to
 infinity": a neighbourhood-graph component that touches the frontier is
 treated as unbounded, one that does not as genuinely bounded.
 
-Every distance and comparison is exact, with no floating point. A graph
-metric keeps, per point, the tuple of its neighbour ids and the tuple of
-their edge weights as ints at a scale L, the least common multiple of the
-weight denominators (no weight tuples when every weight is 1); a matrix
-keeps its rows as ints at the scale L of its entries. So distances inside
-the library are ints d_int = L * d, and balls, set neighbourhoods, frontier
-distances, distance rows and `reach` (the max distance to a point set, with
-the ball of radius R) all come from one truncated search: the minimum of
-the source rows on a matrix, a BFS one node at a time when every weight is
-1, int Dijkstra otherwise. `reach` and a graph's `dist` stop at their last
-target; a matrix's `dist` reads one entry. A radius R (an int or Fraction
->= 0, see `check_radius`) is compared as d_int <= floor(R * L). `Fraction`
-appears only at the API and JSON boundary. Generators build adjacency; only
-a subspace, or a union or product over a matrix part, becomes a matrix.
+Every distance and comparison is exact, with no floating point. The
+metric is always the shortest-path metric of a graph, kept per point as the
+tuple of its neighbour ids and the tuple of their edge weights as ints at a
+scale L, the least common multiple of the weight denominators (no weight
+tuples when every weight is 1). A distance matrix is kept as its complete
+graph: by the triangle inequality each entry is its pair's shortest path.
+So distances inside the library are ints d_int = L * d, and balls, set
+neighbourhoods, frontier distances, distance rows and `reach` (the max
+distance to a point set, with the ball of radius R) all come from one
+truncated search: a BFS one node at a time when every weight is 1, int
+Dijkstra otherwise. `dist` and `reach` stop at their last target. A radius
+R (an int or Fraction >= 0, see `check_radius`) is compared as
+d_int <= floor(R * L). `Fraction` appears only at the API and JSON boundary.
+Generators build adjacency; only a subspace, or a window given as matrix
+rows, is written back as matrix rows. On a matrix of n points a search
+reads up to n(n - 1) edges, below the O(n^3) triangle check its file pays
+when it loads.
 
 A window remembers its most recent single-centre balls, one per centre,
-dropping the oldest first once they hold more distances than its cap: on a
-graph the number of entries its adjacency stores (2|E|, and at least n, n
-its point count), on a matrix n, whose search reads one row and sorts it.
+dropping the oldest first once they hold more distances than its cap: the
+number of entries its adjacency stores (2|E|, n(n - 1) on a matrix), and
+at least n, its point count.
 `ball`, `balls` and `reach` (so a family built from balls and then
 verified, or flattened) answer from a remembered ball of their centre that
 covers what they ask, without a search; its prefix lists the points a
@@ -67,19 +70,21 @@ class WindowSpace:
     """A finite metric window with a marked frontier.
 
     Exactly one of ``matrix`` / ``adjacency`` must be supplied as the
-    metric: a symmetric n x n matrix of ints or Fractions, zero on the
-    diagonal, positive off it and obeying the triangle inequality, kept as
-    `_matrix`, its rows as ints at scale L (the private ``_scale=L`` takes
-    int rows at scale L as they stand, checked but for the triangle
-    inequality, which its callers build in); or the adjacency of a
-    connected graph with positive int or Fraction weights, whose
-    shortest-path metric is the space's, kept as two parallel tuples per
-    point: `_nbrs[x]`, the neighbour ids of x, and `_wts[x]`, the weights
-    of those edges as ints at scale L, where `_wts` is None when every
-    weight is 1. With ``_scale=L`` a graph is trusted: ``adjacency`` holds
-    the neighbour-id tuples and ``_wts`` the int weight tuples, taken as
-    they stand with no check, so L must be the lcm of the weights'
-    denominators and the graph connected; the generators build it so.
+    metric: the adjacency of a connected graph with positive int or
+    Fraction weights, whose shortest-path metric is the space's, kept as
+    two parallel tuples per point: `_nbrs[x]`, the neighbour ids of x, and
+    `_wts[x]`, the weights of those edges as ints at scale L, where `_wts`
+    is None when every weight is 1; or a symmetric n x n matrix of ints or
+    Fractions, zero on the diagonal, positive off it and obeying the
+    triangle inequality, kept as its complete graph: `_nbrs[x]` lists every
+    other id in order and `_wts[x]` is row x at scale L without its
+    diagonal entry. `_dense` marks a window given as a matrix, which
+    `space_to_json` writes back as rows. With ``_scale=L`` a matrix holds
+    int rows at scale L, checked but for the triangle inequality, which its
+    callers build in; a graph is trusted: ``adjacency`` holds the
+    neighbour-id tuples and ``_wts`` the int weight tuples, taken as they
+    stand with no check, so L must be the lcm of the weights' denominators
+    and the graph connected; the generators build it so.
     """
 
     def __init__(
@@ -111,6 +116,7 @@ class WindowSpace:
         if bad:
             raise ValueError(f"frontier ids outside 0..{n - 1}: {bad[:5]}")
 
+        self._dense = matrix is not None  # written as matrix rows (see `space_to_json`)
         if matrix is not None:
             checked = _scale is None  # the private path builds metrics by construction
             if checked:  # int rows at scale L, the lcm of the entries' denominators
@@ -121,14 +127,18 @@ class WindowSpace:
                 _scale = math.lcm(*{v.denominator for row in matrix for v in row})
                 matrix = [[v.numerator * (_scale // v.denominator) for v in row]
                           for row in matrix]
-            self._scale, self._matrix = _scale, matrix
-            self._nbrs = self._wts = None
-            self._check_matrix(triangle=checked)
-        elif _scale is not None:
-            self._matrix, self._scale, self._nbrs = None, _scale, tuple(adjacency)
+            self._check_rows(matrix, triangle=checked)
+            # the complete graph of the entries: by the triangle inequality
+            # each entry is the shortest path between its pair
+            ids = list(range(n))  # one int object per id, shared by every edge
+            adjacency = [tuple(ids[:x] + ids[x + 1:]) for x in ids]
+            _wts = [tuple(row[:x] + row[x + 1:]) for x, row in enumerate(matrix)]
+            if _scale == 1 and all(w == 1 for ws in _wts for w in ws):
+                _wts = None
+        if _scale is not None:
+            self._scale, self._nbrs = _scale, tuple(adjacency)
             self._wts = None if _wts is None else tuple(_wts)
         else:
-            self._matrix = None
             if len(adjacency) != n:
                 raise ValueError("adjacency length != n")
             # distances inside the library are ints at scale L, the least
@@ -153,30 +163,29 @@ class WindowSpace:
                 tuple([w.numerator * (L // w.denominator) for _, w in pairs])
                 for pairs in adjacency
             )
-        if matrix is None:  # bounds every shortest path, as an int at scale L
-            self._bound = n if self._wts is None else sum(map(sum, self._wts))
-            if _scale is None:
-                self._check_connected()
-        # the distances the remembered balls may hold: a graph's adjacency
-        # entries, and at least n, so a one-point window keeps its own ball;
-        # n on a matrix, where n^2 dict entries would dwarf its rows
-        self._cap = n if matrix is not None else max(n, sum(map(len, self._nbrs)))
+        # bounds every shortest path, as an int at scale L
+        self._bound = n if self._wts is None else sum(map(sum, self._wts))
+        if _scale is None:
+            self._check_connected()
+        # the distances the remembered balls may hold: the adjacency entries,
+        # and at least n, so a one-point window keeps its own ball
+        self._cap = max(n, sum(map(len, self._nbrs)))
 
     @property
     def unit_weights(self) -> bool:
-        """True on a graph whose weights are all 1; False on a weighted graph
-        or a matrix. Read from the metric, so it cannot disagree with it."""
-        return self._matrix is None and self._wts is None
+        """True when every edge weight is 1, as on a matrix whose entries off
+        the diagonal are all 1. Read from the metric, so it cannot disagree
+        with it."""
+        return self._wts is None
 
     @property
-    def graph_neighbors(self) -> Optional[tuple]:
-        """Per point, the tuple of the ids of its graph neighbours (None on a
-        matrix). On unit weights d(x, y) = 1 exactly for the ids y != x of
-        x's tuple."""
+    def graph_neighbors(self) -> tuple:
+        """Per point, the tuple of the ids of its graph neighbours (every
+        other id on a matrix). On unit weights d(x, y) = 1 exactly for the
+        ids y != x of x's tuple."""
         return self._nbrs
 
-    def _check_matrix(self, triangle):
-        m = self._matrix
+    def _check_rows(self, m, triangle):
         if len(m) != self.n or any(len(row) != self.n for row in m):
             raise ValueError("matrix must be n x n")
         for i in range(self.n):
@@ -221,27 +230,18 @@ class WindowSpace:
     def dist(self, x: PointId, y: PointId) -> Fraction:
         self._check_point(x)
         self._check_point(y)
-        if self._matrix is not None:  # an O(1) read, where a search would sort a row
-            return Fraction(self._matrix[x][y], self._scale)
         return Fraction(self._search((x,), targets={y})[y], self._scale)
-
-    def _row_ints(self, x: PointId) -> list:
-        """[d_int(x, y) for y in 0..n-1], from one untargeted search."""
-        found = self._search((x,))
-        return [found[y] for y in range(self.n)]
 
     def nearest(self, sources) -> list:
         """The owning source of every point: owner[y] minimizes (d(y, s), s)
-        over the nonempty sources, so ties go to the smallest source id. On
-        graphs one int Dijkstra from all sources whose heap is keyed by
-        (d_int, source, point); on matrices a scan of each row."""
+        over the nonempty sources, so ties go to the smallest source id: one
+        int Dijkstra from all sources whose heap is keyed by
+        (d_int, source, point)."""
         sources = sorted(set(sources))
         for s in sources:
             self._check_point(s)
         if not sources:
             raise ValueError("nearest needs at least one source")
-        if self._matrix is not None:
-            return [min(sources, key=lambda s: (row[s], s)) for row in self._matrix]
         nbrs, wts = self._nbrs, self._wts
         owner = [None] * self.n
         best = {s: (0, s) for s in sources}
@@ -263,32 +263,15 @@ class WindowSpace:
 
         Returns {point: d_int} for every point with d_int <= limit from the
         sources (every point when limit is None), where d_int = L * distance,
-        by nondecreasing d_int: on a matrix the elementwise minimum of the
-        source rows in (d_int, id) order, on unit weights a BFS one node at a
-        time, int Dijkstra otherwise, each in the order it reached them.
-        `targets`, a set or dict key view of point ids, lets it stop once it
-        has them all, counting the targets still missing: the BFS after the
-        node that discovers the last, Dijkstra at the pop that settles the
-        last, a matrix at the farthest target's distance. Then its last
-        entry lies at the farthest target's distance, and it holds every
-        point nearer than that (see `reach`); a target it never reaches
-        raises KeyError naming it.
+        by nondecreasing d_int: on unit weights a BFS one node at a time, int
+        Dijkstra otherwise, each in the order it reached them. `targets`, a
+        set or dict key view of point ids, lets it stop once it has them
+        all, counting the targets still missing: the BFS after the node that
+        discovers the last, Dijkstra at the pop that settles the last. Then
+        its last entry lies at the farthest target's distance, and it holds
+        every point nearer than that (see `reach`); a target it never
+        reaches raises KeyError naming it.
         """
-        if self._matrix is not None:
-            rows = [self._matrix[s] for s in sources]
-            if not rows:
-                return {}
-            row = rows[0] if len(rows) == 1 else list(map(min, *rows))
-            if targets is not None:
-                for z in targets:
-                    self._check_point(z)
-                far = max(map(row.__getitem__, targets), default=0)
-                if limit is not None and far > limit:
-                    raise KeyError(next(z for z in targets if row[z] > limit))
-                limit = far
-            points = range(self.n) if limit is None else [
-                y for y, d in enumerate(row) if d <= limit]
-            return {y: row[y] for y in sorted(points, key=row.__getitem__)}
         nbrs, wts = self._nbrs, self._wts
         if limit is None:
             limit = self._bound
@@ -350,8 +333,8 @@ class WindowSpace:
         window remembers.
 
         The window remembers its most recent balls, one per centre, at most
-        `_cap` distances in all (its adjacency entries on a graph, n on a
-        matrix): a search's ball replaces x's older one, and the oldest
+        `_cap` distances in all (its adjacency entries, and at least n): a
+        search's ball replaces x's older one, and the oldest
         balls are dropped until the rest fit. A remembered ball of x
         whose limit is at least `limit` answers without a search: its prefix
         up to `limit` is the ball a search would list, in the same order, as
@@ -401,10 +384,9 @@ class WindowSpace:
         One search from x stops once it has reached every point of `points`,
         so its last entry lies at the radius `far`, and it holds every y with
         d(x, y) < far at its exact distance: a BFS has discovered every layer
-        before the last target's, Dijkstra has settled every point nearer
-        than the last target it settled, a matrix row keeps every point up
-        to `far`. So if R < far, near is read from that one search; otherwise
-        one R-ball search gives it, as in `ball`.
+        before the last target's, and Dijkstra has settled every point nearer
+        than the last target it settled. So if R < far, near is read from
+        that one search; otherwise one R-ball search gives it, as in `ball`.
 
         A ball of x that the window remembers (see `_ball_ints`) and that
         holds every point of `points` stands in for the search: far is the
@@ -421,10 +403,7 @@ class WindowSpace:
         if not targets:
             raise ValueError("the point set must be nonempty")
         kept = self._balls.get(x)
-        # an unknown id is in no ball; a matrix's search also refuses a
-        # non-int id equal to one (True, 1.0), so such a target searches
-        if kept is not None and targets <= kept[1].keys() and (
-                self._matrix is None or all(type(z) is int for z in targets)):
+        if kept is not None and targets <= kept[1].keys():  # an unknown id is in no ball
             far = max(map(kept[1].__getitem__, targets))  # the R-ball is kept's prefix if R < far
         else:
             found = self._search((x,), targets=targets)
@@ -655,11 +634,11 @@ def disjoint_union(parts: Sequence[WindowSpace], spacing) -> WindowSpace:
     with base_k the lowest-id point of part k. The spacing sequence must be
     positive and nondecreasing; under that constraint the convention is a
     genuine metric (it is the shortest-path metric of the part graphs plus
-    one base-to-base edge of weight spacing[max(i,j)] per part pair). Over
-    graph parts that graph goes through the trusted path: each part's edges
-    with its ids shifted and its weights at the common scale L, then at each
-    base its edges to the other bases in part order. It is connected, as
-    every part is and the bases are joined.
+    one base-to-base edge of weight spacing[max(i,j)] per part pair). That
+    graph goes through the trusted path: each part's edges (a matrix part's
+    complete graph) with its ids shifted and its weights at the common
+    scale L, then at each base its edges to the other bases in part order.
+    It is connected, as every part is and the bases are joined.
     """
     if not parts:
         raise ValueError("disjoint union of zero parts")
@@ -685,40 +664,29 @@ def disjoint_union(parts: Sequence[WindowSpace], spacing) -> WindowSpace:
     # the spacing edges are spacing[1:], so L is the lcm of the weights' denominators
     L = math.lcm(*(p._scale for p in parts), *(s.denominator for s in spacing[1:]))
     gaps = [s.numerator * (L // s.denominator) for s in spacing]
-    if all(p._matrix is None for p in parts):
-        ids = list(range(n))  # one int object per id, shared by every edge
-        nbrs, wts = [], []
-        for k, p in enumerate(parts):
-            own, scale = ids[offsets[k]:offsets[k] + p.n], L // p._scale
-            nbrs += [tuple(map(own.__getitem__, ys)) for ys in p._nbrs]
-            wts += ([(scale,) * len(ys) for ys in p._nbrs] if p._wts is None
-                    else [tuple([w * scale for w in ws]) for ws in p._wts])
-            others = [j for j in range(len(parts)) if j != k]  # after the base's own edges
-            nbrs[offsets[k]] += tuple(ids[offsets[j]] for j in others)
-            wts[offsets[k]] += tuple(gaps[max(j, k)] for j in others)
-        unit = L == 1 and all(w == 1 for ws in wts for w in ws)
-        return WindowSpace(n, frontier=frontier, label=label, adjacency=nbrs, meta=meta,
-                           _scale=L, _wts=None if unit else wts)
-
-    # matrix fallback for parts without adjacency: one row per point at a common scale L
-    part_rows = [[[d * (L // p._scale) for d in p._row_ints(x)] for x in range(p.n)]
-                 for p in parts]
-    rows = []
-    for i, own in enumerate(part_rows):
-        for row in own:  # in part j != i: gap + d(x, base_i) + d(base_j, y)
-            rows.append([d for j, other in enumerate(part_rows) for d in (
-                row if j == i else [gaps[max(i, j)] + row[0] + e for e in other[0]])])
-    return WindowSpace(n, frontier=frontier, label=label, matrix=rows, meta=meta, _scale=L)
+    ids = list(range(n))  # one int object per id, shared by every edge
+    nbrs, wts = [], []
+    for k, p in enumerate(parts):
+        own, scale = ids[offsets[k]:offsets[k] + p.n], L // p._scale
+        nbrs += [tuple(map(own.__getitem__, ys)) for ys in p._nbrs]
+        wts += ([(scale,) * len(ys) for ys in p._nbrs] if p._wts is None
+                else [tuple([w * scale for w in ws]) for ws in p._wts])
+        others = [j for j in range(len(parts)) if j != k]  # after the base's own edges
+        nbrs[offsets[k]] += tuple(ids[offsets[j]] for j in others)
+        wts[offsets[k]] += tuple(gaps[max(j, k)] for j in others)
+    unit = L == 1 and all(w == 1 for ws in wts for w in ws)
+    return WindowSpace(n, frontier=frontier, label=label, adjacency=nbrs, meta=meta,
+                       _scale=L, _wts=None if unit else wts)
 
 
 def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
     """Product of a window with the interval {0..levels-1}, sum metric:
     d((z,i),(z',i')) = d(z,z') + |i-i'|. Point (z,i) gets id z*levels + i.
 
-    Over a graph base the product graph goes through the trusted path: (z,i)
-    lists (z,i-1) and (z,i+1) with weight 1, then (z',i) for each edge
-    (z, z') of the base with its weight. It is connected, as the base is
-    and each column {z} x {0..levels-1} is a path."""
+    The product graph goes through the trusted path: (z,i) lists (z,i-1)
+    and (z,i+1) with weight 1, then (z',i) for each edge (z, z') of the base
+    (a matrix base's complete graph) with its weight. It is connected, as
+    the base is and each column {z} x {0..levels-1} is a path."""
     if levels <= 0:
         raise ValueError(f"need at least one level, got {levels}")
     n = base.n * levels
@@ -734,23 +702,15 @@ def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
         "base": base,
     }
     L = base._scale
-    if base._matrix is None:
-        ids = list(range(n))  # one int object per id, shared by every edge
-        levels_at = [ids[i::levels] for i in range(levels)]  # levels_at[i][z]: the id of (z, i)
-        nbrs = [(*column[max(i - 1, 0):i], *column[i + 1:i + 2], *map(at.__getitem__, ys))
-                for ys, column in zip(base._nbrs, zip(*levels_at))
-                for i, at in enumerate(levels_at)]
-        wts = None if base._wts is None else [
-            (L,) * ((i > 0) + (i + 1 < levels)) + ws for ws in base._wts for i in range(levels)]
-        return WindowSpace(n, frontier=frontier, label=label, adjacency=nbrs, meta=meta,
-                           _scale=L, _wts=wts)
-
-    # matrix fallback for a base without adjacency: one base row per point z,
-    # at the base's scale L; (z', j) lies d(z, z') + |i - j| from (z, i)
-    steps = [[abs(i - j) * L for j in range(levels)] for i in range(levels)]
-    rows = [[d + s for d in base_row for s in step]
-            for base_row in map(base._row_ints, range(base.n)) for step in steps]
-    return WindowSpace(n, frontier=frontier, label=label, matrix=rows, meta=meta, _scale=L)
+    ids = list(range(n))  # one int object per id, shared by every edge
+    levels_at = [ids[i::levels] for i in range(levels)]  # levels_at[i][z]: the id of (z, i)
+    nbrs = [(*column[max(i - 1, 0):i], *column[i + 1:i + 2], *map(at.__getitem__, ys))
+            for ys, column in zip(base._nbrs, zip(*levels_at))
+            for i, at in enumerate(levels_at)]
+    wts = None if base._wts is None else [
+        (L,) * ((i > 0) + (i + 1 < levels)) + ws for ws in base._wts for i in range(levels)]
+    return WindowSpace(n, frontier=frontier, label=label, adjacency=nbrs, meta=meta,
+                       _scale=L, _wts=wts)
 
 
 def generate(spec: dict) -> WindowSpace:
@@ -842,14 +802,16 @@ def _names(ints, L) -> dict:
 
 
 def space_to_json(space: WindowSpace) -> dict:
-    """The space file: a matrix's rows or a graph's edges [x, y, weight] with
-    x < y, in adjacency order, each distinct int distance formatted once."""
-    L = space._scale
-    if space._matrix is not None:
-        name = _names(itertools.chain.from_iterable(space._matrix), L).__getitem__
-        metric = {"type": "matrix", "entries": [list(map(name, row)) for row in space._matrix]}
+    """The space file: a matrix's rows, rebuilt from its complete graph with
+    0 on the diagonal, or a graph's edges [x, y, weight] with x < y, in
+    adjacency order, each distinct int distance formatted once."""
+    L, wts = space._scale, space._wts
+    if space._dense:  # wts[x] is row x without its diagonal entry
+        rows = [[*ws[:x], 0, *ws[x:]] for x, ws in enumerate(
+            itertools.repeat((1,) * (space.n - 1), space.n) if wts is None else wts)]
+        name = _names(itertools.chain.from_iterable(rows), L).__getitem__
+        metric = {"type": "matrix", "entries": [list(map(name, row)) for row in rows]}
     else:
-        wts = space._wts
         name = _names((1,) if wts is None else itertools.chain.from_iterable(wts), L)
         edges = [[x, y, name[w]]
                  for x, ys, ws in zip(range(space.n), space._nbrs,

@@ -141,15 +141,19 @@ def graph_space(n, edges, frontier=()) -> WindowSpace:
 def rebuild_space(space: WindowSpace) -> WindowSpace:
     """`space` rebuilt through the checking public constructor, with the same
     frontier, label and meta: a graph from its adjacency as (id, Fraction)
-    pairs, a matrix from its entries as Fractions. The constructor checks
-    every edge, recomputes the scale L, the unit flag and the path bound,
-    and searches for connectivity, so a trusted build that skips all that
-    must come out equal to this rebuild."""
+    pairs, a matrix (`_dense`) from the entries its complete graph holds, as
+    Fractions, 0 on the diagonal. The constructor checks every edge or
+    entry, recomputes the scale L, the unit flag and the path bound, and
+    searches for connectivity, so a trusted build that skips all that must
+    come out equal to this rebuild."""
     L, common = space._scale, dict(frontier=space.frontier, label=space.label, meta=space.meta)
-    if space._matrix is not None:
-        return WindowSpace(space.n, matrix=[[Fraction(d, L) for d in row]
-                                            for row in space._matrix], **common)
     wts = space._wts or [[1] * len(ys) for ys in space._nbrs]
+    if space._dense:
+        rows = [[Fraction(0)] * space.n for _ in range(space.n)]
+        for x, ys, ws in zip(range(space.n), space._nbrs, wts):
+            for y, w in zip(ys, ws):
+                rows[x][y] = Fraction(w, L)
+        return WindowSpace(space.n, matrix=rows, **common)
     return WindowSpace(space.n, adjacency=[[(y, Fraction(w, L)) for y, w in zip(ys, ws)]
                                            for ys, ws in zip(space._nbrs, wts)], **common)
 

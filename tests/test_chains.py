@@ -524,13 +524,13 @@ class TestOneSearchPerIndex:
         assert warm == 0
 
     def test_one_search_per_index_on_a_matrix(self, monkeypatch):
-        # a matrix answers through the same `_search`: radius-2 balls reach
-        # beyond R = 1; 2 of the 6 five-point balls fit in 10 distances
+        # a matrix is searched as its complete graph: radius-2 balls reach
+        # beyond R = 1; all 6 five-point balls fit its 90 adjacency entries
         line = grid_window(1, 0, 9)
         space = WindowSpace(10, matrix=[[line.dist(x, y) for y in range(10)] for x in range(10)])
         fam = ball_family(space, 2, R=1, epsilon=1, core=range(2, 8))
-        assert list(space._balls) == [6, 7]
-        assert self.searches(fam, monkeypatch) == (4, 6)
+        assert (list(space._balls), space._cap) == ([2, 3, 4, 5, 6, 7], 90)
+        assert self.searches(fam, monkeypatch) == (0, 6)
         assert verify_family(fam) == verify_family(
             ball_family(line, 2, R=1, epsilon=1, core=range(2, 8)))
 

@@ -4,8 +4,17 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from conftest import foelner_search_by_balls, graph_space, rational_graphs, unit_graphs
+from conftest import (
+    bfs_all_pairs,
+    dist_matrix,
+    foelner_search_by_balls,
+    graph_space,
+    rational_graphs,
+    space_adjacency_sets,
+    unit_graphs,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +25,7 @@ from folnerflow import (
     INFINITE_RATIO,
     IndexedFamily,
     TranslateEscapesWindow,
+    WindowSpace,
     WindowTooSmall,
     boundary,
     box_family,
@@ -168,8 +178,9 @@ class TestFoelnerSearch:
 
 
 class TestFoelnerLayerSearch:
-    """The layer-count search on unit-weight graphs against the ball-growing
-    loop, which weighted graphs and matrices still run."""
+    """The layer-count search on unit-weight graphs, an all-ones matrix's
+    complete graph among them, against the ball-growing loop, which
+    weighted graphs and other matrices still run."""
 
     @staticmethod
     def assert_same_witness(space, R, eps):
@@ -184,7 +195,7 @@ class TestFoelnerLayerSearch:
            eps=st.fractions(Fraction(1, 100), 3, max_denominator=100))
     def test_unit_graphs_match_ball_growing(self, graph, R, eps):
         space = graph_space(*graph)
-        assert space._matrix is None and space._wts is None
+        assert not space._dense and space.unit_weights
         self.assert_same_witness(space, R, eps)
 
     def test_weighted_graph(self):
@@ -195,13 +206,26 @@ class TestFoelnerLayerSearch:
 
     def test_matrix_space(self):
         space = subspace(grid_window(1, -30, 30), range(0, 61, 2))
-        assert space._matrix is not None
+        assert space._dense and not space.unit_weights
+        ids = np.arange(space.n)  # the points 2i - 30 of the line
+        assert (dist_matrix(space) == 2 * abs(ids[:, None] - ids[None, :])).all()
         assert self.assert_same_witness(space, 2, Fraction(1, 3)) is not None
+
+    @pytest.mark.parametrize("n, frontier", [(1, ()), (2, (1,)), (5, ()), (6, (0, 5))])
+    @pytest.mark.parametrize("R, eps", [
+        (0, Fraction(1, 4)), (Fraction(1, 2), Fraction(1, 2)), (1, Fraction(1, 10)), (1, 4)])
+    def test_all_ones_matrix(self, n, frontier, R, eps):
+        ones = [[int(x != y) for y in range(n)] for x in range(n)]
+        space = WindowSpace(n, frontier=frontier, matrix=ones)
+        assert space._dense and space.unit_weights
+        assert (dist_matrix(space) == np.array(ones)).all()
+        self.assert_same_witness(space, R, eps)
 
     def test_matrix_tree_has_no_witness(self):
         tree = tree_window(2, 5)
         space = subspace(tree, range(tree.n))
-        assert space._matrix is not None
+        assert space._dense and not space.unit_weights
+        assert (dist_matrix(space) == bfs_all_pairs(*space_adjacency_sets(tree))).all()
         assert self.assert_same_witness(space, 1, Fraction(1, 4)) is None
 
 

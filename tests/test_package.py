@@ -76,13 +76,14 @@ class TestLazyNamespace:
 
 
 def test_only_space_reads_the_metric_representation():
-    """A matrix's int rows (`_matrix`) and a graph's adjacency (`_nbrs`,
-    `_wts`) stay behind `space.py`; other modules use its methods."""
+    """The metric's adjacency (`_nbrs`, `_wts`) and the flag of a window
+    given as a matrix (`_dense`) stay behind `space.py`; other modules use
+    its methods."""
     package = Path(folnerflow.__file__).parent
     reads = [f"{path.name}:{i}: {line.strip()}"
              for path in sorted(package.glob("*.py")) if path.name != "space.py"
              for i, line in enumerate(path.read_text().splitlines(), 1)
-             if re.search(r"\._(matrix|nbrs|wts)\b", line)]
+             if re.search(r"\._(dense|nbrs|wts)\b", line)]
     assert reads == []
 
 

@@ -504,6 +504,32 @@ class TestCli:
         assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: stage 'fam': {message}\n")
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("params, message", [
+        ({"kind": "singletons", "core": [999]}, "unknown point id 999"),
+        ({"kind": "singletons", "core": [-1]}, "unknown point id -1"),
+        ({"kind": "translates", "F": [0, 1], "core": [999]}, "unknown point id 999"),
+        ({"kind": "translates", "F": [0, 1], "core": [-1]}, "unknown point id -1"),
+        ({"kind": "translates", "F": [0, 1], "core": {"coords": 5}},
+         "core coords must be a list of two ints [lo, hi], got 5"),
+        ({"kind": "singletons", "core": {"coords": [0]}},
+         "core coords must be a list of two ints [lo, hi], got [0]"),
+        ({"kind": "singletons", "core": {"coords": [0, True]}},
+         "core coords must be a list of two ints [lo, hi], got [0, True]"),
+    ], ids=["singletons-999", "singletons-minus-1", "translates-999", "translates-minus-1",
+            "coords-int", "coords-one", "coords-bool"])
+    def test_a_core_is_checked_against_its_window(self, tmp_path, params, message):
+        # singletons wrote a fam.json at an id outside the window, translates
+        # read coords[-1] or died with a traceback, and a malformed coords
+        # value raised a TypeError or named no field
+        (tmp_path / "cfg.json").write_text(json.dumps({"stages": [
+            {"name": "win", "kind": "generate",
+             "params": {"spec": {"kind": "grid", "dim": 1, "low": 0, "high": 9}}},
+            {"name": "fam", "kind": "family", "inputs": {"space": "win"}, "params": params},
+        ]}))
+        r = run_cli(["run", "--config", "cfg.json", "--out", "out"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: stage 'fam': {message}\n")
+        assert not (tmp_path / "out" / "fam.json").exists()
+
     def test_run_exit_2_on_bad_config(self, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps({
             "stages": [{"name": "a", "kind": "rips", "inputs": {"space": "ghost"}}],

@@ -107,7 +107,8 @@ def scales(draw, edges):
 class TestBuildRipsOracle:
     """`build_rips` on graphs, whose components on unit weights with r >= 1
     and neighbours at 1 <= r < 2 come from the adjacency, and on their matrix
-    twins, against Floyd-Warshall."""
+    twins, searched as complete graphs (a unit graph when every entry off
+    the diagonal is 1), against Floyd-Warshall."""
 
     @staticmethod
     def assert_matches(graph, r):
@@ -116,7 +117,7 @@ class TestBuildRipsOracle:
         space = graph_space(n, edges, frontier)
         matrix = WindowSpace(n, frontier=frontier, matrix=D)
         assert space.unit_weights == all(w == 1 for *_, w in edges)
-        assert not matrix.unit_weights
+        assert matrix.unit_weights == all(d in (0, 1) for row in D for d in row)
         expected = rips_oracle(D, r)
         for s in (space, matrix):
             rg = build_rips(s, r)
@@ -126,6 +127,12 @@ class TestBuildRipsOracle:
     @given(unit_graphs(), st.data())
     def test_unit_graphs(self, graph, data):
         self.assert_matches(graph, data.draw(scales(graph[1])))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_all_ones_matrix(self, n, r):
+        # the complete graph K_n: a unit graph, on the adjacency branches
+        self.assert_matches((n, [(x, y, 1) for x in range(n) for y in range(x)], {0}), r)
 
     @settings(max_examples=200, deadline=None)
     @given(rational_graphs(), st.data())

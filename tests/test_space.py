@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -402,8 +403,8 @@ class TestMetricCoreOracle:
 
 class TestTargetedSearch:
     """`dist` and `support_radius` stop their search once every target is
-    reached, on unit and weighted graphs; matrices read the row. Unknown
-    and missing targets are in `test_support_radius_needs_known_points`."""
+    reached, on unit and weighted graphs and on a matrix's complete graph.
+    Unknown and missing targets are in `test_support_radius_needs_known_points`."""
 
     EDGES = [(0, 1, Fraction(1, 2)), (1, 2, 3), (2, 3, Fraction(2, 3)), (3, 4, 1), (0, 4, 5)]
 
@@ -467,8 +468,8 @@ class TestTargetedSearch:
 
     def test_unknown_and_empty_targets_on_a_warm_window(self, case):
         # x's whole window is remembered: the errors stay those of a search,
-        # and a matrix still refuses a non-int id equal to one, which a
-        # graph's search takes as that id
+        # and a non-int id equal to one is taken as that id, as a cold
+        # search takes it
         space, D = case
         cold = space_from_json(space_to_json(space))
         for x in range(5):
@@ -482,14 +483,9 @@ class TestTargetedSearch:
                 with pytest.raises(ValueError, match="point set must be nonempty"):
                     space.reach(x, targets, 1)
             for targets in ({True}, [1.0, x]):
-                if space.graph_neighbors is not None:
-                    assert space.support_radius(x, targets) == cold.support_radius(x, targets)
-                else:
-                    for s in (space, cold):
-                        with pytest.raises(KeyError):
-                            s.support_radius(x, targets)
-            # the latest whole-window balls of 5 distances that fit the
-            # cap: 10 adjacency entries on the graphs, 5 on the matrix
+                assert space.support_radius(x, targets) == cold.support_radius(x, targets)
+            # the latest whole-window balls of 5 distances that fit the cap:
+            # 10 adjacency entries on the graphs, 20 on the matrix
             assert list(space._balls) == list(range(x + 1))[-(space._cap // 5):]
 
 
@@ -588,11 +584,15 @@ class TestUnitWeights:
     def test_values(self):
         unit = graph_space(3, [(0, 1, 1), (1, 2, 1)])
         weighted = graph_space(3, [(0, 1, 1), (1, 2, Fraction(1, 2))])
-        matrix = WindowSpace(2, matrix=[[0, 1], [1, 0]])
-        assert (unit.unit_weights, weighted.unit_weights, matrix.unit_weights) == (
-            True, False, False)
+        # a matrix is its complete graph: a unit graph when every entry is 1
+        ones = WindowSpace(2, matrix=[[0, 1], [1, 0]])
+        halves = WindowSpace(3, matrix=[[0, Fraction(1, 2), 1], [Fraction(1, 2), 0, 1],
+                                        [1, 1, 0]])
+        assert (unit.unit_weights, weighted.unit_weights, ones.unit_weights,
+                halves.unit_weights) == (True, False, True, False)
         assert unit.graph_neighbors == weighted.graph_neighbors == ((1,), (0, 2), (1,))
-        assert matrix.graph_neighbors is None
+        assert ones.graph_neighbors == ((1,), (0,))
+        assert halves.graph_neighbors == ((1, 2), (0, 2), (0, 1))
 
     def test_read_only(self):
         space = graph_space(2, [(0, 1, Fraction(1, 2))])
@@ -905,6 +905,36 @@ class TestSerialization:
         )
         assert s.dist(0, 2) == 2
 
+    @pytest.mark.parametrize("entries", [
+        [["0/1"]],
+        [["0/1", "1/1"], ["1/1", "0/1"]],
+        [["0/1", "1/1", "1/1", "1/1"], ["1/1", "0/1", "1/1", "1/1"],
+         ["1/1", "1/1", "0/1", "1/1"], ["1/1", "1/1", "1/1", "0/1"]],
+        [["0/1", "1/2", "5/6"], ["1/2", "0/1", "1/3"], ["5/6", "1/3", "0/1"]],
+        [["0/1", "3/1", "2/1"], ["3/1", "0/1", "5/1"], ["2/1", "5/1", "0/1"]],
+    ], ids=["one-point", "ones-2", "ones-4", "rational", "integer"])
+    def test_matrix_file_round_trips_byte_for_byte(self, entries):
+        # the rows are rebuilt from the complete graph's weights, or, on an
+        # all-ones matrix, which keeps no weights, from its unit edges
+        n = len(entries)
+        doc = {"points": n, "metric": {"type": "matrix", "entries": entries},
+               "frontier": [n - 1], "label": "hand"}
+        space = space_from_json(doc)
+        assert space.unit_weights == all(v in ("0/1", "1/1") for row in entries for v in row)
+        assert dump_json(space_to_json(space)) == dump_json(doc)
+        for x, row in enumerate(entries):
+            assert [space.dist(x, y) for y in range(n)] == list(map(Fraction, row))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_graphs())
+    def test_floyd_warshall_matrix_files_round_trip(self, graph):
+        n, edges, frontier = graph
+        entries = [[f"{d.numerator}/{d.denominator}" for d in row]
+                   for row in floyd_warshall(n, edges)]
+        doc = {"points": n, "metric": {"type": "matrix", "entries": entries},
+               "frontier": sorted(frontier), "label": "fw"}
+        assert dump_json(space_to_json(space_from_json(doc))) == dump_json(doc)
+
     def test_bad_files_raise_config_error(self):
         with pytest.raises(ConfigError):
             space_from_json({"points": 2})
@@ -964,15 +994,17 @@ class TestGeneratorDescriptor:
         assert space_to_json(space)["generator"]["kind"] == "union"
 
     def test_spaces_without_a_generator(self):
+        # library-only outputs: no CLI command writes these files; a union
+        # or product over the subspace is a graph file
         sub = subspace(grid_window(1, 0, 5), [0, 2, 3])
         matrix = space_from_json({"points": 2, "frontier": [0], "label": "m", "metric": {
             "type": "matrix", "entries": [["0", "1"], ["1", "0"]]}})
         for space, digest in [
             (sub, "dff4c817a6e04ddee9af6311589e257d22c2c3d413deda9453e3c084982c6466"),
             (product_with_interval(sub, 2),
-             "43f2ea07f282c6ba11c9a21d11802fbaef52a67320036828a7817257c1646938"),
+             "2740301b8b11e6e967741293376a96b01a3ba4928f50c4d4fec80f7ce02b7361"),
             (disjoint_union([grid_window(1, 0, 2), sub], [1, 2]),
-             "fd59bc56f5e5b487dfb9859467fdcfb454944fe704ea0557389acb681d7251cc"),
+             "caf19f3be1718e388eda36a475d032b5341f6d29ca3ca431be3a81bcb721d995"),
             (matrix, None),
         ]:
             assert "generator" not in space_to_json(space), space.label
@@ -1013,9 +1045,8 @@ def generator_specs(depth=2):
 
 def assert_same_as_rebuild(space):
     twin = rebuild_space(space)
-    for field in ("n", "_nbrs", "_wts", "_scale", "_matrix", "frontier", "label"):
+    for field in ("n", "_nbrs", "_wts", "_scale", "_bound", "_dense", "frontier", "label"):
         assert getattr(space, field) == getattr(twin, field), field
-    assert getattr(space, "_bound", None) == getattr(twin, "_bound", None)
     assert space_to_json(space) == space_to_json(twin)
 
 
@@ -1037,13 +1068,37 @@ class TestTrustedGenerators:
     @given(generator_specs(1), rational_graphs(), st.lists(RATIONAL, min_size=2, max_size=2),
            st.integers(1, 3))
     def test_unions_and_products_over_a_matrix_part(self, spec, graph, spacing, levels):
+        # the matrix part joins as its complete graph, so each is a graph
         n, edges, frontier = graph
         matrix = WindowSpace(n, frontier=frontier, matrix=floyd_warshall(n, edges))
         for space in (disjoint_union([generate(spec), matrix], sorted(spacing)),
                       disjoint_union([matrix, generate(spec)], sorted(spacing)),
                       product_with_interval(matrix, levels)):
-            assert space._matrix is not None and space.meta["spec"] is None
+            assert not space._dense and space.meta["spec"] is None
             assert_same_as_rebuild(space)
+
+    @settings(max_examples=30, deadline=None)
+    @given(unit_graphs(), st.integers(1, 3))
+    def test_a_union_or_product_over_a_matrix_part_is_a_graph_file(self, graph, levels):
+        # its reload has the distances of the union and product conventions
+        # over the part's Floyd-Warshall distances
+        n, edges, frontier = graph
+        D = np.array([[int(d) for d in row] for row in floyd_warshall(n, edges)])
+        matrix = WindowSpace(n, frontier=frontier, matrix=D.tolist())
+        line = np.arange(3)
+        steps = abs(np.arange(levels)[:, None] - np.arange(levels)[None, :])
+        across = 2 + line[:, None] + D[0][None, :]  # spacing[1] + d(x, base) + d(base, y)
+        for space, expected in [
+            (disjoint_union([grid_window(1, 0, 2), matrix], [1, 2]),
+             np.block([[abs(line[:, None] - line[None, :]), across], [across.T, D]])),
+            (product_with_interval(matrix, levels),  # (z, i) has id z * levels + i
+             (D[:, None, :, None] + steps[None, :, None, :]).reshape(n * levels, -1)),
+        ]:
+            doc = space_to_json(space)
+            assert doc["metric"]["type"] == "graph"
+            back = space_from_json(doc)
+            assert (dist_matrix(back) == expected).all()
+            assert space_to_json(back) == doc
 
     @pytest.mark.parametrize("spec, digest", [
         ({"kind": "grid", "dim": 3, "low": -1, "high": 2},
@@ -1180,16 +1235,17 @@ class TestGeneratedFileMustMatch:
 
 class TestRememberedBalls:
     """The balls a window remembers: at most its cap of distances (its
-    adjacency entries on a graph, n on a matrix), the oldest dropped first,
-    and a remembered ball answers `_ball_ints` and `reach` with what a
-    search lists, in its order, without a search."""
+    adjacency entries, n(n - 1) on a matrix, and at least n), the oldest
+    dropped first, and a remembered ball answers `_ball_ints` and `reach`
+    with what a search lists, in its order, without a search."""
 
     @staticmethod
     def check(n, edges, data):
         D = floyd_warshall(n, edges)
         radii = sorted({d for row in D for d in row} | {Fraction(1, 7)})
-        for space in (graph_space(n, edges), WindowSpace(n, matrix=D)):
-            assert space._cap == (n if space.graph_neighbors is None else max(n, 2 * len(edges)))
+        for space, entries in ((graph_space(n, edges), 2 * len(edges)),
+                               (WindowSpace(n, matrix=D), n * (n - 1))):
+            assert space._cap == max(n, entries)
             for _ in range(12):
                 x = data.draw(st.integers(0, n - 1))
                 limit = space._limit(data.draw(st.sampled_from(radii)))
@@ -1213,17 +1269,20 @@ class TestRememberedBalls:
         self.check(n, edges, data)
 
     def test_a_full_window_family_keeps_at_most_its_cap(self):
-        # the 13 x 13 grid's 312 edges give 624 adjacency entries; its
-        # matrix twin keeps n = 169 distances
+        # the 13 x 13 grid's 312 edges give 624 adjacency entries, fewer than
+        # the 3,517 distances of its 169 radius-3 balls; its matrix twin's
+        # complete graph has 169 * 168 = 28,392, and keeps every ball
         grid = grid_window(2, 0, 12)
         twin = WindowSpace(grid.n, matrix=[[grid.dist(x, y) for y in range(grid.n)]
                                            for x in range(grid.n)])
-        for space, cap in ((grid, 624), (twin, 169)):
+        for space, cap in ((grid, 624), (twin, 28392)):
             ball_family(space, 3, R=1, epsilon=1)
             kept = list(space._balls)
             assert space._cap == cap
-            assert cap - 25 < space._held == sum(len(space._balls[x][1]) for x in kept) <= cap
+            assert space._held == sum(len(space._balls[x][1]) for x in kept) <= cap
             assert kept == list(range(space.n))[-len(kept):]  # the latest balls
+        assert 624 - 25 < grid._held
+        assert (len(twin._balls), twin._held) == (169, 3517)
 
     def test_the_oldest_ball_is_dropped_first(self, monkeypatch):
         line = grid_window(1, 0, 9)  # 9 edges: a cap of 18 distances

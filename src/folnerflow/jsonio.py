@@ -13,10 +13,10 @@ plus a newline, byte for byte, by rendering the document itself: a list of
 ints or of strs is one join; a list of equal-length lists (edges, chain
 weights, tails) is one %-template per row, filled a column at a time, an
 all-int or all-str column by one map and a column of int lists by one join
-per cell; dicts and other lists recurse. A document with anything else (a
-float, a non-str key, a subclass of a container or scalar, a nesting too
-deep) goes to `json.dumps` as a whole, which renders it or raises its own
-exception.
+per cell; dicts and other lists recurse. Anything else (a float, a
+non-str key, a subclass of a container or scalar) is a TypeError, as in
+`to_doc`, so no float reaches an artifact; a loop, or a nesting deeper than
+the recursion limit, is a RecursionError.
 """
 
 from __future__ import annotations
@@ -117,10 +117,6 @@ def parse_ids(spec) -> list:
     raise ConfigError(f'expected ids as "a..b", "a,b", an int or a list, got {spec!r}')
 
 
-class _Unhandled(Exception):
-    """A value `_render` leaves to `json.dumps`."""
-
-
 def _table(rows, ind):
     """The rows, lists of one length k >= 1, as `json.dumps` lays them out
     one level below `ind`: one %-template per row, filled column by column,
@@ -147,7 +143,7 @@ def _table(rows, ind):
 
 def _render(v, ind) -> str:
     """`v` as `json.dumps(v, indent=2, sort_keys=True)` renders it at the
-    nesting whose line break and indent is `ind`; _Unhandled for a value of
+    nesting whose line break and indent is `ind`; TypeError for a value of
     any other type (exact types only, so a subclass is one)."""
     t = type(v)
     if t is str:
@@ -176,20 +172,18 @@ def _render(v, ind) -> str:
         if not v:
             return "{}"
         if set(map(type, v)) != {str}:
-            raise _Unhandled
+            raise TypeError(f"{next(k for k in v if type(k) is not str)!r} cannot be a JSON key")
         inner = ind + "  "
         return "{" + inner + ("," + inner).join(
             [_quote(k) + ": " + _render(v[k], inner) for k in sorted(v)]) + ind + "}"
-    raise _Unhandled
+    raise TypeError(f"{v!r} ({t.__name__}) cannot go into an artifact")
 
 
 def dump_json(obj, path=None) -> str:
     """Deterministic JSON text (sorted keys, trailing newline): the bytes of
-    `json.dumps(obj, indent=2, sort_keys=True)`, see the module docstring."""
-    try:
-        text = _render(obj, "\n") + "\n"
-    except (_Unhandled, RecursionError):
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    `json.dumps(obj, indent=2, sort_keys=True)`, or a TypeError for what it
+    does not render (see the module docstring)."""
+    text = _render(obj, "\n") + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text

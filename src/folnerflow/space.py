@@ -20,10 +20,10 @@ truncated search: a BFS one node at a time when every weight is 1, int
 Dijkstra otherwise. `dist` and `reach` stop at their last target. A radius
 R (an int or Fraction >= 0, see `check_radius`) is compared as
 d_int <= floor(R * L). `Fraction` appears only at the API and JSON boundary.
-Generators build adjacency; only a subspace, or a window given as matrix
-rows, is written back as matrix rows. On a matrix of n points a search
-reads up to n(n - 1) edges, below the O(n^3) triangle check its file pays
-when it loads.
+Generators, one row of `_KINDS` per kind, build adjacency; only a subspace,
+or a window given as matrix rows, is written back as matrix rows. On a
+matrix of n points a search reads up to n(n - 1) edges, below the O(n^3)
+triangle check its file pays when it loads.
 
 A window remembers its most recent single-centre balls, one per centre,
 dropping the oldest first once they hold more distances than its cap: the
@@ -46,8 +46,10 @@ import heapq
 import itertools
 import math
 import numbers
+from collections import namedtuple
 from collections.abc import Set
 from fractions import Fraction
+from functools import reduce
 from operator import le
 
 from .errors import ConfigError
@@ -713,84 +715,82 @@ def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
                        _scale=L, _wts=wts)
 
 
-def generate(spec: dict) -> WindowSpace:
-    """Build a window from a generator descriptor (see the file-format docs);
-    ConfigError naming a size field that is not an int, or a key not read."""
+def _powers(first, ratio, terms, cap):  # first * (1 + ratio + ... + ratio^(terms - 1))
+    total, term = 0, first
+    for _ in range(terms if ratio > 1 else 0):  # O(log cap) rounds
+        total, term = total + term, term * ratio
+        if total > cap:
+            break
+    return total if ratio > 1 else first * terms
+
+
+_Kind = namedtuple("_Kind", "fields count build")
+# Each generator kind: its fields, each a type ([dict]: a list of descriptors)
+# or an int default; its point count from them and a cap, exact up to the cap
+# where the build succeeds and stopping past it in the build's order (parts,
+# then a base, then levels); and its build, the one place values are refused.
+_KINDS = {
+    "grid": _Kind({"dim": 1, "low": int, "high": int},  # side^dim = 1 + (side - 1)(1 + ...)
+                  lambda dim, low, high, cap: 1 + _powers(high - low, high - low + 1, dim, cap),
+                  grid_window),
+    "cycle": _Kind({"length": int}, lambda length, cap: length, cycle_window),
+    "tree": _Kind({"branching": int, "depth": int},  # b children per vertex
+                  lambda branching, depth, cap: _powers(1, branching, depth + 1, cap), tree_window),
+    "regular_tree": _Kind({"degree": int, "depth": int},  # b at the root, b - 1 below
+                          lambda degree, depth, cap: 1 + _powers(degree, degree - 1, depth, cap),
+                          regular_tree_window),
+    "union": _Kind({"parts": [dict], "spacing": list}, lambda parts, spacing, cap: reduce(
+        lambda total, part: total if total > cap else total + _spec_points(part, cap), parts, 0),
+        lambda parts, spacing: disjoint_union(list(map(generate, parts)),
+                                              map(parse_rational, spacing))),
+    "product": _Kind({"base": dict, "levels": int}, lambda base, levels, cap:
+                     (points := _spec_points(base, cap)) * (levels if points <= cap else 1),
+                     lambda base, levels: product_with_interval(generate(base), levels)),
+}
+
+
+def _read(spec) -> tuple:
+    """(row, fields): the `_KINDS` row of a generator descriptor and its
+    fields, defaults filled in, once the whole descriptor, nested ones too,
+    is read without building anything; ConfigError naming what it refuses."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("generator spec must be a dict with a 'kind' key")
     kind = spec["kind"]
+    if type(kind) is not str or kind not in _KINDS:
+        raise ConfigError(f"unknown generator kind {kind!r}")
+    row, name = _KINDS[kind], f"generator spec for {kind!r}"
+    lists = [key for key, form in row.fields.items() if form in (list, [dict])]
+    for key, form in row.fields.items():
+        if key not in spec and type(form) is not int:
+            raise ConfigError(f"{name} is missing {key!r}")
+        value = spec.get(key, form)
+        if key in lists and type(value) is not list:
+            raise ConfigError(f"{name}: {' and '.join(lists)} must be lists")
+        if (form is int or type(form) is int) and type(value) is not int:
+            raise ConfigError(f"{name}: {key} must be an int, got {value!r}")
+        for nested in [value] if form is dict else value if form == [dict] else ():
+            _read(nested)
+    if extra := spec.keys() - {"kind", *row.fields}:
+        raise ConfigError(f"{name} does not read {', '.join(sorted(map(repr, extra)))}")
+    return row, {key: spec.get(key, form) for key, form in row.fields.items()}
 
-    def size(key, default=None):
-        v = spec[key] if default is None else spec.get(key, default)
-        if type(v) is not int:
-            raise ConfigError(f"generator spec for {kind!r}: {key} must be an int, got {v!r}")
-        return v
 
+def generate(spec: dict) -> WindowSpace:
+    """Build a window from a generator descriptor (see the file-format docs):
+    `_read`'s ConfigError, or one for a value its kind's build refuses."""
+    row, fields = _read(spec)
     try:
-        if kind == "grid":
-            space = grid_window(size("dim", 1), size("low"), size("high"))
-        elif kind == "cycle":
-            space = cycle_window(size("length"))
-        elif kind == "tree":
-            space = tree_window(size("branching"), size("depth"))
-        elif kind == "regular_tree":
-            space = regular_tree_window(size("degree"), size("depth"))
-        elif kind == "union":
-            parts, spacing = spec["parts"], spec["spacing"]
-            if type(parts) is not list or type(spacing) is not list:
-                raise ConfigError("generator spec for 'union': parts and spacing must be lists")
-            space = disjoint_union([generate(s) for s in parts], map(parse_rational, spacing))
-        elif kind == "product":
-            space = product_with_interval(generate(spec["base"]), size("levels"))
-        else:
-            raise ConfigError(f"unknown generator kind {kind!r}")
-    except KeyError as e:
-        raise ConfigError(f"generator spec for {kind!r} is missing {e}") from e
+        return row.build(**fields)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    # the space's own descriptor holds every key its kind reads, and no other
-    if extra := spec.keys() - space.meta["spec"].keys():
-        raise ConfigError(f"generator spec for {kind!r} does not read "
-                          f"{', '.join(sorted(map(repr, extra)))}")
-    return space
 
 
-def _spec_points(spec, cap):
-    """The point count of `generate(spec)`, or a count above `cap` once the
-    parts `generate` builds first pass it, so no int much above `cap` is
-    made; None where `generate` rejects the spec before building past `cap`."""
-    get = spec.get if type(spec) is dict else {}.get
-    kind, dim, depth = get("kind"), get("dim", 1), get("depth")
-    ints = lambda *values: all(type(v) is int for v in values)
-
-    def powers(first, ratio, terms):  # first * (1 + ratio + ... + ratio^(terms-1))
-        total, term = 0, first
-        for _ in range(terms if ratio > 1 else 0):  # O(log cap) rounds
-            total, term = total + term, term * ratio
-            if total > cap:
-                break
-        return total if ratio > 1 else first * terms
-
-    if kind == "grid" and ints(dim, get("low"), get("high")):
-        side = get("high") - get("low") + 1  # side^dim = 1 + (side - 1)(1 + ... + side^(dim-1))
-        return 1 + powers(side - 1, side, dim) if dim > 0 and side > 0 else None
-    if kind == "cycle" and ints(get("length")):
-        return get("length") if get("length") > 0 else None
-    b = get("branching" if kind == "tree" else "degree")
-    if kind in ("tree", "regular_tree") and ints(b, depth) and depth >= 0 and b > (kind != "tree"):
-        # a tree's vertices have b children; a regular tree's root b, the others b - 1
-        return powers(1, b, depth + 1) if kind == "tree" else 1 + powers(b, b - 1, depth)
-    parts = get("parts") if kind == "union" and type(get("spacing")) is list else [get("base")]
-    if kind not in ("union", "product") or type(parts) is not list:
-        return None
-    total = 0
-    for part in parts:  # generate builds a union's parts, or a product's base, first
-        count = _spec_points(part, cap)
-        if count is None or count > cap - total:
-            return None if count is None else total + count
-        total += count
-    levels = get("levels") if kind == "product" else 1
-    return total * levels if ints(levels) and levels > 0 else None
+def _spec_points(spec, cap) -> int:
+    """The point count of `generate(spec)`, exact up to `cap` and past it as
+    soon as the build would be, so no int much above `cap` is made;
+    `_read`'s ConfigError where it refuses the spec."""
+    row, fields = _read(spec)
+    return row.count(**fields, cap=cap)
 
 
 # -- serialization ---------------------------------------------------------
@@ -836,7 +836,7 @@ def space_from_json(doc: dict) -> WindowSpace:
     edges ([x, y, weight] triples), at least a row per point or points - 1
     edges, `frontier` a list of int ids, `label` a str, and, with a
     `generator`, unless all four and the generator itself match its space's
-    file. A generator's point count is compared before anything is built."""
+    file. A generator is read whole, and its point count compared, first."""
     if type(doc) is not dict:
         raise ConfigError(f"a space file must be a JSON object, got a {type(doc).__name__}")
     try:
@@ -865,7 +865,7 @@ def space_from_json(doc: dict) -> WindowSpace:
     fits = type(held) is list and len(held) >= n - (kind != "matrix")
     gen = doc.get("generator")
     if gen is not None:  # a generated file must be the file of its generator's space
-        bad = "points" if _spec_points(gen, n) not in (None, n) else None if fits else "metric"
+        bad = "points" if _spec_points(gen, n) != n else None if fits else "metric"
         if not bad:
             space = generate(gen)
             made = space_to_json(space)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import folnerflow
 from folnerflow import Chain, FamilyParams, IndexedFamily, WindowSpace, boundary
 from folnerflow.rips import FlowField
-from folnerflow.space import check_radius, space_to_json
+from folnerflow.space import _KINDS, check_radius, space_to_json
 from folnerflow.tails import TailCoverReport
 
 
@@ -108,6 +108,35 @@ def unit_graphs(draw):
     edges += [(x, y, 1) for x, y in extra if x != y]
     frontier = draw(st.sets(st.integers(0, n - 1), max_size=max(1, n // 4)))
     return n, edges, frontier
+
+
+@st.composite
+def descriptors(draw, depth=2):
+    """A generator descriptor drawn from the table of kinds, `space._KINDS`:
+    any kind, unions and products nested up to `depth` levels, every size a
+    small int with the refused ones (0, -1, an empty grid range) among them,
+    an int default sometimes left out, and a union's spacing as many
+    rationals as it has parts, nondecreasing and sometimes 0, or one too
+    many. Drawn from the table's fields, so a new kind or field is drawn too."""
+    kinds = [kind for kind, row in _KINDS.items()  # below `depth`, the kinds that nest none
+             if depth or not any(form is dict or form == [dict] for form in row.fields.values())]
+    kind = draw(st.sampled_from(kinds))
+    spec, parts = {"kind": kind}, 0
+    for key, form in _KINDS[kind].fields.items():
+        if form is dict:
+            spec[key] = draw(descriptors(depth - 1))
+        elif form == [dict]:
+            spec[key] = draw(st.lists(descriptors(depth - 1), min_size=1, max_size=3))
+            parts = len(spec[key])
+        elif form is list:
+            size = parts + draw(st.sampled_from([0] * 7 + [1]))
+            spacing = st.sampled_from(["0"] + ["1/2", "1", "3"] * 3)
+            spec[key] = sorted(draw(st.lists(spacing, min_size=size, max_size=size)),
+                               key=Fraction)
+        elif type(form) is not int or draw(st.booleans()):
+            # a size the build takes two times in three, so nested kinds often build
+            spec[key] = draw(st.integers(-1, 3) | st.integers(1, 3) | st.integers(1, 3))
+    return spec
 
 
 @st.composite

@@ -198,7 +198,7 @@ json_leaves = st.one_of(
 json_docs = st.recursive(json_leaves, lambda children: st.one_of(
     st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
     st.dictionaries(texts, children, max_size=4), rows(children, min_size=1)), max_leaves=25)
-# a value the writer leaves to json.dumps, somewhere inside a clean doc
+# a value json.dumps would write but the writer refuses, somewhere inside a clean doc
 unhandled = st.one_of(
     st.floats(), st.builds(Int, st.integers()), st.builds(Str, texts),
     st.builds(Pair, ints, texts),
@@ -213,28 +213,30 @@ with_unhandled = st.recursive(unhandled, lambda child: st.one_of(
     st.builds(lambda x, y: [[1, x], [2, y]], child, scalars)), max_leaves=6)
 
 
-def assert_writes_as_json_dumps(doc):
-    """dump_json(doc) is json.dumps's text plus a newline, or raises the
-    exception type json.dumps raises."""
-    try:
-        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    except Exception as e:
-        with pytest.raises(type(e)):
-            dump_json(doc)
-    else:
-        assert dump_json(doc) == expected
-
-
 class TestDumpJson:
     @settings(max_examples=300, deadline=None)
     @given(json_docs)
     def test_matches_json_dumps(self, doc):
-        assert_writes_as_json_dumps(doc)
+        assert dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @settings(max_examples=200, deadline=None)
     @given(with_unhandled)
-    def test_falls_back_to_json_dumps(self, doc):
-        assert_writes_as_json_dumps(doc)
+    def test_refuses_what_it_does_not_render(self, doc):
+        # no fallback: json.dumps writes each of these (a float as a float),
+        # the writer raises as to_doc does
+        json.dumps(doc)
+        with pytest.raises(TypeError):
+            dump_json(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"points": 1.5}, "1.5 (float) cannot go into an artifact"),
+        ([[0, 1, "1/1"], [1, 2, 0.5]], "0.5 (float) cannot go into an artifact"),
+        ({"a": {3: "x"}}, "3 cannot be a JSON key"),
+    ], ids=["float", "float-in-a-table", "int-key"])
+    def test_refusal_names_the_value(self, doc, message):
+        with pytest.raises(TypeError) as info:
+            dump_json(doc)
+        assert str(info.value) == message
 
     def test_pinned_text(self):
         doc = {"b": [[1, "x"], [2, "\u00e9"]], "a": (True, 1, None, []), "c": {}}
@@ -250,7 +252,8 @@ class TestDumpJson:
         for _ in range(5000):
             deep = [deep]
         for doc in (loop, {"a": [loop]}, deep):
-            assert_writes_as_json_dumps(doc)
+            with pytest.raises(RecursionError):
+                dump_json(doc)
 
     def test_writes_the_text_it_returns(self, tmp_path):
         doc = {"edges": [[0, 1, "1/1"], [1, 2, "3/2"]], "points": 3}

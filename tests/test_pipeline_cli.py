@@ -863,7 +863,7 @@ class TestMalformedStages:
         space = grid_window(1, 0, 4)
         doc = rips_to_json(space, build_rips(space, 1))
         doc["edges"] = edges
-        dump_json(doc, tmp_path / "r.json")
+        (tmp_path / "r.json").write_text(json.dumps(doc))  # dump_json refuses a float
         r = run_cli(["flow", "build", "--rips", "r.json", "--out", "f.json"], tmp_path)
         assert (r.returncode, r.stdout, r.stderr) == (
             2, "", f"error: rips file edges must be a list, got {edges!r}\n")
@@ -1255,7 +1255,16 @@ class TestForgedSizes:
         {"kind": "product", "base": {"kind": "cycle", "length": 121}, "levels": 10 ** 9},
         {"kind": "union", "parts": [{"kind": "cycle", "length": 11}] * 2 + [
             {"kind": "grid", "dim": 999, "low": 0, "high": 1}], "spacing": ["1", "2", "3"]},
-    ], ids=["grid-dim", "grid-high", "tree-depth", "product-levels", "union-part"])
+        # a later part, or a product's levels, that counts below 0 does not
+        # bring a count past the points back to them: the huge grid comes first
+        {"kind": "union", "parts": [{"kind": "grid", "dim": 64, "low": 0, "high": 1},
+                                    {"kind": "cycle", "length": 121 - 128}],
+         "spacing": ["1", "2"]},
+        {"kind": "union", "parts": [
+            {"kind": "product", "base": {"kind": "grid", "dim": 64, "low": 0, "high": 1},
+             "levels": -1}, {"kind": "cycle", "length": 121 + 128}], "spacing": ["1", "2"]},
+    ], ids=["grid-dim", "grid-high", "tree-depth", "product-levels", "union-part",
+            "union-part-below-0", "product-levels-below-0"])
     def test_generator_descriptor(self, tmp_path, forge):
         doc = space_to_json(grid_window(1, -60, 60))  # 121 points
         if "kind" in forge:
@@ -1307,3 +1316,36 @@ class TestForgedSizes:
         assert (r.returncode, r.stdout, r.stderr) == (
             2, "", "error: space file points 10000000000 need at least 9999999999 graph "
             "edges, got 120\n")
+
+
+class TestDescriptorReadWhole:
+    """A generator descriptor is read whole before anything is built, so a
+    key the kind does not read, or a size that is not an int, is named
+    before a value the build would refuse; and a file whose descriptor
+    counts other than its points is refused on the count, before the build
+    could refuse a value."""
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "cycle", "length": -1, "foo": 1},
+         "generator spec for 'cycle' does not read 'foo'"),
+        ({"kind": "product", "base": {"kind": "grid", "dim": 10 ** 9, "low": 0, "high": 1},
+          "levels": "x"}, "generator spec for 'product': levels must be an int, got 'x'"),
+        ({"kind": "union", "parts": [{"kind": "cycle", "length": 3}, {"kind": "wat"}]},
+         "unknown generator kind 'wat'"),
+    ], ids=["key-before-value", "levels-before-base", "part-before-spacing"])
+    def test_space_gen(self, tmp_path, spec, message):
+        r = run_capped_cli(["space", "gen", "--spec", json.dumps(spec), "--out", "s.json"],
+                           tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("generator", [
+        {"kind": "grid", "dim": 0, "low": 0, "high": 4}, {"kind": "cycle", "length": 0},
+    ], ids=["grid-dim-0", "cycle-empty"])
+    def test_file_count_before_value(self, tmp_path, generator):
+        doc = space_to_json(grid_window(1, 0, 4))  # 5 points
+        doc["generator"] = generator
+        dump_json(doc, tmp_path / "s.json")
+        r = run_capped_cli(["space", "info", "--space", "s.json"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: space file points does not match its generator descriptor\n")

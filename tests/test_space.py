@@ -15,6 +15,7 @@ from conftest import (
     assert_metric_axioms,
     bfs_all_pairs,
     count_searches,
+    descriptors,
     dist_matrix,
     floyd_warshall,
     graph_space,
@@ -39,12 +40,27 @@ from folnerflow import (
 from folnerflow.constructions import build_box_space, subspace
 from folnerflow.errors import ConfigError
 from folnerflow.jsonio import dump_json
-from folnerflow.space import _spec_points, check_radius, space_from_json, space_to_json
+from folnerflow.space import (_KINDS, _spec_points, check_radius, space_from_json,
+                              space_to_json)
 
 
 def ids_of_coords(space, *coords):
     index = space.meta["coord_index"]
     return [index[c if isinstance(c, tuple) else (c,)] for c in coords]
+
+
+def assert_files_refused(spec, message, points_tried):
+    """A space file that carries the generator descriptor `spec`, with edges
+    enough for its points, is refused at each of `points_tried`: naming
+    `points` where the descriptor counts others, else with `message`, the
+    build's own refusal."""
+    for points in points_tried:
+        doc = {"points": points, "frontier": [], "label": "", "generator": spec,
+               "metric": {"type": "graph", "edges": [[0, 1, "1/1"]] * points}}
+        with pytest.raises(ConfigError) as info:
+            space_from_json(doc)
+        assert str(info.value) == (message if _spec_points(spec, points) == points else
+                                   "space file points does not match its generator descriptor")
 
 
 class TestGenerators:
@@ -1184,30 +1200,54 @@ class TestGeneratedFileMustMatch:
         {"kind": "grid", "dim": 10 ** 9, "low": 0, "high": 1},
         {"kind": "tree", "branching": 2, "depth": 10 ** 9},
         {"kind": "regular_tree", "degree": 3, "depth": 10 ** 9},
+        # the base is built first, so its count past the cap is the product's
         {"kind": "product", "base": {"kind": "grid", "dim": 10 ** 9, "low": 0, "high": 1},
-         "levels": "x"},
+         "levels": 10 ** 9},
     ], ids=["grid", "tree", "regular-tree", "product-base"])
     def test_point_count_stops_past_the_cap(self, spec):
         count = _spec_points(spec, 121)
         assert 121 < count < 4 * 121
 
     @pytest.mark.parametrize("spec", [
-        {"kind": "wat"}, {"kind": "grid", "dim": 0, "low": 0, "high": 3},
-        {"kind": "grid", "dim": True, "low": 0, "high": 3}, {"kind": "cycle", "length": 0},
-        {"kind": "tree", "branching": 0, "depth": 3},
-        {"kind": "regular_tree", "degree": 1, "depth": 3},
-        {"kind": "union", "parts": [{"kind": "cycle", "length": 3}], "spacing": "1"},
-        {"kind": "union", "parts": [{"kind": "cycle", "length": 3}, {"kind": "wat"}],
-         "spacing": ["1", "2"]},
-        {"kind": "product", "base": {"kind": "cycle", "length": 3}},
+        {"kind": "union", "parts": [{"kind": "grid", "dim": 64, "low": 0, "high": 1},
+                                    {"kind": "cycle", "length": -7}], "spacing": [1, 2]},
+        {"kind": "product", "base": {"kind": "grid", "dim": 64, "low": 0, "high": 1},
+         "levels": 0},
+        {"kind": "union", "parts": [
+            {"kind": "product", "base": {"kind": "grid", "dim": 64, "low": 0, "high": 1},
+             "levels": -1}, {"kind": "cycle", "length": 249}], "spacing": [1, 2]},
+    ], ids=["union-later-part-below-0", "product-levels-0", "product-levels-below-0"])
+    def test_point_count_past_the_cap_stays_past_it(self, spec):
+        # generate builds a union's parts and a product's base first, so a
+        # count below 0 after them cannot bring the count back to the cap
+        assert _spec_points(spec, 121) == 128
+
+    @pytest.mark.parametrize("spec, counted", [
+        ({"kind": "wat"}, False), ({"kind": "grid", "dim": 0, "low": 0, "high": 3}, True),
+        ({"kind": "grid", "dim": True, "low": 0, "high": 3}, False),
+        ({"kind": "cycle", "length": 0}, True),
+        ({"kind": "tree", "branching": 0, "depth": 3}, True),
+        ({"kind": "regular_tree", "degree": 1, "depth": 3}, True),
+        ({"kind": "union", "parts": [{"kind": "cycle", "length": 3}], "spacing": "1"}, False),
+        ({"kind": "union", "parts": [{"kind": "cycle", "length": 3}, {"kind": "wat"}],
+          "spacing": ["1", "2"]}, False),
+        ({"kind": "product", "base": {"kind": "cycle", "length": 3}}, False),
+        # read whole before its base is counted or built
+        ({"kind": "product", "base": {"kind": "grid", "dim": 10 ** 9, "low": 0, "high": 1},
+          "levels": "x"}, False),
     ], ids=["unknown-kind", "grid-dim-0", "grid-dim-bool", "cycle-empty", "tree-branching-0",
             "regular-tree-degree-1", "union-spacing-str", "union-part-unknown",
-            "product-no-levels"])
-    def test_no_point_count_where_generate_refuses(self, spec):
-        # generate's own error then names the field
-        assert _spec_points(spec, 100) is None
-        with pytest.raises(ConfigError):
+            "product-no-levels", "product-levels-str"])
+    def test_no_point_count_where_generate_refuses(self, spec, counted):
+        with pytest.raises(ConfigError) as refused:
             generate(spec)
+        if not counted:  # refused as it is read: the count raises generate's own error
+            with pytest.raises(ConfigError) as info:
+                _spec_points(spec, 100)
+            assert str(info.value) == str(refused.value)
+            return
+        # a value the build refuses: refused in a file too, whatever its points
+        assert_files_refused(spec, str(refused.value), range(1, 13))
 
     def test_descriptor_key_not_read(self):
         # such a file used to load, and re-serialize without the key
@@ -1231,6 +1271,38 @@ class TestGeneratedFileMustMatch:
         doc = copy.deepcopy(tree_doc)
         doc["frontier"] = doc["frontier"][::-1] + doc["frontier"][:1]
         assert space_to_json(space_from_json(doc)) == tree_doc
+
+
+class TestKindsTable:
+    """`generate`, the count a file's points are held to, the loader and the
+    builders' own descriptors agree over descriptors drawn from `_KINDS`."""
+
+    @staticmethod
+    def kinds_read(spec):
+        """Every descriptor in `spec`, nested ones too, with its kind's fields."""
+        yield spec, _KINDS[spec["kind"]].fields
+        for key, form in _KINDS[spec["kind"]].fields.items():
+            for nested in [spec[key]] if form is dict else spec[key] if form == [dict] else ():
+                yield from TestKindsTable.kinds_read(nested)
+
+    @settings(max_examples=200, deadline=None)
+    @given(descriptors())
+    def test_count_build_and_file_agree(self, spec):
+        try:
+            space = generate(spec)
+        except ConfigError as e:  # refused in a file too, whatever its points
+            count = _spec_points(spec, 10 ** 4)  # the points a file would need to reach the build
+            assert_files_refused(spec, str(e), {*range(1, 9), min(max(count, 1), 10 ** 4)})
+            return
+        n = space.n
+        for cap in (1, n - 1, n, n + 1, 10 ** 9):
+            count = _spec_points(spec, cap)
+            assert count == n if cap >= n else count > cap, cap
+        # each builder records exactly the fields its kind's row reads
+        for made, fields in self.kinds_read(space.meta["spec"]):
+            assert made.keys() == {"kind", *fields}
+        doc = space_to_json(space)
+        assert space_to_json(space_from_json(doc)) == doc
 
 
 class TestRememberedBalls:

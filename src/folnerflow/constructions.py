@@ -87,7 +87,7 @@ def foelner_search(space: WindowSpace, R, epsilon):
 
 
 def _grid_coords(space: WindowSpace):
-    if space.meta.get("kind") != "grid":
+    if "coords" not in space.meta:
         raise ValueError("translate families need a grid window (group structure)")
     return space.meta["coords"], space.meta["coord_index"]
 
@@ -314,7 +314,7 @@ def subspace(space: WindowSpace, points) -> WindowSpace:
         frontier=frontier,
         label=f"{space.label}|{len(points)}pts",
         matrix=rows,
-        meta={"kind": "subspace", "points": points},
+        meta={"points": points},
         _scale=space._scale,
     )
 
@@ -329,7 +329,7 @@ def project_family(product_space: WindowSpace, fam: IndexedFamily) -> IndexedFam
     epsilon. Output epsilon is scaled accordingly.
     """
     meta = product_space.meta
-    if meta.get("kind") != "product_interval":
+    if "levels" not in meta:
         raise ValueError("project_family needs a product-with-interval window")
     M = meta["levels"]
     base = meta["base"]

@@ -56,6 +56,14 @@ class PipelineConfig(namedtuple("PipelineConfig", "stages seed", defaults=(0,)))
                     raise ConfigError(f"stage {stage.name!r}: {key} must be an object, got {v!r}")
             if stage.kind not in STAGES:
                 raise ConfigError(f"stage {stage.name!r}: unknown kind {stage.kind!r}")
+            row, family = STAGES[stage.kind], stage.params.get("kind")
+            reads = {"param": set(row.params), "input": row.inputs.keys()}
+            if stage.kind == "family" and type(family) is str:
+                reads["param"].update(_FAMILY_PARAMS.get(family, ()))
+            for key, read in reads.items():  # refused before any stage runs
+                if unread := getattr(stage, f"{key}s").keys() - read:
+                    raise ConfigError(f"stage {stage.name!r} does not read {key} "
+                                      f"{', '.join(sorted(map(repr, unread)))}")
             if stage.name in names:
                 raise ConfigError(f"duplicate stage name {stage.name!r}")
             for role, ref in stage.inputs.items():
@@ -238,6 +246,11 @@ def _project(inputs, p, rng):
         "indices": len(out.chains), "epsilon": format_rational(out.params.epsilon)}
 
 
+# the params each family kind reads, beside the family stage's own
+_FAMILY_PARAMS = {"tent": ("width",), "ball": ("radius",), "translates": ("F",),
+                  "random_multiset": ("M", "size", "spread")}
+
+
 def _make_family(space, p, rng):
     from . import families
     kind = p.get("kind")
@@ -294,21 +307,25 @@ class StageKind(namedtuple("StageKind", [
         "inputs",  # role -> the producer kinds it accepts
         "run",  # (inputs, params, rng) -> (object, {file suffix: JSON doc}, summary)
         "blurb",  # what `explain` says the stage does
-        "fails"],  # whether the stage failed: run fails, CLI exits 1
-        defaults=(lambda summary: False,))):
+        "fails",  # whether the stage failed: run fails, CLI exits 1
+        "params"],  # the params it reads; a config naming another is refused
+        defaults=(lambda summary: False, ()))):
     __slots__ = ()
 
 
 _SPACE = ("generate", "box")
 _FAMILY = ("family", "flatten", "transport", "box")
 STAGES = {
-    "generate": StageKind({}, _generate, "window construction (exact metric, frontier marking)"),
+    "generate": StageKind({}, _generate, "window construction (exact metric, frontier marking)",
+                          params=("spec",)),
     "info": StageKind({"space": _SPACE}, _info, "point count, frontier and largest interior "
-                      "ball per radius"),
-    "rips": StageKind({"space": _SPACE}, _rips, "scale-r neighbourhood graph and component split"),
+                      "ball per radius", params=("radii",)),
+    "rips": StageKind({"space": _SPACE}, _rips, "scale-r neighbourhood graph and component split",
+                      params=("r",)),
     "flow": StageKind({"rips": ("rips",)}, _flow,
                       "exit flow: one tree edge per point toward a frontier sink"),
-    "family": StageKind({"space": _SPACE}, _family, "family construction"),
+    "family": StageKind({"space": _SPACE}, _family, "family construction",
+                        params=("kind", "R", "epsilon", "core")),  # and `_FAMILY_PARAMS`
     "flatten": StageKind({"family": ("family", "transport"), "flow": ("flow",)}, _flatten,
                          "tower shifting to a 0,1-valued family; checks that the worst "
                          "symmetric-difference/intersection ratio never grows",
@@ -321,22 +338,25 @@ STAGES = {
                               lambda summary: not summary["passed"]),
     "transport": StageKind({"family": ("family",), "tails": ("tails",), "space": _SPACE},
                            _transport, "level-to-space transport along tails; ratios can "
-                           "grow by at most the cover multiplicity K"),
+                           "grow by at most the cover multiplicity K", params=("M",)),
     "boundary": StageKind({"space": _SPACE}, _boundary,
-                          "R-boundary of a point set and its size per point"),
+                          "R-boundary of a point set and its size per point", params=("U", "R")),
     "search": StageKind({"space": _SPACE}, _search, "Folner search: the first interior ball "
                         "whose R-boundary is at most epsilon times its size",
-                        lambda summary: not summary["found"]),
+                        lambda summary: not summary["found"], params=("R", "epsilon")),
     "push": StageKind({"family": _FAMILY, "target": _SPACE}, _push,
-                      "pushforward along an injective map into a denser target window"),
+                      "pushforward along an injective map into a denser target window",
+                      params=("map", "target_R")),
     "project": StageKind({"family": _FAMILY}, _project, "projection from an interval "
                          "product; epsilon scales by the number of levels"),
     "box": StageKind({}, _box, "translate family on cyclic quotients; deep boxes must "
                      "reproduce integer translate counting exactly",
-                     lambda summary: summary.get("equalities_hold") is False),
+                     lambda summary: summary.get("equalities_hold") is False,
+                     params=("m", "boxes", "spacing", "F", "R", "epsilon")),
     "verify": StageKind({"family": _FAMILY}, _verify,
                         "ratio bound at range R, support-radius bound S, and "
-                        "(optionally) 0,1-valuedness", lambda summary: not summary["passed"]),
+                        "(optionally) 0,1-valuedness", lambda summary: not summary["passed"],
+                        params=("require_flat",)),
 }
 
 

@@ -14,11 +14,11 @@ scale L, the least common multiple of the weight denominators (no weight
 tuples when every weight is 1). A distance matrix is kept as its complete
 graph: by the triangle inequality each entry is its pair's shortest path.
 So distances inside the library are ints d_int = L * d, and balls, set
-neighbourhoods, frontier distances, distance rows and `reach` (the max
-distance to a point set, with the ball of radius R) all come from one
-truncated search: a BFS one node at a time when every weight is 1, int
-Dijkstra otherwise. `dist` and `reach` stop at their last target. A radius
-R (an int or Fraction >= 0, see `check_radius`) is compared as
+neighbourhoods, frontier distances, nearest sources, distance rows and
+`reach` (the max distance to a point set, with the ball of radius R) all
+come from one truncated search: a BFS one node at a time when every weight
+is 1, int Dijkstra otherwise. `dist` and `reach` stop at their last target.
+A radius R (an int or Fraction >= 0, see `check_radius`) is compared as
 d_int <= floor(R * L). `Fraction` appears only at the API and JSON boundary.
 Generators, one row of `_KINDS` per kind, build adjacency; only a subspace,
 or a window given as matrix rows, is written back as matrix rows. On a
@@ -109,7 +109,7 @@ class WindowSpace:
         self.frontier = frozenset(frontier)
         self.label = label
         self.meta = meta or {}
-        self._frontier_int = self._frontier_dist = None  # per-point ints and Fractions
+        self._frontier_int = None  # per-point d_int to the frontier (see `_frontier_ints`)
         # x -> (limit, x's ball at limit), oldest first, holding `_held` <= `_cap`
         # distances in all (see `_ball_ints`)
         self._balls, self._held = {}, 0
@@ -236,28 +236,21 @@ class WindowSpace:
 
     def nearest(self, sources) -> list:
         """The owning source of every point: owner[y] minimizes (d(y, s), s)
-        over the nonempty sources, so ties go to the smallest source id: one
-        int Dijkstra from all sources whose heap is keyed by
-        (d_int, source, point)."""
+        over the nonempty sources, so ties go to the smallest source id. One
+        search from all sources lists the points by nondecreasing distance; a
+        source owns itself, and any other y takes the least owner among its
+        neighbours v on a shortest path, d(v) + w(v, y) = d(y), which the
+        search listed before y: their nearest sources are y's."""
         sources = sorted(set(sources))
         for s in sources:
             self._check_point(s)
         if not sources:
             raise ValueError("nearest needs at least one source")
-        nbrs, wts = self._nbrs, self._wts
-        owner = [None] * self.n
-        best = {s: (0, s) for s in sources}
-        heap = [(0, s, s) for s in sources]  # sorted, so already a heap
-        while heap:
-            d, s, u = heapq.heappop(heap)
-            if owner[u] is not None:
-                continue
-            owner[u] = s
-            for v, w in zip(nbrs[u], _ONES if wts is None else wts[u]):
-                key = (d + w, s)
-                if v not in best or key < best[v]:
-                    best[v] = key
-                    heapq.heappush(heap, (*key, v))
+        nbrs, wts, owner = self._nbrs, self._wts, [None] * self.n
+        found = self._search(sources)
+        for y, d in found.items():
+            owner[y] = y if d == 0 else min(owner[v] for v, w in zip(
+                nbrs[y], _ONES if wts is None else wts[y]) if found[v] + w == d)
         return owner
 
     def _search(self, sources, limit=None, targets=None) -> dict:
@@ -420,21 +413,19 @@ class WindowSpace:
         return self.reach(x, points, 0)[1]
 
     def _frontier_ints(self) -> list:
-        """Per-point d_int to the (nonempty) frontier; None if unreachable."""
+        """Per-point d_int to the nonempty frontier, from one search, kept:
+        the graph is connected, so the search reaches every point."""
         if self._frontier_int is None:
-            found = self._search(self.frontier)
-            self._frontier_int = [found.get(x) for x in range(self.n)]
+            self._frontier_int = list(map(self._search(self.frontier).__getitem__, range(self.n)))
         return self._frontier_int
 
     def frontier_distances(self) -> list:
-        """Per-point exact distance to the frontier; None if frontier empty."""
+        """Per-point exact distance to the frontier, a new list on each call
+        with one Fraction per distinct distance; all None if it is empty."""
         if not self.frontier:
             return [None] * self.n
-        if self._frontier_dist is None:  # one Fraction per distinct distance
-            ints = self._frontier_ints()
-            name = {d: d if d is None else Fraction(d, self._scale) for d in set(ints)}
-            self._frontier_dist = list(map(name.__getitem__, ints))
-        return self._frontier_dist
+        ints = self._frontier_ints()
+        return list(map({d: Fraction(d, self._scale) for d in set(ints)}.__getitem__, ints))
 
     def interior_points(self, R) -> list[PointId]:
         """Points at distance > R from every frontier point (all, if none)."""
@@ -541,7 +532,6 @@ def grid_window(dim: int, low: int, high: int) -> WindowSpace:
         adjacency=nbrs,
         _scale=1,
         meta={
-            "kind": "grid",
             "spec": {"kind": "grid", "dim": dim, "low": low, "high": high},
             "coords": coords,
             "coord_index": index,
@@ -566,7 +556,7 @@ def cycle_window(length: int) -> WindowSpace:
         label=f"cycle({length})",
         adjacency=nbrs,
         _scale=1,
-        meta={"kind": "cycle", "spec": {"kind": "cycle", "length": length}},
+        meta={"spec": {"kind": "cycle", "length": length}},
     )
 
 
@@ -593,7 +583,6 @@ def _tree_from_child_counts(child_count, depth, label, spec):
     n, frontier = len(ids), level
 
     meta = {
-        "kind": spec["kind"],
         "spec": spec,
         "parents": parents,
         "depths": depths,
@@ -658,7 +647,6 @@ def disjoint_union(parts: Sequence[WindowSpace], spacing) -> WindowSpace:
     label = "union(" + ", ".join(p.label for p in parts) + ")"
     specs = [p.meta.get("spec") for p in parts]
     meta = {
-        "kind": "union",
         "spec": None if None in specs else {
             "kind": "union", "parts": specs, "spacing": [format_rational(s) for s in spacing]},
         "offsets": offsets,
@@ -697,7 +685,6 @@ def product_with_interval(base: WindowSpace, levels: int) -> WindowSpace:
     label = f"{base.label} x [0..{levels - 1}]"
     base_spec = base.meta.get("spec")
     meta = {
-        "kind": "product_interval",
         "spec": None if base_spec is None else {
             "kind": "product", "base": base_spec, "levels": levels},
         "levels": levels,

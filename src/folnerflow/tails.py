@@ -89,8 +89,8 @@ def verify_tail_cover(cover: TailCover, space: WindowSpace) -> TailCoverReport:
     longest = max(steps.values(), default=None)
     step_violations = []
     if steps:
-        r = Fraction(cover.r)
-        limit = r.numerator * L // r.denominator  # d_int > limit iff d > r
+        # d_int > limit iff d > r; a negative r, which `_limit` refuses, passes no step
+        limit = space._limit(cover.r) if cover.r >= 0 else -1
         if longest > limit:
             for x in sorted(tails):
                 seq = tails[x]

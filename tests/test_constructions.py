@@ -207,6 +207,7 @@ class TestFoelnerLayerSearch:
     def test_matrix_space(self):
         space = subspace(grid_window(1, -30, 30), range(0, 61, 2))
         assert space._dense and not space.unit_weights
+        assert space.meta == {"points": list(range(0, 61, 2))}
         ids = np.arange(space.n)  # the points 2i - 30 of the line
         assert (dist_matrix(space) == 2 * abs(ids[:, None] - ids[None, :])).all()
         assert self.assert_same_witness(space, 2, Fraction(1, 3)) is not None

@@ -1,6 +1,7 @@
 """The package namespace loads modules on first use, and a CLI child imports
 only the modules its command runs, without changing any message."""
 
+import ast
 import hashlib
 import importlib
 import json
@@ -85,6 +86,29 @@ def test_only_space_reads_the_metric_representation():
              for i, line in enumerate(path.read_text().splitlines(), 1)
              if re.search(r"\._(dense|nbrs|wts)\b", line)]
     assert reads == []
+
+
+def test_only_the_search_keeps_a_heap():
+    """`heappush` and `heappop` occur only in `WindowSpace._search`: every
+    multi-source question (balls, frontier distances, nearest sources) is
+    one search there."""
+    package = Path(folnerflow.__file__).parent
+    uses = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}")
+            else:
+                name = getattr(child, "attr", getattr(child, "id", None))
+                if name in ("heappush", "heappop"):
+                    uses.append((where, name))
+                visit(child, where)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sorted(set(uses)) == [("space.WindowSpace._search", "heappop"),
+                                 ("space.WindowSpace._search", "heappush")]
 
 
 def modules_after(argv, cwd, *flags):

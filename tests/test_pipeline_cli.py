@@ -650,6 +650,36 @@ class TestStageParams:
             run(PipelineConfig.from_json({"stages": [win, *stages]}), tmp_path)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("stage, message", [
+        ({"name": "check", "kind": "verify", "params": {"require-flat": True},
+          "inputs": {"family": "fam"}}, "stage 'check' does not read param 'require-flat'"),
+        ({"name": "check", "kind": "verify", "inputs": {"family": "fam", "bogus": "win"}},
+         "stage 'check' does not read input 'bogus'"),
+        ({"name": "balls", "kind": "family", "params": {"kind": "ball", "radius": 2, "width": 4},
+          "inputs": {"space": "win"}}, "stage 'balls' does not read param 'width'"),
+        # named ahead of the family kind, which only a run reads
+        ({"name": "blobs", "kind": "family", "params": {"kind": "blob", "width": 4, "M": 1},
+          "inputs": {"space": "win"}}, "stage 'blobs' does not read param 'M', 'width'"),
+        ({"name": "g", "kind": "rips", "params": {"r": "1/1", "R": "1/1"},
+          "inputs": {"space": "win"}}, "stage 'g' does not read param 'R'"),
+    ], ids=["verify-param", "verify-input", "other-family-kind", "unknown-family-kind", "rips"])
+    def test_unread_param_or_input_is_refused(self, tmp_path, stage, message):
+        # without the unread key this run passes, flat or not
+        doc = {"stages": [
+            {"name": "win", "kind": "generate",
+             "params": {"spec": {"kind": "grid", "dim": 1, "low": -20, "high": 20}}},
+            {"name": "fam", "kind": "family", "inputs": {"space": "win"},
+             "params": {"kind": "tent", "width": 4, "epsilon": "1/1", "core": [0, 1, 2]}},
+            stage,
+        ]}
+        with pytest.raises(ConfigError) as info:
+            PipelineConfig.from_json(doc)
+        assert str(info.value) == message
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        r = run_cli(["run", "--config", "cfg.json", "--out", "out"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_multiset_family_cannot_be_verified(self, tmp_path):
         cfg = PipelineConfig.from_json({"stages": [
             {"name": "win", "kind": "generate",
@@ -819,6 +849,17 @@ class TestCliPipelineParity:
         assert len(rows) == 14 and kinds <= set(STAGES)
         # the family kind draws from the run's seeded RNG; it has no command
         assert set(STAGES) - kinds == {"family"}
+
+
+    def test_every_command_flag_is_a_param_of_its_kind(self):
+        from folnerflow.cli import _COMMANDS, _NAMES
+        for group in _COMMANDS.values():
+            for kind, flags, outputs in group.values() if isinstance(group, dict) else ():
+                stage = STAGES[kind]
+                names = {_NAMES.get(dest, dest) for dest in (
+                    kw.get("dest", flag.lstrip("-")) for flag, kw in flags.items())
+                    if dest != "space" and dest not in {f for f, _ in outputs.values()}}
+                assert names - stage.inputs.keys() <= set(stage.params), kind
 
 
 class TestMalformedStages:

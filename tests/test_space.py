@@ -391,6 +391,18 @@ class TestMetricCoreOracle:
         D = floyd_warshall(n, edges)
         for R in range(4):
             assert_balls_match(space, D, range(n), R)
+        # owners are read in the search's order too: ties go to the smallest source
+        for k in (1, 2, n // 2, n):
+            sources = rnd.sample(range(n), k)
+            assert space.nearest(sources) == nearest_oracle(D, sources)
+
+    def test_nearest_is_one_search(self, monkeypatch):
+        weighted = graph_space(3, [(0, 1, Fraction(1, 2)), (1, 2, 3)])
+        for s in (grid_window(2, 0, 6), cycle_window(9), weighted):
+            calls = count_searches(s, monkeypatch)
+            for k, sources in enumerate(([0], [2, 1], range(s.n)), 1):
+                s.nearest(sources)
+                assert len(calls) == k
 
     def test_nearest_needs_known_sources(self):
         g = grid_window(2, 0, 4)
@@ -848,6 +860,14 @@ class TestFrontier:
         depth = t.meta["depth"]
         assert t.frontier == frozenset(v for v in range(t.n) if depths[v] == depth)
 
+    def test_frontier_distances_are_a_new_list(self):
+        for s in (grid_window(1, 0, 4), WindowSpace(3, frontier={0}, matrix=[
+                [0, 1, 2], [1, 0, Fraction(3, 2)], [2, Fraction(3, 2), 0]])):
+            fd = s.frontier_distances()
+            want = list(fd)
+            fd[1] = fd.pop()
+            assert s.frontier_distances() == want and s.frontier_distances() is not fd
+
     def test_product_frontier(self):
         p = product_with_interval(grid_window(1, 0, 4), 3)
         base_frontier = {0, 4}
@@ -1078,7 +1098,7 @@ class TestTrustedGenerators:
     def test_every_kind_matches_its_checked_rebuild(self, spec):
         space = generate(spec)
         assert_same_as_rebuild(space)
-        assert space.meta["spec"] == spec
+        assert space.meta["spec"] == spec and "kind" not in space.meta
 
     @settings(max_examples=60, deadline=None)
     @given(generator_specs(1), rational_graphs(), st.lists(RATIONAL, min_size=2, max_size=2),
@@ -1090,7 +1110,7 @@ class TestTrustedGenerators:
         for space in (disjoint_union([generate(spec), matrix], sorted(spacing)),
                       disjoint_union([matrix, generate(spec)], sorted(spacing)),
                       product_with_interval(matrix, levels)):
-            assert not space._dense and space.meta["spec"] is None
+            assert not space._dense and space.meta["spec"] is None and "kind" not in space.meta
             assert_same_as_rebuild(space)
 
     @settings(max_examples=30, deadline=None)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import os
 import sys
 
 from .errors import ConfigError, FolnerflowError, InternalInvariantError, error_message
@@ -68,7 +67,7 @@ def cmd_stage(args):
         flag, default = outputs.get(suffix, (None, "-"))
         path = vars(args).get(flag)
         if default not in (None, "-"):
-            path = path or os.path.join(os.environ.get("FOLNERFLOW_OUT", "."), default)
+            path = path or f"./{default}"
         if path is None and default == "-":
             sys.stdout.write(dump_json(doc))
         elif path is not None:

@@ -376,6 +376,9 @@ class BoxSpaceModel(namedtuple("BoxSpaceModel", "m boxes spacing space offsets s
 
 def build_box_space(m: int, boxes: int, spacing=None) -> BoxSpaceModel:
     """Assemble the box-space window for quotient sizes m, m^2, ..., m^boxes."""
+    for name, v in (("m", m), ("boxes", boxes)):
+        if type(v) is not int:
+            raise ValueError(f"{name} must be an int, got {v!r}")
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     if boxes < 1:

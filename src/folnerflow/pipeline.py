@@ -9,12 +9,14 @@ config and seed reproduce every byte of every artifact.
 `STAGES` is the one table of stage kinds. Each entry gives the kind's
 inputs (role -> the producer kinds that role accepts), its run function
 `(inputs, params, rng) -> (object, {file suffix: JSON doc}, summary)`,
-its `explain` blurb and its failure rule (summary -> whether the stage
-failed); doc suffix `s` lands in `<stage name><s>.json`. A stage's live
-object is what loading its artifact returns (the `rips` object is
-`(RipsGraph, frontier)`, as `rips_from_json` gives it). Every CLI command but
-`run` and `explain` is one stage kind: it loads its files and calls the
-same run function, and exits 1 where the failure rule holds.
+its `explain` blurb, its failure rule (summary -> whether the stage
+failed) and its params with their defaults; doc suffix `s` lands in
+`<stage name><s>.json`. `PipelineConfig.from_json` reads a config whole
+against it before any stage runs. A stage's live object is what loading
+its artifact returns (the `rips` object is `(RipsGraph, frontier)`, as
+`rips_from_json` gives it). Every CLI command but `run` and `explain` is
+one stage kind: it loads its files and calls the same run function, and
+exits 1 where the failure rule holds.
 
 The run passes iff no stage fails its rule; `explain` renders the stored
 report for humans.
@@ -43,7 +45,7 @@ class PipelineConfig(namedtuple("PipelineConfig", "stages seed", defaults=(0,)))
         if not isinstance(doc, dict) or type(doc.get("stages")) is not list:
             raise ConfigError("config must be an object with a 'stages' list")
         stages = []
-        names = set()
+        kinds = {}  # name -> kind of each earlier stage
         for i, s in enumerate(doc["stages"]):
             if not isinstance(s, dict):
                 raise ConfigError(f"stage {i} must be an object, got {s!r}")
@@ -54,26 +56,35 @@ class PipelineConfig(namedtuple("PipelineConfig", "stages seed", defaults=(0,)))
             for key, v in (("params", stage.params), ("inputs", stage.inputs)):
                 if not isinstance(v, dict):
                     raise ConfigError(f"stage {stage.name!r}: {key} must be an object, got {v!r}")
-            if stage.kind not in STAGES:
+            if (row := STAGES.get(stage.kind)) is None:
                 raise ConfigError(f"stage {stage.name!r}: unknown kind {stage.kind!r}")
-            row, family = STAGES[stage.kind], stage.params.get("kind")
-            reads = {"param": set(row.params), "input": row.inputs.keys()}
-            if stage.kind == "family" and type(family) is str:
-                reads["param"].update(_FAMILY_PARAMS.get(family, ()))
-            for key, read in reads.items():  # refused before any stage runs
-                if unread := getattr(stage, f"{key}s").keys() - read:
+            family = stage.params.get("kind") if stage.kind == "family" else None
+            family_params = _FAMILY_PARAMS.get(family) if type(family) is str else None
+            params = {**row.params, **dict.fromkeys(family_params or (), ...)}
+            for key, read in (("param", params), ("input", row.inputs)):
+                if unread := getattr(stage, f"{key}s").keys() - read.keys():
                     raise ConfigError(f"stage {stage.name!r} does not read {key} "
                                       f"{', '.join(sorted(map(repr, unread)))}")
-            if stage.name in names:
+            if stage.name in kinds:
                 raise ConfigError(f"duplicate stage name {stage.name!r}")
             for role, ref in stage.inputs.items():
-                if ref not in names:
+                if ref not in kinds:
                     raise ConfigError(
                         f"stage {stage.name!r} references {ref!r} as its "
                         f"{role}, but no earlier stage has that name"
                     )
-            names.add(stage.name)
-            stages.append(stage)
+            for role, accepted in row.inputs.items():
+                if role not in stage.inputs:
+                    raise ConfigError(f"stage {stage.name!r} needs an input {role!r}")
+                if (kind := kinds[stage.inputs[role]]) not in accepted:
+                    raise ConfigError(f"stage {stage.name!r}: input {stage.inputs[role]!r} is a "
+                                      f"{kind} stage, expected one of {accepted}")
+            if missing := [k for k, v in params.items() if v is ... and k not in stage.params]:
+                raise ConfigError(f"stage {stage.name!r}: missing parameter {missing[0]!r}")
+            if stage.kind == "family" and family_params is None:
+                raise ConfigError(f"stage {stage.name!r}: unknown family kind {family!r}")
+            kinds[stage.name] = stage.kind
+            stages.append(stage._replace(params={**params, **stage.params}))
         seed = doc.get("seed", 0)
         if not isinstance(seed, int):
             raise ConfigError("seed must be an integer")
@@ -93,16 +104,22 @@ def _chain_family(fam, kind):
     return fam
 
 
+def _rationals(p, key):  # a list param, or None for null
+    if p[key] is not None and type(p[key]) not in (list, tuple):
+        raise ConfigError(f"{key} must be a list or null, got {p[key]!r}")
+    return p[key] and [parse_rational(s) for s in p[key]]
+
+
 def _generate(inputs, p, rng):
     from .space import generate, space_to_json
-    space = generate(p.get("spec"))
+    space = generate(p["spec"])
     return space, {"": space_to_json(space)}, {"points": space.n, "frontier": len(space.frontier)}
 
 
 def _rips(inputs, p, rng):
     from .rips import build_rips, check_coarsely_unbounded, rips_to_json
     space = inputs["space"]
-    rg = build_rips(space, parse_rational(p.get("r", "1/1")))
+    rg = build_rips(space, parse_rational(p["r"]))
     reach = check_coarsely_unbounded(space, rg)
     return (rg, space.frontier), {"": rips_to_json(space, rg)}, {
         "components": len(rg.components), "edges": rg.edge_count(),
@@ -146,7 +163,7 @@ def _tails(inputs, p, rng):
 def _transport(inputs, p, rng):
     from .chains import MultisetFamily, family_to_json
     from .tails import check_cover_on_space, tail_transport
-    fam, M = inputs["family"], p.get("M")
+    fam, M = inputs["family"], p["M"]
     if not isinstance(fam, MultisetFamily):
         raise ConfigError("transport needs a multiset family")
     if M is not None and M != fam.M:
@@ -162,8 +179,7 @@ def _box(inputs, p, rng):
     from .chains import family_to_json
     from .constructions import box_family, build_box_space
     from .space import space_to_json
-    spacing = p.get("spacing")
-    model = build_box_space(p["m"], p["boxes"], spacing and [parse_rational(s) for s in spacing])
+    model = build_box_space(p["m"], p["boxes"], _rationals(p, "spacing"))
     docs = {".space": space_to_json(model.space)}
     if p["F"] is None:  # the box space alone, as `box build` without --F
         return model.space, docs, {}
@@ -176,14 +192,14 @@ def _box(inputs, p, rng):
 def _verify(inputs, p, rng):
     from .chains import verify_family
     fam = _chain_family(inputs["family"], "verify")
-    report = verify_family(fam, require_flat=p.get("require_flat", False))
+    report = verify_family(fam, require_flat=p["require_flat"])
     summary = report.to_json()
     return report, {".report": summary}, summary
 
 
 def _info(inputs, p, rng):
     from .space import growth_profile
-    space, radii = inputs["space"], [parse_rational(r) for r in p.get("radii") or []]
+    space, radii = inputs["space"], _rationals(p, "radii")
     doc = {"label": space.label, "points": space.n, "frontier": sorted(space.frontier),
            "growth": growth_profile(space, radii).to_json() if radii else {}}
     return doc, {"": doc}, doc
@@ -230,9 +246,9 @@ def _push(inputs, p, rng):
         if x in f:
             raise ConfigError(f"the map lists domain point {x} twice")
         f[x] = y
-    R = p.get("target_R")
+    R = p["target_R"]
     out = pushforward_injective(_chain_family(inputs["family"], "push"), f, inputs["target"],
-                                target_R=parse_rational(R) if R else None)
+                                target_R=None if R is None else parse_rational(R))
     return out, {"": family_to_json(out)}, {
         "indices": len(out.chains), "new_S": format_rational(out.params.S)}
 
@@ -246,17 +262,15 @@ def _project(inputs, p, rng):
         "indices": len(out.chains), "epsilon": format_rational(out.params.epsilon)}
 
 
-# the params each family kind reads, beside the family stage's own
-_FAMILY_PARAMS = {"tent": ("width",), "ball": ("radius",), "translates": ("F",),
+# the family kinds, each with the params it reads beside the family stage's own
+_FAMILY_PARAMS = {"tent": ("width",), "ball": ("radius",), "singletons": (), "translates": ("F",),
                   "random_multiset": ("M", "size", "spread")}
 
 
 def _make_family(space, p, rng):
     from . import families
-    kind = p.get("kind")
-    R = parse_rational(p.get("R", "1/1"))
-    eps = parse_rational(p.get("epsilon", "1/4"))
-    core = p.get("core")
+    kind, core = p["kind"], p["core"]
+    R, eps = parse_rational(p["R"]), parse_rational(p["epsilon"])
     if core is not None:
         core = _resolve_core(space, core)
     if kind == "tent":
@@ -268,15 +282,13 @@ def _make_family(space, p, rng):
     if kind == "translates":
         from .constructions import group_foelner_family
         return group_foelner_family(space, parse_ids(p["F"]), R, eps, core=core)
-    if kind == "random_multiset":
-        for key in ("M", "size"):
-            if type(p[key]) is not int or p[key] < 0:
-                raise ConfigError(f"random_multiset {key} must be an int >= 0, got {p[key]!r}")
-        return families.random_multiset_family(
-            space, rng, M=p["M"], size=p["size"],
-            spread=parse_rational(p["spread"]), R=R, epsilon=eps, core=core,
-        )
-    raise ConfigError(f"unknown family kind {kind!r}")
+    for key in ("M", "size"):  # random_multiset, the one kind left
+        if type(p[key]) is not int or p[key] < 0:
+            raise ConfigError(f"random_multiset {key} must be an int >= 0, got {p[key]!r}")
+    return families.random_multiset_family(
+        space, rng, M=p["M"], size=p["size"],
+        spread=parse_rational(p["spread"]), R=R, epsilon=eps, core=core,
+    )
 
 
 def _resolve_core(space, core):
@@ -308,8 +320,8 @@ class StageKind(namedtuple("StageKind", [
         "run",  # (inputs, params, rng) -> (object, {file suffix: JSON doc}, summary)
         "blurb",  # what `explain` says the stage does
         "fails",  # whether the stage failed: run fails, CLI exits 1
-        "params"],  # the params it reads; a config naming another is refused
-        defaults=(lambda summary: False, ()))):
+        "params"],  # param -> its default (...: the config must name it); no other is read
+        defaults=(lambda summary: False, {}))):
     __slots__ = ()
 
 
@@ -317,15 +329,15 @@ _SPACE = ("generate", "box")
 _FAMILY = ("family", "flatten", "transport", "box")
 STAGES = {
     "generate": StageKind({}, _generate, "window construction (exact metric, frontier marking)",
-                          params=("spec",)),
+                          params={"spec": ...}),
     "info": StageKind({"space": _SPACE}, _info, "point count, frontier and largest interior "
-                      "ball per radius", params=("radii",)),
+                      "ball per radius", params={"radii": None}),
     "rips": StageKind({"space": _SPACE}, _rips, "scale-r neighbourhood graph and component split",
-                      params=("r",)),
+                      params={"r": "1/1"}),
     "flow": StageKind({"rips": ("rips",)}, _flow,
                       "exit flow: one tree edge per point toward a frontier sink"),
-    "family": StageKind({"space": _SPACE}, _family, "family construction",
-                        params=("kind", "R", "epsilon", "core")),  # and `_FAMILY_PARAMS`
+    "family": StageKind({"space": _SPACE}, _family, "family construction", params={
+        "kind": ..., "R": "1/1", "epsilon": "1/4", "core": None}),  # and `_FAMILY_PARAMS`
     "flatten": StageKind({"family": ("family", "transport"), "flow": ("flow",)}, _flatten,
                          "tower shifting to a 0,1-valued family; checks that the worst "
                          "symmetric-difference/intersection ratio never grows",
@@ -338,71 +350,55 @@ STAGES = {
                               lambda summary: not summary["passed"]),
     "transport": StageKind({"family": ("family",), "tails": ("tails",), "space": _SPACE},
                            _transport, "level-to-space transport along tails; ratios can "
-                           "grow by at most the cover multiplicity K", params=("M",)),
-    "boundary": StageKind({"space": _SPACE}, _boundary,
-                          "R-boundary of a point set and its size per point", params=("U", "R")),
+                           "grow by at most the cover multiplicity K", params={"M": None}),
+    "boundary": StageKind({"space": _SPACE}, _boundary, "R-boundary of a point set and its "
+                          "size per point", params={"U": ..., "R": ...}),
     "search": StageKind({"space": _SPACE}, _search, "Folner search: the first interior ball "
                         "whose R-boundary is at most epsilon times its size",
-                        lambda summary: not summary["found"], params=("R", "epsilon")),
+                        lambda summary: not summary["found"], params={"R": ..., "epsilon": ...}),
     "push": StageKind({"family": _FAMILY, "target": _SPACE}, _push,
                       "pushforward along an injective map into a denser target window",
-                      params=("map", "target_R")),
+                      params={"map": ..., "target_R": None}),
     "project": StageKind({"family": _FAMILY}, _project, "projection from an interval "
                          "product; epsilon scales by the number of levels"),
     "box": StageKind({}, _box, "translate family on cyclic quotients; deep boxes must "
                      "reproduce integer translate counting exactly",
                      lambda summary: summary.get("equalities_hold") is False,
-                     params=("m", "boxes", "spacing", "F", "R", "epsilon")),
+                     params={"m": ..., "boxes": ..., "spacing": None, "F": ..., "R": ...,
+                             "epsilon": ...}),
     "verify": StageKind({"family": _FAMILY}, _verify,
                         "ratio bound at range R, support-radius bound S, and "
                         "(optionally) 0,1-valuedness", lambda summary: not summary["passed"],
-                        params=("require_flat",)),
+                        params={"require_flat": False}),
 }
 
 
-class _Params(dict):
-    """Stage params; a missing required one is a ConfigError."""
-
-    def __missing__(self, key):
-        raise ConfigError(f"missing parameter {key!r}")
-
-
 def run(config: PipelineConfig, out_dir, *, seed=None) -> dict:
-    """Execute all stages; returns the run report (also written to
-    <out_dir>/report.json). Raises ConfigError for bad configs and for any
-    input error a stage raises (a FolnerflowError, ValueError or KeyError,
-    formatted as the CLI formats it), prefixed with the stage name; an
-    InternalInvariantError passes as it is, and a flatten escape is no error
-    but a verdict the flatten stage reports."""
+    """Execute the stages of a config `PipelineConfig.from_json` has read;
+    returns the run report (also written to <out_dir>/report.json). Raises
+    ConfigError for any input error a stage raises (a FolnerflowError,
+    ValueError or KeyError, formatted as the CLI formats it), prefixed with
+    the stage name; an InternalInvariantError passes as it is, and a flatten
+    escape is no error but a verdict the flatten stage reports."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = config.seed if seed is None else seed
-    done = {}  # name -> (kind, live object)
+    done = {}  # name -> live object
     summaries = []
     failures = []
     for stage in config.stages:
         spec = STAGES[stage.kind]
-        inputs = {}
-        for role, kinds in spec.inputs.items():
-            ref = stage.inputs.get(role)
-            if ref is None:
-                raise ConfigError(f"stage {stage.name!r} needs an input {role!r}")
-            kind, obj = done.get(ref, (None, None))
-            if kind not in kinds:
-                raise ConfigError(
-                    f"stage {stage.name!r}: input {ref!r} is a {kind} stage, "
-                    f"expected one of {kinds}"
-                )
-            # a box stage's object is its family, which carries the space
-            inputs[role] = getattr(obj, "space", obj) if role in ("space", "target") else obj
+        # a box stage's object is its family, which carries the space
+        inputs = {role: getattr(done[ref], "space", done[ref]) if role in ("space", "target")
+                  else done[ref] for role, ref in stage.inputs.items()}
         rng = random.Random(f"{seed}/{stage.name}")
         try:
-            obj, docs, summary = spec.run(inputs, _Params(stage.params), rng)
+            obj, docs, summary = spec.run(inputs, stage.params, rng)
         except (FolnerflowError, ValueError, KeyError) as e:
             raise ConfigError(f"stage {stage.name!r}: {error_message(e)}") from e
         for suffix, doc in docs.items():
             dump_json(doc, out / f"{stage.name}{suffix}.json")
-        done[stage.name] = (stage.kind, obj)
+        done[stage.name] = obj
         summaries.append({"name": stage.name, "kind": stage.kind, **summary})
         if spec.fails(summary):
             failures.append(stage.name)

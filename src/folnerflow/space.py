@@ -47,7 +47,7 @@ import itertools
 import math
 import numbers
 from collections import namedtuple
-from collections.abc import Set
+from collections.abc import Iterable, Sequence, Set
 from fractions import Fraction
 from functools import reduce
 from operator import le
@@ -95,11 +95,11 @@ class WindowSpace:
         *,
         frontier: Iterable[PointId] = (),
         label: str = "",
-        matrix: Optional[Sequence[Sequence[Fraction]]] = None,
-        adjacency: Optional[Sequence[Sequence[tuple[PointId, Fraction]]]] = None,
-        meta: Optional[dict] = None,
-        _scale: Optional[int] = None,
-        _wts: Optional[Sequence[tuple]] = None,
+        matrix: Sequence[Sequence[Fraction]] | None = None,
+        adjacency: Sequence[Sequence[tuple[PointId, Fraction]]] | None = None,
+        meta: dict | None = None,
+        _scale: int | None = None,
+        _wts: Sequence[tuple] | None = None,
     ):
         if n <= 0:
             raise ValueError(f"a window needs at least one point, got n={n}")

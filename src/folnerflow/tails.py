@@ -174,8 +174,9 @@ def transport_set(cover: TailCover, elems, M: int, index=None) -> frozenset:
     return frozenset(image)
 
 
-def tail_transport(fam: MultisetFamily, cover: TailCover, space: WindowSpace) -> IndexedFamily:
-    """Transport a multiset family into a plain subset family.
+def tail_transport(fam, cover: TailCover, space: WindowSpace):
+    """Transport a multiset family (a `chains.MultisetFamily`) into a plain
+    subset family (a `chains.IndexedFamily`).
 
     Output parameters: unchanged R, epsilon scaled by the cover's K (the
     multiplicity bound is exactly what the ratio can lose), and support

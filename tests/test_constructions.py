@@ -142,9 +142,11 @@ class TestInputErrors:
         (lambda: build_box_space(1, 3), "need m >= 2, got 1"),
         (lambda: build_box_space(2, 0), "need at least one box, got 0"),
         (lambda: box_family(build_box_space(4, 3), [], 1, Fraction(1, 4)), "Folner set F is empty"),
+        (lambda: build_box_space(4.0, 3), "m must be an int, got 4.0"),
+        (lambda: build_box_space(4, True), "boxes must be an int, got True"),
     ], ids=["translates-off-a-grid", "translate-dimension", "translates-empty", "map-undefined",
             "coarse-map-partial", "project-off-a-product", "project-no-level-0", "box-m",
-            "box-count", "box-F-empty"])
+            "box-count", "box-F-empty", "box-m-float", "box-count-bool"])
     def test_message(self, call, message):
         with pytest.raises(ValueError) as info:
             call()

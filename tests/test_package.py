@@ -2,6 +2,7 @@
 only the modules its command runs, without changing any message."""
 
 import ast
+import builtins
 import hashlib
 import importlib
 import json
@@ -109,6 +110,38 @@ def test_only_the_search_keeps_a_heap():
         visit(ast.parse(path.read_text()), path.stem)
     assert sorted(set(uses)) == [("space.WindowSpace._search", "heappop"),
                                  ("space.WindowSpace._search", "heappush")]
+
+
+def test_every_annotation_names_a_bound_name():
+    """Each name an annotation uses is bound at the top level of its module
+    or is a builtin, so `typing.get_type_hints` resolves every annotation
+    (they are strings, under `from __future__ import annotations`)."""
+    package = Path(folnerflow.__file__).parent
+
+    def names(note):
+        for node in ast.walk(note):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield from names(ast.parse(node.value, mode="eval"))
+
+    unbound = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = set(dir(builtins))
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        notes = [n for node in ast.walk(tree) for n in (
+            getattr(node, "annotation", None), getattr(node, "returns", None)) if n is not None]
+        unbound += [(path.stem, name) for note in notes for name in names(note)
+                    if name not in bound]
+    assert sorted(set(unbound)) == []
 
 
 def modules_after(argv, cwd, *flags):

@@ -603,6 +603,8 @@ class TestStageParams:
           "inputs": {"space": "win"}}, "radius"),
         ({"name": "boxes", "kind": "box",
           "params": {"m": 4, "boxes": 5, "R": "1/1", "epsilon": "1/4"}}, "F"),
+        ({"name": "bare", "kind": "generate"}, "spec"),
+        ({"name": "fam", "kind": "family", "inputs": {"space": "win"}}, "kind"),
     ])
     def test_missing_parameter_is_config_error(self, tmp_path, stage, missing):
         doc = {"stages": [
@@ -618,37 +620,48 @@ class TestStageParams:
         r = run_cli(["run", "--config", "cfg.json", "--out", "cli"], tmp_path)
         assert r.returncode == 2, r.stderr
         assert message in r.stderr
+        # refused before the generate stage runs
+        assert not (tmp_path / "lib").exists() and not (tmp_path / "cli").exists()
 
-    @pytest.mark.parametrize("stages, message", [
-        ([{"name": "g", "kind": "rips"}], "stage 'g' needs an input 'space'"),
+    @pytest.mark.parametrize("stages, message, runs", [
+        ([{"name": "g", "kind": "rips"}], "stage 'g' needs an input 'space'", False),
         ([{"name": "g", "kind": "rips", "inputs": {"space": "win"}},
           {"name": "h", "kind": "rips", "inputs": {"space": "g"}}],
-         "stage 'h': input 'g' is a rips stage, expected one of ('generate', 'box')"),
+         "stage 'h': input 'g' is a rips stage, expected one of ('generate', 'box')",
+         False),
         ([{"name": "fam", "kind": "family", "params": {"kind": "blob"}, "inputs": {"space": "win"}}],
-         "stage 'fam': unknown family kind 'blob'"),
+         "stage 'fam': unknown family kind 'blob'", False),
         ([{"name": "cover", "kind": "tails", "inputs": {"space": "win"}},
           {"name": "fam", "kind": "family", "params": {"kind": "singletons"},
            "inputs": {"space": "win"}},
           {"name": "moved", "kind": "transport",
            "inputs": {"family": "fam", "tails": "cover", "space": "win"}}],
-         "stage 'moved': transport needs a multiset family"),
+         "stage 'moved': transport needs a multiset family", True),
         ([{"name": "cover", "kind": "tails", "inputs": {"space": "win"}},
           {"name": "fam", "kind": "family", "inputs": {"space": "win"},
            "params": {"kind": "random_multiset", "M": 1, "size": 2, "spread": "1/1"}},
           {"name": "moved", "kind": "transport", "params": {"M": 2},
            "inputs": {"family": "fam", "tails": "cover", "space": "win"}}],
-         "stage 'moved': --M 2 does not match the family's height bound 1"),
+         "stage 'moved': --M 2 does not match the family's height bound 1", True),
         ([{"name": "fam", "kind": "family", "inputs": {"space": "win"},
            "params": {"kind": "singletons", "core": {"coords": [0, 3]}}}],
-         "stage 'fam': coordinate cores need a grid window"),
+         "stage 'fam': coordinate cores need a grid window", True),
     ], ids=["input-missing", "input-kind", "family-kind", "transport-chain-family",
             "transport-M", "coords-off-a-grid"])
-    def test_stage_inputs_named(self, tmp_path, stages, message):
+    def test_stage_inputs_named(self, tmp_path, stages, message, runs):
+        """`runs`: the fault shows only when the stage runs, after `win` has
+        written its artifact; any other is refused before any stage runs."""
         win = {"name": "win", "kind": "generate",
                "params": {"spec": {"kind": "tree", "branching": 2, "depth": 3}}}
+        doc = {"stages": [win, *stages]}
         with pytest.raises(ConfigError) as info:
-            run(PipelineConfig.from_json({"stages": [win, *stages]}), tmp_path)
+            run(PipelineConfig.from_json(doc), tmp_path / "lib")
         assert str(info.value) == message
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        r = run_cli(["run", "--config", "cfg.json", "--out", "cli"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+        for out in ("lib", "cli"):
+            assert (tmp_path / out / "win.json").exists() is runs
 
     @pytest.mark.parametrize("stage, message", [
         ({"name": "check", "kind": "verify", "params": {"require-flat": True},
@@ -859,7 +872,7 @@ class TestCliPipelineParity:
                 names = {_NAMES.get(dest, dest) for dest in (
                     kw.get("dest", flag.lstrip("-")) for flag, kw in flags.items())
                     if dest != "space" and dest not in {f for f, _ in outputs.values()}}
-                assert names - stage.inputs.keys() <= set(stage.params), kind
+                assert names - stage.inputs.keys() == stage.params.keys(), kind
 
 
 class TestMalformedStages:
@@ -877,6 +890,29 @@ class TestMalformedStages:
         r = run_cli(["run", "--config", "cfg.json", "--out", "out"], tmp_path)
         assert r.returncode == 2, r.stderr
         assert message in r.stderr
+
+    @pytest.mark.parametrize("stage, message", [
+        ({"kind": "box", "params": {"m": "4"}}, "m must be an int, got '4'"),
+        ({"kind": "box", "params": {"m": 4.0}}, "m must be an int, got 4.0"),
+        ({"kind": "box", "params": {"boxes": "3"}}, "boxes must be an int, got '3'"),
+        ({"kind": "box", "params": {"boxes": True}}, "boxes must be an int, got True"),
+        ({"kind": "box", "params": {"spacing": "1,2,3"}},
+         "spacing must be a list or null, got '1,2,3'"),
+        ({"kind": "info", "params": {"radii": 5}, "inputs": {"space": "win"}},
+         "radii must be a list or null, got 5"),
+    ], ids=["m-str", "m-float", "boxes-str", "boxes-bool", "spacing-str", "radii-int"])
+    def test_param_of_the_wrong_type_is_exit_2(self, tmp_path, stage, message):
+        """The CLI's flags parse these types; a config can hold any JSON value."""
+        box = {"m": 4, "boxes": 3, "F": "0..2", "R": "1/1", "epsilon": "1/4"}
+        if stage["kind"] == "box":
+            stage = {**stage, "params": {**box, **stage["params"]}}
+        doc = {"stages": [
+            {"name": "win", "kind": "generate", "params": {"spec": {"kind": "cycle", "length": 4}}},
+            {"name": "bad", **stage},
+        ]}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        r = run_cli(["run", "--config", "cfg.json", "--out", "out"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: stage 'bad': {message}\n")
 
     def test_box_stage_rejects_vector_ids(self, tmp_path):
         with pytest.raises(ValueError, match=r"integer ids, got \(0,\)"):
@@ -1035,6 +1071,19 @@ class TestCoarsePushMap:
         r = run_cli([*PUSH, "--out", "pushed.json"], tmp_path)
         assert (r.returncode, r.stderr) == (2, f"error: {message}\n")
         assert not (tmp_path / "pushed.json").exists()
+
+    @pytest.mark.parametrize("target_R, R", [(0, "0/1"), ("0", "0/1"), (None, "1/1")])
+    def test_only_null_target_R_keeps_the_family_R(self, tmp_path, target_R, R):
+        grid = lambda high: {"spec": {"kind": "grid", "dim": 1, "low": 0, "high": high}}
+        run(PipelineConfig.from_json({"stages": [
+            {"name": "X", "kind": "generate", "params": grid(20)},
+            {"name": "Y", "kind": "generate", "params": grid(40)},
+            {"name": "balls", "kind": "family", "inputs": {"space": "X"},
+             "params": {"kind": "ball", "radius": "1/1", "R": "1/1", "epsilon": "2/3"}},
+            {"name": "pushed", "kind": "push", "inputs": {"family": "balls", "target": "Y"},
+             "params": {"map": [[x, 2 * x] for x in range(21)], "target_R": target_R}},
+        ]}), tmp_path)
+        assert json.loads((tmp_path / "pushed.json").read_text())["params"]["R"] == R
 
 
 class TestMapFileShape:

@@ -2,8 +2,9 @@
 
 Subcommand groups mirror the library: space, rips, flow, family, flatten,
 tails, amen, coarse, box, plus the pipeline commands run/explain. Every
-other command is a row of `_COMMANDS` that runs one pipeline stage kind.
-All artifacts are JSON with rationals as "p/q" strings.
+other command is a row of `_COMMANDS` that runs one pipeline stage kind,
+with its flags, their required-ness and defaults read from the kind's
+`pipeline.STAGES` row. All artifacts are JSON with rationals as "p/q" strings.
 
 Exit codes: 0 success / all checks pass; 1 a verification failed (the
 stage kind's failure rule holds, as on a flatten escape); 2 configuration
@@ -37,8 +38,7 @@ def _map_pairs(doc):
 # takes a space (transport's family is a multiset family, which loads without one)
 _LOADERS = {
     "spec": lambda s, _: json.loads(s) if s.lstrip().startswith("{") else load_json(s),
-    "space": lambda path, _: _lib("space").load_space(path),
-    "target": lambda path, _: _lib("space").load_space(path),
+    **dict.fromkeys(("space", "target"), lambda path, _: _lib("space").load_space(path)),
     "family": lambda path, space: _lib("chains").load_family(path, space),
     "map": lambda path, _: _map_pairs(load_json(path)),
     "rips": lambda path, _: _lib("rips").rips_from_json(load_json(path)),
@@ -50,29 +50,27 @@ _NAMES = {"cover": "tails", "eps": "epsilon", "flat": "require_flat"}  # flag ->
 
 
 def cmd_stage(args):
-    """Load the files the row's flags name, run its stage kind, and write
-    each doc to the file its row names or to stdout."""
+    """Load the files the command's flags name, run its stage kind, and
+    write each doc to the file its row names or to stdout."""
     from .pipeline import STAGES
-    stage, outputs = STAGES[args.row[0]], args.row[2]
-    values = {_NAMES.get(k, k): v for k, v in vars(args).items()
-              if k not in ("group", "cmd", "handler", "row", *(f for f, _ in outputs.values()))}
+    stage, outputs = STAGES[args.row[0]], args.row[1]
+    values = {_NAMES.get(k, k): v for k, v in vars(args).items()}
     reads_family = "space" not in stage.inputs  # so --space serves only to read the family
     for name, load in _LOADERS.items():
         if values.get(name) is not None:
             values[name] = load(values[name], values.get("space") if reads_family else None)
-    inputs = {role: values.pop(role) for role in stage.inputs}
-    values.pop("space", None)
-    _, docs, summary = stage.run(inputs, values, None)
+    _, docs, summary = stage.run({role: values[role] for role in stage.inputs},
+                                 {key: values[key] for key in stage.params}, None)
     for suffix, doc in docs.items():
         flag, default = outputs.get(suffix, (None, "-"))
         path = vars(args).get(flag)
-        if default not in (None, "-"):
+        if default not in (None, "-", ...):
             path = path or f"./{default}"
         if path is None and default == "-":
             sys.stdout.write(dump_json(doc))
         elif path is not None:
             dump_json(doc, path)
-            if default:
+            if default not in (None, ...):
                 print(path)
     return 1 if stage.fails(summary) else 0
 
@@ -93,49 +91,48 @@ def cmd_explain(args):
 
 # -- parser ------------------------------------------------------------------
 
-_REQ, _OPT = dict(required=True), dict(default=None)
 _OUT = lambda name: {"": ("out", name)}  # the doc goes to --out, by default `name`
 
-# group -> {command: (stage kind, {flag: add_argument keywords}, {doc suffix: (file
-# flag, default file name; or "-": stdout; or None: only if the flag is given, and
-# its path not printed)})}; a doc not listed goes to stdout. `run` and `explain`
-# carry (handler, flags).
+# group -> {command: (stage kind, {doc suffix: (file flag, default file name; or "-":
+# stdout; or None: only if the flag is given; or ...: the flag is required; the path
+# printed only where there is a default)})}; a doc not listed goes to stdout. `run`
+# and `explain` carry (handler, {flag: add_argument keywords}).
 _COMMANDS = {
-    "space": {
-        "gen": ("generate", {
-            "--spec": dict(required=True, help="generator descriptor file or inline JSON"),
-            "--out": _OPT}, _OUT("space.json")),
-        "info": ("info", {"--space": _REQ, "--radii": dict(default="")}, {})},
-    "rips": {"build": ("rips", {"--space": _REQ, "--r": _REQ, "--out": _OPT}, _OUT("rips.json"))},
-    "flow": {"build": ("flow", {"--rips": _REQ, "--out": _OPT}, _OUT("flow.json"))},
-    "family": {"verify": ("verify", {
-        "--family": _REQ, "--space": _REQ, "--flat": dict(action="store_true")}, {})},
-    "flatten": {"run": ("flatten", {
-        "--family": _REQ, "--flow": _REQ, "--space": _REQ, "--out": _REQ, "--report": _OPT},
-        {"": ("out", None), ".report": ("report", "-")})},
-    "tails": {
-        "build": ("tails", {"--space": _REQ, "--out": _OPT}, _OUT("cover.json")),
-        "verify": ("verify_tails", {"--space": _REQ, "--cover": _REQ}, {}),
-        "transport": ("transport", {"--space": _REQ, "--cover": _REQ, "--family": _REQ,
-                                    "--M": dict(type=int, default=None), "--out": _OPT},
-                      _OUT("transported.json"))},
-    "amen": {"boundary": ("boundary", {"--space": _REQ, "--U": _REQ, "--R": _REQ}, {}),
-             "search": ("search", {"--space": _REQ, "--R": _REQ, "--eps": _REQ}, {})},
-    "coarse": {
-        "push": ("push", {"--family": _REQ, "--space": _REQ, "--target": _REQ, "--map": _REQ,
-                          "--target-R": dict(dest="target_R", default=None), "--out": _OPT},
-                 _OUT("pushed.json")),
-        "project": ("project", {"--family": _REQ, "--space": _REQ, "--out": _OPT},
-                    _OUT("projected.json"))},
-    "box": {"build": ("box", {
-        "--m": dict(type=int, required=True), "--boxes": dict(type=int, required=True),
-        "--spacing": _OPT, "--F": _OPT, "--R": dict(default="1/1"), "--eps": dict(default="1/4"),
-        "--out": _OPT, "--family-out": dict(dest="family_out", default=None), "--report": _OPT},
-        {".space": ("out", "boxspace.json"), "": ("family_out", None),
-         ".report": ("report", "-")})},
-    "run": (cmd_run, {"--config": _REQ, "--out": _REQ, "--seed": dict(type=int, default=None)}),
+    "space": {"gen": ("generate", _OUT("space.json")), "info": ("info", {})},
+    "rips": {"build": ("rips", _OUT("rips.json"))},
+    "flow": {"build": ("flow", _OUT("flow.json"))},
+    "family": {"verify": ("verify", {})},
+    "flatten": {"run": ("flatten", {"": ("out", ...), ".report": ("report", "-")})},
+    "tails": {"build": ("tails", _OUT("cover.json")), "verify": ("verify_tails", {}),
+              "transport": ("transport", _OUT("transported.json"))},
+    "amen": {"boundary": ("boundary", {}), "search": ("search", {})},
+    "coarse": {"push": ("push", _OUT("pushed.json")),
+               "project": ("project", _OUT("projected.json"))},
+    "box": {"build": ("box", {".space": ("out", "boxspace.json"), "": ("family_out", None),
+                              ".report": ("report", "-")})},
+    "run": (cmd_run, {"--config": dict(required=True), "--out": dict(required=True),
+                      "--seed": dict(type=int, default=None)}),
     "explain": (cmd_explain, {"report": {}}),
 }
+# how a stage command presents a param, beyond its flag and its default
+_KEYWORDS = {**dict.fromkeys(("m", "boxes", "M"), dict(type=int)),
+             "require_flat": dict(action="store_true"),
+             "spec": dict(help="generator descriptor file or inline JSON")}
+
+
+def _stage_flags(kind, outputs):
+    """{flag: add_argument keywords} of the command that runs stage `kind`, in
+    help order: its input roles, the --space its family is read against, its
+    params and its output files. A role, and a param whose `STAGES` default is
+    `...`, is required; every other param takes its default from `STAGES`."""
+    from .pipeline import STAGES
+    stage, spell = STAGES[kind], {name: flag for flag, name in _NAMES.items()}
+    reads_family = "family" in stage.inputs and "space" not in stage.inputs
+    names = {**dict.fromkeys([*stage.inputs, *["space"] * reads_family], ...), **stage.params,
+             **{flag: default if default is ... else None for flag, default in outputs.values()}}
+    return {"--" + spell.get(name, name).replace("_", "-"): {
+        **(dict(required=True) if default is ... else dict(default=default)),
+        **_KEYWORDS.get(name, {})} for name, default in names.items()}
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
@@ -161,7 +158,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
         else:
             cmds = parser.add_subparsers(dest="cmd", required=True)
             for name, row in commands.items():
-                fill(cmds.add_parser(name), row[1], handler=cmd_stage, row=row)
+                fill(cmds.add_parser(name), _stage_flags(*row), handler=cmd_stage, row=row)
     return top
 
 

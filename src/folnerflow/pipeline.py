@@ -15,8 +15,8 @@ failed) and its params with their defaults; doc suffix `s` lands in
 against it before any stage runs. A stage's live object is what loading
 its artifact returns (the `rips` object is `(RipsGraph, frontier)`, as
 `rips_from_json` gives it). Every CLI command but `run` and `explain` is
-one stage kind: it loads its files and calls the same run function, and
-exits 1 where the failure rule holds.
+one stage kind: it takes the kind's roles and params as flags, defaulted as
+here, calls the same run function and exits 1 where the failure rule holds.
 
 The run passes iff no stage fails its rule; `explain` renders the stored
 report for humans.
@@ -344,11 +344,11 @@ STAGES = {
                          lambda summary: bool(summary["escaped_indices"])),
     "tails": StageKind({"space": ("generate",)}, _tails,
                        "escape-sequence cover with bounded per-point multiplicity"),
-    "verify_tails": StageKind({"tails": ("tails",), "space": _SPACE}, _verify_tails,
+    "verify_tails": StageKind({"space": _SPACE, "tails": ("tails",)}, _verify_tails,
                               "tail cover check: each tail steps at most r to the frontier, "
                               "and no point lies on more than K tails",
                               lambda summary: not summary["passed"]),
-    "transport": StageKind({"family": ("family",), "tails": ("tails",), "space": _SPACE},
+    "transport": StageKind({"space": _SPACE, "tails": ("tails",), "family": ("family",)},
                            _transport, "level-to-space transport along tails; ratios can "
                            "grow by at most the cover multiplicity K", params={"M": None}),
     "boundary": StageKind({"space": _SPACE}, _boundary, "R-boundary of a point set and its "
@@ -364,8 +364,8 @@ STAGES = {
     "box": StageKind({}, _box, "translate family on cyclic quotients; deep boxes must "
                      "reproduce integer translate counting exactly",
                      lambda summary: summary.get("equalities_hold") is False,
-                     params={"m": ..., "boxes": ..., "spacing": None, "F": ..., "R": ...,
-                             "epsilon": ...}),
+                     params={"m": ..., "boxes": ..., "spacing": None, "F": None, "R": "1/1",
+                             "epsilon": "1/4"}),
     "verify": StageKind({"family": _FAMILY}, _verify,
                         "ratio bound at range R, support-radius bound S, and "
                         "(optionally) 0,1-valuedness", lambda summary: not summary["passed"],
@@ -427,8 +427,9 @@ def explain(report: dict) -> str:
         kind, get = s.get("kind", "?"), s.get
         lines.append(f"- {get('name')}: {STAGES[kind].blurb if kind in STAGES else kind}")
         if kind == "verify" and get("passed"):
-            lines.append(f"    all {get('pairs_checked', 0)} in-range pairs pass; "
-                         f"worst ratio {get('worst_ratio')} at pair {get('worst_pair')}")
+            lines.append(f"    all {get('pairs_checked')} in-range pairs pass; worst ratio "
+                         f"{get('worst_ratio')} at pair {get('worst_pair')}"
+                         if get("pairs_checked") else "    no in-range pairs")
         elif kind == "verify":
             lines += [f"    ratio violation: pair ({x},{y}) has ratio {q}"
                       for x, y, q in get("ratio_violations", [])[:5]]
@@ -437,8 +438,9 @@ def explain(report: dict) -> str:
             if get("flat_violations"):
                 lines.append(f"    not 0,1-valued at indices {s['flat_violations'][:10]}")
         elif kind == "flatten":
-            lines.append(f"    worst ratio {get('worst_ratio_before')} -> "
-                         f"{get('worst_ratio_after')} in <= {get('max_steps')} steps; "
+            worst = (f"worst ratio {get('worst_ratio_before')} -> {get('worst_ratio_after')}"
+                     if get("worst_ratio_before") is not None else "no in-range pairs; flattened")
+            lines.append(f"    {worst} in <= {get('max_steps')} steps; "
                          f"new support bound {get('new_S')}")
             traces = get("escaped_traces") or {}
             r, S = parse_rational(get("r", "1/1")), parse_rational(get("input_S", "0/1"))
@@ -446,7 +448,7 @@ def explain(report: dict) -> str:
                       f"margin of {format_rational(r * traces[x]['bound'] + S)} around the "
                       "index is always sufficient"
                       for x in sorted(traces, key=int)]  # JSON keys are strings: "10" < "5"
-        elif kind == "box":
+        elif kind == "box" and "J" in s:  # a box space alone builds no family
             lines.append(f"    catch-all boxes: j <= {get('J')}; deep-box equalities "
                          f"{'hold' if get('equalities_hold') else 'FAIL'}; "
                          f"worst ratio {get('worst_ratio')}")

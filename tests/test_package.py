@@ -322,9 +322,9 @@ MESSAGES = {
                              EMPTY),
     "space info": (2, EMPTY, "e00f7673f5aba65be8570e1f84ff52629cfac532e607945786af7295454a9488"),
     "rips --help": (0, "0ac20bd547d0115d48337f7fc2805d32577e6e3428fee5258e6859b44ec7bc97", EMPTY),
-    "rips build --help": (0, "1735cb0655412ab4e7ef63eafcc7bc72bd30b81b2686277a420efac4db30e942",
+    "rips build --help": (0, "713cf790147b6bd05e54396c08ebf6009470d9164630a9ae2ec57a5acad03bfc",
                              EMPTY),
-    "rips build": (2, EMPTY, "672b7a0759e46f297bd2e936b81ac761f4fd5e1b9c4a3eea22d6dd9e685d9e63"),
+    "rips build": (2, EMPTY, "e2e05eea21465240d954eb2a56f01557dcf6cf32dfedda4650549c7194616995"),
     "flow --help": (0, "267b56c1919fd3c8e06d0e1413dc7de1ea109f49d3a46bbdd29f97c5eed0e1ef", EMPTY),
     "flow build --help": (0, "3e80a7a1791aa955c6c6d46389257f76294abe50ebf090c430dcae036d5afabf",
                              EMPTY),
@@ -361,9 +361,9 @@ MESSAGES = {
     "amen search": (2, EMPTY, "954babf3c254b24797295f56a2ff8d27c61b5223fa55ba3024a972d2c3b8e585"),
     "coarse --help": (0, "036ced78a0895dab9ed4ce3591422d2fbe954b73d423774a9d8ff1e8b3e54262",
                          EMPTY),
-    "coarse push --help": (0, "b837f93fef4e3e1a23ed86b8fe0c7a1f4e8fb50c2039829ba3e3e980c740423f",
+    "coarse push --help": (0, "b88c020e9dbea030b98e8c31ae112f2da3dfd56330e454ee7a4f8cda21f707e7",
                               EMPTY),
-    "coarse push": (2, EMPTY, "7b7d3a2b9e03ad1d65c83c931a553b2d01f05c11d681a0baa1006bad1af0f3de"),
+    "coarse push": (2, EMPTY, "b1f2a200d12ff3a91be6ceea7ef271f44d1ecd3f002a847762c6f8f9e7f84498"),
     "coarse project --help": (0, "52d027059833457a866290875689bc865795ca9b9c9b1a07914784d494c8f583",
                                  EMPTY),
     "coarse project": (2, EMPTY,

@@ -28,6 +28,7 @@ from folnerflow.chains import (
     multiset_family_from_json,
     multiset_family_to_json,
 )
+from folnerflow.cli import _COMMANDS, _NAMES, _stage_flags, build_parser
 from folnerflow.constructions import box_family, build_box_space
 from folnerflow.jsonio import dump_json, parse_ids
 from folnerflow.pipeline import STAGES, PipelineConfig, explain, run
@@ -82,6 +83,11 @@ ESCAPE_CONFIG = {"stages": [
     {"name": "flat", "kind": "flatten", "inputs": {"family": "tent", "flow": "exit"}},
 ]}
 ESCAPED = [5, 6, 7, 8, 9, 10]
+
+
+# "group command" -> its `cli._COMMANDS` row, for each of the 14 stage commands
+STAGE_COMMANDS = {f"{group} {name}": row for group, commands in _COMMANDS.items()
+                  if isinstance(commands, dict) for name, row in commands.items()}
 
 
 def escaped_order(text):
@@ -238,6 +244,29 @@ class TestRun:
             "    ratio violation: pair (3,4) has ratio infinity",  # disjoint supports
             "    support violation: index 3 reaches radius 3/1",
             "    not 0,1-valued at indices [3]"]
+
+    def test_explain_prints_no_None(self, tmp_path):
+        """A flatten and a verify stage with no in-range pairs, and a box stage
+        that builds no family, leave no Python None in the rendering."""
+        report = run(PipelineConfig.from_json({"stages": [
+            {"name": "win", "kind": "generate",
+             "params": {"spec": {"kind": "grid", "dim": 1, "low": -10, "high": 10}}},
+            {"name": "graph", "kind": "rips", "inputs": {"space": "win"}},
+            {"name": "exit", "kind": "flow", "inputs": {"rips": "graph"}},
+            {"name": "one", "kind": "family", "params": {"kind": "singletons", "core": [10]},
+             "inputs": {"space": "win"}},
+            {"name": "flat", "kind": "flatten", "inputs": {"family": "one", "flow": "exit"}},
+            {"name": "check", "kind": "verify", "inputs": {"family": "flat"}},
+            {"name": "boxes", "kind": "box", "params": {"m": 4, "boxes": 3}}]}), tmp_path)
+        assert report["stages"][5]["pairs_checked"] == 0
+        lines = explain(report).splitlines()
+        assert lines[-5:] == [
+            "- flat: " + STAGES["flatten"].blurb,
+            "    no in-range pairs; flattened in <= 0 steps; new support bound 0/1",
+            "- check: " + STAGES["verify"].blurb,
+            "    no in-range pairs",
+            "- boxes: " + STAGES["box"].blurb]
+        assert "None" not in explain(report)
 
     def test_verdicts_recomputable_from_artifacts(self, tmp_path):
         # re-verify the stored flat family against the stored space: the
@@ -601,8 +630,7 @@ class TestStageParams:
           "inputs": {"space": "win"}}, "width"),
         ({"name": "balls", "kind": "family", "params": {"kind": "ball"},
           "inputs": {"space": "win"}}, "radius"),
-        ({"name": "boxes", "kind": "box",
-          "params": {"m": 4, "boxes": 5, "R": "1/1", "epsilon": "1/4"}}, "F"),
+        ({"name": "boxes", "kind": "box", "params": {"m": 4, "F": "0..9"}}, "boxes"),
         ({"name": "bare", "kind": "generate"}, "spec"),
         ({"name": "fam", "kind": "family", "inputs": {"space": "win"}}, "kind"),
     ])
@@ -622,6 +650,20 @@ class TestStageParams:
         assert message in r.stderr
         # refused before the generate stage runs
         assert not (tmp_path / "lib").exists() and not (tmp_path / "cli").exists()
+
+    def test_box_stage_without_F_writes_the_box_space_alone(self, tmp_path):
+        """`F`, `R` and `epsilon` take their defaults, as `box build` gives
+        them without --F, --R and --eps."""
+        doc = {"stages": [{"name": "boxes", "kind": "box", "params": {"m": 4, "boxes": 3}}]}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        r = run_cli(["run", "--config", "cfg.json", "--out", "out"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        r = run_cli(["box", "build", "--m", "4", "--boxes", "3"], tmp_path)
+        assert (r.returncode, r.stdout) == (0, "./boxspace.json\n"), r.stderr
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "boxes.space.json", "report.json"]
+        assert (tmp_path / "out" / "boxes.space.json").read_bytes() == (
+            tmp_path / "boxspace.json").read_bytes()
 
     @pytest.mark.parametrize("stages, message, runs", [
         ([{"name": "g", "kind": "rips"}], "stage 'g' needs an input 'space'", False),
@@ -854,25 +896,48 @@ class TestCliPipelineParity:
         assert r.stdout == (tmp_path / "out" / "look.json").read_text()
 
     def test_every_command_is_a_stage_kind(self):
-        from folnerflow.cli import _COMMANDS
-        from folnerflow.pipeline import STAGES
-        rows = [row for group in _COMMANDS.values() if isinstance(group, dict)
-                for row in group.values()]
-        kinds = {kind for kind, _flags, _outputs in rows}
-        assert len(rows) == 14 and kinds <= set(STAGES)
+        kinds = {kind for kind, _outputs in STAGE_COMMANDS.values()}
+        assert len(STAGE_COMMANDS) == 14 and kinds <= set(STAGES)
         # the family kind draws from the run's seeded RNG; it has no command
         assert set(STAGES) - kinds == {"family"}
 
 
     def test_every_command_flag_is_a_param_of_its_kind(self):
-        from folnerflow.cli import _COMMANDS, _NAMES
-        for group in _COMMANDS.values():
-            for kind, flags, outputs in group.values() if isinstance(group, dict) else ():
-                stage = STAGES[kind]
-                names = {_NAMES.get(dest, dest) for dest in (
-                    kw.get("dest", flag.lstrip("-")) for flag, kw in flags.items())
-                    if dest != "space" and dest not in {f for f, _ in outputs.values()}}
-                assert names - stage.inputs.keys() == stage.params.keys(), kind
+        for kind, outputs in STAGE_COMMANDS.values():
+            stage = STAGES[kind]
+            names = {_NAMES.get(dest, dest) for dest in (
+                flag[2:].replace("-", "_") for flag in _stage_flags(kind, outputs))
+                if dest != "space" and dest not in {f for f, _ in outputs.values()}}
+            assert names - stage.inputs.keys() == stage.params.keys(), kind
+
+    @pytest.mark.parametrize("command", STAGE_COMMANDS)
+    def test_required_flags_alone_give_every_other_param_its_default(self, command, capsys):
+        """A command needs the flags of its kind's input roles, of the --space
+        its family is read against and of each param without a `STAGES`
+        default; given only those (and its output files), every other param
+        takes its `STAGES` default, and leaving any one of them out is a usage
+        error."""
+        kind, outputs = STAGE_COMMANDS[command]
+        stage, spell = STAGES[kind], {name: flag for flag, name in _NAMES.items()}
+        reads_family = "family" in stage.inputs and "space" not in stage.inputs
+        required = [*stage.inputs, *["space"] * reads_family,
+                    *(name for name, default in stage.params.items() if default is ...)]
+        files = [flag for flag, _ in outputs.values()]
+
+        def parse(names):
+            argv = [*command.split(), *(arg for name in names for arg in (
+                "--" + spell.get(name, name).replace("_", "-"), "1"))]
+            args = build_parser(argv).parse_args(argv)
+            return {_NAMES.get(k, k): v for k, v in vars(args).items()}
+
+        values = parse(required + files)
+        assert {name: values[name] for name in stage.params if name not in required} == {
+            name: default for name, default in stage.params.items() if name not in required}
+        for name in required:
+            with pytest.raises(SystemExit) as info:
+                parse([other for other in required + files if other != name])
+            assert info.value.code == 2, name
+            assert "the following arguments are required" in capsys.readouterr().err
 
 
 class TestMalformedStages:

@@ -29,7 +29,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import ConfigError
-from .jsonio import Doc, load_json, parse_rational
+from .jsonio import ID, Doc, Entries, Exact, List, Obj, Rational, Tuple, load_json, read
 from .space import WindowSpace, check_radius
 
 #: distinguished ratio for pairs with empty intersection; fails every
@@ -57,7 +57,8 @@ class Chain(Mapping):
 
     @classmethod
     def _trusted(cls, w: dict) -> "Chain":
-        """Wrap a dict of positive ints built by this library, unchecked."""
+        """Wrap a dict of positive ints, built by this library or read by a form,
+        unchecked."""
         c = cls.__new__(cls)
         c._w = w
         c._l1 = sum(w.values())
@@ -171,15 +172,11 @@ class FamilyParams(namedtuple("FamilyParams", "R epsilon S M"), Doc):
 
     @classmethod
     def from_json(cls, doc):
-        try:
-            return cls(
-                R=parse_rational(doc["R"]),
-                epsilon=parse_rational(doc["epsilon"]),
-                S=parse_rational(doc["S"]),
-                M=doc.get("M", 0),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad family params: {e}") from e
+        return cls(**read(doc, PARAMS, "family params"))
+
+
+PARAMS = Obj({"R": Rational(">= 0"), "epsilon": Rational("> 0"), "S": Rational(">= 0"),
+              "M": (Exact(int, 0), 0)})
 
 
 class IndexedFamily(namedtuple("IndexedFamily", "space chains params")):
@@ -345,23 +342,6 @@ def chain_to_json(c: Chain) -> dict:
     return {"weights": sorted([x, v] for x, v in c.items())}
 
 
-def chain_from_json(doc) -> Chain:
-    try:
-        return Chain({x: v for x, v in doc["weights"]})
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad chain: {e}") from e
-
-
-def _by_index(entries, parse) -> dict:
-    """{x: parse(value)} from [x, value] entries; ConfigError naming an index listed twice."""
-    out = {}
-    for x, value in entries:
-        if x in out:
-            raise ConfigError(f"the family lists index {x!r} twice")
-        out[x] = parse(value)
-    return out
-
-
 def family_to_json(fam: IndexedFamily) -> dict:
     return {
         "params": fam.params.to_json(),
@@ -369,53 +349,43 @@ def family_to_json(fam: IndexedFamily) -> dict:
     }
 
 
+FAMILY = Obj({"params": PARAMS,
+              "chains": Entries(ID, Obj({"weights": Entries(ID, Exact(int, 1))}))})
+MULTISET_FAMILY = Obj({"params": PARAMS, "M": Exact(int, 0),
+                       "sets": Entries(Exact(int, 0), List(Tuple(Exact(int, 0), Exact(int, 0))))})
+
+
 def family_from_json(doc, space: WindowSpace) -> IndexedFamily:
-    """ConfigError naming a repeated index, or the first index or chain point not in the space."""
+    """The family of a file its form `FAMILY` reads against `space`, whose
+    point count bounds its ids; ConfigError naming an empty chain."""
+    d = read(doc, FAMILY, "family file", points=space.n)
+    chains = {x: Chain._trusted(c["weights"]) for x, c in d["chains"].items()}
     try:
-        params = FamilyParams.from_json(doc["params"])
-        chains = _by_index(doc["chains"], chain_from_json)
-    except (KeyError, TypeError) as e:
-        raise ConfigError(f"bad family file: {e}") from e
-    n = space.n
-    for x, c in chains.items():
-        if type(x) is not int or not 0 <= x < n:
-            raise ConfigError(f"family index {x!r} is not a point id in 0..{n - 1}")
-        for z in c:
-            if type(z) is not int or not 0 <= z < n:
-                raise ConfigError(f"the chain at index {x} has point {z!r}, "
-                                  f"outside the space's 0..{n - 1}")
-    try:
-        return IndexedFamily(space=space, chains=chains, params=params)
+        return IndexedFamily(space=space, chains=chains, params=FamilyParams(**d["params"]))
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
 
 def multiset_family_to_json(fam: MultisetFamily) -> dict:
-    return {
-        "params": fam.params.to_json(),
-        "M": fam.M,
-        "sets": [
-            [x, sorted([z, n] for z, n in fam.sets[x])]
-            for x in sorted(fam.sets)
-        ],
-    }
+    return {"params": fam.params.to_json(), "M": fam.M,
+            "sets": [[x, sorted([z, n] for z, n in fam.sets[x])] for x in sorted(fam.sets)]}
 
 
 def multiset_family_from_json(doc) -> MultisetFamily:
+    """The family of a file its form `MULTISET_FAMILY` reads, checked by `MultisetFamily`."""
+    d = read(doc, MULTISET_FAMILY, "multiset family file")
     try:
-        params = FamilyParams.from_json(doc["params"])
-        M = doc["M"]
-        sets = _by_index(doc["sets"], lambda pairs: frozenset((z, n) for z, n in pairs))
-        return MultisetFamily(sets=sets, M=M, params=params)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad multiset family file: {e}") from e
+        return MultisetFamily(sets={x: frozenset(s) for x, s in d["sets"].items()}, M=d["M"],
+                              params=FamilyParams(**d["params"]))
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def load_family(path, space: WindowSpace = None):
     """Load an indexed family (needs the space) or a multiset family
     (dispatches on whether the file stores "chains" or "sets")."""
     doc = load_json(path)
-    if "sets" in doc:
+    if type(doc) is dict and "sets" in doc:
         return multiset_family_from_json(doc)
     if space is None:
         raise ConfigError("loading an indexed family requires its window space")

@@ -20,17 +20,10 @@ import importlib
 import json
 import sys
 
-from .errors import ConfigError, FolnerflowError, InternalInvariantError, error_message
-from .jsonio import dump_json, load_json
+from .errors import FolnerflowError, InternalInvariantError, error_message
+from .jsonio import dump_json, load_json, read
 
 _lib = lambda module: importlib.import_module(f".{module}", __package__)
-
-
-def _map_pairs(doc):
-    """The "f" list of a map file, which must hold a JSON object."""
-    if type(doc) is not dict:
-        raise ConfigError(f"the map file must hold a JSON object, got a {type(doc).__name__}")
-    return doc.get("f")
 
 
 # flag name -> loader(value, space), in load order: a file to load, or a comma list
@@ -40,7 +33,7 @@ _LOADERS = {
     "spec": lambda s, _: json.loads(s) if s.lstrip().startswith("{") else load_json(s),
     **dict.fromkeys(("space", "target"), lambda path, _: _lib("space").load_space(path)),
     "family": lambda path, space: _lib("chains").load_family(path, space),
-    "map": lambda path, _: _map_pairs(load_json(path)),
+    "map": lambda path, _: read(load_json(path), _lib("pipeline").MAP_FILE, "map file")["f"],
     "rips": lambda path, _: _lib("rips").rips_from_json(load_json(path)),
     "flow": lambda path, _: _lib("rips").flow_from_json(load_json(path)),
     "tails": lambda path, _: _lib("tails").cover_from_json(load_json(path)),

@@ -30,7 +30,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ConfigError, FolnerflowError, error_message
-from .jsonio import dump_json, format_rational, parse_ids, parse_rational
+from .jsonio import (Entries, Exact, Form, List, Obj, Rational, Tagged, Tuple, dump_json,
+                     format_rational, parse_ids, parse_rational, read)
 
 
 class Stage(namedtuple("Stage", "name kind params inputs")):
@@ -42,53 +43,24 @@ class PipelineConfig(namedtuple("PipelineConfig", "stages seed", defaults=(0,)))
 
     @classmethod
     def from_json(cls, doc) -> "PipelineConfig":
-        if not isinstance(doc, dict) or type(doc.get("stages")) is not list:
-            raise ConfigError("config must be an object with a 'stages' list")
-        stages = []
+        """The config its form `CONFIG` reads; ConfigError naming the stage for
+        a duplicate name, or an input naming no earlier stage of a kind its
+        role accepts."""
+        d = read(doc, CONFIG, "config")
         kinds = {}  # name -> kind of each earlier stage
-        for i, s in enumerate(doc["stages"]):
-            if not isinstance(s, dict):
-                raise ConfigError(f"stage {i} must be an object, got {s!r}")
-            try:
-                stage = Stage(s["name"], s["kind"], s.get("params", {}), s.get("inputs", {}))
-            except KeyError as e:
-                raise ConfigError(f"stage {i} is missing {e}") from e
-            for key, v in (("params", stage.params), ("inputs", stage.inputs)):
-                if not isinstance(v, dict):
-                    raise ConfigError(f"stage {stage.name!r}: {key} must be an object, got {v!r}")
-            if (row := STAGES.get(stage.kind)) is None:
-                raise ConfigError(f"stage {stage.name!r}: unknown kind {stage.kind!r}")
-            family = stage.params.get("kind") if stage.kind == "family" else None
-            family_params = _FAMILY_PARAMS.get(family) if type(family) is str else None
-            params = {**row.params, **dict.fromkeys(family_params or (), ...)}
-            for key, read in (("param", params), ("input", row.inputs)):
-                if unread := getattr(stage, f"{key}s").keys() - read.keys():
-                    raise ConfigError(f"stage {stage.name!r} does not read {key} "
-                                      f"{', '.join(sorted(map(repr, unread)))}")
-            if stage.name in kinds:
-                raise ConfigError(f"duplicate stage name {stage.name!r}")
-            for role, ref in stage.inputs.items():
+        for s in d["stages"]:
+            name, accepts = s["name"], STAGES[s["kind"]].inputs
+            if name in kinds:
+                raise ConfigError(f"duplicate stage name {name!r}")
+            for role, ref in s["inputs"].items():
                 if ref not in kinds:
-                    raise ConfigError(
-                        f"stage {stage.name!r} references {ref!r} as its "
-                        f"{role}, but no earlier stage has that name"
-                    )
-            for role, accepted in row.inputs.items():
-                if role not in stage.inputs:
-                    raise ConfigError(f"stage {stage.name!r} needs an input {role!r}")
-                if (kind := kinds[stage.inputs[role]]) not in accepted:
-                    raise ConfigError(f"stage {stage.name!r}: input {stage.inputs[role]!r} is a "
-                                      f"{kind} stage, expected one of {accepted}")
-            if missing := [k for k, v in params.items() if v is ... and k not in stage.params]:
-                raise ConfigError(f"stage {stage.name!r}: missing parameter {missing[0]!r}")
-            if stage.kind == "family" and family_params is None:
-                raise ConfigError(f"stage {stage.name!r}: unknown family kind {family!r}")
-            kinds[stage.name] = stage.kind
-            stages.append(stage._replace(params={**params, **stage.params}))
-        seed = doc.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError("seed must be an integer")
-        return cls(stages=stages, seed=seed)
+                    raise ConfigError(f"stage {name!r} references {ref!r} as its {role}, "
+                                      "but no earlier stage has that name")
+                if (kind := kinds[ref]) not in accepts[role]:
+                    raise ConfigError(f"stage {name!r}: input {ref!r} is a {kind} stage, "
+                                      f"expected one of {accepts[role]}")
+            kinds[name] = s["kind"]
+        return cls(stages=[Stage(**s) for s in d["stages"]], seed=d["seed"])
 
 
 # -- stage kinds: run functions (inputs, params, rng) -> (object, docs, summary)
@@ -105,9 +77,7 @@ def _chain_family(fam, kind):
 
 
 def _rationals(p, key):  # a list param, or None for null
-    if p[key] is not None and type(p[key]) not in (list, tuple):
-        raise ConfigError(f"{key} must be a list or null, got {p[key]!r}")
-    return p[key] and [parse_rational(s) for s in p[key]]
+    return p[key] if p[key] is None else read(p[key], List(Rational()), key)
 
 
 def _generate(inputs, p, rng):
@@ -235,20 +205,9 @@ def _search(inputs, p, rng):
 def _push(inputs, p, rng):
     from .chains import family_to_json
     from .constructions import pushforward_injective
-    f = {}
-    if type(p["map"]) not in (list, tuple):
-        raise ConfigError(f"the map must be a list of [x, y] pairs, got {p['map']!r}")
-    for entry in p["map"]:
-        if not (type(entry) in (list, tuple) and len(entry) == 2
-                and all(type(v) is int for v in entry)):
-            raise ConfigError(f"the map entry {entry!r} is not two int ids")
-        x, y = entry
-        if x in f:
-            raise ConfigError(f"the map lists domain point {x} twice")
-        f[x] = y
-    R = p["target_R"]
-    out = pushforward_injective(_chain_family(inputs["family"], "push"), f, inputs["target"],
-                                target_R=None if R is None else parse_rational(R))
+    R = p["target_R"]  # the map was read with the config (`_PARAMS`) or its file
+    out = pushforward_injective(_chain_family(inputs["family"], "push"), p["map"],
+                                inputs["target"], target_R=None if R is None else parse_rational(R))
     return out, {"": family_to_json(out)}, {
         "indices": len(out.chains), "new_S": format_rational(out.params.S)}
 
@@ -282,11 +241,9 @@ def _make_family(space, p, rng):
     if kind == "translates":
         from .constructions import group_foelner_family
         return group_foelner_family(space, parse_ids(p["F"]), R, eps, core=core)
-    for key in ("M", "size"):  # random_multiset, the one kind left
-        if type(p[key]) is not int or p[key] < 0:
-            raise ConfigError(f"random_multiset {key} must be an int >= 0, got {p[key]!r}")
+    M, size = (read(p[key], Exact(int, 0), f"random_multiset {key}") for key in ("M", "size"))
     return families.random_multiset_family(
-        space, rng, M=p["M"], size=p["size"],
+        space, rng, M=M, size=size,
         spread=parse_rational(p["spread"]), R=R, epsilon=eps, core=core,
     )
 
@@ -294,23 +251,13 @@ def _make_family(space, p, rng):
 def _resolve_core(space, core):
     """A core is a list of point ids of the window, or {"coords": [lo, hi]}
     on grids, lo and hi ints; an unknown id raises KeyError naming it."""
-    if isinstance(core, dict) and "coords" in core:
-        bounds = core["coords"]
-        if type(bounds) is not list or len(bounds) != 2 or any(type(v) is not int for v in bounds):
-            raise ConfigError(f"core coords must be a list of two ints [lo, hi], got {bounds!r}")
-        lo, hi = bounds
+    if type(core) is dict:
+        lo, hi = read(core, Obj({"coords": Tuple(Exact(int), Exact(int))}), "core")["coords"]
         index = space.meta.get("coord_index")
         if index is None:
             raise ConfigError("coordinate cores need a grid window")
-        return [
-            pid for c, pid in sorted(index.items())
-            if all(lo <= v <= hi for v in c)
-        ]
-    if type(core) not in (list, tuple):
-        raise ConfigError(f"core must be a list of point ids or coords, got {core!r}")
-    for x in core:
-        if type(x) is not int:
-            raise ConfigError(f"core entry {x!r} is not an int point id")
+        return [pid for c, pid in sorted(index.items()) if all(lo <= v <= hi for v in c)]
+    for x in read(core, List(Exact(int)), "core"):
         space._check_point(x)
     return core
 
@@ -371,6 +318,31 @@ STAGES = {
                         "(optionally) 0,1-valuedness", lambda summary: not summary["passed"],
                         params={"require_flat": False}),
 }
+
+
+class _Stem(Form):
+    what = "a plain file stem"
+
+    def ok(self, v, known):  # a name that `<name>.json` keeps inside the output directory
+        return type(v) is str and v not in ("", ".", "..") and not {"/", "\\", "\0"} & set(v)
+
+
+def _stage(row) -> Obj:
+    """A stage of kind `row`: its name, its params with their defaults (a
+    family stage's as its family kind reads them) and its input roles."""
+    params = Obj({key: (_PARAMS.get(key, Form()), default)
+                  for key, default in row.params.items() if key != "kind"})
+    if row is STAGES["family"]:
+        params = Tagged("kind", {kind: Obj({**params.fields, **dict.fromkeys(more, Form())})
+                                 for kind, more in _FAMILY_PARAMS.items()})
+    return Obj({"name": _Stem(), "params": (params, {}),
+                "inputs": (Obj(dict.fromkeys(row.inputs, Exact(str))), {})})
+
+
+_PARAMS = {"map": Entries(Exact(int), Exact(int))}  # the params read before any stage runs
+CONFIG = Obj({"stages": List(Tagged("kind", {kind: _stage(row) for kind, row in STAGES.items()})),
+              "seed": (Exact(int), 0)})
+MAP_FILE = Obj({"f": _PARAMS["map"]})  # a push stage's map, each domain point once
 
 
 def run(config: PipelineConfig, out_dir, *, seed=None) -> dict:

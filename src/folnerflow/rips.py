@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 
 from .errors import ConfigError, NotCoarselyUnbounded
-from .jsonio import format_rational, parse_rational
+from .jsonio import ID, Entries, Exact, List, Obj, Rational, Tuple, format_rational, read
 from .space import PointId, WindowSpace, check_radius
 
 
@@ -125,6 +125,12 @@ class FlowField(namedtuple("FlowField", [
         for x in (*sinks, *sigma, *sigma.values()):
             if type(x) is not int or not 0 <= x < n:
                 raise ValueError(f"point {x!r} is not an id in 0..{n - 1}")
+        return cls._trusted(sigma, sinks, r, n)
+
+    @classmethod
+    def _trusted(cls, sigma, sinks, r, n):
+        """The flow of point ids built by this library or read by a form: its
+        orbits checked, as in `FlowField`, but not its ids."""
         depths = dict.fromkeys(sinks, 0)
         for s in depths:
             if s in sigma:
@@ -194,58 +200,35 @@ def build_flow(space, rips: RipsGraph) -> FlowField:
                 if v != sink and v not in sigma:  # not yet reached
                     sigma[v] = u
                     queue.append(v)
-    return FlowField(sigma=sigma, sinks=frozenset(sinks), r=rips.r, n=rips.n)
+    return FlowField._trusted(sigma, frozenset(sinks), rips.r, rips.n)
 
 
 # -- serialization ---------------------------------------------------------
 
 
 def rips_to_json(space: WindowSpace, rips: RipsGraph) -> dict:
-    edges = []
-    for x in range(rips.n):
-        for y in rips.neighbors[x]:
-            if x < y:
-                edges.append([x, y])
-    edges.sort()
     return {
         "r": format_rational(rips.r),
         "points": rips.n,
-        "edges": edges,
+        "edges": sorted([x, y] for x in range(rips.n) for y in rips.neighbors[x] if x < y),
         "components": [sorted(c) for c in rips.components],
         "frontier": sorted(space.frontier),
     }
 
 
-def rips_from_json(doc: dict) -> tuple[RipsGraph, frozenset]:
-    """Rebuild a RipsGraph (plus the frontier recorded alongside it).
+RIPS = Obj({"points": Exact(int, 1), "r": Rational("> 0"), "edges": List(Tuple(ID, ID)),
+            "components": List(List(ID)), "frontier": List(ID)})
 
-    The components are recomputed from the edges; ConfigError unless
-    `points` is a positive int no larger than the listed components hold,
-    `edges` a list of id pairs, the stored components match the recomputed
-    ones and every frontier entry is a point id."""
-    try:
-        n = doc["points"]
-        r = parse_rational(doc["r"])
-        edge_list = doc["edges"]
-        frontier = frozenset(doc["frontier"])
-        listed = {frozenset(c) for c in doc["components"]}
-    except (KeyError, TypeError) as e:
-        raise ConfigError(f"rips file missing field: {e}") from e
-    if type(n) is not int or n <= 0:
-        raise ConfigError(f"rips file points must be a positive int, got {n!r}")
-    if type(edge_list) is not list:
-        raise ConfigError(f"rips file edges must be a list, got {edge_list!r}")
+
+def rips_from_json(doc: dict) -> tuple[RipsGraph, frozenset]:
+    """The RipsGraph of a file its form `RIPS` reads, and the frontier stored
+    beside it; ConfigError unless its edges form the components it lists."""
+    d = read(doc, RIPS, "rips file")
+    n, listed = d["points"], set(map(frozenset, d["components"]))
     if n > sum(map(len, listed)):  # checked before n neighbour sets are made
         raise ConfigError(f"rips file points {n} exceed the points its components list")
-    for f in doc["frontier"]:
-        if type(f) is not int or not 0 <= f < n:
-            raise ConfigError(f"rips frontier entry {f!r} is not a point id in 0..{n - 1}")
     neighbors = [set() for _ in range(n)]
-    for edge in edge_list:
-        if not (type(edge) in (list, tuple) and len(edge) == 2
-                and all(type(v) is int and 0 <= v < n for v in edge)):
-            raise ConfigError(f"rips edge {edge!r} is not two point ids in 0..{n - 1}")
-        x, y = edge
+    for x, y in d["edges"]:
         neighbors[x].add(y)
         neighbors[y].add(x)
     components = _components(neighbors)
@@ -255,7 +238,8 @@ def rips_from_json(doc: dict) -> tuple[RipsGraph, frozenset]:
                               "but the file does not list it")
     if len(listed) != len(components):
         raise ConfigError("rips file lists components that its edges do not form")
-    return RipsGraph(r, n, tuple(map(frozenset, neighbors)), components), frontier
+    return (RipsGraph(d["r"], n, tuple(map(frozenset, neighbors)), components),
+            frozenset(d["frontier"]))
 
 
 def flow_to_json(flow: FlowField) -> dict:
@@ -267,16 +251,14 @@ def flow_to_json(flow: FlowField) -> dict:
     }
 
 
+FLOW = Obj({"points": Exact(int, 1), "r": Rational("> 0"), "sinks": List(ID),
+            "sigma": Entries(ID, ID)})
+
+
 def flow_from_json(doc: dict) -> FlowField:
+    """The flow of a file its form `FLOW` reads, its orbits checked by `FlowField`."""
+    d = read(doc, FLOW, "flow file")
     try:
-        sigma = {}
-        for x, sx in doc["sigma"]:
-            if x in sigma:
-                raise ValueError(f"point {x!r} has two sigma edges")
-            sigma[x] = sx
-        return FlowField(sigma=sigma, sinks=frozenset(doc["sinks"]),
-                         r=parse_rational(doc["r"]), n=doc["points"])
-    except (KeyError, TypeError) as e:
-        raise ConfigError(f"flow file missing field: {e}") from e
+        return FlowField._trusted(d["sigma"], frozenset(d["sinks"]), d["r"], d["points"])
     except ValueError as e:
         raise ConfigError(f"flow file is corrupt: {e}") from e

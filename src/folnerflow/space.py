@@ -53,7 +53,8 @@ from functools import reduce
 from operator import le
 
 from .errors import ConfigError
-from .jsonio import format_rational, load_json, parse_rational, to_doc
+from .jsonio import (ID, Exact, List, Obj, Rational, Tagged, Tuple, format_rational,
+                     load_json, read, to_doc)
 
 PointId = int
 # the weights of a unit-weight graph, whose `_wts` is None, for zip
@@ -711,73 +712,55 @@ def _powers(first, ratio, terms, cap):  # first * (1 + ratio + ... + ratio^(term
     return total if ratio > 1 else first * terms
 
 
-_Kind = namedtuple("_Kind", "fields count build")
-# Each generator kind: its fields, each a type ([dict]: a list of descriptors)
-# or an int default; its point count from them and a cap, exact up to the cap
-# where the build succeeds and stopping past it in the build's order (parts,
-# then a base, then levels); and its build, the one place values are refused.
+_Kind = namedtuple("_Kind", "form count build")
+_INT = Exact(int)
+GENERATOR = Tagged("kind", {})  # a generator descriptor: the form of its kind's row
+# Each generator kind: the form of its descriptor, each field an int (with
+# its default) or nested descriptors; its point count from the read fields
+# and a cap, exact up to the cap where the build succeeds and stopping past
+# it in the build's order (parts, then a base, then levels); and its build,
+# the one place values are refused.
 _KINDS = {
-    "grid": _Kind({"dim": 1, "low": int, "high": int},  # side^dim = 1 + (side - 1)(1 + ...)
+    # side^dim = 1 + (side - 1)(1 + side + ...)
+    "grid": _Kind(Obj({"dim": (_INT, 1), "low": _INT, "high": _INT}),
                   lambda dim, low, high, cap: 1 + _powers(high - low, high - low + 1, dim, cap),
                   grid_window),
-    "cycle": _Kind({"length": int}, lambda length, cap: length, cycle_window),
-    "tree": _Kind({"branching": int, "depth": int},  # b children per vertex
+    "cycle": _Kind(Obj({"length": _INT}), lambda length, cap: length, cycle_window),
+    "tree": _Kind(Obj({"branching": _INT, "depth": _INT}),  # b children per vertex
                   lambda branching, depth, cap: _powers(1, branching, depth + 1, cap), tree_window),
-    "regular_tree": _Kind({"degree": int, "depth": int},  # b at the root, b - 1 below
+    "regular_tree": _Kind(Obj({"degree": _INT, "depth": _INT}),  # b at the root, b - 1 below
                           lambda degree, depth, cap: 1 + _powers(degree, degree - 1, depth, cap),
                           regular_tree_window),
-    "union": _Kind({"parts": [dict], "spacing": list}, lambda parts, spacing, cap: reduce(
-        lambda total, part: total if total > cap else total + _spec_points(part, cap), parts, 0),
-        lambda parts, spacing: disjoint_union(list(map(generate, parts)),
-                                              map(parse_rational, spacing))),
-    "product": _Kind({"base": dict, "levels": int}, lambda base, levels, cap:
-                     (points := _spec_points(base, cap)) * (levels if points <= cap else 1),
-                     lambda base, levels: product_with_interval(generate(base), levels)),
+    "union": _Kind(Obj({"parts": List(GENERATOR), "spacing": List(Rational())}),
+                   lambda parts, spacing, cap: reduce(
+                       lambda total, part: total if total > cap else total + _count(part, cap),
+                       parts, 0),
+                   lambda parts, spacing: disjoint_union(list(map(_build, parts)), spacing)),
+    "product": _Kind(Obj({"base": GENERATOR, "levels": _INT}), lambda base, levels, cap:
+                     (points := _count(base, cap)) * (levels if points <= cap else 1),
+                     lambda base, levels: product_with_interval(_build(base), levels)),
 }
+GENERATOR.variants.update((kind, row.form) for kind, row in _KINDS.items())
 
 
-def _read(spec) -> tuple:
-    """(row, fields): the `_KINDS` row of a generator descriptor and its
-    fields, defaults filled in, once the whole descriptor, nested ones too,
-    is read without building anything; ConfigError naming what it refuses."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("generator spec must be a dict with a 'kind' key")
-    kind = spec["kind"]
-    if type(kind) is not str or kind not in _KINDS:
-        raise ConfigError(f"unknown generator kind {kind!r}")
-    row, name = _KINDS[kind], f"generator spec for {kind!r}"
-    lists = [key for key, form in row.fields.items() if form in (list, [dict])]
-    for key, form in row.fields.items():
-        if key not in spec and type(form) is not int:
-            raise ConfigError(f"{name} is missing {key!r}")
-        value = spec.get(key, form)
-        if key in lists and type(value) is not list:
-            raise ConfigError(f"{name}: {' and '.join(lists)} must be lists")
-        if (form is int or type(form) is int) and type(value) is not int:
-            raise ConfigError(f"{name}: {key} must be an int, got {value!r}")
-        for nested in [value] if form is dict else value if form == [dict] else ():
-            _read(nested)
-    if extra := spec.keys() - {"kind", *row.fields}:
-        raise ConfigError(f"{name} does not read {', '.join(sorted(map(repr, extra)))}")
-    return row, {key: spec.get(key, form) for key, form in row.fields.items()}
+def _build(spec) -> WindowSpace:
+    """The window of a descriptor `GENERATOR` has read."""
+    return _KINDS[spec["kind"]].build(**{k: v for k, v in spec.items() if k != "kind"})
+
+
+def _count(spec, cap) -> int:
+    """The point count of a read descriptor, exact up to `cap` (see `_KINDS`)."""
+    return _KINDS[spec["kind"]].count(**{k: v for k, v in spec.items() if k != "kind"}, cap=cap)
 
 
 def generate(spec: dict) -> WindowSpace:
-    """Build a window from a generator descriptor (see the file-format docs):
-    `_read`'s ConfigError, or one for a value its kind's build refuses."""
-    row, fields = _read(spec)
+    """The window of a generator descriptor, read whole by its form before
+    anything is built; ConfigError for what the form or the build refuses."""
+    spec = read(spec, GENERATOR, "generator spec")
     try:
-        return row.build(**fields)
+        return _build(spec)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-
-
-def _spec_points(spec, cap) -> int:
-    """The point count of `generate(spec)`, exact up to `cap` and past it as
-    soon as the build would be, so no int much above `cap` is made;
-    `_read`'s ConfigError where it refuses the spec."""
-    row, fields = _read(spec)
-    return row.count(**fields, cap=cap)
 
 
 # -- serialization ---------------------------------------------------------
@@ -817,84 +800,49 @@ def space_to_json(space: WindowSpace) -> dict:
     return doc
 
 
-def space_from_json(doc: dict) -> WindowSpace:
-    """ConfigError naming the field unless the file is an object whose `points`
-    is a positive int, `metric` an object with a list of matrix rows or graph
-    edges ([x, y, weight] triples), at least a row per point or points - 1
-    edges, `frontier` a list of int ids, `label` a str, and, with a
-    `generator`, unless all four and the generator itself match its space's
-    file. A generator is read whole, and its point count compared, first."""
-    if type(doc) is not dict:
-        raise ConfigError(f"a space file must be a JSON object, got a {type(doc).__name__}")
-    try:
-        n = doc["points"]
-        metric = doc["metric"]
-        frontier = doc["frontier"]
-        label = doc.get("label", "")
-    except KeyError as e:
-        raise ConfigError(f"space file missing field: {e}") from e
-    if type(label) is not str:
-        raise ConfigError(f"space file label must be a str, got {label!r}")
-    if type(n) is not int or n <= 0:
-        raise ConfigError(f"space file points must be a positive int, got {n!r}")
-    if type(metric) is not dict:
-        raise ConfigError(f"space file metric must be an object, got {metric!r}")
-    if type(frontier) is not list:
-        raise ConfigError(f"space file frontier must be a list, got {frontier!r}")
-    for f in frontier:
-        if type(f) is not int:
-            raise ConfigError(f"space frontier entry {f!r} is not an int point id")
+SPACE = Obj({"points": Exact(int, 1), "frontier": List(ID), "label": (Exact(str), ""),
+             "metric": Tagged("type", {
+                 "matrix": Obj({"entries": List(List(Rational()))}),
+                 "graph": Obj({"edges": List(Tuple(ID, ID, Rational("> 0")))})})})
+# a generated file's metric is compared whole with its regenerated file's,
+# never read edge by edge
+GENERATED_SPACE = Obj({**SPACE.fields, "generator": GENERATOR, "metric": Tagged("type", {
+    "matrix": Obj({"entries": Exact(list)}), "graph": Obj({"edges": Exact(list)})})})
 
+
+def space_from_json(doc: dict) -> WindowSpace:
+    """The space of a file its form reads (`SPACE`, or `GENERATED_SPACE` with a
+    `generator`); a generated file must be the file of its generator's space."""
+    generated = type(doc) is dict and doc.get("generator") is not None
+    d = read(doc, GENERATED_SPACE if generated else SPACE, "space file")
+    n, metric, graph = d["points"], d["metric"], d["metric"]["type"] == "graph"
     # a matrix holds a row per point, a connected graph at least points - 1
     # edges: checked before any build, this bounds the build by the file's size
-    kind = metric.get("type")
-    held = metric.get("entries" if kind == "matrix" else "edges")
-    fits = type(held) is list and len(held) >= n - (kind != "matrix")
-    gen = doc.get("generator")
-    if gen is not None:  # a generated file must be the file of its generator's space
-        bad = "points" if _spec_points(gen, n) != n else None if fits else "metric"
+    held = metric["edges" if graph else "entries"]
+    fits = len(held) >= n - graph
+    if generated:
+        bad = "points" if _count(d["generator"], n) != n else None if fits else "metric"
         if not bad:
-            space = generate(gen)
-            made = space_to_json(space)
-            made["frontier"] = set(made["frontier"])
-            stored = {"points": n, "label": label, "metric": metric, "frontier": set(frontier),
-                      "generator": gen}
-            bad = next((key for key, value in stored.items() if made[key] != value), None)
+            space = generate(doc["generator"])
+            made = {**space_to_json(space), "frontier": set(space.frontier)}
+            stored = {**doc, "label": d["label"], "frontier": set(d["frontier"])}
+            bad = next((key for key in ("points", "label", "metric", "frontier", "generator")
+                        if made[key] != stored[key]), None)
         if bad:
             raise ConfigError(f"space file {bad} does not match its generator descriptor")
         return space
-
-    if kind == "matrix":
-        rows = held
-        if type(rows) is not list or not all(type(row) is list for row in rows):
-            raise ConfigError("space file matrix entries must be a list of rows")
-        entries = [[parse_rational(v) for v in row] for row in rows]
-        try:
-            return WindowSpace(n, frontier=frontier, label=label, matrix=entries)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-    if kind == "graph":
-        edges = held
-        if type(edges) is not list:
-            raise ConfigError(f"space file graph edges must be a list, got {edges!r}")
-        if not fits:
-            raise ConfigError(f"space file points {n} need at least {n - 1} graph edges, "
-                              f"got {len(edges)}")
-        adjacency = [[] for _ in range(n)]
-        for edge in edges:
-            if type(edge) is not list or len(edge) != 3:
-                raise ConfigError(f"graph edge {edge!r} is not an [x, y, weight] triple")
-            x, y, w = edge
-            if not all(type(p) is int and 0 <= p < n for p in (x, y)):
-                raise ConfigError(f"graph edge [{x}, {y}] has an endpoint outside 0..{n - 1}")
-            w = parse_rational(w)
-            adjacency[x].append((y, w))
-            adjacency[y].append((x, w))
-        try:
-            return WindowSpace(n, frontier=frontier, label=label, adjacency=adjacency)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-    raise ConfigError(f"unknown metric type {kind!r}")
+    if graph and not fits:  # a matrix that is not n x n is refused by `WindowSpace`
+        raise ConfigError(f"space file points {n} need at least {n - 1} graph edges, "
+                          f"got {len(held)}")
+    adjacency = [[] for _ in range(n)] if graph else None
+    for x, y, w in held if graph else ():
+        adjacency[x].append((y, w))
+        adjacency[y].append((x, w))
+    try:
+        return WindowSpace(n, frontier=d["frontier"], label=d["label"],
+                           matrix=None if graph else held, adjacency=adjacency)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def load_space(path) -> WindowSpace:

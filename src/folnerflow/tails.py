@@ -4,6 +4,8 @@ A tail cover attaches to every point x a finite escape sequence
 t^x_0 = x, t^x_1, t^x_2, ... of pairwise-distinct points with steps of
 length <= r, ending on the frontier (where the window truncates it), such
 that no point of the space is visited by more than K distinct tails.
+A point of the space with no tail in a cover is a start violation (its
+tail does not start at it), so a partial cover fails.
 Covers model routing mass "to infinity" on spaces with no Folner sets,
 where a bounded-multiplicity escape route exists instead.
 
@@ -26,7 +28,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import BranchingTooLow, ConfigError, TailTooShort
-from .jsonio import Doc, format_rational, parse_rational
+from .jsonio import Doc, Entries, Exact, List, Obj, Rational, format_rational, read
 from .space import WindowSpace
 
 
@@ -40,7 +42,7 @@ class TailCover(namedtuple("TailCover", "tails r K")):
 class TailCoverReport(namedtuple("TailCoverReport", [
         "passed", "measured_K",
         "measured_step",  # Fraction | None when no tail has two points
-        "start_violations",  # [x] with t^x_0 != x
+        "start_violations",  # [x] with no tail, or with t^x_0 != x
         "distinct_violations",  # [x] with a repeated point
         "step_violations",  # [(x, j, d)] steps longer than r
         "multiplicity_violations",  # [(z, count)] points hit by > K tails
@@ -49,7 +51,8 @@ class TailCoverReport(namedtuple("TailCoverReport", [
 
 
 def verify_tail_cover(cover: TailCover, space: WindowSpace) -> TailCoverReport:
-    """Exact check of every cover invariant; violations are report entries.
+    """Exact check of every cover invariant; violations are report entries,
+    sorted by point (a point of the space with no tail is a start violation).
 
     Also measures the smallest K and largest step the cover actually
     attains, so a hand-built cover's declared bounds can be audited. The
@@ -57,13 +60,13 @@ def verify_tail_cover(cover: TailCover, space: WindowSpace) -> TailCoverReport:
     targeted at all the points its steps reach, gives their lengths as ints
     at the space's scale L, each compared with floor(r * L).
     """
-    start_violations = []
     distinct_violations = []
     frontier_violations = []
     counts = {}
     successors = {}  # the points one step after each point, over all tails
 
     tails = cover.tails
+    start_violations = list(range(space.n) - tails.keys())  # a missing tail starts nowhere
     for x in sorted(tails):
         seq = tails[x]
         for t in seq:
@@ -98,16 +101,12 @@ def verify_tail_cover(cover: TailCover, space: WindowSpace) -> TailCoverReport:
                     if steps[ab] > limit:
                         step_violations.append((x, j, Fraction(steps[ab], L)))
 
-    measured_K = max(counts.values(), default=0)
-    multiplicity_violations = sorted(
-        (z, c) for z, c in counts.items() if c > cover.K
-    )
+    start_violations.sort()
+    multiplicity_violations = sorted((z, c) for z, c in counts.items() if c > cover.K)
     return TailCoverReport(
-        passed=not (
-            start_violations or distinct_violations or step_violations
-            or multiplicity_violations or frontier_violations
-        ),
-        measured_K=measured_K,
+        passed=not (start_violations or distinct_violations or step_violations
+                    or multiplicity_violations or frontier_violations),
+        measured_K=max(counts.values(), default=0),
         measured_step=None if longest is None else Fraction(longest, L),
         start_violations=start_violations,
         distinct_violations=distinct_violations,
@@ -212,27 +211,15 @@ def cover_to_json(cover: TailCover) -> dict:
     }
 
 
+COVER = Obj({"r": Rational(">= 0"), "K": Exact(int, 1),
+             "tails": Entries(Exact(int), List(Exact(int)))})
+
+
 def cover_from_json(doc) -> TailCover:
-    """ConfigError naming the point unless every tail is a list of int ids
-    under an int point listed once, r is >= 0 and K is a positive int."""
-    try:
-        tails = {}
-        for x, seq in doc["tails"]:
-            if type(x) is not int:
-                raise ConfigError(f"tail cover point {x!r} is not an int id")
-            if x in tails:
-                raise ConfigError(f"tail cover lists point {x} twice")
-            if type(seq) is not list or any(type(t) is not int for t in seq):
-                raise ConfigError(f"the tail of point {x} is not a list of int ids: {seq!r}")
-            tails[x] = tuple(seq)
-        cover = TailCover(tails=tails, r=parse_rational(doc["r"]), K=doc["K"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad tail cover file: {e}") from e
-    if cover.r < 0:
-        raise ConfigError(f"tail cover r must be >= 0, got {doc['r']!r}")
-    if type(cover.K) is not int or cover.K <= 0:
-        raise ConfigError(f"tail cover K must be a positive int, got {cover.K!r}")
-    return cover
+    """The cover of a file its form `COVER` reads (see `check_cover_on_space`)."""
+    d = read(doc, COVER, "tail cover")
+    return TailCover(tails=dict(zip(d["tails"], map(tuple, d["tails"].values()))),
+                     r=d["r"], K=d["K"])
 
 
 def check_cover_on_space(cover: TailCover, space: WindowSpace) -> None:
@@ -247,7 +234,9 @@ def check_cover_on_space(cover: TailCover, space: WindowSpace) -> None:
                                   f"outside the space's 0..{space.n - 1}")
     report = verify_tail_cover(cover, space)
     if report.start_violations:
-        raise ConfigError(f"the tail of point {report.start_violations[0]} does not start there")
+        x = report.start_violations[0]
+        raise ConfigError(f"the tail of point {x} does not start there" if x in cover.tails
+                          else f"cover has no tail for point {x}")
     if report.distinct_violations:
         raise ConfigError(f"the tail of point {report.distinct_violations[0]} repeats a point")
     if report.step_violations:

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 import folnerflow
 from folnerflow import Chain, FamilyParams, IndexedFamily, WindowSpace, boundary
 from folnerflow.rips import FlowField
-from folnerflow.space import _KINDS, check_radius, space_to_json
+from folnerflow.jsonio import List
+from folnerflow.space import _KINDS, GENERATOR, check_radius, space_to_json
 from folnerflow.tails import TailCoverReport
 
 
@@ -117,23 +118,25 @@ def descriptors(draw, depth=2):
     small int with the refused ones (0, -1, an empty grid range) among them,
     an int default sometimes left out, and a union's spacing as many
     rationals as it has parts, nondecreasing and sometimes 0, or one too
-    many. Drawn from the table's fields, so a new kind or field is drawn too."""
+    many. Drawn from the forms of the table's rows, so a new kind or field
+    is drawn too."""
+    nests = lambda form: form is GENERATOR or isinstance(form, List) and form.item is GENERATOR
     kinds = [kind for kind, row in _KINDS.items()  # below `depth`, the kinds that nest none
-             if depth or not any(form is dict or form == [dict] for form in row.fields.values())]
+             if depth or not any(nests(form) for form, _ in row.form.fields.values())]
     kind = draw(st.sampled_from(kinds))
     spec, parts = {"kind": kind}, 0
-    for key, form in _KINDS[kind].fields.items():
-        if form is dict:
+    for key, (form, default) in _KINDS[kind].form.fields.items():
+        if form is GENERATOR:
             spec[key] = draw(descriptors(depth - 1))
-        elif form == [dict]:
+        elif nests(form):
             spec[key] = draw(st.lists(descriptors(depth - 1), min_size=1, max_size=3))
             parts = len(spec[key])
-        elif form is list:
+        elif isinstance(form, List):
             size = parts + draw(st.sampled_from([0] * 7 + [1]))
             spacing = st.sampled_from(["0"] + ["1/2", "1", "3"] * 3)
             spec[key] = sorted(draw(st.lists(spacing, min_size=size, max_size=size)),
                                key=Fraction)
-        elif type(form) is not int or draw(st.booleans()):
+        elif default is ... or draw(st.booleans()):
             # a size the build takes two times in three, so nested kinds often build
             spec[key] = draw(st.integers(-1, 3) | st.integers(1, 3) | st.integers(1, 3))
     return spec
@@ -310,6 +313,9 @@ def verify_tail_cover_by_steps(cover, space: WindowSpace) -> TailCoverReport:
         if seq and seq[-1] not in space.frontier:
             frontier_violations.append(x)
 
+    # a point of the space with no tail has none that starts at it
+    start_violations = sorted(start_violations + [x for x in range(space.n)
+                                                  if x not in cover.tails])
     multiplicity_violations = sorted((z, c) for z, c in counts.items() if c > cover.K)
     return TailCoverReport(
         passed=not (start_violations or distinct_violations or step_violations

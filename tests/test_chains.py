@@ -30,9 +30,8 @@ from folnerflow import (
     tent_family,
     verify_family,
 )
-from folnerflow.chains import (FamilyReport, _in_range, _terms, chain_from_json,
-                               family_from_json, family_to_json, load_family,
-                               multiset_family_from_json)
+from folnerflow.chains import (FamilyReport, _in_range, _terms, family_from_json,
+                               family_to_json, load_family, multiset_family_from_json)
 from folnerflow.families import perturbed_cluster_family
 from folnerflow.jsonio import dump_json
 from folnerflow.space import space_from_json, space_to_json
@@ -81,9 +80,13 @@ class TestLatticeOps:
             Chain({0: True})
 
     def test_json_loader_rejects_bool_weights(self):
-        with pytest.raises(ConfigError, match="bad chain"):
-            chain_from_json({"weights": [[0, True]]})
-        assert chain_from_json({"weights": [[0, 1]]}) == Chain({0: 1})
+        space, params = grid_window(1, 0, 2), FamilyParams(R=1, epsilon=1, S=2).to_json()
+        with pytest.raises(ConfigError) as info:
+            family_from_json({"params": params, "chains": [[0, {"weights": [[0, True]]}]]}, space)
+        assert str(info.value) == ("family file chains[0][1].weights[0][1] must be a positive "
+                                   "int, got True")
+        doc = {"params": params, "chains": [[0, {"weights": [[0, 1]]}]]}
+        assert family_from_json(doc, space).chains[0] == Chain({0: 1})
 
     def test_zero_weights_dropped(self):
         assert Chain({0: 0, 1: 2}) == Chain({1: 2})
@@ -192,7 +195,7 @@ class TestFamilyParams:
         with pytest.raises(ValueError, match=re.escape(message)):
             MultisetFamily(sets={0: frozenset({(0, 0)})}, M=M,
                            params=FamilyParams(R=1, epsilon=1, S=2))
-        with pytest.raises(ConfigError, match=re.escape(f"bad family params: {message}")):
+        with pytest.raises(ConfigError, match=re.escape(f"family params {message}")):
             FamilyParams.from_json({"R": "1", "epsilon": "1", "S": "2", "M": M})
 
     def test_exact_values_kept(self):
@@ -231,12 +234,12 @@ class TestMalformedFamilies:
 
     @pytest.mark.parametrize("load, message", [
         (lambda: family_from_json({"chains": []}, grid_window(1, 0, 2)),
-         "bad family file: 'params'"),
+         "family file is missing 'params'"),
         (lambda: family_from_json({"params": PARAMS.to_json(), "chains": [[1, {"weights": []}]]},
                                   grid_window(1, 0, 2)),
          "family chain at index 1 is empty"),
         (lambda: multiset_family_from_json({"params": PARAMS.to_json(), "sets": []}),
-         "bad multiset family file: 'M'"),
+         "multiset family file is missing 'M'"),
     ], ids=["family-params-missing", "family-chain-empty", "multiset-M-missing"])
     def test_files(self, load, message):
         with pytest.raises(ConfigError) as info:

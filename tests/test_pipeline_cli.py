@@ -1,10 +1,13 @@
 """Pipeline runs, determinism, report round-trips, CLI exit codes."""
 
+import copy
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import child_env
@@ -121,12 +124,12 @@ class TestConfigValidation:
             })
 
     @pytest.mark.parametrize("doc, message", [
-        ([], "config must be an object with a 'stages' list"),
-        ({"seed": 1}, "config must be an object with a 'stages' list"),
-        ({"stages": [{"kind": "generate"}]}, "stage 0 is missing 'name'"),
-        ({"stages": [], "seed": "1"}, "seed must be an integer"),
-        ({"stages": [7]}, "stage 0 must be an object, got 7"),
-        ({"stages": 7}, "config must be an object with a 'stages' list"),
+        ([], "config must be an object, got []"),
+        ({"seed": 1}, "config is missing 'stages'"),
+        ({"stages": [{"kind": "generate"}]}, "config stages[0] is missing 'name'"),
+        ({"stages": [], "seed": "1"}, "config seed must be an int, got '1'"),
+        ({"stages": [7]}, "config stages[0] must be an object, got 7"),
+        ({"stages": 7}, "config stages must be a list, got 7"),
     ], ids=["list", "no-stages", "stage-name", "seed-str", "stage-int", "stages-int"])
     def test_malformed_config_named(self, doc, message):
         with pytest.raises(ConfigError) as info:
@@ -329,7 +332,7 @@ class TestCli:
         r = run_cli(["space", "gen", "--spec", '{"kind": "cycle", "length": 5, "foo": 1}',
                      "--out", "c.json"], tmp_path)
         assert r.returncode == 2
-        assert "generator spec for 'cycle' does not read 'foo'" in r.stderr
+        assert "generator spec does not read 'foo'" in r.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_malformed_space_is_exit_2(self, tmp_path):
@@ -338,11 +341,11 @@ class TestCli:
         (tmp_path / "s.json").write_text(json.dumps({**doc, "frontier": [True]}))
         r = run_cli(["space", "info", "--space", "s.json"], tmp_path)
         assert (r.returncode, r.stdout, r.stderr) == (
-            2, "", "error: space frontier entry True is not an int point id\n")
+            2, "", "error: space file frontier[0] must be a point id below 3, got True\n")
         r = run_cli(["space", "gen", "--spec", '{"kind": "cycle", "length": true}',
                      "--out", "c.json"], tmp_path)
         assert (r.returncode, r.stdout, r.stderr) == (
-            2, "", "error: generator spec for 'cycle': length must be an int, got True\n")
+            2, "", "error: generator spec length must be an int, got True\n")
         assert not (tmp_path / "c.json").exists()
 
     def test_matrix_not_a_metric_is_exit_2(self, tmp_path):
@@ -360,7 +363,7 @@ class TestCli:
         (tmp_path / "s.json").write_text("[1, 2]")
         r = run_cli(["space", "info", "--space", "s.json"], tmp_path)
         assert (r.returncode, r.stdout, r.stderr) == (
-            2, "", "error: a space file must be a JSON object, got a list\n")
+            2, "", "error: space file must be an object, got [1, 2]\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
     @pytest.mark.parametrize("M", [1.5, True])
@@ -373,7 +376,7 @@ class TestCli:
         (tmp_path / "pushfam.json").write_text(json.dumps(doc))
         r = run_cli([*PUSH, "--out", "pushed.json"], tmp_path)
         assert (r.returncode, r.stdout, r.stderr) == (
-            2, "", f"error: bad family params: M must be an int >= 0, got {M!r}\n")
+            2, "", f"error: family file params.M must be an int >= 0, got {M!r}\n")
         assert not (tmp_path / "pushed.json").exists()
 
     def test_family_verify_exit_codes(self, tmp_path):
@@ -539,11 +542,11 @@ class TestCli:
         ({"kind": "translates", "F": [0, 1], "core": [999]}, "unknown point id 999"),
         ({"kind": "translates", "F": [0, 1], "core": [-1]}, "unknown point id -1"),
         ({"kind": "translates", "F": [0, 1], "core": {"coords": 5}},
-         "core coords must be a list of two ints [lo, hi], got 5"),
+         "core coords must be a list of 2 entries, got 5"),
         ({"kind": "singletons", "core": {"coords": [0]}},
-         "core coords must be a list of two ints [lo, hi], got [0]"),
+         "core coords must be a list of 2 entries, got [0]"),
         ({"kind": "singletons", "core": {"coords": [0, True]}},
-         "core coords must be a list of two ints [lo, hi], got [0, True]"),
+         "core coords[1] must be an int, got True"),
     ], ids=["singletons-999", "singletons-minus-1", "translates-999", "translates-minus-1",
             "coords-int", "coords-one", "coords-bool"])
     def test_a_core_is_checked_against_its_window(self, tmp_path, params, message):
@@ -624,6 +627,9 @@ class TestIdParsing:
             run(translates_config(1, F), tmp_path)
 
 
+FAMILY_KINDS = "'tent', 'ball', 'singletons', 'translates', 'random_multiset'"
+
+
 class TestStageParams:
     @pytest.mark.parametrize("stage, missing", [
         ({"name": "tent", "kind": "family", "params": {"kind": "tent"},
@@ -640,7 +646,7 @@ class TestStageParams:
              "params": {"spec": {"kind": "grid", "dim": 1, "low": 0, "high": 20}}},
             stage,
         ]}
-        message = f"stage {stage['name']!r}: missing parameter {missing!r}"
+        message = f"config stages[1].params is missing {missing!r}"
         with pytest.raises(ConfigError) as info:
             run(PipelineConfig.from_json(doc), tmp_path / "lib")
         assert str(info.value) == message
@@ -666,13 +672,14 @@ class TestStageParams:
             tmp_path / "boxspace.json").read_bytes()
 
     @pytest.mark.parametrize("stages, message, runs", [
-        ([{"name": "g", "kind": "rips"}], "stage 'g' needs an input 'space'", False),
+        ([{"name": "g", "kind": "rips"}], "config stages[1].inputs is missing 'space'", False),
         ([{"name": "g", "kind": "rips", "inputs": {"space": "win"}},
           {"name": "h", "kind": "rips", "inputs": {"space": "g"}}],
          "stage 'h': input 'g' is a rips stage, expected one of ('generate', 'box')",
          False),
         ([{"name": "fam", "kind": "family", "params": {"kind": "blob"}, "inputs": {"space": "win"}}],
-         "stage 'fam': unknown family kind 'blob'", False),
+         "config stages[1].params.kind must be one of "
+         f"{FAMILY_KINDS}, got 'blob'", False),
         ([{"name": "cover", "kind": "tails", "inputs": {"space": "win"}},
           {"name": "fam", "kind": "family", "params": {"kind": "singletons"},
            "inputs": {"space": "win"}},
@@ -707,16 +714,17 @@ class TestStageParams:
 
     @pytest.mark.parametrize("stage, message", [
         ({"name": "check", "kind": "verify", "params": {"require-flat": True},
-          "inputs": {"family": "fam"}}, "stage 'check' does not read param 'require-flat'"),
+          "inputs": {"family": "fam"}}, "config stages[2].params does not read 'require-flat'"),
         ({"name": "check", "kind": "verify", "inputs": {"family": "fam", "bogus": "win"}},
-         "stage 'check' does not read input 'bogus'"),
+         "config stages[2].inputs does not read 'bogus'"),
         ({"name": "balls", "kind": "family", "params": {"kind": "ball", "radius": 2, "width": 4},
-          "inputs": {"space": "win"}}, "stage 'balls' does not read param 'width'"),
-        # named ahead of the family kind, which only a run reads
+          "inputs": {"space": "win"}}, "config stages[2].params does not read 'width'"),
+        # the family kind is read first: it names the params the stage reads
         ({"name": "blobs", "kind": "family", "params": {"kind": "blob", "width": 4, "M": 1},
-          "inputs": {"space": "win"}}, "stage 'blobs' does not read param 'M', 'width'"),
+          "inputs": {"space": "win"}},
+         f"config stages[2].params.kind must be one of {FAMILY_KINDS}, got 'blob'"),
         ({"name": "g", "kind": "rips", "params": {"r": "1/1", "R": "1/1"},
-          "inputs": {"space": "win"}}, "stage 'g' does not read param 'R'"),
+          "inputs": {"space": "win"}}, "config stages[2].params does not read 'R'"),
     ], ids=["verify-param", "verify-input", "other-family-kind", "unknown-family-kind", "rips"])
     def test_unread_param_or_input_is_refused(self, tmp_path, stage, message):
         # without the unread key this run passes, flat or not
@@ -749,10 +757,10 @@ class TestStageParams:
             run(cfg, tmp_path)
 
     @pytest.mark.parametrize("core, message", [
-        ([3, 1.7], "core entry 1.7 is not an int point id"),
-        ([True], "core entry True is not an int point id"),
-        (["5"], "core entry '5' is not an int point id"),
-        ("3..9", "core must be a list of point ids or coords, got '3..9'"),
+        ([3, 1.7], "core[1] must be an int, got 1.7"),
+        ([True], "core[0] must be an int, got True"),
+        (["5"], "core[0] must be an int, got '5'"),
+        ("3..9", "core must be a list, got '3..9'"),
     ], ids=["float", "bool", "str", "range-string"])
     def test_core_entries_must_be_int_ids(self, tmp_path, core, message):
         cfg = PipelineConfig.from_json({"stages": [
@@ -947,7 +955,7 @@ class TestMalformedStages:
             {"name": "w", "kind": "generate", "params": {"spec": {"kind": "cycle", "length": 4}}},
             {"name": "g", "kind": "rips", "inputs": {"space": "w"}, key: value},
         ]}
-        message = f"stage 'g': {key} must be an object, got {value!r}"
+        message = f"config stages[1].{key} must be an object, got {value!r}"
         with pytest.raises(ConfigError) as info:
             PipelineConfig.from_json(doc)
         assert str(info.value) == message
@@ -962,9 +970,9 @@ class TestMalformedStages:
         ({"kind": "box", "params": {"boxes": "3"}}, "boxes must be an int, got '3'"),
         ({"kind": "box", "params": {"boxes": True}}, "boxes must be an int, got True"),
         ({"kind": "box", "params": {"spacing": "1,2,3"}},
-         "spacing must be a list or null, got '1,2,3'"),
+         "spacing must be a list, got '1,2,3'"),
         ({"kind": "info", "params": {"radii": 5}, "inputs": {"space": "win"}},
-         "radii must be a list or null, got 5"),
+         "radii must be a list, got 5"),
     ], ids=["m-str", "m-float", "boxes-str", "boxes-bool", "spacing-str", "radii-int"])
     def test_param_of_the_wrong_type_is_exit_2(self, tmp_path, stage, message):
         """The CLI's flags parse these types; a config can hold any JSON value."""
@@ -997,7 +1005,7 @@ class TestMalformedStages:
         dump_json(doc, tmp_path / "r.json")
         r = run_cli(["flow", "build", "--rips", "r.json", "--out", "f.json"], tmp_path)
         assert r.returncode == 2, r.stderr
-        assert f"rips edge {edge} is not two point ids in 0..4" in r.stderr
+        assert f"rips file edges[4][1] must be a point id below 5, got {edge[1]}" in r.stderr
         assert not (tmp_path / "f.json").exists()
 
     @pytest.mark.parametrize("edges", [None, True, 1.5, 7], ids=["null", "true", "float", "int"])
@@ -1013,7 +1021,7 @@ class TestMalformedStages:
 
     @pytest.mark.parametrize("update, message", [
         ({"frontier": [9], "components": [[0, 1, 2, 3, 4, 9]]},
-         "rips frontier entry 9 is not a point id in 0..4"),
+         "rips file components[0][5] must be a point id below 5, got 9"),
         ({"components": [[0, 1, 2], [3, 4]]},
          "rips edges make [0, 1, 2, 3, 4] a component, but the file does not list it"),
     ], ids=["frontier-past-points", "components-split-an-edge"])
@@ -1029,7 +1037,7 @@ class TestMalformedStages:
 
     @pytest.mark.parametrize("mutate, message", [
         (lambda d: d.update(K="2"), "tail cover K must be a positive int, got '2'"),
-        (lambda d: d["tails"].append([0, [0, 99]]), "tail cover lists point 0 twice"),
+        (lambda d: d["tails"].append([0, [0, 99]]), "tail cover tails lists 0 twice"),
         (lambda d: d["tails"][0][1].append(99),
          "the tail of point 0 has point 99, outside the space's 0..30"),
         # the cover's own invariants, measured by verify_tail_cover
@@ -1120,15 +1128,15 @@ class TestCoarsePushMap:
         dump_json(doc, tmp_path / "map.json")
         r = run_cli([*PUSH, "--out", "pushed.json"], tmp_path)
         assert r.returncode == 2, r.stderr
-        assert "error: the map lists domain point 0 twice" in r.stderr
+        assert "error: map file f lists 0 twice" in r.stderr
         assert not (tmp_path / "pushed.json").exists()
 
     @pytest.mark.parametrize("doc, message", [
-        ({"f": [1, 2]}, "the map entry 1 is not two int ids"),
-        ({"f": [[0, 0], [1, 2, 3]]}, "the map entry [1, 2, 3] is not two int ids"),
-        ({"f": [[0, 0], ["1", 2]]}, "the map entry ['1', 2] is not two int ids"),
-        ({"f": {"0": 0}}, "the map must be a list of [x, y] pairs, got {'0': 0}"),
-        ({"g": []}, "the map must be a list of [x, y] pairs, got None"),
+        ({"f": [1, 2]}, "map file f[0] must be a list of 2 entries, got 1"),
+        ({"f": [[0, 0], [1, 2, 3]]}, "map file f[1] must be a list of 2 entries, got [1, 2, 3]"),
+        ({"f": [[0, 0], ["1", 2]]}, "map file f[1][0] must be an int, got '1'"),
+        ({"f": {"0": 0}}, "map file f must be a list, got {'0': 0}"),
+        ({"g": []}, "map file is missing 'f'"),
     ], ids=["int", "triple", "str-id", "object", "no-f"])
     def test_entry_not_a_pair_is_exit_2(self, tmp_path, doc, message):
         write_command_inputs(tmp_path)
@@ -1156,7 +1164,7 @@ class TestMapFileShape:
         write_command_inputs(tmp_path)
         dump_json([[0, 0]], tmp_path / "map.json")
         r = run_cli([*PUSH, "--out", "pushed.json"], tmp_path)
-        message = "error: the map file must hold a JSON object, got a list\n"
+        message = "error: map file must be an object, got [[0, 0]]\n"
         assert (r.returncode, r.stdout, r.stderr) == (2, "", message)
         assert not (tmp_path / "pushed.json").exists()
 
@@ -1172,7 +1180,7 @@ class TestIndexListedTwice:
         dump_json(doc, tmp_path / "fam.json")
         r = run_cli(["family", "verify", "--family", "fam.json", "--space", "X.json"], tmp_path)
         assert (r.returncode, r.stdout, r.stderr) == (
-            2, "", "error: the family lists index 0 twice\n")
+            2, "", "error: family file chains lists 0 twice\n")
 
     def test_multiset_family(self):
         params = FamilyParams(R=1, epsilon=Fraction(1, 2), S=1)
@@ -1181,7 +1189,7 @@ class TestIndexListedTwice:
         doc["sets"].append([3, [[2, 0]]])
         with pytest.raises(ConfigError) as info:
             multiset_family_from_json(doc)
-        assert str(info.value) == "the family lists index 3 twice"
+        assert str(info.value) == "multiset family file sets lists 3 twice"
 
 
 class TestFamilyIdsAgainstSpace:
@@ -1190,11 +1198,13 @@ class TestFamilyIdsAgainstSpace:
 
     @pytest.mark.parametrize("mutate, message", [
         (lambda c: c[3][1]["weights"].append([500, 1]),
-         "the chain at index 3 has point 500, outside the space's 0..20"),
-        (lambda c: c[3].__setitem__(0, 400), "family index 400 is not a point id in 0..20"),
+         "family file chains[3][1].weights[1][0] must be a point id below 21, got 500"),
+        (lambda c: c[3].__setitem__(0, 400),
+         "family file chains[3][0] must be a point id below 21, got 400"),
         (lambda c: c[3][1]["weights"].append([-1, 1]),
-         "the chain at index 3 has point -1, outside the space's 0..20"),
-        (lambda c: c[1].__setitem__(0, True), "family index True is not a point id in 0..20"),
+         "family file chains[3][1].weights[1][0] must be a point id below 21, got -1"),
+        (lambda c: c[1].__setitem__(0, True),
+         "family file chains[1][0] must be a point id below 21, got True"),
     ], ids=["point", "index", "negative-point", "bool-index"])
     def test_loader_names_the_misfit(self, mutate, message):
         X = grid_window(1, 0, 20)
@@ -1218,7 +1228,8 @@ class TestFamilyIdsAgainstSpace:
         doc["chains"][3][1]["weights"].append([500, 1])
         dump_json(doc, tmp_path / "fam.json")
         r = run_cli([*argv, "--family", "fam.json", "--space", "X.json"], tmp_path)
-        message = "the chain at index 3 has point 500, outside the space's 0..20"
+        message = (f"family file chains[3][1].weights[{len(doc['chains'][3][1]['weights']) - 1}][0] "
+                   "must be a point id below 21, got 500")
         assert (r.returncode, r.stderr) == (2, f"error: {message}\n")
         assert not (tmp_path / "out.json").exists()
 
@@ -1360,7 +1371,8 @@ class TestForgedTailInputs:
          "space file metric does not match its generator descriptor"),
         (lambda space, cover: space.update(label="forged"),
          "space file label does not match its generator descriptor"),
-        (lambda space, cover: cover.update(r="-1/2"), "tail cover r must be >= 0, got '-1/2'"),
+        (lambda space, cover: cover.update(r="-1/2"),
+         "tail cover r must be a rational >= 0, got '-1/2'"),
     ], ids=["tree-edge-7", "tree-label-forged", "cover-r-negative"])
     def test_tails_verify_is_exit_2(self, tmp_path, mutate, message):
         tree = tree_window(2, 11)
@@ -1482,11 +1494,12 @@ class TestDescriptorReadWhole:
 
     @pytest.mark.parametrize("spec, message", [
         ({"kind": "cycle", "length": -1, "foo": 1},
-         "generator spec for 'cycle' does not read 'foo'"),
+         "generator spec does not read 'foo'"),
         ({"kind": "product", "base": {"kind": "grid", "dim": 10 ** 9, "low": 0, "high": 1},
-          "levels": "x"}, "generator spec for 'product': levels must be an int, got 'x'"),
+          "levels": "x"}, "generator spec levels must be an int, got 'x'"),
         ({"kind": "union", "parts": [{"kind": "cycle", "length": 3}, {"kind": "wat"}]},
-         "unknown generator kind 'wat'"),
+         "generator spec parts[1].kind must be one of 'grid', 'cycle', 'tree', 'regular_tree', "
+         "'union', 'product', got 'wat'"),
     ], ids=["key-before-value", "levels-before-base", "part-before-spacing"])
     def test_space_gen(self, tmp_path, spec, message):
         r = run_capped_cli(["space", "gen", "--spec", json.dumps(spec), "--out", "s.json"],
@@ -1504,3 +1517,100 @@ class TestDescriptorReadWhole:
         r = run_capped_cli(["space", "info", "--space", "s.json"], tmp_path)
         assert (r.returncode, r.stdout, r.stderr) == (
             2, "", "error: space file points does not match its generator descriptor\n")
+
+
+class TestPartialCoverFails:
+    """A cover that leaves a point of the space without a tail fails
+    `tails verify` (exit 1: each such point is a start violation) and is
+    refused by `tails transport` (exit 2) whether or not the family needs
+    the missing tail; a `tails` object instead of a list is refused."""
+
+    def write(self, tmp_path, mutate):
+        tree = tree_window(2, 3)
+        dump_json(space_to_json(tree), tmp_path / "t.json")
+        cover = cover_to_json(build_tree_tails(tree))
+        mutate(cover)
+        (tmp_path / "cov.json").write_text(json.dumps(cover))
+
+    @pytest.mark.parametrize("mutate, missing", [
+        (lambda d: d.update(tails=[]), list(range(15))),
+        (lambda d: d["tails"].pop(0), [0]),
+    ], ids=["empty", "point-0-dropped"])
+    def test_tails_verify_fails(self, tmp_path, mutate, missing):
+        self.write(tmp_path, mutate)
+        r = run_cli(["tails", "verify", "--space", "t.json", "--cover", "cov.json"], tmp_path)
+        assert r.returncode == 1, r.stderr
+        report = json.loads(r.stdout)
+        assert not report["passed"] and report["start_violations"] == missing
+
+    def test_tails_object_is_exit_2(self, tmp_path):
+        self.write(tmp_path, lambda d: d.update(tails={}))
+        r = run_cli(["tails", "verify", "--space", "t.json", "--cover", "cov.json"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: tail cover tails must be a list, got {}\n")
+
+    def test_tails_transport_is_exit_2(self, tmp_path):
+        self.write(tmp_path, lambda d: d["tails"].pop(0))
+        # every element lands on the tail of point 1 or 2, none on point 0's
+        fam = MultisetFamily(sets={1: frozenset({(1, 0), (2, 1)}), 2: frozenset({(2, 0)})}, M=1,
+                             params=FamilyParams(R=1, epsilon=Fraction(1, 8), S=1, M=1))
+        dump_json(multiset_family_to_json(fam), tmp_path / "fam.json")
+        argv = ["tails", "transport", "--space", "t.json", "--family", "fam.json", "--out",
+                "out.json"]
+        r = run_cli([*argv, "--cover", "cov.json"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: cover has no tail for point 0\n")
+        assert not (tmp_path / "out.json").exists()
+        dump_json(cover_to_json(build_tree_tails(tree_window(2, 3))), tmp_path / "full.json")
+        assert run_cli([*argv, "--cover", "full.json"], tmp_path).returncode == 0
+
+
+class TestStageNamesAndReferences:
+    """A stage name is a plain file stem, and a name, kind or input reference
+    that is a list or an object is a ConfigError naming the field: `run`
+    exits 2, with no traceback, and writes nothing."""
+
+    CONFIG = [{"name": "win", "kind": "generate",
+               "params": {"spec": {"kind": "cycle", "length": 4}}},
+              {"name": "graph", "kind": "rips", "inputs": {"space": "win"}}]
+
+    def refused(self, tmp_path, doc, message):
+        with pytest.raises(ConfigError) as info:
+            PipelineConfig.from_json(doc)
+        assert str(info.value) == message
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        r = run_cli(["run", "--config", "cfg.json", "--out", "out/run"], tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("value", [["a"], {"a": 1}], ids=["list", "object"])
+    @pytest.mark.parametrize("field", ["name", "kind", "reference"])
+    def test_not_a_str(self, tmp_path, field, value):
+        doc = {"stages": copy.deepcopy(self.CONFIG)}
+        if field == "reference":
+            doc["stages"][1]["inputs"]["space"] = value
+            message = f"config stages[1].inputs.space must be a str, got {value!r}"
+        elif field == "kind":
+            doc["stages"][1]["kind"] = value
+            message = (f"config stages[1].kind must be one of {', '.join(map(repr, STAGES))}, "
+                       f"got {value!r}")
+        else:
+            doc["stages"][1]["name"] = value
+            message = f"config stages[1].name must be a plain file stem, got {value!r}"
+        self.refused(tmp_path, doc, message)
+
+    @pytest.mark.parametrize("name", ["../outside", "a/b", "", ".", "..", "a\\b", 7])
+    def test_name_not_a_file_stem(self, tmp_path, name):
+        doc = {"stages": copy.deepcopy(self.CONFIG)}
+        doc["stages"][1]["name"] = name
+        self.refused(tmp_path, doc, f"config stages[1].name must be a plain file stem, "
+                                    f"got {name!r}")
+
+    def test_names_used_in_the_demos_and_the_benchmark_are_stems(self):
+        root = Path(__file__).resolve().parent.parent
+        text = "\n".join(p.read_text() for p in [*(root / "demos").glob("*.py"),
+                                                 *(root / "bench").glob("wl_*.py")])
+        names = set(re.findall(r'"name": "([^"]*)"', text))
+        assert names and all(
+            PipelineConfig.from_json({"stages": [{"name": n, "kind": "generate", "params": {
+                "spec": {"kind": "cycle", "length": 3}}}]}) for n in names)

@@ -39,9 +39,15 @@ from folnerflow import (
 )
 from folnerflow.constructions import build_box_space, subspace
 from folnerflow.errors import ConfigError
-from folnerflow.jsonio import dump_json
-from folnerflow.space import (_KINDS, _spec_points, check_radius, space_from_json,
+from folnerflow.jsonio import List, dump_json, read
+from folnerflow.space import (_KINDS, GENERATOR, _count, check_radius, space_from_json,
                               space_to_json)
+
+
+def _spec_points(spec, cap):
+    """The point count of `generate(spec)` that a file's points are held to:
+    exact up to `cap`, and past it as soon as the build would be."""
+    return _count(read(spec, GENERATOR, "generator spec"), cap)
 
 
 def ids_of_coords(space, *coords):
@@ -106,11 +112,13 @@ class TestGenerators:
             build()
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("spec", [[], "cycle", {"length": 5}], ids=["list", "str", "no-kind"])
-    def test_generate_needs_a_kind(self, spec):
+    @pytest.mark.parametrize("spec, message", [
+        ([], "must be an object, got []"), ("cycle", "must be an object, got 'cycle'"),
+        ({"length": 5}, "is missing 'kind'")], ids=["list", "str", "no-kind"])
+    def test_generate_needs_a_kind(self, spec, message):
         with pytest.raises(ConfigError) as info:
             generate(spec)
-        assert str(info.value) == "generator spec must be a dict with a 'kind' key"
+        assert str(info.value) == f"generator spec {message}"
 
     def test_generate_dispatch_and_errors(self):
         s = generate({"kind": "cycle", "length": 5})
@@ -698,14 +706,16 @@ class TestAdjacencyValidation:
     def test_file_with_nonpositive_weight(self, w):
         doc = {"points": 2, "metric": {"type": "graph", "edges": [[0, 1, w]]},
                "frontier": [], "label": ""}
-        with pytest.raises(ConfigError, match="edge weight"):
+        with pytest.raises(ConfigError) as info:
             space_from_json(doc)
+        assert str(info.value) == f"space file metric.edges[0][2] must be a rational > 0, got {w!r}"
 
     @pytest.mark.parametrize("edge", [[0, 2, "1/1"], [-1, 1, "1/1"]])
     def test_file_with_endpoint_out_of_range(self, edge):
         doc = {"points": 2, "metric": {"type": "graph", "edges": [edge]},
                "frontier": [], "label": ""}
-        with pytest.raises(ConfigError, match="outside"):
+        with pytest.raises(ConfigError, match=r"space file metric\.edges\[0\]\[[01]\] must be a "
+                           r"point id below 2, got"):
             space_from_json(doc)
 
 
@@ -758,19 +768,23 @@ class TestMalformedSpaceFiles:
     ConfigError naming the field, not a TypeError or a coerced value."""
 
     @pytest.mark.parametrize("mutate, message", [
-        (lambda d: d.update(frontier=[1.5]), "space frontier entry 1.5 is not an int point id"),
-        (lambda d: d.update(frontier=["a"]), "space frontier entry 'a' is not an int point id"),
-        (lambda d: d.update(frontier=[True]), "space frontier entry True is not an int point id"),
+        (lambda d: d.update(frontier=[1.5]),
+         "space file frontier[0] must be a point id below 3, got 1.5"),
+        (lambda d: d.update(frontier=["a"]),
+         "space file frontier[0] must be a point id below 3, got 'a'"),
+        (lambda d: d.update(frontier=[True]),
+         "space file frontier[0] must be a point id below 3, got True"),
         (lambda d: d.update(frontier=5), "space file frontier must be a list, got 5"),
         (lambda d: d.update(points="3"), "space file points must be a positive int, got '3'"),
         (lambda d: d.update(points=True), "space file points must be a positive int, got True"),
         (lambda d: d.update(metric="graph"), "space file metric must be an object, got 'graph'"),
         (lambda d: d["metric"]["edges"].append([0, 1]),
-         "graph edge [0, 1] is not an [x, y, weight] triple"),
-        (lambda d: d["metric"].update(edges=5), "space file graph edges must be a list, got 5"),
+         "space file metric.edges[2] must be a list of 3 entries, got [0, 1]"),
+        (lambda d: d["metric"].update(edges=5), "space file metric.edges must be a list, got 5"),
         (lambda d: d.update(metric={"type": "matrix", "entries": [5]}),
-         "space file matrix entries must be a list of rows"),
-        (lambda d: d.update(metric={"type": "grid"}), "unknown metric type 'grid'"),
+         "space file metric.entries[0] must be a list, got 5"),
+        (lambda d: d.update(metric={"type": "grid"}),
+         "space file metric.type must be one of 'matrix', 'graph', got 'grid'"),
     ], ids=["frontier-float", "frontier-str", "frontier-bool", "frontier-not-list",
             "points-str", "points-bool", "metric-str", "edge-pair", "edges-not-list",
             "matrix-row-not-list", "metric-type"])
@@ -797,39 +811,42 @@ class TestMalformedSpaceFiles:
         # {0, 2.0} == {0, 2}, so only the entry check tells them apart
         doc = space_to_json(grid_window(1, 0, 2))
         doc["frontier"] = [0, 2.0]
-        with pytest.raises(ConfigError, match="space frontier entry 2.0 is not an int point id"):
+        with pytest.raises(ConfigError) as info:
             space_from_json(doc)
+        assert str(info.value) == "space file frontier[1] must be a point id below 3, got 2.0"
 
     @pytest.mark.parametrize("spec, message", [
-        ({"kind": "grid", "low": 0, "high": "5"}, "'grid': high must be an int, got '5'"),
-        ({"kind": "grid", "dim": 1.0, "low": 0, "high": 3}, "'grid': dim must be an int, got 1.0"),
-        ({"kind": "cycle", "length": True}, "'cycle': length must be an int, got True"),
-        ({"kind": "tree", "branching": 2.5, "depth": 2},
-         "'tree': branching must be an int, got 2.5"),
-        ({"kind": "regular_tree", "degree": 3, "depth": None},
-         "'regular_tree': depth must be an int, got None"),
+        ({"kind": "grid", "low": 0, "high": "5"}, "high must be an int, got '5'"),
+        ({"kind": "grid", "dim": 1.0, "low": 0, "high": 3}, "dim must be an int, got 1.0"),
+        ({"kind": "cycle", "length": True}, "length must be an int, got True"),
+        ({"kind": "tree", "branching": 2.5, "depth": 2}, "branching must be an int, got 2.5"),
+        ({"kind": "regular_tree", "degree": 3, "depth": None}, "depth must be an int, got None"),
         ({"kind": "product", "base": {"kind": "cycle", "length": 3}, "levels": "2"},
-         "'product': levels must be an int, got '2'"),
-        ({"kind": "union", "parts": 5, "spacing": [1]},
-         "'union': parts and spacing must be lists"),
+         "levels must be an int, got '2'"),
+        ({"kind": "union", "parts": 5, "spacing": [1]}, "parts must be a list, got 5"),
+        ({"kind": "union", "parts": [{"kind": "cycle", "length": 3}], "spacing": ["x"]},
+         "spacing[0] must be an exact rational, got 'x'"),
+        ({"kind": "product", "base": {"kind": "cycle", "length": True}, "levels": 2},
+         "base.length must be an int, got True"),
         # a key the kind does not read would be dropped by space_to_json
-        ({"kind": "cycle", "length": 5, "foo": 1}, "'cycle' does not read 'foo'"),
+        ({"kind": "cycle", "length": 5, "foo": 1}, "does not read 'foo'"),
         ({"kind": "grid", "low": 0, "high": 3, "length": 4, "b": 0},
-         "'grid' does not read 'b', 'length'"),
+         "does not read 'b', 'length'"),
         ({"kind": "union", "parts": [{"kind": "cycle", "length": 3},
                                      {"kind": "tree", "branching": 2, "depth": 1, "degree": 3}],
-          "spacing": [1, 2]}, "'tree' does not read 'degree'"),
+          "spacing": [1, 2]}, "parts[1] does not read 'degree'"),
         ({"kind": "product", "base": {"kind": "regular_tree", "degree": 3, "depth": 1, "x": 0},
-          "levels": 2}, "'regular_tree' does not read 'x'"),
+          "levels": 2}, "base does not read 'x'"),
         ({"kind": "product", "base": {"kind": "cycle", "length": 3}, "levels": 2, "dim": 1},
-         "'product' does not read 'dim'"),
+         "does not read 'dim'"),
     ], ids=["grid-high", "grid-dim", "cycle-length", "tree-branching", "regular-tree-depth",
-            "product-levels", "union-parts", "cycle-extra", "grid-extras", "union-part-extra",
-            "product-base-extra", "product-extra"])
+            "product-levels", "union-parts", "union-spacing-entry", "product-base-length",
+            "cycle-extra", "grid-extras", "union-part-extra", "product-base-extra",
+            "product-extra"])
     def test_generator_descriptor(self, spec, message):
         with pytest.raises(ConfigError) as info:
             generate(spec)
-        assert str(info.value) == f"generator spec for {message}"
+        assert str(info.value) == f"generator spec {message}"
 
 
 class TestGridOracle:
@@ -1275,7 +1292,7 @@ class TestGeneratedFileMustMatch:
         doc["generator"]["foo"] = 1
         with pytest.raises(ConfigError) as info:
             space_from_json(doc)
-        assert str(info.value) == "generator spec for 'cycle' does not read 'foo'"
+        assert str(info.value) == "space file generator does not read 'foo'"
 
     def test_descriptor_without_a_default_key(self):
         # generate fills a grid's missing dim with 1; such a file used to load
@@ -1300,10 +1317,13 @@ class TestKindsTable:
     @staticmethod
     def kinds_read(spec):
         """Every descriptor in `spec`, nested ones too, with its kind's fields."""
-        yield spec, _KINDS[spec["kind"]].fields
-        for key, form in _KINDS[spec["kind"]].fields.items():
-            for nested in [spec[key]] if form is dict else spec[key] if form == [dict] else ():
-                yield from TestKindsTable.kinds_read(nested)
+        fields = _KINDS[spec["kind"]].form.fields
+        yield spec, fields
+        for key, (form, _) in fields.items():
+            nested = [spec[key]] if form is GENERATOR else spec[key] if (
+                isinstance(form, List) and form.item is GENERATOR) else ()
+            for part in nested:
+                yield from TestKindsTable.kinds_read(part)
 
     @settings(max_examples=200, deadline=None)
     @given(descriptors())

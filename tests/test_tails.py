@@ -63,7 +63,7 @@ class TestVerifyTailCover:
         )
         report = verify_tail_cover(cover, space)
         assert report.step_violations == [(0, 0, Fraction(2))]
-        assert report.start_violations == [1]
+        assert report.start_violations == [1, 3, 4, 5]  # 3, 4 and 5 have no tail
         assert report.frontier_violations == [2]
         assert (5, 3) not in report.multiplicity_violations  # 2 tails end at 5... third is short
         assert any(z == 2 for z, _c in report.multiplicity_violations)
@@ -177,13 +177,15 @@ class TestCheckCoverOnSpace:
     invariant, in the report's order."""
 
     @pytest.mark.parametrize("tails, K, message", [
-        ({0: (0, 1, 2, 3, 4, 5), 1: (2, 3, 4, 5)}, 2, "the tail of point 1 does not start there"),
+        ({0: (0, 1, 2, 3, 4, 5), 1: (2, 3, 4, 5)}, 9, "the tail of point 1 does not start there"),
         ({0: (0, 1, 0, 1, 2, 3, 4, 5)}, 9, "the tail of point 0 repeats a point"),
-        ({0: (0, 2, 3, 4, 5)}, 2, "step 0 of the tail of point 0 has length 2/1, more than r = 1/1"),
-        ({x: tuple(range(x, 6)) for x in range(3)}, 2, "point 2 lies on 3 tails, more than K = 2"),
-        ({0: (0, 1, 2, 3, 4, 5), 2: (2, 3)}, 2, "the tail of point 2 does not end on the frontier"),
+        ({0: (0, 2, 3, 4, 5)}, 9, "step 0 of the tail of point 0 has length 2/1, more than r = 1/1"),
+        ({}, 2, "point 2 lies on 3 tails, more than K = 2"),
+        ({0: (0, 1, 2, 3, 4, 5), 2: (2, 3)}, 9, "the tail of point 2 does not end on the frontier"),
     ], ids=["start", "repeat", "step", "multiplicity", "frontier"])
     def test_first_violation_named(self, tails, K, message):
+        # every other point has its rightward tail, so no tail is missing
+        tails = {**{x: tuple(range(x, 6)) for x in range(6)}, **tails}
         cover = TailCover(tails=tails, r=Fraction(1), K=K)
         with pytest.raises(ConfigError) as info:
             check_cover_on_space(cover, grid_window(1, 0, 5))
@@ -192,6 +194,34 @@ class TestCheckCoverOnSpace:
     def test_built_covers_pass(self):
         for t in (tree_window(2, 5), tree_window(3, 3)):
             check_cover_on_space(build_tree_tails(t), t)
+
+
+class TestPartialCovers:
+    """A cover that leaves a point of the space without a tail fails: the
+    point is a start violation, as its (missing) tail does not start there."""
+
+    @pytest.mark.parametrize("drop, missing", [(None, list(range(15))), (0, [0]), (6, [6])],
+                             ids=["empty", "point-0", "point-6"])
+    def test_missing_tails_fail(self, drop, missing):
+        space = tree_window(2, 3)
+        tails = {} if drop is None else {
+            x: seq for x, seq in build_tree_tails(space).tails.items() if x != drop}
+        cover = TailCover(tails=tails, r=Fraction(1), K=2)
+        report = verify_tail_cover(cover, space)
+        assert not report.passed and report.start_violations == missing
+        assert report == verify_tail_cover_by_steps(cover, space)
+        with pytest.raises(ConfigError) as info:
+            check_cover_on_space(cover, space)
+        assert str(info.value) == f"cover has no tail for point {missing[0]}"
+
+    def test_missing_and_wrong_starts_sorted_together(self):
+        space = grid_window(1, 0, 5)
+        cover = TailCover(tails={x: tuple(range(x, 6)) for x in (0, 1, 3, 5)} | {4: (5,)},
+                          r=Fraction(1), K=9)
+        assert verify_tail_cover(cover, space).start_violations == [2, 4]
+        with pytest.raises(ConfigError) as info:
+            check_cover_on_space(cover, space)
+        assert str(info.value) == "cover has no tail for point 2"
 
 
 class TestBuildTreeTails:
@@ -365,22 +395,23 @@ class TestSerialization:
         assert cover_from_json(doc).r == 0
 
     @pytest.mark.parametrize("mutate, message", [
-        (lambda d: d["tails"].append([3, [3]]), "tail cover lists point 3 twice"),
-        (lambda d: d["tails"].append(["3", [3]]), "tail cover point '3' is not an int id"),
-        (lambda d: d["tails"].append([True, [1]]), "tail cover point True is not an int id"),
+        (lambda d: d["tails"].append([3, [3]]), "tail cover tails lists 3 twice"),
+        (lambda d: d["tails"].append(["3", [3]]), "tail cover tails[15][0] must be an int, got '3'"),
+        (lambda d: d["tails"].append([True, [1]]),
+         "tail cover tails[15][0] must be an int, got True"),
         (lambda d: d["tails"][2].__setitem__(1, "2,5"),
-         "the tail of point 2 is not a list of int ids: '2,5'"),
-        (lambda d: d["tails"][2][1].append(5.0),
-         "the tail of point 2 is not a list of int ids"),
+         "tail cover tails[2][1] must be a list, got '2,5'"),
+        (lambda d: d["tails"][2][1].append(5.0), "tail cover tails[2][1][3] must be an int, got 5.0"),
+        (lambda d: d.update(tails={}), "tail cover tails must be a list, got {}"),
         (lambda d: d.update(K="2"), "tail cover K must be a positive int, got '2'"),
         (lambda d: d.update(K=True), "tail cover K must be a positive int, got True"),
         (lambda d: d.update(K=0), "tail cover K must be a positive int, got 0"),
         (lambda d: d.update(K=1.5), "tail cover K must be a positive int, got 1.5"),
-        (lambda d: d.update(r="-1/2"), "tail cover r must be >= 0, got '-1/2'"),
-        (lambda d: d.update(r=-1), "tail cover r must be >= 0, got -1"),
-        (lambda d: d.pop("r"), "bad tail cover file: 'r'"),
+        (lambda d: d.update(r="-1/2"), "tail cover r must be a rational >= 0, got '-1/2'"),
+        (lambda d: d.update(r=-1), "tail cover r must be a rational >= 0, got -1"),
+        (lambda d: d.pop("r"), "tail cover is missing 'r'"),
     ], ids=["point-twice", "point-not-int", "point-bool", "tail-not-list",
-            "tail-entry-not-int", "K-string", "K-bool", "K-zero", "K-float",
+            "tail-entry-not-int", "tails-an-object", "K-string", "K-bool", "K-zero", "K-float",
             "r-negative", "r-negative-int", "r-missing"])
     def test_malformed_cover_rejected(self, mutate, message):
         doc = cover_to_json(build_tree_tails(tree_window(2, 3)))

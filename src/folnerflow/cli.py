@@ -9,11 +9,14 @@ with its flags, their required-ness and defaults read from the kind's
 Exit codes: 0 success / all checks pass; 1 a verification failed (the
 stage kind's failure rule holds, as on a flatten escape); 2 configuration
 or input problem (every other error a stage raises, windows too small for
-a construction included); 3 internal invariant violation (a bug, not bad
-input).
+a construction included, and a request too large to build in memory); 3
+internal invariant violation (a bug, not bad input).
 """
 
-from __future__ import annotations
+import gc
+
+if __name__ == "__main__":  # a process that runs one command and exits: see `main`
+    gc.disable()
 
 import argparse
 import importlib
@@ -156,17 +159,32 @@ def build_parser(argv) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    """Run one command and return its exit code. The whole command runs with
+    the cyclic collector paused: its data are acyclic, so the collections a
+    large artifact's lists would set off only rescan the objects the imports
+    made. The caller's collector state is restored on return."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.handler(args)
-    except InternalInvariantError as e:
-        print(f"internal invariant violation: {e}", file=sys.stderr)
-        return 3
-    except (FolnerflowError, ValueError, KeyError, OSError) as e:
-        print(f"error: {error_message(e)}", file=sys.stderr)
-        return 2
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv).parse_args(argv)
+        try:
+            return args.handler(args)
+        except InternalInvariantError as e:
+            print(f"internal invariant violation: {e}", file=sys.stderr)
+            return 3
+        except (FolnerflowError, ValueError, KeyError, OSError) as e:
+            print(f"error: {error_message(e)}", file=sys.stderr)
+            return 2
+        except MemoryError:
+            print("error: the request is too large to build in memory", file=sys.stderr)
+            return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    status = main()
+    gc.freeze()  # the collection at interpreter exit, run even with the collector off, skips it all
+    sys.exit(status)

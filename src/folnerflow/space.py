@@ -744,8 +744,12 @@ GENERATOR.variants.update((kind, row.form) for kind, row in _KINDS.items())
 
 
 def _build(spec) -> WindowSpace:
-    """The window of a descriptor `GENERATOR` has read."""
-    return _KINDS[spec["kind"]].build(**{k: v for k, v in spec.items() if k != "kind"})
+    """The window of a descriptor `GENERATOR` has read; ConfigError for what
+    the build refuses."""
+    try:
+        return _KINDS[spec["kind"]].build(**{k: v for k, v in spec.items() if k != "kind"})
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def _count(spec, cap) -> int:
@@ -756,11 +760,7 @@ def _count(spec, cap) -> int:
 def generate(spec: dict) -> WindowSpace:
     """The window of a generator descriptor, read whole by its form before
     anything is built; ConfigError for what the form or the build refuses."""
-    spec = read(spec, GENERATOR, "generator spec")
-    try:
-        return _build(spec)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    return _build(read(spec, GENERATOR, "generator spec"))
 
 
 # -- serialization ---------------------------------------------------------
@@ -823,7 +823,7 @@ def space_from_json(doc: dict) -> WindowSpace:
     if generated:
         bad = "points" if _count(d["generator"], n) != n else None if fits else "metric"
         if not bad:
-            space = generate(doc["generator"])
+            space = _build(d["generator"])
             made = {**space_to_json(space), "frontier": set(space.frontier)}
             stored = {**doc, "label": d["label"], "frontier": set(d["frontier"])}
             bad = next((key for key in ("points", "label", "metric", "frontier", "generator")

@@ -24,8 +24,10 @@ no point ever carries more than two tails.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 from .errors import BranchingTooLow, ConfigError, TailTooShort
 from .jsonio import Doc, Entries, Exact, List, Obj, Rational, format_rational, read
@@ -50,40 +52,53 @@ class TailCoverReport(namedtuple("TailCoverReport", [
     __slots__ = ()
 
 
+# a tail's points a step leaves, and those a step reaches
+_LEFT, _REACHED = itemgetter(slice(None, -1)), itemgetter(slice(1, None))
+
+
+def _outside(points: list, n: int) -> bool:
+    """False when every entry of `points` is an int id in 0..n-1, read in one
+    type, min and max pass; True otherwise, for the caller to name the first."""
+    return bool(points) and not (set(map(type, points)) == {int}
+                                 and min(points) >= 0 and max(points) < n)
+
+
 def verify_tail_cover(cover: TailCover, space: WindowSpace) -> TailCoverReport:
     """Exact check of every cover invariant; violations are report entries,
     sorted by point (a point of the space with no tail is a start violation).
 
     Also measures the smallest K and largest step the cover actually
-    attains, so a hand-built cover's declared bounds can be audited. The
+    attains, so a hand-built cover's declared bounds can be audited. Each
+    check is one pass over all the tails. A step to a graph neighbour
+    b != a of a unit-weight window has length 1 with no search; the other
     steps are grouped by the point they leave: one search per such point,
     targeted at all the points its steps reach, gives their lengths as ints
     at the space's scale L, each compared with floor(r * L).
     """
-    distinct_violations = []
-    frontier_violations = []
-    counts = {}
-    successors = {}  # the points one step after each point, over all tails
-
-    tails = cover.tails
-    start_violations = list(range(space.n) - tails.keys())  # a missing tail starts nowhere
-    for x in sorted(tails):
-        seq = tails[x]
-        for t in seq:
+    tails, frontier = cover.tails, space.frontier
+    order = sorted(tails)
+    seqs = [tails[x] for x in order]
+    points = list(chain.from_iterable(seqs))
+    if _outside(points, space.n):
+        for t in points:  # KeyError naming the first bad id
             space._check_point(t)
-        if not seq or seq[0] != x:
-            start_violations.append(x)
-        points = set(seq)
-        if len(points) != len(seq):
-            distinct_violations.append(x)
-        for z in points:
-            counts[z] = counts.get(z, 0) + 1
-        for a, b in zip(seq, seq[1:]):
-            successors.setdefault(a, set()).add(b)
-        if seq and seq[-1] not in space.frontier:
-            frontier_violations.append(x)
+    # a missing tail starts nowhere
+    start_violations = sorted([*(range(space.n) - tails.keys()),
+                               *(x for x, seq in zip(order, seqs) if not seq or seq[0] != x)])
+    distinct_violations = [x for x, k, seq in zip(order, map(len, map(set, seqs)), seqs)
+                           if k != len(seq)]
+    frontier_violations = [x for x, seq in zip(order, seqs) if seq and seq[-1] not in frontier]
+    counts = Counter(points)  # the tails through each point, once a repeat is taken off
+    for x in distinct_violations:
+        counts.subtract({z: c - 1 for z, c in Counter(tails[x]).items()})
 
-    steps = {}  # (a, b) -> d_int(a, b)
+    pairs = set(zip(*(chain.from_iterable(map(ends, seqs)) for ends in (_LEFT, _REACHED))))
+    nbrs = space.graph_neighbors
+    steps = dict.fromkeys([(a, b) for a, b in pairs if a != b and b in nbrs[a]]
+                          if space.unit_weights else (), 1)  # (a, b) -> d_int(a, b)
+    successors = {}  # the points one step after each point, over the other steps
+    for a, b in pairs - steps.keys():
+        successors.setdefault(a, set()).add(b)
     for a, targets in successors.items():
         found = space._search((a,), targets=targets)
         for b in targets:
@@ -95,13 +110,11 @@ def verify_tail_cover(cover: TailCover, space: WindowSpace) -> TailCoverReport:
         # d_int > limit iff d > r; a negative r, which `_limit` refuses, passes no step
         limit = space._limit(cover.r) if cover.r >= 0 else -1
         if longest > limit:
-            for x in sorted(tails):
-                seq = tails[x]
+            for x, seq in zip(order, seqs):
                 for j, ab in enumerate(zip(seq, seq[1:])):
                     if steps[ab] > limit:
                         step_violations.append((x, j, Fraction(steps[ab], L)))
 
-    start_violations.sort()
     multiplicity_violations = sorted((z, c) for z, c in counts.items() if c > cover.K)
     return TailCoverReport(
         passed=not (start_violations or distinct_violations or step_violations
@@ -227,11 +240,12 @@ def check_cover_on_space(cover: TailCover, space: WindowSpace) -> None:
     is an id of the space and `verify_tail_cover` passes: every tail starts
     at its point, repeats none, steps at most r and ends on the frontier,
     and no point lies on more than K tails."""
-    for x, seq in cover.tails.items():
-        for t in (x, *seq):
-            if not 0 <= t < space.n:
-                raise ConfigError(f"the tail of point {x} has point {t}, "
-                                  f"outside the space's 0..{space.n - 1}")
+    if _outside([*cover.tails, *chain.from_iterable(cover.tails.values())], space.n):
+        for x, seq in cover.tails.items():
+            for t in (x, *seq):
+                if not 0 <= t < space.n:
+                    raise ConfigError(f"the tail of point {x} has point {t}, "
+                                      f"outside the space's 0..{space.n - 1}")
     report = verify_tail_cover(cover, space)
     if report.start_violations:
         x = report.start_violations[0]

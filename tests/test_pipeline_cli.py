@@ -1,6 +1,7 @@
 """Pipeline runs, determinism, report round-trips, CLI exit codes."""
 
 import copy
+import gc
 import hashlib
 import json
 import re
@@ -15,6 +16,7 @@ from conftest import child_env
 from folnerflow import (
     ConfigError,
     FamilyParams,
+    InternalInvariantError,
     MultisetFamily,
     WindowSpace,
     build_tree_tails,
@@ -22,6 +24,7 @@ from folnerflow import (
     singleton_family,
     tree_window,
 )
+from folnerflow import cli
 from folnerflow.chains import (
     Chain,
     IndexedFamily,
@@ -1483,6 +1486,60 @@ class TestForgedSizes:
         assert (r.returncode, r.stdout, r.stderr) == (
             2, "", "error: space file points 10000000000 need at least 9999999999 graph "
             "edges, got 120\n")
+
+
+class TestTooLargeToBuild:
+    """A request whose build runs out of memory exits 2 with one `error:`
+    line and no traceback, and writes nothing."""
+
+    def test_space_gen(self, tmp_path):
+        spec = {"kind": "grid", "dim": 1, "low": 0, "high": 10 ** 10}
+        r = run_capped_cli(["space", "gen", "--spec", json.dumps(spec), "--out", "s.json"],
+                           tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (
+            2, "", "error: the request is too large to build in memory\n")
+        assert not (tmp_path / "s.json").exists()
+
+
+class TestCollectorRestored:
+    """`cli.main` runs a command with the cyclic collector paused and hands
+    the caller's collector state back, whatever the command's outcome."""
+
+    @pytest.fixture(params=[True, False], ids=["on", "off"])
+    def enabled(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    def test_each_exit_code(self, tmp_path, monkeypatch, capsys, enabled):
+        monkeypatch.chdir(tmp_path)
+        fam = {"params": {"R": "1/1", "epsilon": "1/4", "S": "0/1", "M": 0},
+               "chains": [[x, {"weights": [[x, 1]]}] for x in range(2, 5)]}
+        (tmp_path / "bad.json").write_text(json.dumps(fam))
+        (tmp_path / "m.json").write_text("[1, 2]")
+        gen = ["space", "gen", "--spec", '{"kind": "grid", "dim": 1, "low": 0, "high": 6}',
+               "--out", "s.json"]
+        for argv, code in [(gen, 0),
+                           (["family", "verify", "--family", "bad.json", "--space", "s.json"], 1),
+                           (["space", "info", "--space", "m.json"], 2)]:
+            assert cli.main(argv) == code
+            assert gc.isenabled() is enabled
+        during = []
+
+        def broken(spec):
+            during.append(gc.isenabled())
+            raise InternalInvariantError("forced")
+
+        monkeypatch.setattr("folnerflow.space.generate", broken)
+        assert cli.main(gen) == 3
+        assert gc.isenabled() is enabled and during == [False]  # paused while it ran
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        assert gc.isenabled() is enabled
+        assert capsys.readouterr().err.splitlines() == [
+            "error: space file must be an object, got [1, 2]",
+            "internal invariant violation: forced"]
 
 
 class TestDescriptorReadWhole:

@@ -1213,6 +1213,14 @@ class TestGeneratedFileMustMatch:
             space_from_json(doc)
         assert str(info.value) == f"space file {field} does not match its generator descriptor"
 
+    def test_descriptor_read_once(self, tree_doc, monkeypatch):
+        # the build reads the descriptor the file's form has read, not the raw one again
+        reads = []
+        read = GENERATOR.read
+        monkeypatch.setattr(GENERATOR, "read", lambda *a: reads.append(a) or read(*a))
+        assert space_from_json(tree_doc).n == 4095
+        assert len(reads) == 1
+
     @pytest.mark.parametrize("spec", [
         {"kind": "grid", "dim": 3, "low": -1, "high": 2}, {"kind": "grid", "low": 0, "high": 4},
         {"kind": "grid", "dim": 4, "low": 7, "high": 7}, {"kind": "cycle", "length": 9},

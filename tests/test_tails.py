@@ -5,8 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
-from conftest import (floyd_warshall, graph_space, rational_graphs, unit_graphs,
-                      verify_tail_cover_by_steps)
+from conftest import (count_searches, floyd_warshall, graph_space, rational_graphs,
+                      unit_graphs, verify_tail_cover_by_steps)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +25,7 @@ from folnerflow import (
     verify_tail_cover,
 )
 from folnerflow.errors import ConfigError
+from folnerflow.space import space_from_json
 from folnerflow.tails import check_cover_on_space, cover_from_json, cover_to_json
 
 
@@ -106,10 +107,12 @@ def covers(draw, space, neighbours):
 
 
 class TestOneSearchPerSource:
-    """`verify_tail_cover` (one targeted search per point a step leaves)
-    against the per-step `dist` loop: the same report, field by field and in
-    the same order, with Fractions for the measured step and the step
-    lengths, or the same KeyError for a point outside the space."""
+    """`verify_tail_cover` (on a unit-weight window a step to a graph
+    neighbour b != a has length 1 with no search; one targeted search per
+    point another step leaves) against the per-step `dist` loop: the same
+    report, field by field and in the same order, with Fractions for the
+    measured step and the step lengths, or the same KeyError for a point
+    outside the space."""
 
     def check(self, space, cover):
         assert outcome(verify_tail_cover, cover, space) == outcome(
@@ -170,6 +173,40 @@ class TestOneSearchPerSource:
         self.check(space, cover)
         tails = {x: seq[:1] + seq[2:] if x % 7 == 0 else seq for x, seq in cover.tails.items()}
         self.check(space, TailCover(tails=tails, r=Fraction(3, 2), K=1))
+
+    def test_built_cover_runs_no_search(self, monkeypatch):
+        # the benchmark's cover: every step is a tree edge
+        space = tree_window(2, 11)
+        cover = build_tree_tails(space)
+        calls = count_searches(space, monkeypatch)
+        report = verify_tail_cover(cover, space)
+        assert report.passed and report.measured_step == 1
+        assert calls == []
+
+    def test_one_jump_runs_one_search(self, monkeypatch):
+        space = tree_window(2, 11)
+        cover = build_tree_tails(space)
+        leaf = cover.tails[0][-1]
+        jumped = TailCover(tails={**cover.tails, 0: (0, leaf)}, r=cover.r, K=cover.K)
+        calls = count_searches(space, monkeypatch)
+        report = verify_tail_cover(jumped, space)
+        assert calls == [((0,),)]
+        assert report.step_violations == [(0, 0, Fraction(11))]
+        assert report.measured_step == 11
+
+    def test_self_loop_step_has_length_0(self, monkeypatch):
+        # x = 1 lists itself among its graph neighbours, yet the step 1 -> 1
+        # has length 0: it is searched, as the oracle measures it
+        space = space_from_json({"points": 3, "frontier": [2], "label": "loop", "metric": {
+            "type": "graph", "edges": [[0, 1, "1/1"], [1, 1, "1/1"], [1, 2, "1/1"]]}})
+        assert space.unit_weights and 1 in space.graph_neighbors[1]
+        cover = TailCover(tails={0: (0, 1, 1, 2), 1: (1, 2), 2: (2,)}, r=Fraction(1), K=3)
+        calls = count_searches(space, monkeypatch)
+        report = verify_tail_cover(cover, space)
+        assert calls == [((1,),)]
+        assert report == verify_tail_cover_by_steps(cover, space)
+        assert report.distinct_violations == [0] and report.step_violations == []
+        assert report.measured_K == 3
 
 
 class TestCheckCoverOnSpace:
